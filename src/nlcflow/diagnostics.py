@@ -111,26 +111,35 @@ def energy_law_residual(prev: SimState, curr: SimState,
     d/dt E + (nu/2)||grad v||^2 + lam*gamma||..||^2
     - (C_P^2 rho_bar^2 / (2 nu)) ||g||^2.
     """
+    g_l2 = norms(ctx.force_at(curr.rho.grid, curr.t), "L2")
+    return _law_residual(prev, curr, ctx, _energy_parts(curr, ctx),
+                         _dissipation(curr, ctx), g_l2)
+
+
+def _law_residual(prev: SimState, curr: SimState, ctx: DiagContext,
+                  parts_c, diss_c, g_l2_c: float) -> float:
+    """`energy_law_residual` with curr's energy parts, dissipation norms
+    and ||g(curr.t)||_L2 already evaluated."""
     dt = curr.t - prev.t
     if dt <= 0:
         raise ValueError("states must be consecutive in time")
     g = curr.rho.grid
     nu, lam, gam = ctx.flow.nu, ctx.glp.lam, ctx.glp.gamma
     gv_p, gr_p = _dissipation(prev, ctx)
-    gv_c, gr_c = _dissipation(curr, ctx)
+    gv_c, gr_c = diss_c
     visc = 0.5 * (gv_p**2 + gv_c**2)
     relax = 0.5 * (gr_p**2 + gr_c**2)
     if ctx.spec.variant == "f2":
         *_, e_p, _ = _energy_parts(prev, ctx)
-        *_, e_c, _ = _energy_parts(curr, ctx)
+        *_, e_c, _ = parts_c
         cp = g.poincare_constant()
         gl2 = 0.5 * (norms(ctx.force_at(g, prev.t), "L2") ** 2
-                     + norms(ctx.force_at(g, curr.t), "L2") ** 2)
+                     + g_l2_c ** 2)
         excess = (e_c - e_p) / dt + 0.5 * nu * visc + lam * gam * relax \
             - cp**2 * ctx.rho_bar**2 / (2.0 * nu) * gl2
         return max(0.0, excess)
     *_, te_p = _energy_parts(prev, ctx)
-    *_, te_c = _energy_parts(curr, ctx)
+    *_, te_c = parts_c
     return (te_c - te_p) / dt + nu * visc + lam * gam * relax
 
 
@@ -140,17 +149,17 @@ def compute_record(prev: SimState, curr: SimState,
         raise ValueError("prev must precede curr")
     g = curr.rho.grid
     dt = curr.t - prev.t
-    nu, lam, gam = ctx.flow.nu, ctx.glp.lam, ctx.glp.gamma
+    nu = ctx.flow.nu
 
-    kin, ela, pot, total, tilde = _energy_parts(curr, ctx)
+    parts = _energy_parts(curr, ctx)
+    kin, ela, pot, total, tilde = parts
     grad_v, gl_res = _dissipation(curr, ctx)
+    g_l2 = norms(ctx.force_at(g, curr.t), "L2")
 
     vt = MacVelocity(g, (curr.v.u - prev.v.u) / dt,
                      (curr.v.v - prev.v.v) / dt)
     dt_dir = DirectorField(g, (curr.d.d1 - prev.d.d1) / dt,
-                           (curr.d.d2 - prev.d.d2) / dt,
-                           lambda x, y: (np.zeros_like(x),
-                                         np.zeros_like(x)))
+                           (curr.d.d2 - prev.d.d2) / dt, None)
     b_val = 2.0 * kinetic_energy(curr.rho.values, vt) \
         + norms(dt_dir, "H1_semi") ** 2
     a_val = nu * grad_v**2 + gl_res**2
@@ -161,9 +170,7 @@ def compute_record(prev: SimState, curr: SimState,
     d_dist = 0.0
     if ctx.d_inf is not None:
         diff = DirectorField(g, curr.d.d1 - ctx.d_inf.d1,
-                             curr.d.d2 - ctx.d_inf.d2,
-                             lambda x, y: (np.zeros_like(x),
-                                           np.zeros_like(x)))
+                             curr.d.d2 - ctx.d_inf.d2, None)
         d_dist = norms(diff, "L2")
     return DiagRecord(
         t=curr.t, kinetic=kin, elastic=ela, potential=pot, E_total=total,
@@ -171,9 +178,10 @@ def compute_record(prev: SimState, curr: SimState,
         B_val=b_val, mass=mass, rho_min=rho_min, rho_max=rho_max,
         d_maxnorm=max_norm_check(curr.d),
         div_v_inf=float(np.abs(divergence(curr.v).values).max()),
-        law_residual=energy_law_residual(prev, curr, ctx),
-        g_L2=norms(ctx.force_at(g, curr.t), "L2"),
-        d_dist=d_dist, v_H1=norms(curr.v, "H1"))
+        law_residual=_law_residual(prev, curr, ctx, parts,
+                                   (grad_v, gl_res), g_l2),
+        g_L2=g_l2, d_dist=d_dist,
+        v_H1=float(np.hypot(norms(curr.v, "L2"), grad_v)))
 
 
 def convergence_monitor(records) -> dict:

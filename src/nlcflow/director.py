@@ -98,11 +98,10 @@ def _trace_laplacian_load(d: DirectorField) -> tuple[np.ndarray, np.ndarray]:
     """Laplacian contribution of the Dirichlet trace alone (operator applied
     to the zero field with the trace's ghost fill)."""
     g = d.grid
-    zero1 = ScalarField(g, np.zeros((g.nx, g.ny)), "dirichlet",
-                        d.component(0).boundary_value)
-    zero2 = ScalarField(g, np.zeros((g.nx, g.ny)), "dirichlet",
-                        d.component(1).boundary_value)
-    return laplacian(zero1).values, laplacian(zero2).values
+    zero = np.zeros((g.nx, g.ny))
+    w1, w2 = d.walls
+    return (laplacian(ScalarField(g, zero, "dirichlet", w1)).values,
+            laplacian(ScalarField(g, zero, "dirichlet", w2)).values)
 
 
 def advance_director(d: DirectorField, w: MacVelocity, p: GLParams,
@@ -130,13 +129,9 @@ def advance_director(d: DirectorField, w: MacVelocity, p: GLParams,
     pre = _helmholtz(g, a, c)
 
     def apply_a(x):
-        sf = ScalarField(g, x, "dirichlet", _zero_bv)
+        sf = ScalarField(g, x, "dirichlet")
         return a * x - c * laplacian(sf).values
 
     new1 = pcg(apply_a, rhs1, pre.solve, tol_rel=tol_lin, maxiter=max_cg)
     new2 = pcg(apply_a, rhs2, pre.solve, tol_rel=tol_lin, maxiter=max_cg)
     return DirectorField(g, new1, new2, d.boundary_trace)
-
-
-def _zero_bv(x, y):
-    return np.zeros_like(x)

@@ -12,12 +12,17 @@ Index order is ``[i, j]`` with ``i`` along x and ``j`` along y.
 Ghost cells are never stored; boundary fills are computed on demand from
 interior values and the field's boundary kind (Dirichlet via linear
 extrapolation through the boundary face, zero-Neumann via mirror).
+
+Dirichlet data reaches the fills as four wall arrays (west, east, south,
+north) holding the trace at the boundary-face midpoints, sampled once per
+(trace, grid) by `sample_walls`; ``None`` stands for a homogeneous trace.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -74,21 +79,32 @@ class GridSpec:
         return 1.0 / np.sqrt(np.pi**2 * (1.0 / self.Lx**2 + 1.0 / self.Ly**2))
 
 
-BoundaryValue = Callable[[np.ndarray, np.ndarray], np.ndarray]
+Walls = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def sample_walls(grid: GridSpec, fn) -> tuple:
+    """Values of ``fn(x, y)`` at the boundary-face midpoints, as
+    (west, east, south, north); west/east have length ny, south/north nx."""
+    xc = (np.arange(grid.nx) + 0.5) * grid.hx
+    yc = (np.arange(grid.ny) + 0.5) * grid.hy
+    return (fn(np.zeros(grid.ny), yc), fn(np.full(grid.ny, grid.Lx), yc),
+            fn(xc, np.zeros(grid.nx)), fn(xc, np.full(grid.nx, grid.Ly)))
 
 
 @dataclass
 class ScalarField:
     """Cell-centered scalar with a declared boundary treatment.
 
-    ``boundary_kind`` is one of ``"dirichlet"`` (with ``boundary_value(x, y)``
-    giving the trace on the wall), ``"neumann_zero"`` or ``"extrapolate"``.
+    ``boundary_kind`` is one of ``"dirichlet"``, ``"neumann_zero"`` or
+    ``"extrapolate"``. A Dirichlet field's ``boundary_value`` holds the
+    trace's wall arrays from `sample_walls`, or ``None`` for a homogeneous
+    trace.
     """
 
     grid: GridSpec
     values: np.ndarray
     boundary_kind: str = "extrapolate"
-    boundary_value: BoundaryValue | None = None
+    boundary_value: Walls | None = None
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -96,8 +112,9 @@ class ScalarField:
             raise ValueError("scalar values must have shape (nx, ny)")
         if self.boundary_kind not in ("dirichlet", "neumann_zero", "extrapolate"):
             raise ValueError(f"unknown boundary kind {self.boundary_kind!r}")
-        if self.boundary_kind == "dirichlet" and self.boundary_value is None:
-            self.boundary_value = lambda x, y: np.zeros_like(x)
+        if callable(self.boundary_value):
+            raise TypeError("boundary_value takes wall arrays; "
+                            "sample a trace with sample_walls(grid, fn)")
 
     def copy(self) -> "ScalarField":
         return ScalarField(self.grid, self.values.copy(), self.boundary_kind,
@@ -110,21 +127,17 @@ class ScalarField:
 
 
 def pad_with_ghosts(grid: GridSpec, values: np.ndarray, kind: str,
-                    bv: BoundaryValue | None) -> np.ndarray:
+                    bv: Walls | None) -> np.ndarray:
     """Deterministic ghost fill: Dirichlet by linear extrapolation through the
-    boundary face, zero-Neumann by mirror, extrapolate linearly from the two
-    nearest interior cells. Corners are averaged from the two adjacent ghosts
-    (no operator uses them; they just keep the array finite)."""
+    boundary face (``bv`` the wall arrays, ``None`` for zero), zero-Neumann
+    by mirror, extrapolate linearly from the two nearest interior cells.
+    Corners are averaged from the two adjacent ghosts (no operator uses
+    them; they just keep the array finite)."""
     nx, ny = grid.nx, grid.ny
     p = np.empty((nx + 2, ny + 2), dtype=np.float64)
     p[1:-1, 1:-1] = values
-    yc = (np.arange(ny) + 0.5) * grid.hy
-    xc = (np.arange(nx) + 0.5) * grid.hx
     if kind == "dirichlet":
-        gw = bv(np.zeros(ny), yc)
-        ge = bv(np.full(ny, grid.Lx), yc)
-        gs = bv(xc, np.zeros(nx))
-        gn = bv(xc, np.full(nx, grid.Ly))
+        gw, ge, gs, gn = (0.0,) * 4 if bv is None else bv
         p[0, 1:-1] = 2.0 * gw - values[0, :]
         p[-1, 1:-1] = 2.0 * ge - values[-1, :]
         p[1:-1, 0] = 2.0 * gs - values[:, 0]
@@ -185,15 +198,38 @@ class MacVelocity:
 DirectorTrace = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
+@lru_cache(maxsize=32)
+def _director_walls(trace: DirectorTrace | None,
+                   grid: GridSpec) -> tuple[Walls | None, Walls | None]:
+    """Read-only wall arrays of each director component, sampled once per
+    (trace, grid); ``(None, None)`` for the zero trace."""
+    if trace is None:
+        return None, None
+    walls = sample_walls(grid, trace)
+
+    def frozen(a):
+        a = np.array(a, dtype=np.float64)
+        a.flags.writeable = False
+        return a
+
+    return tuple(tuple(frozen(w[k]) for w in walls) for k in range(2))
+
+
 @dataclass
 class DirectorField:
-    """Two-component cell-centered director with a Dirichlet trace d0 on
-    the wall (time-independent)."""
+    """Two-component cell-centered director with a time-independent
+    Dirichlet trace d0 on the wall.
+
+    ``boundary_trace`` is the callable ``(x, y) -> (d0_1, d0_2)``, or
+    ``None`` for the zero trace. Its wall arrays are looked up once, at
+    construction, and the component fields carry those arrays."""
 
     grid: GridSpec
     d1: np.ndarray
     d2: np.ndarray
-    boundary_trace: DirectorTrace
+    boundary_trace: DirectorTrace | None
+    walls: tuple[Walls | None, Walls | None] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.d1 = np.ascontiguousarray(self.d1, dtype=np.float64)
@@ -201,6 +237,7 @@ class DirectorField:
         shape = (self.grid.nx, self.grid.ny)
         if self.d1.shape != shape or self.d2.shape != shape:
             raise ValueError("director components must have shape (nx, ny)")
+        self.walls = _director_walls(self.boundary_trace, self.grid)
 
     def copy(self) -> "DirectorField":
         return DirectorField(self.grid, self.d1.copy(), self.d2.copy(),
@@ -208,9 +245,7 @@ class DirectorField:
 
     def component(self, k: int) -> ScalarField:
         comp = self.d1 if k == 0 else self.d2
-        trace = self.boundary_trace
-        bv = lambda x, y, _k=k: trace(x, y)[_k]
-        return ScalarField(self.grid, comp, "dirichlet", bv)
+        return ScalarField(self.grid, comp, "dirichlet", self.walls[k])
 
     def components(self) -> tuple[ScalarField, ScalarField]:
         return self.component(0), self.component(1)

@@ -190,7 +190,8 @@ def step(state: SimState, cfg: RunConfig, stepper: StepperState) -> SimState:
     """One coupled step: density and director advance with the current
     velocity, then the momentum predictor and projection use the fresh
     density and director. dt is halved until the transport CFL bound
-    holds with the configured safety factor."""
+    holds with the configured safety factor, and a step that would pass
+    t_end is shortened to end there."""
     dt = stepper.dt
     while cfl_number(state.v, dt) > cfg.cfl_safety:
         dt *= 0.5
@@ -199,6 +200,9 @@ def step(state: SimState, cfg: RunConfig, stepper: StepperState) -> SimState:
                 f"CFL shrink pushed dt below dt_min={cfg.dt_min:g} "
                 f"at t={state.t:.6g}")
     stepper.dt = dt
+    # the last step of a run lands on t_end; stepper.dt keeps the full step
+    if 0.0 < cfg.t_end - state.t < dt - 1e-12:
+        dt = cfg.t_end - state.t
 
     density = advance_density(state.density, state.v, dt)
     d = advance_director(state.d, state.v, cfg.glp, dt, tol_lin=cfg.tol_lin)
@@ -227,7 +231,7 @@ def run(cfg: RunConfig, write_outputs: bool = True,
     d_inf = None
     e_inf = None
     if with_stationary:
-        st = solve_stationary(g, director_trace(cfg), cfg.eta,
+        st = solve_stationary(g, state.d.boundary_trace, cfg.eta,
                               cfg.tol_stationary)
         d_inf, e_inf = st.d_inf, st.energy
 

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .director import (GLParams, advance_director, director_energy,
-                       gl_residual_l2)
+from .director import (GLParams, _trace_laplacian_load, advance_director,
+                       director_energy, gl_residual_l2)
 from .errors import DegenerateFit, InsufficientSamples, MaxIterations
 from .grid import DirectorField, GridSpec, MacVelocity, ScalarField, laplacian
 from .solvers import CellHelmholtz, pcg
@@ -43,19 +43,15 @@ def energy_E(d: DirectorField, eta: float) -> float:
 
 def _harmonic_extension(grid: GridSpec, trace) -> DirectorField:
     """Initial guess: solve lap d = 0 per component with the trace."""
-    d0 = DirectorField(grid, np.zeros((grid.nx, grid.ny)),
-                       np.zeros((grid.nx, grid.ny)), trace)
+    zero = np.zeros((grid.nx, grid.ny))
     pre = CellHelmholtz(grid, 0.0, -1.0)  # solves -lap x = b, Dirichlet 0
-    comps = []
-    for k in range(2):
-        # -lap d = 0 with trace g  <=>  -lap_0 x = lap of (zero field with
-        # trace ghosts), x the deviation from zero interior values
-        zero = d0.component(k)
-        load = laplacian(zero).values
-        sol = pcg(lambda v: -_lap0(v, grid), load, pre.solve,
-                  tol_rel=1e-12, maxiter=2000)
-        comps.append(sol)
-    return DirectorField(grid, comps[0], comps[1], trace)
+    # -lap d = 0 with trace g  <=>  -lap_0 x = lap of (zero field with
+    # trace ghosts), x the deviation from zero interior values
+    d0 = DirectorField(grid, zero, zero, trace)
+    sol1, sol2 = (pcg(lambda v: -_lap0(v, grid), load, pre.solve,
+                      tol_rel=1e-12, maxiter=2000)
+                  for load in _trace_laplacian_load(d0))
+    return DirectorField(grid, sol1, sol2, trace)
 
 
 def _lap0(x: np.ndarray, grid: GridSpec) -> np.ndarray:

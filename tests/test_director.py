@@ -5,6 +5,7 @@ from nlcflow.director import (GLParams, advance_director, director_energy,
                               gl_F, gl_f, gl_residual, gl_residual_l2,
                               max_norm_check)
 from nlcflow.grid import DirectorField, GridSpec, MacVelocity
+from nlcflow.momentum import elastic_force
 
 
 @pytest.fixture
@@ -115,3 +116,33 @@ def test_trace_is_respected(grid):
     out = advance_director(d, MacVelocity.zeros(grid), p, 1e-2)
     # ghost fill of the output still realizes the same boundary trace
     assert out.boundary_trace is d.boundary_trace
+
+
+def test_time_loop_never_calls_the_trace(grid):
+    calls = []
+
+    def trace(x, y):
+        calls.append(1)
+        th = 0.4 * np.sin(np.pi * x) * np.sin(np.pi * y) + 0.3 * x * y
+        return np.cos(th), np.sin(th)
+
+    X, Y = grid.cell_centers()
+    d = DirectorField(grid, *trace(X, Y), trace)
+    sampled = len(calls)
+    p = GLParams(gamma=1.0, eta=0.5, lam=1.0)
+    w = MacVelocity.zeros(grid)
+    for _ in range(10):
+        d = advance_director(d, w, p, 1e-2)
+        elastic_force(d, p)
+    assert len(calls) == sampled
+
+
+def test_zero_trace_matches_explicit_zero_callable(grid):
+    rng = np.random.default_rng(11)
+    d1, d2 = rng.normal(size=(2, grid.nx, grid.ny))
+    none = DirectorField(grid, d1, d2, None)
+    zero = DirectorField(grid, d1, d2,
+                         lambda x, y: (np.zeros_like(x), np.zeros_like(x)))
+    for k in range(2):
+        assert np.array_equal(none.component(k).padded(),
+                              zero.component(k).padded())

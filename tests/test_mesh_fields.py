@@ -5,7 +5,7 @@ from nlcflow.grid import (DirectorField, GridSpec, MacVelocity, ScalarField,
                           density_at_faces, divergence,
                           elastic_identity_residual, gradient_interior_faces,
                           gradient_to_faces, laplacian, load_snapshot, norms,
-                          save_snapshot)
+                          sample_walls, save_snapshot)
 
 
 @pytest.fixture
@@ -69,7 +69,7 @@ def test_laplacian_neumann_constant_is_zero(grid):
 def test_dirichlet_ghost_linear_extrapolation():
     g = GridSpec(4, 4, 1.0, 1.0)
     s = ScalarField(g, np.ones((4, 4)), "dirichlet",
-                    lambda x, y: 2.0 * np.ones_like(x))
+                    sample_walls(g, lambda x, y: 2.0 * np.ones_like(x)))
     p = s.padded()
     # ghost = 2*g - interior = 4 - 1
     assert np.allclose(p[0, 1:-1], 3.0)
@@ -113,6 +113,34 @@ def test_director_component_trace():
                       lambda x, y: (np.ones_like(x), np.zeros_like(x)))
     p = d.component(0).padded()
     assert np.allclose(p, 1.0)  # constant extends exactly
+
+
+def test_director_walls_sit_at_their_face_midpoints(grid):
+    # an asymmetric trace on a non-square grid: swapping any two walls or
+    # the x/y roles would put the wrong values at some face
+    def trace(x, y):
+        return x + 2.0 * y**2, np.sin(3.0 * x) * y
+
+    rng = np.random.default_rng(3)
+    d = DirectorField(grid, rng.normal(size=(16, 12)),
+                      rng.normal(size=(16, 12)), trace)
+    xc = (np.arange(grid.nx) + 0.5) * grid.hx
+    yc = (np.arange(grid.ny) + 0.5) * grid.hy
+    faces = {"west": (np.s_[0, 1:-1], np.s_[1, 1:-1], 0.0 * yc, yc),
+             "east": (np.s_[-1, 1:-1], np.s_[-2, 1:-1], grid.Lx + 0.0 * yc, yc),
+             "south": (np.s_[1:-1, 0], np.s_[1:-1, 1], xc, 0.0 * xc),
+             "north": (np.s_[1:-1, -1], np.s_[1:-1, -2], xc, grid.Ly + 0.0 * xc)}
+    for k in range(2):
+        p = d.component(k).padded()
+        for name, (ghost, inner, x, y) in faces.items():
+            face = 0.5 * (p[ghost] + p[inner])
+            assert np.abs(face - trace(x, y)[k]).max() <= 1e-14, (k, name)
+
+
+def test_scalar_field_rejects_a_callable_trace():
+    g = GridSpec(4, 4, 1.0, 1.0)
+    with pytest.raises(TypeError):
+        ScalarField(g, np.ones((4, 4)), "dirichlet", lambda x, y: 0.0 * x)
 
 
 def test_density_at_faces_constant(grid):

@@ -182,6 +182,16 @@ def test_checkpoint_round_trip_resumes_bitwise(tmp_path):
     assert np.array_equal(cont_a.d.d2, cont_b.d.d2)
 
 
+def test_run_stops_exactly_at_t_end():
+    result = run(_cfg(t_end=0.0123, dt=0.005), write_outputs=False,
+                 with_stationary=False)
+    assert result.report["invariants"]["steps"] == 3
+    assert abs(result.report["t_end"] - 0.0123) <= 1e-15
+    assert result.records[-1].t == result.report["t_end"]
+    # the shortened last step does not shrink the step size
+    assert result.report["final_dt"] == 0.005
+
+
 def test_run_report_contents(tmp_path):
     cfg = _cfg(out_dir=str(tmp_path), t_end=0.1, record_every=1)
     result = run(cfg)
