@@ -11,8 +11,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import (DirectorField, GridSpec, MacVelocity, ScalarField,
-                   centered_gradient_at_centers, laplacian, norms)
+from .grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
+                   ScalarField, centered_gradient_at_centers, laplacian, norms)
 from .solvers import CellHelmholtz, pcg
 
 
@@ -94,14 +94,20 @@ def _helmholtz(grid: GridSpec, a: float, c: float) -> CellHelmholtz:
     return CellHelmholtz(grid, a, c)
 
 
-def _trace_laplacian_load(d: DirectorField) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=4)
+def _trace_laplacian_load(trace: DirectorTrace | None,
+                          grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Laplacian contribution of the Dirichlet trace alone (operator applied
-    to the zero field with the trace's ghost fill)."""
-    g = d.grid
-    zero = np.zeros((g.nx, g.ny))
-    w1, w2 = d.walls
-    return (laplacian(ScalarField(g, zero, "dirichlet", w1)).values,
-            laplacian(ScalarField(g, zero, "dirichlet", w2)).values)
+    to the zero field with the trace's ghost fill), read-only and computed
+    once per (trace, grid). Each entry holds two (nx, ny) arrays, and every
+    run builds a new trace, so the cache is kept small."""
+    zero = np.zeros((grid.nx, grid.ny))
+    w1, w2 = DirectorField(grid, zero, zero, trace).walls
+    loads = (laplacian(ScalarField(grid, zero, "dirichlet", w1)).values,
+             laplacian(ScalarField(grid, zero, "dirichlet", w2)).values)
+    for load in loads:
+        load.flags.writeable = False
+    return loads
 
 
 def advance_director(d: DirectorField, w: MacVelocity, p: GLParams,
@@ -109,9 +115,10 @@ def advance_director(d: DirectorField, w: MacVelocity, p: GLParams,
                      max_cg: int = 400) -> DirectorField:
     """One step of (I - gamma*dt*Lap + gamma*dt*S) d' =
     d - dt*(w.grad d) - gamma*dt*(f(d) - S d), per component, with the
-    Dirichlet trace on d'. The implicit operator is inverted by CG with a
-    sine-transform preconditioner (exact here, so CG converges immediately
-    but still certifies the residual).
+    Dirichlet trace on d'. The implicit operator is inverted by PCG with a
+    direct sine-basis preconditioner. That preconditioner is exact here, so
+    each solve costs one preconditioner solve plus one operator apply, whose
+    residual certifies tol_lin.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -121,7 +128,7 @@ def advance_director(d: DirectorField, w: MacVelocity, p: GLParams,
     c = p.gamma * dt
     adv1, adv2 = advect_director(d, w)
     f1, f2 = gl_f(d, p.eta)
-    bc1, bc2 = _trace_laplacian_load(d)
+    bc1, bc2 = _trace_laplacian_load(d.boundary_trace, g)
 
     rhs1 = d.d1 - dt * adv1 - c * (f1 - s * d.d1) + c * bc1
     rhs2 = d.d2 - dt * adv2 - c * (f2 - s * d.d2) + c * bc2

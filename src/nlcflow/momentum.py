@@ -140,8 +140,8 @@ def _face_pre(grid: GridSpec, a: float, c: float, axis: int) -> FaceHelmholtz:
 
 
 @lru_cache(maxsize=16)
-def _neumann_pre(grid: GridSpec, coeff: float) -> NeumannPoisson:
-    return NeumannPoisson(grid, coeff)
+def _neumann_pre(grid: GridSpec) -> NeumannPoisson:
+    return NeumannPoisson(grid)
 
 
 def predict_velocity(rho: ScalarField, w: MacVelocity, d: DirectorField,
@@ -223,10 +223,16 @@ def project(rho: ScalarField, v_star: MacVelocity, dt: float,
     def project_mean(x):
         return x - x.mean()
 
-    pre = _neumann_pre(g, float(inv_ru.mean()))
+    # constant-coefficient preconditioner -mean(1/rho)*Lap
+    pre_solve = _neumann_pre(g).solve
+    scale = 1.0 / float(inv_ru.mean())
+
+    def precond(r):
+        return scale * pre_solve(r)
+
     # div v' = -dt * (residual of this solve); stop well inside tol_proj
     tol_inf = 0.1 * params.tol_proj / dt
-    q = pcg(apply_a, rhs, pre.solve, tol_rel=1e-13, tol_abs_inf=tol_inf,
+    q = pcg(apply_a, rhs, precond, tol_rel=1e-13, tol_abs_inf=tol_inf,
             maxiter=params.max_cg, project=project_mean)
     q -= q.mean()
 

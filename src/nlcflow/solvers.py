@@ -1,56 +1,104 @@
-"""Inner linear solvers: fast sine/cosine-transform Helmholtz/Poisson solvers
-used as preconditioners, and a matrix-free preconditioned conjugate gradient.
+"""Inner linear solvers: direct Helmholtz/Poisson solvers by dense
+eigenbasis transforms, used as preconditioners, and a matrix-free
+preconditioned conjugate gradient.
 
-The cell-centered Dirichlet Laplacian (ghost = 2g - interior) is diagonalized
-by the type-II DST; the node-centered Dirichlet Laplacian (MAC normal
-direction) by the type-I DST; the cell-centered zero-Neumann Laplacian
-(mirror ghost) by the type-II DCT. Reductions use the fixed-order BLAS dot
-(single-threaded), so results are bitwise reproducible for a fixed
-configuration.
+The cell-centered Dirichlet Laplacian (ghost = 2g - interior) is
+diagonalized by the orthonormal DST-II basis on cells; the node-centered
+Dirichlet Laplacian (MAC normal direction) by the DST-I basis on interior
+nodes; the cell-centered zero-Neumann Laplacian (mirror ghost) by the
+DCT-II basis on cells. Each basis is an explicit n x n matrix, built once
+per (kind, n) and stored read-only, so a solve is two matrix products into
+the eigenbasis, a division by the eigenvalue denominators and two products
+back.
+
+The dense products cost O(nx*ny*(nx + ny)) flops against the FFT's
+O(nx*ny*log(nx*ny)), but run as BLAS gemm with no per-call planning.
+Measured per face solve with one BLAS thread (2-vCPU Xeon VM, scipy 1.17
+as the FFT): 60 against 170 us at 64^2, 450 against 550 us at 128^2, even
+at about 160^2, and a loss above that (3.9 against 2.8 ms at 256^2). No
+preset, test or benchmark workload runs above 128^2; choosing the transform
+by size is left until one does.
+
+Reductions in `pcg` go through one einsum-based inner product, never the
+BLAS dot: OpenBLAS splits a dot across threads above about 10^4 elements,
+which changes its summation order. Together with gemm, whose results do not
+depend on the thread count, this keeps results bitwise reproducible for a
+fixed configuration at any BLAS thread count.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
-from scipy.fft import dst, idst, dstn, idstn, dctn, idctn
 
 from .errors import LinearSolveFailure
 from .grid import GridSpec
 
 
-def _eig_cell_dirichlet(n: int, h: float) -> np.ndarray:
-    k = np.arange(1, n + 1)
-    return 2.0 * (np.cos(k * np.pi / n) - 1.0) / h**2
+def _modes(kind: str, n: int) -> np.ndarray:
+    """Mode numbers k of a basis; the eigenvalue of k is
+    2*(cos(k*pi/n) - 1)/h^2 for all three kinds."""
+    if kind == "dst1":   # n-1 interior nodes of a segment of n intervals
+        return np.arange(1, n)
+    if kind == "dst2":   # n cells, odd extension through the walls
+        return np.arange(1, n + 1)
+    return np.arange(n)  # "dct2": n cells, even extension
 
 
-def _eig_node_dirichlet(n: int, h: float) -> np.ndarray:
-    # interior nodes 1..n-1 of a segment split into n intervals
-    k = np.arange(1, n)
-    return 2.0 * (np.cos(k * np.pi / n) - 1.0) / h**2
+def _eigenvalues(kind: str, n: int, h: float) -> np.ndarray:
+    return 2.0 * (np.cos(_modes(kind, n) * np.pi / n) - 1.0) / h**2
 
 
-def _eig_cell_neumann(n: int, h: float) -> np.ndarray:
-    k = np.arange(n)
-    return 2.0 * (np.cos(k * np.pi / n) - 1.0) / h**2
+@lru_cache(maxsize=16)
+def _basis(kind: str, n: int) -> np.ndarray:
+    """Read-only orthonormal eigenbasis: row k is mode `_modes(kind, n)[k]`
+    sampled at the points. Phases are reduced exactly in integers before
+    the sine/cosine, so every entry is accurate to round-off for any n."""
+    k = _modes(kind, n)[:, None]
+    if kind == "dst1":
+        # sin(pi*k*j/n), j = 1..n-1
+        basis = np.sin(np.pi / n * (k * np.arange(1, n) % (2 * n)))
+    else:
+        # phase pi*k*(2j+1)/(2n), j = 0..n-1
+        phase = np.pi / (2 * n) * (k * (2 * np.arange(n) + 1) % (4 * n))
+        basis = np.sin(phase) if kind == "dst2" else np.cos(phase)
+    basis *= np.sqrt(2.0 / n)
+    if kind == "dst2":
+        basis[-1] /= np.sqrt(2.0)   # k = n: the alternating mode
+    elif kind == "dct2":
+        basis[0] /= np.sqrt(2.0)    # k = 0: the constant mode
+    basis.flags.writeable = False
+    return basis
 
 
-class CellHelmholtz:
+class _EigenSolver:
+    """Direct solver for a - c*Lap, diagonal in the basis of kind `kx`
+    along x and `ky` along y."""
+
+    def __init__(self, kx: str, ky: str, grid: GridSpec, a: float, c: float):
+        nx, ny = grid.nx, grid.ny
+        self._bx = _basis(kx, nx)
+        self._by = _basis(ky, ny)
+        lx = _eigenvalues(kx, nx, grid.hx)
+        ly = _eigenvalues(ky, ny, grid.hy)
+        self._denom = a - c * (lx[:, None] + ly[None, :])
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        w = self._bx @ b @ self._by.T
+        w /= self._denom
+        return self._bx.T @ w @ self._by
+
+
+class CellHelmholtz(_EigenSolver):
     """Direct solver for (a - c*Lap) x = b, cell-centered scalars with
     homogeneous Dirichlet walls (linear-extrapolation ghosts)."""
 
     def __init__(self, grid: GridSpec, a: float, c: float):
-        self.a, self.c = a, c
-        lx = _eig_cell_dirichlet(grid.nx, grid.hx)
-        ly = _eig_cell_dirichlet(grid.ny, grid.hy)
-        self._denom = a - c * (lx[:, None] + ly[None, :])
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        w = dstn(b, type=2, axes=(0, 1))
-        w /= self._denom
-        return idstn(w, type=2, axes=(0, 1))
+        super().__init__("dst2", "dst2", grid, a, c)
 
 
-class FaceHelmholtz:
+class FaceHelmholtz(_EigenSolver):
     """Direct solver for (a - c*Lap) on one MAC component's interior faces.
 
     axis=0 for u (node-centered in x, cell-centered in y with -interior
@@ -59,41 +107,22 @@ class FaceHelmholtz:
     """
 
     def __init__(self, grid: GridSpec, a: float, c: float, axis: int):
-        self.axis = axis
-        if axis == 0:
-            ln = _eig_node_dirichlet(grid.nx, grid.hx)
-            lt = _eig_cell_dirichlet(grid.ny, grid.hy)
-            self._denom = a - c * (ln[:, None] + lt[None, :])
-            self._types = (1, 2)
-        else:
-            ln = _eig_node_dirichlet(grid.ny, grid.hy)
-            lt = _eig_cell_dirichlet(grid.nx, grid.hx)
-            self._denom = a - c * (lt[:, None] + ln[None, :])
-            self._types = (2, 1)
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        t0, t1 = self._types
-        w = dst(dst(b, type=t0, axis=0), type=t1, axis=1)
-        w /= self._denom
-        return idst(idst(w, type=t1, axis=1), type=t0, axis=0)
+        kinds = ("dst1", "dst2") if axis == 0 else ("dst2", "dst1")
+        super().__init__(*kinds, grid, a, c)
 
 
-class NeumannPoisson:
-    """Direct solver for -coeff*Lap x = b with zero-Neumann walls and zero
-    mean; the constant mode of b is discarded."""
+class NeumannPoisson(_EigenSolver):
+    """Direct solver for -Lap x = b with zero-Neumann walls and zero mean;
+    the constant mode of b is discarded."""
 
-    def __init__(self, grid: GridSpec, coeff: float):
-        lx = _eig_cell_neumann(grid.nx, grid.hx)
-        ly = _eig_cell_neumann(grid.ny, grid.hy)
-        denom = -coeff * (lx[:, None] + ly[None, :])
-        denom[0, 0] = 1.0  # null mode, zeroed below
-        self._denom = denom
+    def __init__(self, grid: GridSpec):
+        super().__init__("dct2", "dct2", grid, 0.0, 1.0)
+        self._denom[0, 0] = np.inf  # the null mode: b's mean divides to 0
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        w = dctn(b, type=2, axes=(0, 1))
-        w /= self._denom
-        w[0, 0] = 0.0
-        return idctn(w, type=2, axes=(0, 1))
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product whose summation order depends only on the arrays."""
+    return float(np.einsum("ij,ij->", a, b))
 
 
 def pcg(apply_a, b: np.ndarray, precond=None, tol_rel: float = 1e-10,
@@ -102,45 +131,47 @@ def pcg(apply_a, b: np.ndarray, precond=None, tol_rel: float = 1e-10,
     """Preconditioned conjugate gradient on 2D arrays, zero initial guess.
 
     Stops when ||r||_2 <= tol_rel * ||b||_2, or (if given) when
-    ||r||_inf <= tol_abs_inf. `project` (e.g. mean removal for the singular
+    ||r||_inf <= tol_abs_inf. Convergence is tested as soon as a residual
+    is formed, so the preconditioner is applied only to residuals that
+    feed a further iteration. `project` (e.g. mean removal for the singular
     Neumann problem) is applied to b and to every residual.
     Raises LinearSolveFailure at the iteration cap.
     """
     if project is not None:
         b = project(b)
-    bnorm = np.sqrt(float(np.vdot(b, b)))
+    bnorm = np.sqrt(_dot(b, b))
     x = np.zeros_like(b)
     if bnorm == 0.0:
         return x
     r = b.copy()
+    if _converged(r, bnorm, tol_rel, tol_abs_inf):
+        return x
     z = precond(r) if precond is not None else r
     if project is not None:
         z = project(z)
     p = z.copy()
-    rz = float(np.vdot(r, z))
+    rz = _dot(r, z)
     for _ in range(maxiter):
-        if _converged(r, bnorm, tol_rel, tol_abs_inf):
-            return x
         ap = apply_a(p)
-        alpha = rz / float(np.vdot(p, ap))
+        alpha = rz / _dot(p, ap)
         x += alpha * p
         r -= alpha * ap
         if project is not None:
             r = project(r)
+        if _converged(r, bnorm, tol_rel, tol_abs_inf):
+            return x
         z = precond(r) if precond is not None else r
         if project is not None:
             z = project(z)
-        rz_new = float(np.vdot(r, z))
+        rz_new = _dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    if _converged(r, bnorm, tol_rel, tol_abs_inf):
-        return x
     raise LinearSolveFailure(
         f"CG hit iteration cap {maxiter}; "
-        f"||r||/||b|| = {np.sqrt(float(np.vdot(r, r))) / bnorm:.3e}")
+        f"||r||/||b|| = {np.sqrt(_dot(r, r)) / bnorm:.3e}")
 
 
 def _converged(r, bnorm, tol_rel, tol_abs_inf) -> bool:
     if tol_abs_inf is not None and np.abs(r).max() <= tol_abs_inf:
         return True
-    return np.sqrt(float(np.vdot(r, r))) <= tol_rel * bnorm
+    return np.sqrt(_dot(r, r)) <= tol_rel * bnorm

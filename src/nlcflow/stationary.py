@@ -43,14 +43,12 @@ def energy_E(d: DirectorField, eta: float) -> float:
 
 def _harmonic_extension(grid: GridSpec, trace) -> DirectorField:
     """Initial guess: solve lap d = 0 per component with the trace."""
-    zero = np.zeros((grid.nx, grid.ny))
     pre = CellHelmholtz(grid, 0.0, -1.0)  # solves -lap x = b, Dirichlet 0
     # -lap d = 0 with trace g  <=>  -lap_0 x = lap of (zero field with
     # trace ghosts), x the deviation from zero interior values
-    d0 = DirectorField(grid, zero, zero, trace)
     sol1, sol2 = (pcg(lambda v: -_lap0(v, grid), load, pre.solve,
                       tol_rel=1e-12, maxiter=2000)
-                  for load in _trace_laplacian_load(d0))
+                  for load in _trace_laplacian_load(trace, grid))
     return DirectorField(grid, sol1, sol2, trace)
 
 
