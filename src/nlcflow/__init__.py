@@ -6,8 +6,7 @@ staggered grid, with energy-law and long-time-decay diagnostics.
 
 from .density import DensityState, advance_density, cfl_number
 from .diagnostics import (DiagContext, DiagRecord, compute_record,
-                          convergence_monitor, energy_law_residual,
-                          read_csv, write_csv)
+                          convergence_monitor, read_csv, write_csv)
 from .director import GLParams, advance_director, gl_residual_l2
 from .forcing import ForcingSpec, eval_force, tail_energy
 from .grid import (DirectorField, GridSpec, MacVelocity, ScalarField,
@@ -17,14 +16,14 @@ from .runner import (PRESETS, RunConfig, initial_state, load_config,
                      mms_verify, preset_config, run, step)
 from .state import SimState
 from .stationary import (RateFit, StationaryResult, decay_rate_fit,
-                         energy_E, lojasiewicz_probe, solve_stationary)
+                         lojasiewicz_probe, solve_stationary)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DensityState", "advance_density", "cfl_number",
     "DiagContext", "DiagRecord", "compute_record", "convergence_monitor",
-    "energy_law_residual", "read_csv", "write_csv",
+    "read_csv", "write_csv",
     "GLParams", "advance_director", "gl_residual_l2",
     "ForcingSpec", "eval_force", "tail_energy",
     "DirectorField", "GridSpec", "MacVelocity", "ScalarField",
@@ -33,6 +32,6 @@ __all__ = [
     "PRESETS", "RunConfig", "initial_state", "load_config", "mms_verify",
     "preset_config", "run", "step",
     "SimState",
-    "RateFit", "StationaryResult", "decay_rate_fit", "energy_E",
+    "RateFit", "StationaryResult", "decay_rate_fit",
     "lojasiewicz_probe", "solve_stationary",
 ]

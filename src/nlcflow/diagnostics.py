@@ -10,10 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .director import GLParams, gl_F, gl_residual_l2, max_norm_check
+from . import forcing
+from .director import GLParams, gl_F, gl_residual_l2
 from .forcing import ForcingSpec
-from .grid import (DirectorField, GridSpec, MacVelocity, ScalarField,
-                   density_at_faces, divergence, norms)
+from .grid import (DirectorField, MacVelocity, ScalarField, density_at_faces,
+                   divergence, norms)
 from .momentum import FlowParams
 from .state import SimState
 
@@ -61,10 +62,6 @@ class DiagContext:
     d_inf: DirectorField | None = None
     rho_bar: float = 1.0
 
-    def force_at(self, grid: GridSpec, t: float) -> MacVelocity:
-        from .forcing import eval_force
-        return eval_force(self.spec, grid, t)
-
 
 def kinetic_energy(rho_values: np.ndarray, v: MacVelocity) -> float:
     """(1/2) integral of rho |v|^2, with the half-weight boundary-face
@@ -103,26 +100,18 @@ def _dissipation(st: SimState, ctx: DiagContext) -> tuple[float, float]:
     return grad_v, gl_res
 
 
-def energy_law_residual(prev: SimState, curr: SimState,
-                        ctx: DiagContext) -> float:
-    """Potential/no forcing: residual of
+def _law_residual(prev: SimState, curr: SimState, ctx: DiagContext,
+                  parts_c, diss_c, g_l2_c: float) -> float:
+    """Discrete energy law between prev and curr (prev.t < curr.t), given
+    curr's energy parts, dissipation norms and ||g(curr.t)||_L2.
+
+    Potential/no forcing: residual of
     d/dt E_tilde + nu||grad v||^2 + lam*gamma||lap d - f(d)||^2 = 0
     with midpoint-in-time dissipation. Decaying forcing: positive part of
     d/dt E + (nu/2)||grad v||^2 + lam*gamma||..||^2
     - (C_P^2 rho_bar^2 / (2 nu)) ||g||^2.
     """
-    g_l2 = norms(ctx.force_at(curr.rho.grid, curr.t), "L2")
-    return _law_residual(prev, curr, ctx, _energy_parts(curr, ctx),
-                         _dissipation(curr, ctx), g_l2)
-
-
-def _law_residual(prev: SimState, curr: SimState, ctx: DiagContext,
-                  parts_c, diss_c, g_l2_c: float) -> float:
-    """`energy_law_residual` with curr's energy parts, dissipation norms
-    and ||g(curr.t)||_L2 already evaluated."""
     dt = curr.t - prev.t
-    if dt <= 0:
-        raise ValueError("states must be consecutive in time")
     g = curr.rho.grid
     nu, lam, gam = ctx.flow.nu, ctx.glp.lam, ctx.glp.gamma
     gv_p, gr_p = _dissipation(prev, ctx)
@@ -133,7 +122,7 @@ def _law_residual(prev: SimState, curr: SimState, ctx: DiagContext,
         *_, e_p, _ = _energy_parts(prev, ctx)
         *_, e_c, _ = parts_c
         cp = g.poincare_constant()
-        gl2 = 0.5 * (norms(ctx.force_at(g, prev.t), "L2") ** 2
+        gl2 = 0.5 * (norms(forcing.eval_force(ctx.spec, g, prev.t), "L2") ** 2
                      + g_l2_c ** 2)
         excess = (e_c - e_p) / dt + 0.5 * nu * visc + lam * gam * relax \
             - cp**2 * ctx.rho_bar**2 / (2.0 * nu) * gl2
@@ -154,7 +143,7 @@ def compute_record(prev: SimState, curr: SimState,
     parts = _energy_parts(curr, ctx)
     kin, ela, pot, total, tilde = parts
     grad_v, gl_res = _dissipation(curr, ctx)
-    g_l2 = norms(ctx.force_at(g, curr.t), "L2")
+    g_l2 = norms(forcing.eval_force(ctx.spec, g, curr.t), "L2")
 
     vt = MacVelocity(g, (curr.v.u - prev.v.u) / dt,
                      (curr.v.v - prev.v.v) / dt)
@@ -176,7 +165,7 @@ def compute_record(prev: SimState, curr: SimState,
         t=curr.t, kinetic=kin, elastic=ela, potential=pot, E_total=total,
         E_tilde=tilde, grad_v_L2=grad_v, gl_res_L2=gl_res, A_val=a_val,
         B_val=b_val, mass=mass, rho_min=rho_min, rho_max=rho_max,
-        d_maxnorm=max_norm_check(curr.d),
+        d_maxnorm=norms(curr.d, "Linf"),
         div_v_inf=float(np.abs(divergence(curr.v).values).max()),
         law_residual=_law_residual(prev, curr, ctx, parts,
                                    (grad_v, gl_res), g_l2),

@@ -15,6 +15,8 @@ from .grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
                    ScalarField, centered_gradient_at_centers, laplacian, norms)
 from .solvers import CellHelmholtz, pcg
 
+_CG_CAP = 400  # iteration cap; the exact preconditioner needs one
+
 
 @dataclass(frozen=True)
 class GLParams:
@@ -59,11 +61,6 @@ def gl_residual_l2(d: DirectorField, eta: float) -> float:
     r1, r2 = gl_residual(d, eta)
     a = d.grid.cell_area
     return float(np.sqrt((np.sum(r1**2) + np.sum(r2**2)) * a))
-
-
-def max_norm_check(d: DirectorField) -> float:
-    """Max over cells of the pointwise Euclidean norm |d|."""
-    return float(d.pointwise_norm().max())
 
 
 def director_energy(d: DirectorField, eta: float) -> float:
@@ -111,8 +108,7 @@ def _trace_laplacian_load(trace: DirectorTrace | None,
 
 
 def advance_director(d: DirectorField, w: MacVelocity, p: GLParams,
-                     dt: float, tol_lin: float = 1e-10,
-                     max_cg: int = 400) -> DirectorField:
+                     dt: float, tol_lin: float = 1e-10) -> DirectorField:
     """One step of (I - gamma*dt*Lap + gamma*dt*S) d' =
     d - dt*(w.grad d) - gamma*dt*(f(d) - S d), per component, with the
     Dirichlet trace on d'. The implicit operator is inverted by PCG with a
@@ -139,6 +135,6 @@ def advance_director(d: DirectorField, w: MacVelocity, p: GLParams,
         sf = ScalarField(g, x, "dirichlet")
         return a * x - c * laplacian(sf).values
 
-    new1 = pcg(apply_a, rhs1, pre.solve, tol_rel=tol_lin, maxiter=max_cg)
-    new2 = pcg(apply_a, rhs2, pre.solve, tol_rel=tol_lin, maxiter=max_cg)
+    new1 = pcg(apply_a, rhs1, pre.solve, tol_rel=tol_lin, maxiter=_CG_CAP)
+    new2 = pcg(apply_a, rhs2, pre.solve, tol_rel=tol_lin, maxiter=_CG_CAP)
     return DirectorField(g, new1, new2, d.boundary_trace)

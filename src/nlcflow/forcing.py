@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import ConfigError, NotApplicable
 from .expressions import parse_expression
 from .grid import (GridSpec, MacVelocity, ScalarField, gradient_interior_faces,

@@ -182,9 +182,6 @@ class MacVelocity:
         return cls(grid, np.zeros((grid.nx + 1, grid.ny)),
                    np.zeros((grid.nx, grid.ny + 1)))
 
-    def copy(self) -> "MacVelocity":
-        return MacVelocity(self.grid, self.u.copy(), self.v.copy())
-
     def enforce_noslip(self) -> None:
         self.u[0, :] = 0.0
         self.u[-1, :] = 0.0
@@ -238,10 +235,6 @@ class DirectorField:
         if self.d1.shape != shape or self.d2.shape != shape:
             raise ValueError("director components must have shape (nx, ny)")
         self.walls = _director_walls(self.boundary_trace, self.grid)
-
-    def copy(self) -> "DirectorField":
-        return DirectorField(self.grid, self.d1.copy(), self.d2.copy(),
-                             self.boundary_trace)
 
     def component(self, k: int) -> ScalarField:
         comp = self.d1 if k == 0 else self.d2
@@ -308,21 +301,6 @@ def centered_gradient_at_centers(s: ScalarField) -> tuple[np.ndarray, np.ndarray
 # norms and quadrature
 # ---------------------------------------------------------------------------
 
-def _scalar_h1_semi_sq(s: ScalarField) -> float:
-    """Squared H1 seminorm: face differences with the field's ghost fill,
-    half weight on boundary faces. Equals <s, -laplacian(s)> * cell_area when
-    the Dirichlet trace is zero."""
-    g = s.grid
-    p = s.padded()
-    du = (p[1:, 1:-1] - p[:-1, 1:-1]) / g.hx   # (nx+1, ny) at x-faces
-    dv = (p[1:-1, 1:] - p[1:-1, :-1]) / g.hy   # (nx, ny+1) at y-faces
-    a = g.cell_area
-    total = a * (np.sum(du[1:-1, :] ** 2) + np.sum(dv[:, 1:-1] ** 2))
-    total += 0.5 * a * (np.sum(du[0, :] ** 2) + np.sum(du[-1, :] ** 2)
-                        + np.sum(dv[:, 0] ** 2) + np.sum(dv[:, -1] ** 2))
-    return float(total)
-
-
 def _mac_component_h1_sq(grid: GridSpec, comp: np.ndarray, axis: int) -> float:
     """Squared H1 seminorm of one MAC component with no-slip wall ghosts.
 
@@ -358,8 +336,11 @@ def _mac_l2_sq(w: MacVelocity) -> float:
 def norms(fieldlike, kind: str) -> float:
     """Discrete norms by midpoint quadrature.
 
-    Accepts ScalarField, MacVelocity or DirectorField; kinds are
-    ``L1``, ``L2``, ``Linf``, ``H1_semi`` and ``H1``.
+    Accepts ScalarField, MacVelocity or DirectorField; kinds are ``L2``,
+    ``Linf``, ``H1_semi`` and ``H1``, and ``L1`` for scalars. A scalar's
+    ``H1_semi`` is the face-quadrature norm of `gradient_to_faces` (half
+    weight on boundary faces), so for a zero-trace Dirichlet or a
+    zero-Neumann field its square is <s, -laplacian(s)> * cell_area.
     """
     if kind == "H1":
         return float(np.hypot(norms(fieldlike, "L2"),
@@ -374,15 +355,9 @@ def norms(fieldlike, kind: str) -> float:
         if kind == "Linf":
             return float(np.abs(vals).max())
         if kind == "H1_semi":
-            return float(np.sqrt(_scalar_h1_semi_sq(fieldlike)))
+            return float(np.sqrt(_mac_l2_sq(gradient_to_faces(fieldlike))))
     elif isinstance(fieldlike, MacVelocity):
         g = fieldlike.grid
-        if kind == "L1":
-            a = g.cell_area
-            s = a * (np.sum(np.abs(fieldlike.u[1:-1, :])) + np.sum(np.abs(fieldlike.v[:, 1:-1])))
-            s += 0.5 * a * (np.sum(np.abs(fieldlike.u[0, :])) + np.sum(np.abs(fieldlike.u[-1, :]))
-                            + np.sum(np.abs(fieldlike.v[:, 0])) + np.sum(np.abs(fieldlike.v[:, -1])))
-            return float(s)
         if kind == "L2":
             return float(np.sqrt(_mac_l2_sq(fieldlike)))
         if kind == "Linf":
@@ -391,16 +366,14 @@ def norms(fieldlike, kind: str) -> float:
             return float(np.sqrt(_mac_component_h1_sq(g, fieldlike.u, 0)
                                  + _mac_component_h1_sq(g, fieldlike.v, 1)))
     elif isinstance(fieldlike, DirectorField):
-        c1, c2 = fieldlike.components()
         if kind == "Linf":
             return float(fieldlike.pointwise_norm().max())
-        if kind in ("L1",):
-            g = fieldlike.grid
-            return float(np.sum(fieldlike.pointwise_norm()) * g.cell_area)
+        c1, c2 = fieldlike.components()
         if kind == "L2":
             return float(np.hypot(norms(c1, "L2"), norms(c2, "L2")))
         if kind == "H1_semi":
-            return float(np.sqrt(_scalar_h1_semi_sq(c1) + _scalar_h1_semi_sq(c2)))
+            return float(np.sqrt(_mac_l2_sq(gradient_to_faces(c1))
+                                 + _mac_l2_sq(gradient_to_faces(c2))))
     raise ValueError(f"unsupported norm kind {kind!r} for {type(fieldlike).__name__}")
 
 

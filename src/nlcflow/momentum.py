@@ -20,16 +20,17 @@ from .grid import (DirectorField, GridSpec, MacVelocity, ScalarField,
                    gradient_interior_faces)
 from .solvers import FaceHelmholtz, NeumannPoisson, pcg
 
+_CG_CAP = 2000  # iteration cap of the predictor and projection solves
+
 
 @dataclass(frozen=True)
 class FlowParams:
-    """Viscosity, elastic coupling and projection solver knobs."""
+    """Viscosity and the predictor and projection solve tolerances. The
+    elastic coupling lambda is `GLParams.lam`."""
 
     nu: float = 1.0
-    lam: float = 1.0
     tol_proj: float = 1e-8
     tol_lin: float = 1e-10
-    max_cg: int = 2000
 
     def __post_init__(self):
         if self.nu <= 0 or self.tol_proj <= 0:
@@ -173,7 +174,7 @@ def predict_velocity(rho: ScalarField, w: MacVelocity, d: DirectorField,
         return ru_i / dt * x - nu * _lap_u_interior(x, g)
 
     sol_u = pcg(apply_u, rhs_u[1:-1, :], pre_u.solve,
-                tol_rel=params.tol_lin, maxiter=params.max_cg)
+                tol_rel=params.tol_lin, maxiter=_CG_CAP)
 
     rv_i = rv[:, 1:-1]
     pre_v = _face_pre(g, rbar / dt, nu, 1)
@@ -182,7 +183,7 @@ def predict_velocity(rho: ScalarField, w: MacVelocity, d: DirectorField,
         return rv_i / dt * x - nu * _lap_v_interior(x, g)
 
     sol_v = pcg(apply_v, rhs_v[:, 1:-1], pre_v.solve,
-                tol_rel=params.tol_lin, maxiter=params.max_cg)
+                tol_rel=params.tol_lin, maxiter=_CG_CAP)
 
     out = MacVelocity.zeros(g)
     out.u[1:-1, :] = sol_u
@@ -233,7 +234,7 @@ def project(rho: ScalarField, v_star: MacVelocity, dt: float,
     # div v' = -dt * (residual of this solve); stop well inside tol_proj
     tol_inf = 0.1 * params.tol_proj / dt
     q = pcg(apply_a, rhs, precond, tol_rel=1e-13, tol_abs_inf=tol_inf,
-            maxiter=params.max_cg, project=project_mean)
+            maxiter=_CG_CAP, project=project_mean)
     q -= q.mean()
 
     gq = gradient_interior_faces(q, g)

@@ -15,8 +15,7 @@ import numpy as np
 from .density import DensityState, advance_density, cfl_number
 from .diagnostics import (DiagContext, compute_record, convergence_monitor,
                           write_csv)
-from .director import (GLParams, advance_director, gl_residual_l2,
-                       max_norm_check)
+from .director import GLParams, advance_director
 from .errors import (ConfigError, DegenerateFit, InsufficientSamples,
                      OrderRegression, StepRejected)
 from .expressions import parse_expression
@@ -76,7 +75,7 @@ class RunConfig:
 
     @property
     def flow(self) -> FlowParams:
-        return FlowParams(nu=self.nu, lam=self.lam, tol_proj=self.tol_proj,
+        return FlowParams(nu=self.nu, tol_proj=self.tol_proj,
                           tol_lin=self.tol_lin)
 
 
@@ -265,7 +264,7 @@ def run(cfg: RunConfig, write_outputs: bool = True,
         inv["rho_min_run"] = min(inv["rho_min_run"], float(vals.min()))
         inv["rho_max_run"] = max(inv["rho_max_run"], float(vals.max()))
         inv["d_maxnorm_max"] = max(inv["d_maxnorm_max"],
-                                   max_norm_check(state.d))
+                                   norms(state.d, "Linf"))
         inv["div_v_inf_max"] = max(
             inv["div_v_inf_max"],
             float(np.abs(divergence(state.v).values).max()))
@@ -302,7 +301,7 @@ def run(cfg: RunConfig, write_outputs: bool = True,
         report["convergence"] = convergence_monitor(records)
     if e_inf is not None:
         report["stationary_energy"] = e_inf
-        report["stationary_residual"] = float(gl_residual_l2(d_inf, cfg.eta))
+        report["stationary_residual"] = st.residual
     if cfg.forcing.variant == "f2" and e_inf is not None:
         report["rate"] = _rate_analysis(cfg, records, probe_samples)
     # the snapshot-differenced B carries an O(dt) bias; reported raw
@@ -357,7 +356,6 @@ def load_checkpoint(path, cfg: RunConfig) -> tuple[SimState, float]:
     grid, fields = load_snapshot(path)
     f = dict(fields)
     rho = ScalarField(grid, f["rho"], "extrapolate")
-    density = DensityState.from_field(rho)
     # conserved references must come from the run's own t=0 data
     ref = initial_state(cfg)
     density = DensityState(rho, ref.density.rho_min0, ref.density.rho_max0,

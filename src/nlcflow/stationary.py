@@ -35,34 +35,23 @@ class RateFit:
     exceeds_prediction: bool = False
 
 
-def energy_E(d: DirectorField, eta: float) -> float:
-    """(1/2)||grad d||^2 + integral of the penalty potential (no elastic
-    coupling prefactor; the total-energy bookkeeping applies it)."""
-    return director_energy(d, eta)
-
-
 def _harmonic_extension(grid: GridSpec, trace) -> DirectorField:
     """Initial guess: solve lap d = 0 per component with the trace."""
-    pre = CellHelmholtz(grid, 0.0, -1.0)  # solves -lap x = b, Dirichlet 0
+    pre = CellHelmholtz(grid, 0.0, 1.0)  # solves -lap x = b, Dirichlet 0
     # -lap d = 0 with trace g  <=>  -lap_0 x = lap of (zero field with
     # trace ghosts), x the deviation from zero interior values
-    sol1, sol2 = (pcg(lambda v: -_lap0(v, grid), load, pre.solve,
-                      tol_rel=1e-12, maxiter=2000)
-                  for load in _trace_laplacian_load(trace, grid))
+    sol1, sol2 = (
+        pcg(lambda v: -laplacian(ScalarField(grid, v, "dirichlet")).values,
+            load, pre.solve, tol_rel=1e-12, maxiter=2000)
+        for load in _trace_laplacian_load(trace, grid))
     return DirectorField(grid, sol1, sol2, trace)
 
 
-def _lap0(x: np.ndarray, grid: GridSpec) -> np.ndarray:
-    s = ScalarField(grid, x, "dirichlet")
-    return laplacian(s).values
-
-
 def solve_stationary(grid: GridSpec, trace, eta: float,
-                     tol_stationary: float = 1e-9,
-                     max_iter: int = 20000) -> StationaryResult:
+                     tol_stationary: float = 1e-9) -> StationaryResult:
     """Pseudo-time gradient flow of the director energy from the
     harmonic-like extension of the trace, iterated to the requested
-    Ginzburg-Landau residual."""
+    Ginzburg-Landau residual. Raises MaxIterations after 20000 steps."""
     p = GLParams(gamma=1.0, eta=eta, lam=1.0)
     d = _harmonic_extension(grid, trace)
     w = MacVelocity.zeros(grid)
@@ -72,7 +61,7 @@ def solve_stationary(grid: GridSpec, trace, eta: float,
     res = gl_residual_l2(d, eta)
     it = 0
     while res > tol_stationary:
-        if it >= max_iter:
+        if it >= 20000:
             raise MaxIterations(
                 f"stationary solve stalled at residual {res:.3e} "
                 f"after {it} iterations (tol {tol_stationary:.1e})")
@@ -80,7 +69,7 @@ def solve_stationary(grid: GridSpec, trace, eta: float,
         res = gl_residual_l2(d, eta)
         it += 1
     return StationaryResult(d_inf=d, residual=res,
-                            energy=energy_E(d, eta), iterations=it)
+                            energy=director_energy(d, eta), iterations=it)
 
 
 def lojasiewicz_probe(samples) -> float:
@@ -104,15 +93,13 @@ def kappa_predicted(theta_est: float, xi: float) -> float:
     return min(theta_est / (1.0 - 2.0 * theta_est), xi / 2.0)
 
 
-def decay_rate_fit(times, values, theta_est: float, xi: float,
-                   window_fraction: float = 0.5) -> RateFit:
+def decay_rate_fit(times, values, theta_est: float, xi: float) -> RateFit:
     """Least-squares fit of log(values) against log(1+t) over the final
-    window_fraction of the samples; kappa_fit = -slope."""
+    half of the samples; kappa_fit = -slope."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     n = len(times)
-    i0 = int(round(n * (1.0 - window_fraction)))
-    i0 = min(max(i0, 0), n - 2)
+    i0 = min(int(round(0.5 * n)), n - 2)
     tw, vw = times[i0:], values[i0:]
     floor = 1e3 * np.finfo(float).tiny
     kappa_pred = kappa_predicted(theta_est, xi)

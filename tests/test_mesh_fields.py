@@ -6,6 +6,7 @@ from nlcflow.grid import (DirectorField, GridSpec, MacVelocity, ScalarField,
                           elastic_identity_residual, gradient_interior_faces,
                           gradient_to_faces, laplacian, load_snapshot, norms,
                           sample_walls, save_snapshot)
+from nlcflow.momentum import _lap_u_interior, _lap_v_interior
 
 
 @pytest.fixture
@@ -97,6 +98,28 @@ def test_h1_includes_l2(grid):
     s = ScalarField(grid, rng.normal(size=(16, 12)), "dirichlet")
     assert norms(s, "H1") == pytest.approx(
         np.hypot(norms(s, "L2"), norms(s, "H1_semi")))
+
+
+# Summation by parts: the energy law turns <s, -lap s> into ||grad s||^2.
+# The half weights on boundary faces in H1_semi are what make it exact.
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann_zero"])
+def test_scalar_h1_semi_summation_by_parts(grid, kind):
+    rng = np.random.default_rng(11)
+    s = ScalarField(grid, rng.normal(size=(16, 12)), kind)
+    form = -np.sum(s.values * laplacian(s).values) * grid.cell_area
+    assert norms(s, "H1_semi") ** 2 == pytest.approx(form, rel=1e-12)
+
+
+def test_noslip_velocity_h1_semi_summation_by_parts(grid):
+    rng = np.random.default_rng(12)
+    w = MacVelocity(grid, rng.normal(size=(17, 12)),
+                    rng.normal(size=(16, 13)))
+    w.enforce_noslip()
+    ui, vi = w.u[1:-1, :], w.v[:, 1:-1]
+    form = -(np.sum(ui * _lap_u_interior(ui, grid))
+             + np.sum(vi * _lap_v_interior(vi, grid))) * grid.cell_area
+    assert norms(w, "H1_semi") ** 2 == pytest.approx(form, rel=1e-12)
 
 
 def test_mac_velocity_noslip_and_maxspeed(grid):

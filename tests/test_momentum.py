@@ -44,7 +44,7 @@ def test_elastic_force_vanishes_at_equilibrium(grid):
 
 
 def test_rest_state_is_fixed_point(grid):
-    params = FlowParams(nu=1.0, lam=1.0)
+    params = FlowParams(nu=1.0)
     glp = GLParams(gamma=1.0, eta=0.5, lam=1.0)
     v = MacVelocity.zeros(grid)
     vs = predict_velocity(_rho(grid), v, _uniform_director(grid), None,

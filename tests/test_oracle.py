@@ -337,7 +337,7 @@ def _oracle_predict_velocity(rho, w, d, g_ext, flow, glp, dt):
 def test_momentum_predictor_matches_dense_oracle():
     rho, w, d = _setup()
     glp = GLParams(gamma=1.0, eta=0.5, lam=0.8)
-    flow = FlowParams(nu=0.7, lam=0.8, tol_lin=1e-14)
+    flow = FlowParams(nu=0.7, tol_lin=1e-14)
     dt = 0.004
     g_ext = MacVelocity(GRID, 0.1 * np.ones((NX + 1, NY)),
                         -0.05 * np.ones((NX, NY + 1)))
@@ -352,7 +352,7 @@ def test_momentum_predictor_matches_dense_oracle():
 def test_oracle_agreement_without_external_force():
     rho, w, d = _setup()
     glp = GLParams(gamma=1.0, eta=0.4, lam=1.2)
-    flow = FlowParams(nu=1.3, lam=1.2, tol_lin=1e-14)
+    flow = FlowParams(nu=1.3, tol_lin=1e-14)
     dt = 0.002
     rho_f = ScalarField(GRID, rho, "extrapolate")
     fast = predict_velocity(rho_f, w, d, None, flow, glp, dt)

@@ -2,10 +2,15 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nlcflow
 from nlcflow.cli import main as cli_main
 from nlcflow.errors import ConfigError, StepRejected
 from nlcflow.forcing import ForcingSpec
@@ -259,3 +264,23 @@ def test_cli_error_exit_code(tmp_path, capsys):
     rc = cli_main(["simulate", str(p)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+_RUN_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from nlcflow.runner import preset_config, run
+result = run(preset_config("gzero", nx=8, ny=8, dt=5e-3, t_end=1e-2),
+             write_outputs=False)
+assert result.report["invariants"]["steps"] == 2
+"""
+
+
+def test_package_runs_without_scipy():
+    # pyproject.toml lists numpy and sympy only
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(nlcflow.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", _RUN_WITHOUT_SCIPY],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr

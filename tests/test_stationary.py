@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from nlcflow.director import GLParams, advance_director, gl_residual_l2
+from nlcflow.director import (GLParams, advance_director, director_energy,
+                              gl_residual_l2)
 from nlcflow.errors import DegenerateFit, InsufficientSamples
-from nlcflow.grid import DirectorField, GridSpec, MacVelocity, norms
-from nlcflow.stationary import (decay_rate_fit, energy_E, kappa_predicted,
+from nlcflow import stationary
+from nlcflow.grid import (DirectorField, GridSpec, MacVelocity, ScalarField,
+                          laplacian, norms)
+from nlcflow.stationary import (decay_rate_fit, kappa_predicted,
                                 lojasiewicz_probe, solve_stationary)
 
 
@@ -26,14 +29,14 @@ def wavy_equilibrium(grid):
 def test_energy_of_constant_unit_director(grid):
     d = DirectorField(grid, np.ones((32, 32)), np.zeros((32, 32)),
                       lambda x, y: (np.ones_like(x), np.zeros_like(x)))
-    assert energy_E(d, eta=0.5) == 0.0
+    assert director_energy(d, eta=0.5) == 0.0
 
 
 def test_energy_of_zero_director(grid):
     d = DirectorField(grid, np.zeros((32, 32)), np.zeros((32, 32)),
                       lambda x, y: (np.zeros_like(x), np.zeros_like(x)))
     # grad term 0, potential term area/(4 eta^2) with eta=1: 1/4
-    assert energy_E(d, eta=1.0) == pytest.approx(0.25)
+    assert director_energy(d, eta=1.0) == pytest.approx(0.25)
 
 
 def test_constant_trace_gives_constant_solution(grid):
@@ -75,10 +78,10 @@ def test_energy_decreases_along_gradient_flow(grid):
     d1, d2 = _wavy_trace(X, Y)
     d = DirectorField(grid, 0.9 * d1, 0.9 * d2, _wavy_trace)
     w = MacVelocity.zeros(grid)
-    prev = energy_E(d, 0.5)
+    prev = director_energy(d, 0.5)
     for _ in range(30):
         d = advance_director(d, w, p, 0.1)
-        cur = energy_E(d, 0.5)
+        cur = director_energy(d, 0.5)
         assert cur <= prev + 1e-12
         prev = cur
 
@@ -96,7 +99,30 @@ def test_equilibrium_is_local_minimum(grid, wavy_equilibrium):
         pert = DirectorField(grid, d.d1 + eps * p1 / np.abs(p1).max(),
                              d.d2 + eps * p2 / np.abs(p2).max(),
                              d.boundary_trace)
-        assert energy_E(pert, 0.5) >= e0 - 1e-8
+        assert director_energy(pert, 0.5) >= e0 - 1e-8
+
+
+def test_harmonic_extension_preconditioner_inverts_minus_laplacian(
+        monkeypatch):
+    # PCG needs a positive-definite preconditioner; for -lap_0 the exact
+    # inverse is the one that solves -lap_0 x = b
+    g = GridSpec(16, 12, 2.0, 1.5)
+    seen = []
+    real_pcg = stationary.pcg
+
+    def spy(apply_a, b, precond, **kw):
+        seen.append((b, precond))
+        return real_pcg(apply_a, b, precond, **kw)
+
+    monkeypatch.setattr(stationary, "pcg", spy)
+    stationary._harmonic_extension(
+        g, lambda x, y: (x + 2.0 * y**2, np.sin(3.0 * x) * y))
+    assert len(seen) == 2
+    for b, precond in seen:
+        x = precond(b)
+        assert np.vdot(b, x) > 0.0
+        minus_lap = -laplacian(ScalarField(g, x, "dirichlet")).values
+        assert np.abs(minus_lap - b).max() <= 1e-12 * np.abs(b).max()
 
 
 def test_probe_recovers_planted_exponent():
