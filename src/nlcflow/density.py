@@ -1,6 +1,6 @@
 """Density transport: conservative first-order upwind advection that
 preserves pointwise bounds (for discretely divergence-free velocities) and
-conserves total mass to round-off, plus the transport-invariant diagnostics.
+conserves total mass to round-off.
 """
 
 from __future__ import annotations
@@ -10,27 +10,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CflViolation
-from .grid import GridSpec, MacVelocity, ScalarField, norms
+from .grid import GridSpec, MacVelocity, ScalarField
 
 
 @dataclass
 class DensityState:
-    """Density field plus the initial bounds and mass it must honor."""
+    """Density field plus its initial maximum (the reference density of the
+    diagnostics) and initial mass (the reference of the mass drift)."""
 
     rho: ScalarField
-    rho_min0: float
     rho_max0: float
     mass0: float
-    l2_0: float
 
     @classmethod
     def from_field(cls, rho: ScalarField) -> "DensityState":
         vals = rho.values
         return cls(rho=rho,
-                   rho_min0=float(vals.min()),
                    rho_max0=float(vals.max()),
-                   mass0=float(np.sum(vals) * rho.grid.cell_area),
-                   l2_0=norms(rho, "L2"))
+                   mass0=float(np.sum(vals) * rho.grid.cell_area))
 
     @property
     def grid(self) -> GridSpec:
@@ -80,16 +77,4 @@ def advance_density(state: DensityState, w: MacVelocity, dt: float) -> DensitySt
     new_vals = rho - dt * upwind_flux_divergence(rho, w)
     new_field = ScalarField(state.grid, new_vals, state.rho.boundary_kind,
                             state.rho.boundary_value)
-    return DensityState(new_field, state.rho_min0, state.rho_max0,
-                        state.mass0, state.l2_0)
-
-
-def transport_diagnostics(state: DensityState) -> tuple[float, float, float, float]:
-    """(mass_drift, min, max, l2_drift); l2_drift <= 0 is expected for the
-    monotone scheme (the continuum law conserves it)."""
-    vals = state.rho.values
-    mass = float(np.sum(vals) * state.grid.cell_area)
-    return (abs(mass - state.mass0),
-            float(vals.min()),
-            float(vals.max()),
-            norms(state.rho, "L2") - state.l2_0)
+    return DensityState(new_field, state.rho_max0, state.mass0)

@@ -13,9 +13,7 @@ import numpy as np
 
 from .grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
                    ScalarField, centered_gradient_at_centers, laplacian, norms)
-from .solvers import CellHelmholtz, pcg
-
-_CG_CAP = 400  # iteration cap; the exact preconditioner needs one
+from .solvers import CellHelmholtz
 
 
 @dataclass(frozen=True)
@@ -108,13 +106,12 @@ def _trace_laplacian_load(trace: DirectorTrace | None,
 
 
 def advance_director(d: DirectorField, w: MacVelocity, p: GLParams,
-                     dt: float, tol_lin: float = 1e-10) -> DirectorField:
+                     dt: float) -> DirectorField:
     """One step of (I - gamma*dt*Lap + gamma*dt*S) d' =
     d - dt*(w.grad d) - gamma*dt*(f(d) - S d), per component, with the
-    Dirichlet trace on d'. The implicit operator is inverted by PCG with a
-    direct sine-basis preconditioner. That preconditioner is exact here, so
-    each solve costs one preconditioner solve plus one operator apply, whose
-    residual certifies tol_lin.
+    Dirichlet trace on d'. The implicit operator has constant coefficients
+    and homogeneous Dirichlet walls once the trace is moved into the load,
+    so `CellHelmholtz` inverts it exactly: one direct solve per component.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -130,11 +127,4 @@ def advance_director(d: DirectorField, w: MacVelocity, p: GLParams,
     rhs2 = d.d2 - dt * adv2 - c * (f2 - s * d.d2) + c * bc2
 
     pre = _helmholtz(g, a, c)
-
-    def apply_a(x):
-        sf = ScalarField(g, x, "dirichlet")
-        return a * x - c * laplacian(sf).values
-
-    new1 = pcg(apply_a, rhs1, pre.solve, tol_rel=tol_lin, maxiter=_CG_CAP)
-    new2 = pcg(apply_a, rhs2, pre.solve, tol_rel=tol_lin, maxiter=_CG_CAP)
-    return DirectorField(g, new1, new2, d.boundary_trace)
+    return DirectorField(g, pre.solve(rhs1), pre.solve(rhs2), d.boundary_trace)

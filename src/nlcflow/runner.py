@@ -204,7 +204,7 @@ def step(state: SimState, cfg: RunConfig, stepper: StepperState) -> SimState:
         dt = cfg.t_end - state.t
 
     density = advance_density(state.density, state.v, dt)
-    d = advance_director(state.d, state.v, cfg.glp, dt, tol_lin=cfg.tol_lin)
+    d = advance_director(state.d, state.v, cfg.glp, dt)
     g_mid = eval_force(cfg.forcing, cfg.grid, state.t + 0.5 * dt)
     v_star = predict_velocity(density.rho, state.v, d, g_mid, cfg.flow,
                               cfg.glp, dt)
@@ -358,8 +358,7 @@ def load_checkpoint(path, cfg: RunConfig) -> tuple[SimState, float]:
     rho = ScalarField(grid, f["rho"], "extrapolate")
     # conserved references must come from the run's own t=0 data
     ref = initial_state(cfg)
-    density = DensityState(rho, ref.density.rho_min0, ref.density.rho_max0,
-                           ref.density.mass0, ref.density.l2_0)
+    density = DensityState(rho, ref.density.rho_max0, ref.density.mass0)
     state = SimState(t=float(f["t"][0, 0]), density=density,
                      v=MacVelocity(grid, f["u"], f["v"]),
                      d=DirectorField(grid, f["d1"], f["d2"],

@@ -1,6 +1,9 @@
 """Inner linear solvers: direct Helmholtz/Poisson solvers by dense
-eigenbasis transforms, used as preconditioners, and a matrix-free
-preconditioned conjugate gradient.
+eigenbasis transforms, and a matrix-free preconditioned conjugate gradient.
+The director step and the harmonic extension call a direct solver alone,
+since it inverts their constant-coefficient Dirichlet operators exactly;
+the momentum predictor (variable density) and the projection run PCG with
+a direct solver as the preconditioner.
 
 The cell-centered Dirichlet Laplacian (ghost = 2g - interior) is
 diagonalized by the orthonormal DST-II basis on cells; the node-centered
@@ -125,7 +128,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", a, b))
 
 
-def pcg(apply_a, b: np.ndarray, precond=None, tol_rel: float = 1e-10,
+def pcg(apply_a, b: np.ndarray, precond, tol_rel: float = 1e-10,
         tol_abs_inf: float | None = None, maxiter: int = 500,
         project=None) -> np.ndarray:
     """Preconditioned conjugate gradient on 2D arrays, zero initial guess.
@@ -135,18 +138,22 @@ def pcg(apply_a, b: np.ndarray, precond=None, tol_rel: float = 1e-10,
     is formed, so the preconditioner is applied only to residuals that
     feed a further iteration. `project` (e.g. mean removal for the singular
     Neumann problem) is applied to b and to every residual.
-    Raises LinearSolveFailure at the iteration cap.
+    Raises LinearSolveFailure on a non-finite b, before any iteration, and
+    at the iteration cap.
     """
     if project is not None:
         b = project(b)
     bnorm = np.sqrt(_dot(b, b))
+    if not np.isfinite(bnorm):
+        raise LinearSolveFailure(
+            f"CG got a non-finite right-hand side (||b|| = {bnorm})")
     x = np.zeros_like(b)
     if bnorm == 0.0:
         return x
     r = b.copy()
     if _converged(r, bnorm, tol_rel, tol_abs_inf):
         return x
-    z = precond(r) if precond is not None else r
+    z = precond(r)
     if project is not None:
         z = project(z)
     p = z.copy()
@@ -160,7 +167,7 @@ def pcg(apply_a, b: np.ndarray, precond=None, tol_rel: float = 1e-10,
             r = project(r)
         if _converged(r, bnorm, tol_rel, tol_abs_inf):
             return x
-        z = precond(r) if precond is not None else r
+        z = precond(r)
         if project is not None:
             z = project(z)
         rz_new = _dot(r, z)

@@ -14,8 +14,8 @@ import numpy as np
 from .director import (GLParams, _trace_laplacian_load, advance_director,
                        director_energy, gl_residual_l2)
 from .errors import DegenerateFit, InsufficientSamples, MaxIterations
-from .grid import DirectorField, GridSpec, MacVelocity, ScalarField, laplacian
-from .solvers import CellHelmholtz, pcg
+from .grid import DirectorField, GridSpec, MacVelocity
+from .solvers import CellHelmholtz
 
 
 @dataclass(frozen=True)
@@ -37,13 +37,11 @@ class RateFit:
 
 def _harmonic_extension(grid: GridSpec, trace) -> DirectorField:
     """Initial guess: solve lap d = 0 per component with the trace."""
-    pre = CellHelmholtz(grid, 0.0, 1.0)  # solves -lap x = b, Dirichlet 0
     # -lap d = 0 with trace g  <=>  -lap_0 x = lap of (zero field with
-    # trace ghosts), x the deviation from zero interior values
-    sol1, sol2 = (
-        pcg(lambda v: -laplacian(ScalarField(grid, v, "dirichlet")).values,
-            load, pre.solve, tol_rel=1e-12, maxiter=2000)
-        for load in _trace_laplacian_load(trace, grid))
+    # trace ghosts), x the interior values; -lap_0 is inverted exactly
+    pre = CellHelmholtz(grid, 0.0, 1.0)
+    sol1, sol2 = (pre.solve(load)
+                  for load in _trace_laplacian_load(trace, grid))
     return DirectorField(grid, sol1, sol2, trace)
 
 
@@ -65,7 +63,7 @@ def solve_stationary(grid: GridSpec, trace, eta: float,
             raise MaxIterations(
                 f"stationary solve stalled at residual {res:.3e} "
                 f"after {it} iterations (tol {tol_stationary:.1e})")
-        d = advance_director(d, w, p, dt, tol_lin=1e-13)
+        d = advance_director(d, w, p, dt)
         res = gl_residual_l2(d, eta)
         it += 1
     return StationaryResult(d_inf=d, residual=res,

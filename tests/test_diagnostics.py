@@ -101,8 +101,7 @@ def test_law_residual_balances_pure_relaxation():
     rho = ScalarField(grid, np.ones((32, 32)), "extrapolate")
     prev = SimState(0.0, DensityState.from_field(rho),
                     MacVelocity.zeros(grid), d0)
-    d1 = advance_director(d0, MacVelocity.zeros(grid), ctx.glp, dt,
-                          tol_lin=1e-13)
+    d1 = advance_director(d0, MacVelocity.zeros(grid), ctx.glp, dt)
     curr = SimState(dt, DensityState.from_field(rho.copy()),
                     MacVelocity.zeros(grid), d1)
     res = compute_record(prev, curr, ctx).law_residual

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from nlcflow.director import (GLParams, advance_director, director_energy,
-                              gl_F, gl_f, gl_residual, gl_residual_l2)
-from nlcflow.grid import DirectorField, GridSpec, MacVelocity, norms
+from nlcflow.director import (GLParams, advance_director, advect_director,
+                              director_energy, gl_F, gl_f, gl_residual,
+                              gl_residual_l2)
+from nlcflow.grid import DirectorField, GridSpec, MacVelocity, laplacian, norms
 from nlcflow.momentum import elastic_force
 
 
@@ -47,8 +48,7 @@ def test_uniform_unit_director_is_equilibrium(grid):
     d = _uniform(grid, 1.0, 0.0)
     assert gl_residual_l2(d, eta=0.5) == 0.0
     p = GLParams(gamma=1.0, eta=0.5, lam=1.0)
-    out = advance_director(d, MacVelocity.zeros(grid), p, 1e-2,
-                           tol_lin=1e-13)
+    out = advance_director(d, MacVelocity.zeros(grid), p, 1e-2)
     assert np.abs(out.d1 - 1.0).max() < 1e-12
     assert np.abs(out.d2).max() < 1e-12
 
@@ -107,6 +107,33 @@ def test_residual_decays_to_equilibrium(grid):
     for _ in range(400):
         d = advance_director(d, w, p, 1e-2)
     assert gl_residual_l2(d, p.eta) < 1e-3 * r0
+
+
+def test_step_output_satisfies_implicit_system():
+    # non-square cells (hx != hy) and an asymmetric trace, so a wall or a
+    # spacing swapped in the step's assembly leaves a residual
+    g = GridSpec(16, 12, 1.0, 1.5)
+
+    def trace(x, y):
+        return x + 2.0 * y**2, np.sin(3.0 * x) * y
+
+    rng = np.random.default_rng(12)
+    d = DirectorField(g, *rng.uniform(-0.7, 0.7, size=(2, g.nx, g.ny)),
+                      trace)
+    w = MacVelocity(g, rng.normal(size=(g.nx + 1, g.ny)),
+                    rng.normal(size=(g.nx, g.ny + 1)))
+    w.enforce_noslip()
+    p = GLParams(gamma=1.3, eta=0.5, lam=1.0)
+    dt = 0.01
+    s, c = p.stabilization, p.gamma * dt
+    out = advance_director(d, w, p, dt)
+    adv = advect_director(d, w)
+    f = gl_f(d, p.eta)
+    for k, old in enumerate((d.d1, d.d2)):
+        new = out.component(k)
+        lhs = (1.0 + c * s) * new.values - c * laplacian(new).values
+        rhs = old - dt * adv[k] - c * (f[k] - s * old)
+        assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
 
 
 def test_trace_is_respected(grid):

@@ -186,7 +186,7 @@ def test_director_step_matches_dense_oracle():
     _, w, d = _setup()
     glp = GLParams(gamma=1.3, eta=0.5, lam=0.8)
     dt = 0.004
-    fast = advance_director(d, w, glp, dt, tol_lin=1e-14)
+    fast = advance_director(d, w, glp, dt)
     o1, o2 = _oracle_advance_director(d, w, glp, dt)
     err = max(_rel_err(fast.d1, o1), _rel_err(fast.d2, o2))
     assert err <= 1e-12, f"director oracle mismatch: {err:.3e}"

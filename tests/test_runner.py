@@ -12,7 +12,7 @@ import pytest
 
 import nlcflow
 from nlcflow.cli import main as cli_main
-from nlcflow.errors import ConfigError, StepRejected
+from nlcflow.errors import ConfigError, LinearSolveFailure, StepRejected
 from nlcflow.forcing import ForcingSpec
 from nlcflow.runner import (PRESETS, RunConfig, StepperState, initial_state,
                             load_checkpoint, load_config, preset_config,
@@ -136,6 +136,14 @@ def test_step_rejected_below_dt_min():
                dt=0.5, dt_min=0.3, cfl_safety=0.5)
     state = initial_state(cfg)
     with pytest.raises(StepRejected):
+        step(state, cfg, StepperState(dt=cfg.dt))
+
+
+def test_step_fails_fast_on_nonfinite_velocity():
+    cfg = _cfg()
+    state = initial_state(cfg)
+    state.v.u[5, 7] = np.nan
+    with pytest.raises(LinearSolveFailure, match="non-finite"):
         step(state, cfg, StepperState(dt=cfg.dt))
 
 

@@ -90,7 +90,17 @@ def test_pcg_zero_rhs_returns_zeros_without_work():
 def test_pcg_raises_at_iteration_cap():
     b = np.random.default_rng(6).normal(size=(GRID.nx, GRID.ny))
     with pytest.raises(LinearSolveFailure, match="iteration cap 3"):
-        pcg(_cell_op, b, None, tol_rel=1e-14, maxiter=3)
+        pcg(_cell_op, b, lambda r: r, tol_rel=1e-14, maxiter=3)
+
+
+def test_pcg_rejects_nonfinite_rhs_before_any_work():
+    b = np.random.default_rng(7).normal(size=(GRID.nx, GRID.ny))
+    b[3, 4] = np.nan
+    counts = {"apply": 0, "precond": 0}
+    with pytest.raises(LinearSolveFailure, match="non-finite"):
+        pcg(_counted(_cell_op, counts, "apply"), b,
+            _counted(CellHelmholtz(GRID, A, C).solve, counts, "precond"))
+    assert counts == {"apply": 0, "precond": 0}
 
 
 _PROJECT_HASH = """
