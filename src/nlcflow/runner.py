@@ -143,7 +143,10 @@ def validate_config(cfg: RunConfig) -> None:
     d2 = parse_expression(cfg.d0y)(X, Y)
     if np.max(d1**2 + d2**2) > 1.0 + 1e-12:
         raise ConfigError("|d0| must not exceed 1")
-    # the forcing spec validates xi > 0 itself
+    # the forcing spec validates xi > 0 itself; its expressions parse here
+    f = cfg.forcing
+    for text in {"f1": (f.phi,), "f2": (f.ax, f.ay)}.get(f.variant, ()):
+        parse_expression(text)
 
 
 def director_trace(cfg: RunConfig):

@@ -86,6 +86,16 @@ def test_validate_rejects_bad_cfl_safety():
         validate_config(_cfg(cfl_safety=0.0))
 
 
+@pytest.mark.parametrize("forcing", [
+    ForcingSpec(variant="f1", phi="exp(x)"),
+    ForcingSpec(variant="f2", ax="exp(x)"),
+    ForcingSpec(variant="f2", ay="x.real"),
+])
+def test_validate_parses_forcing_expressions(forcing):
+    with pytest.raises(ConfigError, match="cannot parse"):
+        validate_config(_cfg(forcing=forcing))
+
+
 def test_preset_names_and_unknown():
     for name in PRESETS:
         cfg = preset_config(name, t_end=0.1)
@@ -276,7 +286,9 @@ def test_cli_error_exit_code(tmp_path, capsys):
 
 _RUN_WITHOUT_SCIPY = """
 import sys
-sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+# any import of scipy or sympy now raises ImportError
+sys.modules["scipy"] = None
+sys.modules["sympy"] = None
 from nlcflow.runner import preset_config, run
 result = run(preset_config("gzero", nx=8, ny=8, dt=5e-3, t_end=1e-2),
              write_outputs=False)
@@ -285,7 +297,7 @@ assert result.report["invariants"]["steps"] == 2
 
 
 def test_package_runs_without_scipy():
-    # pyproject.toml lists numpy and sympy only
+    # pyproject.toml lists numpy only
     env = dict(os.environ,
                PYTHONPATH=str(Path(nlcflow.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", _RUN_WITHOUT_SCIPY],
