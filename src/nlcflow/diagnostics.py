@@ -1,6 +1,8 @@
-"""Monitored functionals of a run: energy split, dissipation rates, the
-discrete energy-law residual (identity form for potential forcing, excess
-form for decaying forcing), bound checks, and CSV serialization.
+"""Monitored functionals of a run: energy split (director.py's terms times
+lambda), dissipation rates, the discrete energy-law residual (identity form
+for potential forcing, excess form for decaying forcing), the per-state
+bounds the run's invariant checks share, and CSV serialization. A record
+made right after another reads the shared state's functionals from it.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forcing
-from .director import GLParams, gl_F, gl_residual_l2
+from .director import GLParams, director_energy_terms, gl_residual_l2
 from .forcing import ForcingSpec
 from .grid import (DirectorField, MacVelocity, ScalarField, density_at_faces,
                    divergence, norms)
@@ -76,34 +78,37 @@ def kinetic_energy(rho_values: np.ndarray, v: MacVelocity) -> float:
                                 + float(np.sum(rv * wv * v.v**2)))
 
 
-def _potential_coupling(rho: ScalarField, phi: ScalarField) -> float:
-    return float(np.sum(rho.values * phi.values)) * rho.grid.cell_area
+def state_bounds(st: SimState) -> dict:
+    """Mass, density range, max|d| and ||div v||_inf of one state, keyed by
+    their DiagRecord field names; run() checks them at every step."""
+    vals = st.rho.values
+    return dict(mass=st.density.mass(), rho_min=float(vals.min()),
+                rho_max=float(vals.max()), d_maxnorm=norms(st.d, "Linf"),
+                div_v_inf=float(np.abs(divergence(st.v).values).max()))
 
 
-def _energy_parts(st: SimState, ctx: DiagContext):
-    lam = ctx.glp.lam
+def _functionals(st: SimState, ctx: DiagContext) -> dict:
+    """The functionals of one state that the energy law reads at both ends
+    of a step, keyed by their DiagRecord field names."""
+    lam, g = ctx.glp.lam, st.rho.grid
+    ela, pot = director_energy_terms(st.d, ctx.glp.eta)
+    ela, pot = lam * ela, lam * pot
     kin = kinetic_energy(st.rho.values, st.v)
-    ela = 0.5 * lam * norms(st.d, "H1_semi") ** 2
-    pot = lam * float(np.sum(gl_F(st.d, ctx.glp.eta).values)) \
-        * st.rho.grid.cell_area
     total = kin + ela + pot
+    tilde = total
     if ctx.spec.variant == "f1" and ctx.phi is not None:
-        tilde = total - _potential_coupling(st.rho, ctx.phi)
-    else:
-        tilde = total
-    return kin, ela, pot, total, tilde
+        tilde -= float(np.sum(st.rho.values * ctx.phi.values)) * g.cell_area
+    return dict(
+        kinetic=kin, elastic=ela, potential=pot, E_total=total,
+        E_tilde=tilde, grad_v_L2=norms(st.v, "H1_semi"),
+        gl_res_L2=gl_residual_l2(st.d, ctx.glp.eta),
+        g_L2=norms(forcing.eval_force(ctx.spec, g, st.t), "L2"))
 
 
-def _dissipation(st: SimState, ctx: DiagContext) -> tuple[float, float]:
-    grad_v = norms(st.v, "H1_semi")
-    gl_res = gl_residual_l2(st.d, ctx.glp.eta)
-    return grad_v, gl_res
-
-
-def _law_residual(prev: SimState, curr: SimState, ctx: DiagContext,
-                  parts_c, diss_c, g_l2_c: float) -> float:
-    """Discrete energy law between prev and curr (prev.t < curr.t), given
-    curr's energy parts, dissipation norms and ||g(curr.t)||_L2.
+def _law_residual(p: dict, c: dict, dt: float, ctx: DiagContext,
+                  cp: float) -> float:
+    """Discrete energy law over a step of length dt, from the functionals
+    p at its start and c at its end; cp is the Poincare constant.
 
     Potential/no forcing: residual of
     d/dt E_tilde + nu||grad v||^2 + lam*gamma||lap d - f(d)||^2 = 0
@@ -111,39 +116,30 @@ def _law_residual(prev: SimState, curr: SimState, ctx: DiagContext,
     d/dt E + (nu/2)||grad v||^2 + lam*gamma||..||^2
     - (C_P^2 rho_bar^2 / (2 nu)) ||g||^2.
     """
-    dt = curr.t - prev.t
-    g = curr.rho.grid
     nu, lam, gam = ctx.flow.nu, ctx.glp.lam, ctx.glp.gamma
-    gv_p, gr_p = _dissipation(prev, ctx)
-    gv_c, gr_c = diss_c
-    visc = 0.5 * (gv_p**2 + gv_c**2)
-    relax = 0.5 * (gr_p**2 + gr_c**2)
+    visc = 0.5 * (p["grad_v_L2"]**2 + c["grad_v_L2"]**2)
+    relax = 0.5 * (p["gl_res_L2"]**2 + c["gl_res_L2"]**2)
     if ctx.spec.variant == "f2":
-        *_, e_p, _ = _energy_parts(prev, ctx)
-        *_, e_c, _ = parts_c
-        cp = g.poincare_constant()
-        gl2 = 0.5 * (norms(forcing.eval_force(ctx.spec, g, prev.t), "L2") ** 2
-                     + g_l2_c ** 2)
-        excess = (e_c - e_p) / dt + 0.5 * nu * visc + lam * gam * relax \
-            - cp**2 * ctx.rho_bar**2 / (2.0 * nu) * gl2
+        gl2 = 0.5 * (p["g_L2"]**2 + c["g_L2"]**2)
+        excess = (c["E_total"] - p["E_total"]) / dt + 0.5 * nu * visc \
+            + lam * gam * relax - cp**2 * ctx.rho_bar**2 / (2.0 * nu) * gl2
         return max(0.0, excess)
-    *_, te_p = _energy_parts(prev, ctx)
-    *_, te_c = parts_c
-    return (te_c - te_p) / dt + nu * visc + lam * gam * relax
+    return (c["E_tilde"] - p["E_tilde"]) / dt + nu * visc + lam * gam * relax
 
 
-def compute_record(prev: SimState, curr: SimState,
-                   ctx: DiagContext) -> DiagRecord:
+def compute_record(prev: SimState, curr: SimState, ctx: DiagContext,
+                   prev_rec: DiagRecord | None = None) -> DiagRecord:
+    """The record of curr, differenced against prev for the energy law and
+    B_val. prev_rec, the record made at prev.t if there is one, supplies
+    prev's functionals, so consecutive records measure each state once."""
     if not prev.t < curr.t:
         raise ValueError("prev must precede curr")
+    if prev_rec is not None and prev_rec.t != prev.t:
+        raise ValueError("prev_rec must be the record made at prev.t")
     g = curr.rho.grid
     dt = curr.t - prev.t
-    nu = ctx.flow.nu
-
-    parts = _energy_parts(curr, ctx)
-    kin, ela, pot, total, tilde = parts
-    grad_v, gl_res = _dissipation(curr, ctx)
-    g_l2 = norms(forcing.eval_force(ctx.spec, g, curr.t), "L2")
+    c = _functionals(curr, ctx)
+    p = _functionals(prev, ctx) if prev_rec is None else vars(prev_rec)
 
     vt = MacVelocity(g, (curr.v.u - prev.v.u) / dt,
                      (curr.v.v - prev.v.v) / dt)
@@ -151,26 +147,18 @@ def compute_record(prev: SimState, curr: SimState,
                            (curr.d.d2 - prev.d.d2) / dt, None)
     b_val = 2.0 * kinetic_energy(curr.rho.values, vt) \
         + norms(dt_dir, "H1_semi") ** 2
-    a_val = nu * grad_v**2 + gl_res**2
+    a_val = ctx.flow.nu * c["grad_v_L2"]**2 + c["gl_res_L2"]**2
 
-    mass, rho_min, rho_max = (curr.density.mass(),
-                              float(curr.rho.values.min()),
-                              float(curr.rho.values.max()))
     d_dist = 0.0
     if ctx.d_inf is not None:
         diff = DirectorField(g, curr.d.d1 - ctx.d_inf.d1,
                              curr.d.d2 - ctx.d_inf.d2, None)
         d_dist = norms(diff, "L2")
     return DiagRecord(
-        t=curr.t, kinetic=kin, elastic=ela, potential=pot, E_total=total,
-        E_tilde=tilde, grad_v_L2=grad_v, gl_res_L2=gl_res, A_val=a_val,
-        B_val=b_val, mass=mass, rho_min=rho_min, rho_max=rho_max,
-        d_maxnorm=norms(curr.d, "Linf"),
-        div_v_inf=float(np.abs(divergence(curr.v).values).max()),
-        law_residual=_law_residual(prev, curr, ctx, parts,
-                                   (grad_v, gl_res), g_l2),
-        g_L2=g_l2, d_dist=d_dist,
-        v_H1=float(np.hypot(norms(curr.v, "L2"), grad_v)))
+        t=curr.t, **c, A_val=a_val, B_val=b_val, **state_bounds(curr),
+        law_residual=_law_residual(p, c, dt, ctx, g.poincare_constant()),
+        d_dist=d_dist, v_H1=float(np.hypot(norms(curr.v, "L2"),
+                                           c["grad_v_L2"])))
 
 
 def convergence_monitor(records) -> dict:

@@ -61,11 +61,15 @@ def gl_residual_l2(d: DirectorField, eta: float) -> float:
     return float(np.sqrt((np.sum(r1**2) + np.sum(r2**2)) * a))
 
 
+def director_energy_terms(d: DirectorField, eta: float) -> tuple[float, float]:
+    """The terms 1/2 ||grad d||^2 and integral F(d) of E(d), without the
+    elastic coupling lambda (the record's energy columns apply it)."""
+    return 0.5 * norms(d, "H1_semi") ** 2, norms(gl_F(d, eta), "L1")
+
+
 def director_energy(d: DirectorField, eta: float) -> float:
-    """E(d) = 1/2 ||grad d||^2 + integral F(d), without the elastic-coupling
-    prefactor (the total-energy diagnostics apply lambda)."""
-    grad_sq = norms(d, "H1_semi") ** 2
-    return 0.5 * grad_sq + norms(gl_F(d, eta), "L1")
+    """E(d) = 1/2 ||grad d||^2 + integral F(d), without lambda."""
+    return sum(director_energy_terms(d, eta))
 
 
 def velocity_at_centers(w: MacVelocity) -> tuple[np.ndarray, np.ndarray]:

@@ -44,7 +44,7 @@ def sample_potential(spec: ForcingSpec, grid: GridSpec) -> ScalarField:
 
 
 @lru_cache(maxsize=16)
-def _sample_profile(spec: ForcingSpec, grid: GridSpec) -> MacVelocity:
+def sample_profile(spec: ForcingSpec, grid: GridSpec) -> MacVelocity:
     Xu, Yu = grid.uface_coords()
     Xv, Yv = grid.vface_coords()
     g = MacVelocity(grid, parse_expression(spec.ax)(Xu, Yu),
@@ -63,13 +63,13 @@ def eval_force(spec: ForcingSpec, grid: GridSpec, t: float) -> MacVelocity:
     if spec.variant == "f1":
         phi = sample_potential(spec, grid)
         return gradient_interior_faces(phi.values, grid)
-    g = _sample_profile(spec, grid)
+    g = sample_profile(spec, grid)
     s = spec.amplitude * (1.0 + t) ** (-(2.0 + spec.xi) / 2.0)
     return MacVelocity(grid, s * g.u, s * g.v)
 
 
 def profile_norm_sq(spec: ForcingSpec, grid: GridSpec) -> float:
-    return norms(_sample_profile(spec, grid), "L2") ** 2
+    return norms(sample_profile(spec, grid), "L2") ** 2
 
 
 def tail_energy(spec: ForcingSpec, grid: GridSpec, t: float) -> float:

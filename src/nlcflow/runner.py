@@ -14,12 +14,13 @@ import numpy as np
 
 from .density import DensityState, advance_density, cfl_number
 from .diagnostics import (DiagContext, compute_record, convergence_monitor,
-                          write_csv)
+                          state_bounds, write_csv)
 from .director import GLParams, advance_director
 from .errors import (ConfigError, DegenerateFit, InsufficientSamples,
                      OrderRegression, StepRejected)
 from .expressions import parse_expression
-from .forcing import ForcingSpec, eval_force, sample_potential
+from .forcing import (ForcingSpec, eval_force, sample_potential,
+                      sample_profile)
 from .grid import (DirectorField, GridSpec, MacVelocity, ScalarField,
                    divergence, elastic_identity_residual, laplacian,
                    load_snapshot, norms, save_snapshot)
@@ -122,8 +123,9 @@ def load_config(path) -> RunConfig:
     return cfg
 
 
-def validate_config(cfg: RunConfig) -> None:
-    """Reject every model-assumption violation that can be sampled."""
+def validate_config(cfg: RunConfig) -> dict:
+    """Reject every model-assumption violation that can be sampled, and
+    return the initial-data samples keyed by config name."""
     if cfg.rho_low <= 0:
         raise ConfigError("rho_low must be positive")
     if cfg.rho_high < cfg.rho_low:
@@ -132,21 +134,31 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("dt and t_end must be positive")
     if not 0 < cfg.cfl_safety <= 1:
         raise ConfigError("cfl_safety must lie in (0, 1]")
-    g = cfg.grid
-    X, Y = g.cell_centers()
-    rho = parse_expression(cfg.rho0)(X, Y)
+    # each expression is sampled where the run uses it, the forcing by its
+    # own cached samplers; the forcing spec checks xi > 0 itself
+    g, f = cfg.grid, cfg.forcing
+    c, u, v = g.cell_centers(), g.uface_coords(), g.vface_coords()
+    sites = {"rho0": (cfg.rho0, c), "v0x": (cfg.v0x, u), "v0y": (cfg.v0y, v),
+             "d0x": (cfg.d0x, c), "d0y": (cfg.d0y, c)}
+    with np.errstate(all="ignore"):  # NaN would pass the range checks
+        samples = {key: parse_expression(text)(*xy)
+                   for key, (text, xy) in sites.items()}
+        if f.variant == "f1":
+            samples["phi"] = sample_potential(f, g).values
+        elif f.variant == "f2":
+            prof = sample_profile(f, g)
+            samples["ax"], samples["ay"] = prof.u, prof.v
+    for key, vals in samples.items():
+        if not np.isfinite(vals).all():
+            raise ConfigError(f"{key} is not finite on the grid")
+    rho = samples["rho0"]
     if rho.min() < cfg.rho_low or rho.max() > cfg.rho_high:
         raise ConfigError(
             f"initial density range [{rho.min():.4g}, {rho.max():.4g}] "
             f"violates [{cfg.rho_low:.4g}, {cfg.rho_high:.4g}]")
-    d1 = parse_expression(cfg.d0x)(X, Y)
-    d2 = parse_expression(cfg.d0y)(X, Y)
-    if np.max(d1**2 + d2**2) > 1.0 + 1e-12:
+    if np.max(samples["d0x"]**2 + samples["d0y"]**2) > 1.0 + 1e-12:
         raise ConfigError("|d0| must not exceed 1")
-    # the forcing spec validates xi > 0 itself; its expressions parse here
-    f = cfg.forcing
-    for text in {"f1": (f.phi,), "f2": (f.ax, f.ay)}.get(f.variant, ()):
-        parse_expression(text)
+    return {key: samples[key] for key in sites}
 
 
 def director_trace(cfg: RunConfig):
@@ -160,21 +172,14 @@ def director_trace(cfg: RunConfig):
 
 
 def initial_state(cfg: RunConfig) -> SimState:
-    """Sample the initial data and project the velocity once so the
-    discrete divergence constraint holds from step zero."""
+    """Validate and sample the initial data, and project the velocity once
+    so the discrete divergence constraint holds from step zero."""
+    s = validate_config(cfg)
     g = cfg.grid
-    X, Y = g.cell_centers()
-    rho = ScalarField(g, parse_expression(cfg.rho0)(X, Y), "extrapolate")
+    rho = ScalarField(g, s["rho0"], "extrapolate")
     density = DensityState.from_field(rho)
-
-    trace = director_trace(cfg)
-    d1, d2 = trace(X, Y)
-    d = DirectorField(g, d1, d2, trace)
-
-    Xu, Yu = g.uface_coords()
-    Xv, Yv = g.vface_coords()
-    v = MacVelocity(g, parse_expression(cfg.v0x)(Xu, Yu),
-                    parse_expression(cfg.v0y)(Xv, Yv))
+    d = DirectorField(g, s["d0x"], s["d0y"], director_trace(cfg))
+    v = MacVelocity(g, s["v0x"], s["v0y"])
     v.enforce_noslip()
     if norms(v, "Linf") > 0:
         v, _ = project(rho, v, 1.0, cfg.flow)
@@ -225,9 +230,8 @@ class RunResult:
 
 def run(cfg: RunConfig, write_outputs: bool = True,
         with_stationary: bool = True) -> RunResult:
-    validate_config(cfg)
     g = cfg.grid
-    state = initial_state(cfg)
+    state = initial_state(cfg)  # validates cfg first
     stepper = StepperState(dt=cfg.dt)
 
     d_inf = None
@@ -252,6 +256,7 @@ def run(cfg: RunConfig, write_outputs: bool = True,
 
     n = 0
     mass0 = state.density.mass0
+    prev_rec = None  # the record made at the step's start state, if any
     while state.t < cfg.t_end - 1e-12:
         prev = state
         try:
@@ -260,31 +265,30 @@ def run(cfg: RunConfig, write_outputs: bool = True,
             raise type(exc)(f"step {n + 1} (t={prev.t:.6g}): {exc}") from exc
         n += 1
 
-        vals = state.rho.values
-        inv["mass_drift_rel_max"] = max(
-            inv["mass_drift_rel_max"],
-            abs(state.density.mass() - mass0) / abs(mass0))
-        inv["rho_min_run"] = min(inv["rho_min_run"], float(vals.min()))
-        inv["rho_max_run"] = max(inv["rho_max_run"], float(vals.max()))
-        inv["d_maxnorm_max"] = max(inv["d_maxnorm_max"],
-                                   norms(state.d, "Linf"))
-        inv["div_v_inf_max"] = max(
-            inv["div_v_inf_max"],
-            float(np.abs(divergence(state.v).values).max()))
-
         at_end = state.t >= cfg.t_end - 1e-12
+        rec = None
         if n % cfg.record_every == 0 or at_end or n == 1:
-            rec = compute_record(prev, state, ctx)
+            rec = compute_record(prev, state, ctx, prev_rec)
             records.append(rec)
             inv["law_residual_max"] = max(inv["law_residual_max"],
                                           abs(rec.law_residual))
             if e_inf is not None:
                 e_d = (rec.elastic + rec.potential) / cfg.lam
                 probe_samples.append((abs(e_d - e_inf), rec.gl_res_L2))
+
+        # a record already holds the step's bounds
+        b = state_bounds(state) if rec is None else vars(rec)
+        inv["mass_drift_rel_max"] = max(inv["mass_drift_rel_max"],
+                                        abs(b["mass"] - mass0) / abs(mass0))
+        inv["rho_min_run"] = min(inv["rho_min_run"], b["rho_min"])
+        inv["rho_max_run"] = max(inv["rho_max_run"], b["rho_max"])
+        inv["d_maxnorm_max"] = max(inv["d_maxnorm_max"], b["d_maxnorm"])
+        inv["div_v_inf_max"] = max(inv["div_v_inf_max"], b["div_v_inf"])
         if write_outputs and cfg.snapshot_every > 0 \
                 and n % cfg.snapshot_every == 0:
             save_checkpoint(os.path.join(cfg.out_dir, f"snap_{n:07d}.bin"),
                             state, stepper.dt)
+        prev_rec = rec
     inv["steps"] = n
 
     report = {

@@ -7,7 +7,8 @@ from nlcflow.density import DensityState
 from nlcflow.diagnostics import (FIELD_ORDER, DiagContext, DiagRecord,
                                  compute_record, convergence_monitor,
                                  kinetic_energy, read_csv, write_csv)
-from nlcflow.director import GLParams
+from nlcflow.director import (GLParams, director_energy,
+                              director_energy_terms)
 from nlcflow.forcing import ForcingSpec
 from nlcflow.grid import DirectorField, GridSpec, MacVelocity, ScalarField
 from nlcflow.momentum import FlowParams
@@ -83,6 +84,24 @@ def test_gl_residual_feeds_A_val():
     assert rec.potential == pytest.approx(2.25, rel=1e-12)
     assert rec.E_total == pytest.approx(rec.kinetic + rec.elastic
                                         + rec.potential, rel=1e-14)
+
+
+def test_record_scales_director_terms_by_lambda():
+    grid = GridSpec(16, 16)
+    X, Y = grid.cell_centers()
+    th = 0.7 * np.sin(np.pi * X) * np.sin(np.pi * Y)
+    d = DirectorField(grid, 0.9 * np.cos(th), 0.9 * np.sin(th),
+                      _const_trace(0.9, 0.0))
+    prev = _state(grid, t=0.0)
+    curr = SimState(0.1, prev.density, MacVelocity.zeros(grid), d)
+    lam, eta = 0.8, 0.5
+    rec = compute_record(prev, curr, _ctx(lam=lam, eta=eta))
+    elastic, penalty = director_energy_terms(d, eta)
+    assert elastic > 0.0 and penalty > 0.0
+    assert rec.elastic == lam * elastic
+    assert rec.potential == lam * penalty
+    assert rec.elastic + rec.potential == pytest.approx(
+        lam * director_energy(d, eta), rel=1e-15, abs=0.0)
 
 
 def test_law_residual_balances_pure_relaxation():

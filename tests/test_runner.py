@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 import nlcflow
+from nlcflow import diagnostics
 from nlcflow.cli import main as cli_main
+from nlcflow.diagnostics import FIELD_ORDER, DiagContext, compute_record
 from nlcflow.errors import ConfigError, LinearSolveFailure, StepRejected
-from nlcflow.forcing import ForcingSpec
+from nlcflow.forcing import ForcingSpec, sample_potential
 from nlcflow.runner import (PRESETS, RunConfig, StepperState, initial_state,
                             load_checkpoint, load_config, preset_config,
                             run, save_checkpoint, step, validate_config)
@@ -94,6 +96,18 @@ def test_validate_rejects_bad_cfl_safety():
 def test_validate_parses_forcing_expressions(forcing):
     with pytest.raises(ConfigError, match="cannot parse"):
         validate_config(_cfg(forcing=forcing))
+
+
+@pytest.mark.parametrize("key, overrides", [
+    ("rho0", dict(rho0="1.5 + 0*x/0")),
+    ("d0x", dict(d0x="0*x/0")),
+    ("v0x", dict(v0x="x/0")),
+    ("ax", dict(forcing=ForcingSpec(variant="f2", ax="1/0*x"))),
+])
+def test_validate_rejects_nonfinite_samples(key, overrides):
+    # NaN passes the range checks, so finiteness is checked on its own
+    with pytest.raises(ConfigError, match=f"^{key} is not finite"):
+        validate_config(_cfg(**overrides))
 
 
 def test_preset_names_and_unknown():
@@ -178,6 +192,66 @@ def test_record_cadence_does_not_perturb_trajectory():
     assert np.array_equal(r1.final.rho.values, r5.final.rho.values)
     assert np.array_equal(r1.final.d.d2, r5.final.d.d2)
     assert len(r1.records) > len(r5.records)
+
+
+# ten steps; records at every step, or at steps 1, 3, 6, 9 and 10
+TEN_STEPS = dict(nx=16, ny=16, dt=2e-3, t_end=0.02)
+
+
+def _bits(rec):
+    return [float.hex(getattr(rec, name)) for name in FIELD_ORDER]
+
+
+@pytest.mark.parametrize("every, calls", [(1, 11), (3, 9)])
+@pytest.mark.parametrize("preset", ["f1-potential", "f2-decaying"])
+def test_each_state_is_measured_once(monkeypatch, preset, every, calls):
+    # a record right after another reads the shared state's functionals
+    # from it, so prev is measured only when its step made no record
+    measured = []
+
+    def spy(d, eta, _real=diagnostics.gl_residual_l2):
+        measured.append(d)
+        return _real(d, eta)
+
+    monkeypatch.setattr(diagnostics, "gl_residual_l2", spy)
+    result = run(preset_config(preset, record_every=every, **TEN_STEPS),
+                 write_outputs=False, with_stationary=False)
+    assert result.report["invariants"]["steps"] == 10
+    assert len(measured) == calls
+    assert len({id(d) for d in measured}) == calls
+
+
+@pytest.mark.parametrize("every", [1, 3])
+@pytest.mark.parametrize("preset", ["f1-potential", "f2-decaying"])
+def test_carried_record_equals_fresh_record(preset, every):
+    cfg = preset_config(preset, record_every=every, **TEN_STEPS)
+    state = initial_state(cfg)
+    stepper = StepperState(dt=cfg.dt)
+    phi = sample_potential(cfg.forcing, cfg.grid) \
+        if cfg.forcing.variant == "f1" else None
+    ctx = DiagContext(glp=cfg.glp, flow=cfg.flow, spec=cfg.forcing, phi=phi,
+                      rho_bar=state.density.rho_max0)
+    records, prev_rec = [], None
+    for n in range(1, 11):
+        prev, state = state, step(state, cfg, stepper)
+        rec = None
+        if n % every == 0 or n in (1, 10):
+            rec = compute_record(prev, state, ctx, prev_rec)
+            assert _bits(rec) == _bits(compute_record(prev, state, ctx))
+            records.append(rec)
+        prev_rec = rec
+    result = run(cfg, write_outputs=False, with_stationary=False)
+    assert [_bits(r) for r in result.records] == [_bits(r) for r in records]
+
+
+def test_carried_record_must_match_prev_time():
+    cfg = _cfg()
+    a = initial_state(cfg)
+    b = step(a, cfg, StepperState(dt=cfg.dt))
+    c = step(b, cfg, StepperState(dt=cfg.dt))
+    ctx = DiagContext(glp=cfg.glp, flow=cfg.flow, spec=cfg.forcing)
+    with pytest.raises(ValueError, match="prev_rec"):
+        compute_record(b, c, ctx, compute_record(a, c, ctx))
 
 
 def test_checkpoint_round_trip_resumes_bitwise(tmp_path):
