@@ -9,8 +9,9 @@ from .diagnostics import (DiagContext, DiagRecord, compute_record,
                           convergence_monitor, read_csv, write_csv)
 from .director import GLParams, advance_director, gl_residual_l2
 from .forcing import ForcingSpec, eval_force, tail_energy
-from .grid import (DirectorField, GridSpec, MacVelocity, ScalarField,
-                   divergence, gradient_to_faces, laplacian, norms)
+from .grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
+                   ScalarField, divergence, gradient_to_faces, laplacian,
+                   norms)
 from .momentum import FlowParams, elastic_force, predict_velocity, project
 from .runner import (PRESETS, RunConfig, initial_state, load_config,
                      mms_verify, preset_config, run, step)
@@ -26,7 +27,8 @@ __all__ = [
     "read_csv", "write_csv",
     "GLParams", "advance_director", "gl_residual_l2",
     "ForcingSpec", "eval_force", "tail_energy",
-    "DirectorField", "GridSpec", "MacVelocity", "ScalarField",
+    "DirectorField", "DirectorTrace", "GridSpec", "MacVelocity",
+    "ScalarField",
     "divergence", "gradient_to_faces", "laplacian", "norms",
     "FlowParams", "elastic_force", "predict_velocity", "project",
     "PRESETS", "RunConfig", "initial_state", "load_config", "mms_verify",

@@ -9,7 +9,8 @@ import sys
 
 from .diagnostics import convergence_monitor, read_csv
 from .errors import NlcflowError
-from .runner import PRESETS, load_config, mms_verify, preset_config, run
+from .runner import (PRESETS, load_config, mms_verify, preset_config, run,
+                     validate_config)
 from .stationary import solve_stationary
 
 
@@ -35,8 +36,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_stationary(args) -> int:
     cfg = _config_from_args(args)
-    from .runner import director_trace
-    st = solve_stationary(cfg.grid, director_trace(cfg), cfg.eta,
+    st = solve_stationary(cfg.grid, validate_config(cfg)["trace"], cfg.eta,
                           cfg.tol_stationary)
     print(json.dumps({"residual": st.residual, "energy": st.energy,
                       "iterations": st.iterations}, indent=2))

@@ -15,8 +15,8 @@ import numpy as np
 from . import forcing
 from .director import GLParams, director_energy_terms, gl_residual_l2
 from .forcing import ForcingSpec
-from .grid import (DirectorField, MacVelocity, ScalarField, density_at_faces,
-                   divergence, norms)
+from .grid import (DirectorField, MacVelocity, density_at_faces, divergence,
+                   norms)
 from .momentum import FlowParams
 from .state import SimState
 
@@ -54,15 +54,12 @@ class DiagRecord:
 @dataclass(frozen=True)
 class DiagContext:
     """Everything the record needs besides the two states: physics
-    parameters, the forcing, the sampled potential (f1 runs), the
-    reference equilibrium, and the Linf density bound rho_bar."""
+    parameters, the forcing and the reference equilibrium."""
 
     glp: GLParams
     flow: FlowParams
     spec: ForcingSpec
-    phi: ScalarField | None = None
     d_inf: DirectorField | None = None
-    rho_bar: float = 1.0
 
 
 def kinetic_energy(rho_values: np.ndarray, v: MacVelocity) -> float:
@@ -96,8 +93,9 @@ def _functionals(st: SimState, ctx: DiagContext) -> dict:
     kin = kinetic_energy(st.rho.values, st.v)
     total = kin + ela + pot
     tilde = total
-    if ctx.spec.variant == "f1" and ctx.phi is not None:
-        tilde -= float(np.sum(st.rho.values * ctx.phi.values)) * g.cell_area
+    if ctx.spec.variant == "f1":
+        phi = forcing.sample_potential(ctx.spec, g).values
+        tilde -= float(np.sum(st.rho.values * phi)) * g.cell_area
     return dict(
         kinetic=kin, elastic=ela, potential=pot, E_total=total,
         E_tilde=tilde, grad_v_L2=norms(st.v, "H1_semi"),
@@ -106,9 +104,10 @@ def _functionals(st: SimState, ctx: DiagContext) -> dict:
 
 
 def _law_residual(p: dict, c: dict, dt: float, ctx: DiagContext,
-                  cp: float) -> float:
+                  cp: float, rho_bar: float) -> float:
     """Discrete energy law over a step of length dt, from the functionals
-    p at its start and c at its end; cp is the Poincare constant.
+    p at its start and c at its end; cp is the Poincare constant and
+    rho_bar the Linf density bound.
 
     Potential/no forcing: residual of
     d/dt E_tilde + nu||grad v||^2 + lam*gamma||lap d - f(d)||^2 = 0
@@ -122,7 +121,7 @@ def _law_residual(p: dict, c: dict, dt: float, ctx: DiagContext,
     if ctx.spec.variant == "f2":
         gl2 = 0.5 * (p["g_L2"]**2 + c["g_L2"]**2)
         excess = (c["E_total"] - p["E_total"]) / dt + 0.5 * nu * visc \
-            + lam * gam * relax - cp**2 * ctx.rho_bar**2 / (2.0 * nu) * gl2
+            + lam * gam * relax - cp**2 * rho_bar**2 / (2.0 * nu) * gl2
         return max(0.0, excess)
     return (c["E_tilde"] - p["E_tilde"]) / dt + nu * visc + lam * gam * relax
 
@@ -156,7 +155,8 @@ def compute_record(prev: SimState, curr: SimState, ctx: DiagContext,
         d_dist = norms(diff, "L2")
     return DiagRecord(
         t=curr.t, **c, A_val=a_val, B_val=b_val, **state_bounds(curr),
-        law_residual=_law_residual(p, c, dt, ctx, g.poincare_constant()),
+        law_residual=_law_residual(p, c, dt, ctx, g.poincare_constant(),
+                                   curr.density.rho_max0),
         d_dist=d_dist, v_H1=float(np.hypot(norms(curr.v, "L2"),
                                            c["grad_v_L2"])))
 

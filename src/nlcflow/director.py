@@ -11,8 +11,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
-                   ScalarField, centered_gradient_at_centers, laplacian, norms)
+from .grid import (DirectorField, GridSpec, MacVelocity, ScalarField,
+                   centered_gradient_at_centers, laplacian, norms)
 from .solvers import CellHelmholtz
 
 
@@ -93,22 +93,6 @@ def _helmholtz(grid: GridSpec, a: float, c: float) -> CellHelmholtz:
     return CellHelmholtz(grid, a, c)
 
 
-@lru_cache(maxsize=4)
-def _trace_laplacian_load(trace: DirectorTrace | None,
-                          grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Laplacian contribution of the Dirichlet trace alone (operator applied
-    to the zero field with the trace's ghost fill), read-only and computed
-    once per (trace, grid). Each entry holds two (nx, ny) arrays, and every
-    run builds a new trace, so the cache is kept small."""
-    zero = np.zeros((grid.nx, grid.ny))
-    w1, w2 = DirectorField(grid, zero, zero, trace).walls
-    loads = (laplacian(ScalarField(grid, zero, "dirichlet", w1)).values,
-             laplacian(ScalarField(grid, zero, "dirichlet", w2)).values)
-    for load in loads:
-        load.flags.writeable = False
-    return loads
-
-
 def advance_director(d: DirectorField, w: MacVelocity, p: GLParams,
                      dt: float) -> DirectorField:
     """One step of (I - gamma*dt*Lap + gamma*dt*S) d' =
@@ -125,10 +109,10 @@ def advance_director(d: DirectorField, w: MacVelocity, p: GLParams,
     c = p.gamma * dt
     adv1, adv2 = advect_director(d, w)
     f1, f2 = gl_f(d, p.eta)
-    bc1, bc2 = _trace_laplacian_load(d.boundary_trace, g)
+    bc1, bc2 = (0.0, 0.0) if d.trace is None else d.trace.load
 
     rhs1 = d.d1 - dt * adv1 - c * (f1 - s * d.d1) + c * bc1
     rhs2 = d.d2 - dt * adv2 - c * (f2 - s * d.d2) + c * bc2
 
     pre = _helmholtz(g, a, c)
-    return DirectorField(g, pre.solve(rhs1), pre.solve(rhs2), d.boundary_trace)
+    return DirectorField(g, pre.solve(rhs1), pre.solve(rhs2), d.trace)

@@ -14,16 +14,18 @@ interior values and the field's boundary kind (Dirichlet via linear
 extrapolation through the boundary face, zero-Neumann via mirror).
 
 Dirichlet data reaches the fills as four wall arrays (west, east, south,
-north) holding the trace at the boundary-face midpoints, sampled once per
-(trace, grid) by `sample_walls`; ``None`` stands for a homogeneous trace.
+north) holding the trace at the boundary-face midpoints, sampled by
+`sample_walls`; ``None`` stands for a homogeneous trace. A director carries
+its trace as a `DirectorTrace` value, sampled once per run: both
+components' read-only wall arrays and, computed on first use, the trace's
+share of the Laplacian.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -192,41 +194,49 @@ class MacVelocity:
         return float(np.abs(self.u).max()), float(np.abs(self.v).max())
 
 
-DirectorTrace = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+def _read_only(a) -> np.ndarray:
+    a = np.array(a, dtype=np.float64)
+    a.flags.writeable = False
+    return a
 
 
-@lru_cache(maxsize=32)
-def _director_walls(trace: DirectorTrace | None,
-                   grid: GridSpec) -> tuple[Walls | None, Walls | None]:
-    """Read-only wall arrays of each director component, sampled once per
-    (trace, grid); ``(None, None)`` for the zero trace."""
-    if trace is None:
-        return None, None
-    walls = sample_walls(grid, trace)
+@dataclass(frozen=True, eq=False)
+class DirectorTrace:
+    """The director's time-independent Dirichlet trace d0, sampled once.
 
-    def frozen(a):
-        a = np.array(a, dtype=np.float64)
-        a.flags.writeable = False
-        return a
+    ``walls[k]`` holds component k's read-only wall arrays (west, east,
+    south, north); build it with `DirectorTrace.sample`."""
 
-    return tuple(tuple(frozen(w[k]) for w in walls) for k in range(2))
+    grid: GridSpec
+    walls: tuple[Walls, Walls]
+
+    @classmethod
+    def sample(cls, grid: GridSpec, fn) -> "DirectorTrace":
+        """The trace of ``fn(x, y) -> (d0_1, d0_2)`` on ``grid``'s walls."""
+        walls = sample_walls(grid, fn)
+        return cls(grid, tuple(tuple(_read_only(w[k]) for w in walls)
+                               for k in range(2)))
+
+    @cached_property
+    def load(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per component, the Laplacian of the zero field with the trace's
+        ghosts: the trace's part of the Dirichlet Laplacian, read-only."""
+        zero = np.zeros((self.grid.nx, self.grid.ny))
+        return tuple(_read_only(laplacian(
+            ScalarField(self.grid, zero, "dirichlet", w)).values)
+            for w in self.walls)
 
 
 @dataclass
 class DirectorField:
     """Two-component cell-centered director with a time-independent
-    Dirichlet trace d0 on the wall.
-
-    ``boundary_trace`` is the callable ``(x, y) -> (d0_1, d0_2)``, or
-    ``None`` for the zero trace. Its wall arrays are looked up once, at
-    construction, and the component fields carry those arrays."""
+    Dirichlet trace d0 on the wall; ``trace`` is ``None`` for the zero
+    trace, and the component fields carry its wall arrays."""
 
     grid: GridSpec
     d1: np.ndarray
     d2: np.ndarray
-    boundary_trace: DirectorTrace | None
-    walls: tuple[Walls | None, Walls | None] = field(
-        init=False, repr=False, compare=False)
+    trace: DirectorTrace | None
 
     def __post_init__(self):
         self.d1 = np.ascontiguousarray(self.d1, dtype=np.float64)
@@ -234,11 +244,13 @@ class DirectorField:
         shape = (self.grid.nx, self.grid.ny)
         if self.d1.shape != shape or self.d2.shape != shape:
             raise ValueError("director components must have shape (nx, ny)")
-        self.walls = _director_walls(self.boundary_trace, self.grid)
+        if self.trace is not None and self.trace.grid != self.grid:
+            raise ValueError("the trace was sampled on another grid")
 
     def component(self, k: int) -> ScalarField:
         comp = self.d1 if k == 0 else self.d2
-        return ScalarField(self.grid, comp, "dirichlet", self.walls[k])
+        walls = None if self.trace is None else self.trace.walls[k]
+        return ScalarField(self.grid, comp, "dirichlet", walls)
 
     def components(self) -> tuple[ScalarField, ScalarField]:
         return self.component(0), self.component(1)

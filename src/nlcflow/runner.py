@@ -21,9 +21,9 @@ from .errors import (ConfigError, DegenerateFit, InsufficientSamples,
 from .expressions import parse_expression
 from .forcing import (ForcingSpec, eval_force, sample_potential,
                       sample_profile)
-from .grid import (DirectorField, GridSpec, MacVelocity, ScalarField,
-                   divergence, elastic_identity_residual, laplacian,
-                   load_snapshot, norms, save_snapshot)
+from .grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
+                   ScalarField, divergence, elastic_identity_residual,
+                   laplacian, load_snapshot, norms, save_snapshot)
 from .momentum import FlowParams, predict_velocity, project
 from .state import SimState
 from .stationary import decay_rate_fit, lojasiewicz_probe, solve_stationary
@@ -125,7 +125,8 @@ def load_config(path) -> RunConfig:
 
 def validate_config(cfg: RunConfig) -> dict:
     """Reject every model-assumption violation that can be sampled, and
-    return the initial-data samples keyed by config name."""
+    return the initial-data samples keyed by config name, with the
+    director's wall trace under ``"trace"``."""
     if cfg.rho_low <= 0:
         raise ConfigError("rho_low must be positive")
     if cfg.rho_high < cfg.rho_low:
@@ -141,14 +142,20 @@ def validate_config(cfg: RunConfig) -> dict:
     sites = {"rho0": (cfg.rho0, c), "v0x": (cfg.v0x, u), "v0y": (cfg.v0y, v),
              "d0x": (cfg.d0x, c), "d0y": (cfg.d0y, c)}
     with np.errstate(all="ignore"):  # NaN would pass the range checks
-        samples = {key: parse_expression(text)(*xy)
-                   for key, (text, xy) in sites.items()}
+        fns = {key: parse_expression(text)
+               for key, (text, _) in sites.items()}
+        samples = {key: fns[key](*xy) for key, (_, xy) in sites.items()}
+        trace = DirectorTrace.sample(
+            g, lambda x, y: (fns["d0x"](x, y), fns["d0y"](x, y)))
         if f.variant == "f1":
             samples["phi"] = sample_potential(f, g).values
         elif f.variant == "f2":
             prof = sample_profile(f, g)
             samples["ax"], samples["ay"] = prof.u, prof.v
-    for key, vals in samples.items():
+    # d0 is checked on the walls too, where the trace samples it
+    d0 = {key: np.concatenate([samples[key].ravel(), *walls])
+          for key, walls in zip(("d0x", "d0y"), trace.walls)}
+    for key, vals in {**samples, **d0}.items():
         if not np.isfinite(vals).all():
             raise ConfigError(f"{key} is not finite on the grid")
     rho = samples["rho0"]
@@ -156,19 +163,9 @@ def validate_config(cfg: RunConfig) -> dict:
         raise ConfigError(
             f"initial density range [{rho.min():.4g}, {rho.max():.4g}] "
             f"violates [{cfg.rho_low:.4g}, {cfg.rho_high:.4g}]")
-    if np.max(samples["d0x"]**2 + samples["d0y"]**2) > 1.0 + 1e-12:
+    if np.max(d0["d0x"]**2 + d0["d0y"]**2) > 1.0 + 1e-12:
         raise ConfigError("|d0| must not exceed 1")
-    return {key: samples[key] for key in sites}
-
-
-def director_trace(cfg: RunConfig):
-    f1 = parse_expression(cfg.d0x)
-    f2 = parse_expression(cfg.d0y)
-
-    def trace(x, y):
-        return f1(x, y), f2(x, y)
-
-    return trace
+    return {**{key: samples[key] for key in sites}, "trace": trace}
 
 
 def initial_state(cfg: RunConfig) -> SimState:
@@ -178,7 +175,7 @@ def initial_state(cfg: RunConfig) -> SimState:
     g = cfg.grid
     rho = ScalarField(g, s["rho0"], "extrapolate")
     density = DensityState.from_field(rho)
-    d = DirectorField(g, s["d0x"], s["d0y"], director_trace(cfg))
+    d = DirectorField(g, s["d0x"], s["d0y"], s["trace"])
     v = MacVelocity(g, s["v0x"], s["v0y"])
     v.enforce_noslip()
     if norms(v, "Linf") > 0:
@@ -237,14 +234,11 @@ def run(cfg: RunConfig, write_outputs: bool = True,
     d_inf = None
     e_inf = None
     if with_stationary:
-        st = solve_stationary(g, state.d.boundary_trace, cfg.eta,
-                              cfg.tol_stationary)
+        st = solve_stationary(g, state.d.trace, cfg.eta, cfg.tol_stationary)
         d_inf, e_inf = st.d_inf, st.energy
 
-    phi = sample_potential(cfg.forcing, g) \
-        if cfg.forcing.variant == "f1" else None
-    ctx = DiagContext(glp=cfg.glp, flow=cfg.flow, spec=cfg.forcing, phi=phi,
-                      d_inf=d_inf, rho_bar=state.density.rho_max0)
+    ctx = DiagContext(glp=cfg.glp, flow=cfg.flow, spec=cfg.forcing,
+                      d_inf=d_inf)
 
     records = []
     probe_samples = []
@@ -368,8 +362,7 @@ def load_checkpoint(path, cfg: RunConfig) -> tuple[SimState, float]:
     density = DensityState(rho, ref.density.rho_max0, ref.density.mass0)
     state = SimState(t=float(f["t"][0, 0]), density=density,
                      v=MacVelocity(grid, f["u"], f["v"]),
-                     d=DirectorField(grid, f["d1"], f["d2"],
-                                     director_trace(cfg)))
+                     d=DirectorField(grid, f["d1"], f["d2"], ref.d.trace))
     return state, float(f["dt"][0, 0])
 
 
@@ -426,6 +419,11 @@ def _order(errors, grids) -> float:
     return float(np.polyfit(h, e, 1)[0])
 
 
+def _mms_trace(x, y):
+    t = 0.4 * np.sin(np.pi * x) * np.sin(np.pi * y)
+    return np.cos(t), np.sin(t)
+
+
 def mms_verify(resolutions=(16, 32, 64), tol_proj: float = 1e-8) -> dict:
     """Observed convergence orders of the spatial operators against
     manufactured fields, plus the projection divergence check."""
@@ -458,12 +456,8 @@ def mms_verify(resolutions=(16, 32, 64), tol_proj: float = 1e-8) -> dict:
         upw_err.append(err)
 
         th = 0.4 * np.sin(np.pi * X) * np.sin(np.pi * Y)
-
-        def trace(x, y, _n=n):
-            t = 0.4 * np.sin(np.pi * x) * np.sin(np.pi * y)
-            return np.cos(t), np.sin(t)
-
-        d = DirectorField(g, np.cos(th), np.sin(th), trace)
+        d = DirectorField(g, np.cos(th), np.sin(th),
+                          DirectorTrace.sample(g, _mms_trace))
         el_err.append(elastic_identity_residual(d, margin=max(2, m)))
 
         vstar = MacVelocity(g, w.u.copy(), w.v.copy())

@@ -11,10 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .director import (GLParams, _trace_laplacian_load, advance_director,
-                       director_energy, gl_residual_l2)
-from .errors import DegenerateFit, InsufficientSamples, MaxIterations
-from .grid import DirectorField, GridSpec, MacVelocity
+from .director import (GLParams, advance_director, director_energy,
+                       gl_residual_l2)
+from .errors import (DegenerateFit, InsufficientSamples, MaxIterations,
+                     NlcflowError)
+from .grid import DirectorField, DirectorTrace, GridSpec, MacVelocity
 from .solvers import CellHelmholtz
 
 
@@ -35,21 +36,21 @@ class RateFit:
     exceeds_prediction: bool = False
 
 
-def _harmonic_extension(grid: GridSpec, trace) -> DirectorField:
+def _harmonic_extension(grid: GridSpec, trace: DirectorTrace) -> DirectorField:
     """Initial guess: solve lap d = 0 per component with the trace."""
     # -lap d = 0 with trace g  <=>  -lap_0 x = lap of (zero field with
     # trace ghosts), x the interior values; -lap_0 is inverted exactly
     pre = CellHelmholtz(grid, 0.0, 1.0)
-    sol1, sol2 = (pre.solve(load)
-                  for load in _trace_laplacian_load(trace, grid))
+    sol1, sol2 = (pre.solve(load) for load in trace.load)
     return DirectorField(grid, sol1, sol2, trace)
 
 
-def solve_stationary(grid: GridSpec, trace, eta: float,
+def solve_stationary(grid: GridSpec, trace: DirectorTrace, eta: float,
                      tol_stationary: float = 1e-9) -> StationaryResult:
     """Pseudo-time gradient flow of the director energy from the
     harmonic-like extension of the trace, iterated to the requested
-    Ginzburg-Landau residual. Raises MaxIterations after 20000 steps."""
+    Ginzburg-Landau residual. Raises MaxIterations after 20000 steps and
+    NlcflowError on a non-finite residual."""
     p = GLParams(gamma=1.0, eta=eta, lam=1.0)
     d = _harmonic_extension(grid, trace)
     w = MacVelocity.zeros(grid)
@@ -58,7 +59,11 @@ def solve_stationary(grid: GridSpec, trace, eta: float,
     dt = 50.0
     res = gl_residual_l2(d, eta)
     it = 0
-    while res > tol_stationary:
+    while not res <= tol_stationary:
+        if not np.isfinite(res):
+            raise NlcflowError(
+                f"stationary solve hit a non-finite residual ({res}) "
+                f"after {it} iterations")
         if it >= 20000:
             raise MaxIterations(
                 f"stationary solve stalled at residual {res:.3e} "

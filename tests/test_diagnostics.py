@@ -10,7 +10,8 @@ from nlcflow.diagnostics import (FIELD_ORDER, DiagContext, DiagRecord,
 from nlcflow.director import (GLParams, director_energy,
                               director_energy_terms)
 from nlcflow.forcing import ForcingSpec
-from nlcflow.grid import DirectorField, GridSpec, MacVelocity, ScalarField
+from nlcflow.grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
+                          ScalarField)
 from nlcflow.momentum import FlowParams
 from nlcflow.state import SimState
 
@@ -32,7 +33,7 @@ def _state(grid, t=0.0, rho=1.0, d=(1.0, 0.0), v=None):
         v = MacVelocity.zeros(grid)
     d_f = DirectorField(grid, np.full((grid.nx, grid.ny), d[0]),
                         np.full((grid.nx, grid.ny), d[1]),
-                        _const_trace(*d))
+                        DirectorTrace.sample(grid, _const_trace(*d)))
     return SimState(t=t, density=dens, v=v, d=d_f)
 
 
@@ -91,7 +92,7 @@ def test_record_scales_director_terms_by_lambda():
     X, Y = grid.cell_centers()
     th = 0.7 * np.sin(np.pi * X) * np.sin(np.pi * Y)
     d = DirectorField(grid, 0.9 * np.cos(th), 0.9 * np.sin(th),
-                      _const_trace(0.9, 0.0))
+                      DirectorTrace.sample(grid, _const_trace(0.9, 0.0)))
     prev = _state(grid, t=0.0)
     curr = SimState(0.1, prev.density, MacVelocity.zeros(grid), d)
     lam, eta = 0.8, 0.5
@@ -114,7 +115,8 @@ def test_law_residual_balances_pure_relaxation():
     X, Y = np.meshgrid(xc, xc, indexing="ij")
     th = 0.7 * np.sin(np.pi * X) * np.sin(np.pi * Y)
     d0 = DirectorField(grid, np.cos(th), np.sin(th),
-                       lambda x, y: (np.ones_like(x), np.zeros_like(x)))
+                       DirectorTrace.sample(grid, lambda x, y: (
+                           np.ones_like(x), np.zeros_like(x))))
     ctx = _ctx()
     dt = 1e-3
     rho = ScalarField(grid, np.ones((32, 32)), "extrapolate")
@@ -126,6 +128,17 @@ def test_law_residual_balances_pure_relaxation():
     res = compute_record(prev, curr, ctx).law_residual
     diss = compute_record(prev, curr, ctx).gl_res_L2 ** 2
     assert abs(res) < 0.1 * diss
+
+
+def test_f1_record_subtracts_the_potential_energy_from_the_spec():
+    # uniform unit director at rest: E_total = 0, and for phi = x on the
+    # unit square the midpoint rule integrates rho*phi exactly, to 1.5/2
+    grid = GridSpec(8, 8)
+    prev = _state(grid, t=0.0, rho=1.5)
+    curr = _state(grid, t=0.1, rho=1.5)
+    rec = compute_record(prev, curr, _ctx("f1", phi="x"))
+    assert rec.E_total == 0.0
+    assert rec.E_tilde == pytest.approx(-0.75, rel=0.0, abs=1e-14)
 
 
 def test_f2_excess_is_clipped_nonnegative():
@@ -148,7 +161,8 @@ def test_d_dist_measures_gap_to_reference():
     grid = GridSpec(8, 8)
     prev = _state(grid, t=0.0, d=(1.0, 0.0))
     curr = _state(grid, t=0.1, d=(1.0, 0.0))
-    ref = DirectorField(grid, np.zeros((8, 8)), np.zeros((8, 8)), _zero_trace)
+    ref = DirectorField(grid, np.zeros((8, 8)), np.zeros((8, 8)),
+                        DirectorTrace.sample(grid, _zero_trace))
     ctx = _ctx()
     ctx = DiagContext(glp=ctx.glp, flow=ctx.flow, spec=ctx.spec, d_inf=ref)
     rec = compute_record(prev, curr, ctx)

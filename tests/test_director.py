@@ -4,7 +4,8 @@ import pytest
 from nlcflow.director import (GLParams, advance_director, advect_director,
                               director_energy, gl_F, gl_f, gl_residual,
                               gl_residual_l2)
-from nlcflow.grid import DirectorField, GridSpec, MacVelocity, laplacian, norms
+from nlcflow.grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
+                          laplacian, norms)
 from nlcflow.momentum import elastic_force
 
 
@@ -17,8 +18,9 @@ def _uniform(grid, c1, c2):
     return DirectorField(grid,
                          np.full((grid.nx, grid.ny), c1),
                          np.full((grid.nx, grid.ny), c2),
-                         lambda x, y: (np.full_like(x, c1),
-                                       np.full_like(x, c2)))
+                         DirectorTrace.sample(
+                             grid, lambda x, y: (np.full_like(x, c1),
+                                                 np.full_like(x, c2))))
 
 
 def _wavy(grid, amp=0.4):
@@ -28,7 +30,7 @@ def _wavy(grid, amp=0.4):
 
     X, Y = grid.cell_centers()
     d1, d2 = trace(X, Y)
-    return DirectorField(grid, d1, d2, trace)
+    return DirectorField(grid, d1, d2, DirectorTrace.sample(grid, trace))
 
 
 def test_penalty_gradient_vanishes_on_unit_vectors(grid):
@@ -119,7 +121,7 @@ def test_step_output_satisfies_implicit_system():
 
     rng = np.random.default_rng(12)
     d = DirectorField(g, *rng.uniform(-0.7, 0.7, size=(2, g.nx, g.ny)),
-                      trace)
+                      DirectorTrace.sample(g, trace))
     w = MacVelocity(g, rng.normal(size=(g.nx + 1, g.ny)),
                     rng.normal(size=(g.nx, g.ny + 1)))
     w.enforce_noslip()
@@ -141,7 +143,7 @@ def test_trace_is_respected(grid):
     p = GLParams(gamma=1.0, eta=0.5, lam=1.0)
     out = advance_director(d, MacVelocity.zeros(grid), p, 1e-2)
     # ghost fill of the output still realizes the same boundary trace
-    assert out.boundary_trace is d.boundary_trace
+    assert out.trace is d.trace
 
 
 def test_time_loop_never_calls_the_trace(grid):
@@ -153,7 +155,7 @@ def test_time_loop_never_calls_the_trace(grid):
         return np.cos(th), np.sin(th)
 
     X, Y = grid.cell_centers()
-    d = DirectorField(grid, *trace(X, Y), trace)
+    d = DirectorField(grid, *trace(X, Y), DirectorTrace.sample(grid, trace))
     sampled = len(calls)
     p = GLParams(gamma=1.0, eta=0.5, lam=1.0)
     w = MacVelocity.zeros(grid)
@@ -167,8 +169,8 @@ def test_zero_trace_matches_explicit_zero_callable(grid):
     rng = np.random.default_rng(11)
     d1, d2 = rng.normal(size=(2, grid.nx, grid.ny))
     none = DirectorField(grid, d1, d2, None)
-    zero = DirectorField(grid, d1, d2,
-                         lambda x, y: (np.zeros_like(x), np.zeros_like(x)))
+    zero = DirectorField(grid, d1, d2, DirectorTrace.sample(
+        grid, lambda x, y: (np.zeros_like(x), np.zeros_like(x))))
     for k in range(2):
         assert np.array_equal(none.component(k).padded(),
                               zero.component(k).padded())

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from nlcflow.grid import (DirectorField, GridSpec, MacVelocity, ScalarField,
+from nlcflow.grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
+                          ScalarField,
                           density_at_faces, divergence,
                           elastic_identity_residual, gradient_interior_faces,
                           gradient_to_faces, laplacian, load_snapshot, norms,
@@ -133,7 +134,8 @@ def test_mac_velocity_noslip_and_maxspeed(grid):
 def test_director_component_trace():
     g = GridSpec(8, 8, 1.0, 1.0)
     d = DirectorField(g, np.ones((8, 8)), np.zeros((8, 8)),
-                      lambda x, y: (np.ones_like(x), np.zeros_like(x)))
+                      DirectorTrace.sample(g, lambda x, y: (
+                          np.ones_like(x), np.zeros_like(x))))
     p = d.component(0).padded()
     assert np.allclose(p, 1.0)  # constant extends exactly
 
@@ -146,7 +148,8 @@ def test_director_walls_sit_at_their_face_midpoints(grid):
 
     rng = np.random.default_rng(3)
     d = DirectorField(grid, rng.normal(size=(16, 12)),
-                      rng.normal(size=(16, 12)), trace)
+                      rng.normal(size=(16, 12)),
+                      DirectorTrace.sample(grid, trace))
     xc = (np.arange(grid.nx) + 0.5) * grid.hx
     yc = (np.arange(grid.ny) + 0.5) * grid.hy
     faces = {"west": (np.s_[0, 1:-1], np.s_[1, 1:-1], 0.0 * yc, yc),
@@ -158,6 +161,23 @@ def test_director_walls_sit_at_their_face_midpoints(grid):
         for name, (ghost, inner, x, y) in faces.items():
             face = 0.5 * (p[ghost] + p[inner])
             assert np.abs(face - trace(x, y)[k]).max() <= 1e-14, (k, name)
+
+
+def test_director_trace_arrays_are_read_only(grid):
+    trace = DirectorTrace.sample(
+        grid, lambda x, y: (x + 2.0 * y**2, np.sin(3.0 * x) * y))
+    for arr in [*trace.walls[0], *trace.walls[1], *trace.load]:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    # computed once, on first use
+    assert trace.load is trace.load
+
+
+def test_director_rejects_a_trace_from_another_grid(grid):
+    other = GridSpec(16, 12, 1.0, 1.0)
+    trace = DirectorTrace.sample(other, lambda x, y: (x, y))
+    with pytest.raises(ValueError, match="another grid"):
+        DirectorField(grid, np.ones((16, 12)), np.ones((16, 12)), trace)
 
 
 def test_scalar_field_rejects_a_callable_trace():
@@ -180,7 +200,8 @@ def test_elastic_identity_residual_smooth_field_small():
         t = 0.4 * np.sin(np.pi * x) * np.sin(np.pi * y)
         return np.cos(t), np.sin(t)
 
-    d = DirectorField(g, np.cos(th), np.sin(th), trace)
+    d = DirectorField(g, np.cos(th), np.sin(th),
+                      DirectorTrace.sample(g, trace))
     assert elastic_identity_residual(d) < 0.05
 
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from nlcflow.director import GLParams
-from nlcflow.grid import (DirectorField, GridSpec, MacVelocity, ScalarField,
-                          density_at_faces, divergence,
+from nlcflow.grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
+                          ScalarField, density_at_faces, divergence,
                           gradient_interior_faces, norms)
 from nlcflow.momentum import (FlowParams, elastic_force, predict_velocity,
                               project)
@@ -24,7 +24,8 @@ def _rho(grid, const=None):
 def _uniform_director(grid):
     return DirectorField(grid, np.ones((grid.nx, grid.ny)),
                          np.zeros((grid.nx, grid.ny)),
-                         lambda x, y: (np.ones_like(x), np.zeros_like(x)))
+                         DirectorTrace.sample(grid, lambda x, y: (
+                             np.ones_like(x), np.zeros_like(x))))
 
 
 def _smooth_velocity(grid, amp=0.3):

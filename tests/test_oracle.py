@@ -9,7 +9,8 @@ import pytest
 
 from nlcflow.density import DensityState, advance_density
 from nlcflow.director import GLParams, advance_director
-from nlcflow.grid import DirectorField, GridSpec, MacVelocity, ScalarField
+from nlcflow.grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
+                          ScalarField)
 from nlcflow.momentum import FlowParams, predict_velocity
 
 NX = NY = 4
@@ -40,7 +41,7 @@ def _setup():
     d1, d2 = _trace(X, Y)
     d1 = 0.9 * d1 + 0.05 * np.sin(3 * X * Y)
     d2 = 0.9 * d2 - 0.05 * np.cos(2 * X + Y)
-    d = DirectorField(GRID, d1, d2, _trace)
+    d = DirectorField(GRID, d1, d2, DirectorTrace.sample(GRID, _trace))
     return rho, w, d
 
 
@@ -168,7 +169,7 @@ def _oracle_advance_director(d, w, glp, dt):
 
     # Laplacian load of the trace alone: zero interior, trace ghosts
     zero = np.zeros((NX, NY))
-    zd = DirectorField(GRID, zero, zero, _trace)
+    zd = DirectorField(GRID, zero, zero, DirectorTrace.sample(GRID, _trace))
     q1, q2 = _director_pads(zd)
     bc1 = _loop_laplacian(q1)
     bc2 = _loop_laplacian(q2)

@@ -3,9 +3,10 @@ import pytest
 
 from nlcflow.director import (GLParams, advance_director, director_energy,
                               gl_residual_l2)
-from nlcflow.errors import DegenerateFit, InsufficientSamples
+from nlcflow.errors import DegenerateFit, InsufficientSamples, NlcflowError
 from nlcflow import stationary
-from nlcflow.grid import DirectorField, GridSpec, MacVelocity, laplacian
+from nlcflow.grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
+                          laplacian)
 from nlcflow.stationary import (decay_rate_fit, kappa_predicted,
                                 lojasiewicz_probe, solve_stationary)
 
@@ -22,25 +23,29 @@ def _wavy_trace(x, y):
 
 @pytest.fixture(scope="module")
 def wavy_equilibrium(grid):
-    return solve_stationary(grid, _wavy_trace, eta=0.5, tol_stationary=1e-9)
+    return solve_stationary(grid, DirectorTrace.sample(grid, _wavy_trace),
+                            eta=0.5, tol_stationary=1e-9)
 
 
 def test_energy_of_constant_unit_director(grid):
     d = DirectorField(grid, np.ones((32, 32)), np.zeros((32, 32)),
-                      lambda x, y: (np.ones_like(x), np.zeros_like(x)))
+                      DirectorTrace.sample(grid, lambda x, y: (
+                          np.ones_like(x), np.zeros_like(x))))
     assert director_energy(d, eta=0.5) == 0.0
 
 
 def test_energy_of_zero_director(grid):
     d = DirectorField(grid, np.zeros((32, 32)), np.zeros((32, 32)),
-                      lambda x, y: (np.zeros_like(x), np.zeros_like(x)))
+                      DirectorTrace.sample(grid, lambda x, y: (
+                          np.zeros_like(x), np.zeros_like(x))))
     # grad term 0, potential term area/(4 eta^2) with eta=1: 1/4
     assert director_energy(d, eta=1.0) == pytest.approx(0.25)
 
 
 def test_constant_trace_gives_constant_solution(grid):
     res = solve_stationary(
-        grid, lambda x, y: (np.full_like(x, 0.6), np.full_like(x, 0.8)),
+        grid, DirectorTrace.sample(grid, lambda x, y: (
+            np.full_like(x, 0.6), np.full_like(x, 0.8))),
         eta=0.5, tol_stationary=1e-10)
     assert res.residual <= 1e-10
     assert np.abs(res.d_inf.d1 - 0.6).max() < 1e-9
@@ -49,7 +54,8 @@ def test_constant_trace_gives_constant_solution(grid):
 
 def test_zero_trace_large_eta_gives_zero_field(grid):
     res = solve_stationary(
-        grid, lambda x, y: (np.zeros_like(x), np.zeros_like(x)),
+        grid, DirectorTrace.sample(grid, lambda x, y: (
+            np.zeros_like(x), np.zeros_like(x))),
         eta=10.0, tol_stationary=1e-10)
     assert res.residual <= 1e-10
     assert np.abs(res.d_inf.d1).max() < 1e-6
@@ -73,7 +79,8 @@ def test_energy_decreases_along_gradient_flow(grid):
     p = GLParams(gamma=1.0, eta=0.5, lam=1.0)
     X, Y = grid.cell_centers()
     d1, d2 = _wavy_trace(X, Y)
-    d = DirectorField(grid, 0.9 * d1, 0.9 * d2, _wavy_trace)
+    d = DirectorField(grid, 0.9 * d1, 0.9 * d2,
+                      DirectorTrace.sample(grid, _wavy_trace))
     w = MacVelocity.zeros(grid)
     prev = director_energy(d, 0.5)
     for _ in range(30):
@@ -95,7 +102,7 @@ def test_equilibrium_is_local_minimum(grid, wavy_equilibrium):
         p2 = rng.normal(size=d.d2.shape)
         pert = DirectorField(grid, d.d1 + eps * p1 / np.abs(p1).max(),
                              d.d2 + eps * p2 / np.abs(p2).max(),
-                             d.boundary_trace)
+                             d.trace)
         assert director_energy(pert, 0.5) >= e0 - 1e-8
 
 
@@ -104,15 +111,23 @@ def test_harmonic_extension_preconditioner_inverts_minus_laplacian():
     # measured against the trace load that drives the solve
     g = GridSpec(16, 12, 2.0, 1.5)
 
-    def trace(x, y):
-        return x + 2.0 * y**2, np.sin(3.0 * x) * y
-
+    trace = DirectorTrace.sample(
+        g, lambda x, y: (x + 2.0 * y**2, np.sin(3.0 * x) * y))
     d = stationary._harmonic_extension(g, trace)
-    loads = stationary._trace_laplacian_load(trace, g)
-    for comp, load in zip(d.components(), loads):
+    for comp, load in zip(d.components(), trace.load):
         assert np.abs(load).max() > 0.0
         assert np.abs(laplacian(comp).values).max() \
             <= 1e-12 * np.abs(load).max()
+
+
+def test_nan_residual_is_not_taken_for_convergence(grid):
+    # `res > tol` is False for NaN, so a NaN trace once "converged" at once
+    def trace(x, y):
+        d1 = np.where((x == 0.0) & (y < grid.hy), np.nan, 1.0)
+        return d1, np.zeros_like(x)
+
+    with pytest.raises(NlcflowError, match="non-finite residual"):
+        solve_stationary(grid, DirectorTrace.sample(grid, trace), eta=0.5)
 
 
 def test_probe_recovers_planted_exponent():
