@@ -10,7 +10,8 @@ class CflViolation(NlcflowError):
 
 
 class LinearSolveFailure(NlcflowError):
-    """An inner conjugate-gradient solve hit its iteration cap."""
+    """An inner conjugate-gradient solve got a non-finite right-hand side
+    or hit its iteration cap."""
 
 
 class IncompatibleRhs(NlcflowError):
@@ -48,3 +49,14 @@ class StepRejected(NlcflowError):
 
 class ConfigError(NlcflowError):
     """Run configuration violates a validated assumption."""
+
+
+class StepFailed(NlcflowError):
+    """A coupled time step raised; the original exception is chained as
+    __cause__."""
+
+    def __init__(self, step: int, t: float, exc: BaseException):
+        super().__init__(f"step {step} (t={t:.6g}): "
+                         f"{type(exc).__name__}: {exc}")
+        self.step = step
+        self.t = t

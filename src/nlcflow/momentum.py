@@ -9,7 +9,7 @@ director equilibria - the structure the long-time behavior relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -115,34 +115,9 @@ def _upwind_advection_v(w: MacVelocity) -> np.ndarray:
     return adv
 
 
-def _lap_u_interior(x: np.ndarray, g: GridSpec) -> np.ndarray:
-    """Laplacian of the u component on interior faces (input shape
-    (nx-1, ny)); walls: zero node values in x, -interior ghosts in y."""
-    p = np.zeros((g.nx + 1, g.ny + 2))
-    p[1:-1, 1:-1] = x
-    p[1:-1, 0] = -x[:, 0]
-    p[1:-1, -1] = -x[:, -1]
-    return (p[2:, 1:-1] - 2 * p[1:-1, 1:-1] + p[:-2, 1:-1]) / g.hx**2 \
-        + (p[1:-1, 2:] - 2 * p[1:-1, 1:-1] + p[1:-1, :-2]) / g.hy**2
-
-
-def _lap_v_interior(x: np.ndarray, g: GridSpec) -> np.ndarray:
-    p = np.zeros((g.nx + 2, g.ny + 1))
-    p[1:-1, 1:-1] = x
-    p[0, 1:-1] = -x[0, :]
-    p[-1, 1:-1] = -x[-1, :]
-    return (p[2:, 1:-1] - 2 * p[1:-1, 1:-1] + p[:-2, 1:-1]) / g.hx**2 \
-        + (p[1:-1, 2:] - 2 * p[1:-1, 1:-1] + p[1:-1, :-2]) / g.hy**2
-
-
 @lru_cache(maxsize=32)
 def _face_pre(grid: GridSpec, a: float, c: float, axis: int) -> FaceHelmholtz:
     return FaceHelmholtz(grid, a, c, axis)
-
-
-@lru_cache(maxsize=16)
-def _neumann_pre(grid: GridSpec) -> NeumannPoisson:
-    return NeumannPoisson(grid)
 
 
 def predict_velocity(rho: ScalarField, w: MacVelocity, d: DirectorField,
@@ -164,25 +139,16 @@ def predict_velocity(rho: ScalarField, w: MacVelocity, d: DirectorField,
         rhs_u = rhs_u + ru * force_ext.u
         rhs_v = rhs_v + rv * force_ext.v
 
+    # A = rho_f/dt - nu*Lap splits into the exactly inverted
+    # M = rbar/dt - nu*Lap and the diagonal N = (rho_f - rbar)/dt
     rbar = float(rho.values.mean())
-    nu = params.nu
-
-    ru_i = ru[1:-1, :]
-    pre_u = _face_pre(g, rbar / dt, nu, 0)
-
-    def apply_u(x):
-        return ru_i / dt * x - nu * _lap_u_interior(x, g)
-
-    sol_u = pcg(apply_u, rhs_u[1:-1, :], pre_u.solve,
+    n_u = (ru[1:-1, :] - rbar) / dt
+    n_v = (rv[:, 1:-1] - rbar) / dt
+    sol_u = pcg(partial(np.multiply, n_u), rhs_u[1:-1, :],
+                _face_pre(g, rbar / dt, params.nu, 0).solve,
                 tol_rel=params.tol_lin, maxiter=_CG_CAP)
-
-    rv_i = rv[:, 1:-1]
-    pre_v = _face_pre(g, rbar / dt, nu, 1)
-
-    def apply_v(x):
-        return rv_i / dt * x - nu * _lap_v_interior(x, g)
-
-    sol_v = pcg(apply_v, rhs_v[:, 1:-1], pre_v.solve,
+    sol_v = pcg(partial(np.multiply, n_v), rhs_v[:, 1:-1],
+                _face_pre(g, rbar / dt, params.nu, 1).solve,
                 tol_rel=params.tol_lin, maxiter=_CG_CAP)
 
     out = MacVelocity.zeros(g)
@@ -215,26 +181,25 @@ def project(rho: ScalarField, v_star: MacVelocity, dt: float,
             f"pressure rhs mean {mean_rhs:.3e} exceeds round-off "
             f"(scale {scale:.3e}); boundary fluxes are broken")
 
-    def apply_a(q):
+    # A = -div((1/rho_f) grad) splits into the exactly inverted
+    # M = -cbar*Lap and N = -div((1/rho_f - cbar) grad)
+    cbar = float(inv_ru.mean())
+    n_u = inv_ru - cbar
+    n_v = inv_rv - cbar
+
+    def apply_n(q):
         gq = gradient_interior_faces(q, g)
-        gq.u *= inv_ru
-        gq.v *= inv_rv
+        gq.u *= n_u
+        gq.v *= n_v
         return -divergence(gq).values
 
     def project_mean(x):
-        return x - x.mean()
-
-    # constant-coefficient preconditioner -mean(1/rho)*Lap
-    pre_solve = _neumann_pre(g).solve
-    scale = 1.0 / float(inv_ru.mean())
-
-    def precond(r):
-        return scale * pre_solve(r)
+        x -= x.mean()
 
     # div v' = -dt * (residual of this solve); stop well inside tol_proj
     tol_inf = 0.1 * params.tol_proj / dt
-    q = pcg(apply_a, rhs, precond, tol_rel=1e-13, tol_abs_inf=tol_inf,
-            maxiter=_CG_CAP, project=project_mean)
+    q = pcg(apply_n, rhs, NeumannPoisson(g, cbar).solve, tol_rel=1e-13,
+            tol_abs_inf=tol_inf, maxiter=_CG_CAP, project=project_mean)
     q -= q.mean()
 
     gq = gradient_interior_faces(q, g)

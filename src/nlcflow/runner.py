@@ -17,7 +17,7 @@ from .diagnostics import (DiagContext, compute_record, convergence_monitor,
                           state_bounds, write_csv)
 from .director import GLParams, advance_director
 from .errors import (ConfigError, DegenerateFit, InsufficientSamples,
-                     OrderRegression, StepRejected)
+                     OrderRegression, StepFailed, StepRejected)
 from .expressions import parse_expression
 from .forcing import (ForcingSpec, eval_force, sample_potential,
                       sample_profile)
@@ -256,7 +256,7 @@ def run(cfg: RunConfig, write_outputs: bool = True,
         try:
             state = step(state, cfg, stepper)
         except Exception as exc:
-            raise type(exc)(f"step {n + 1} (t={prev.t:.6g}): {exc}") from exc
+            raise StepFailed(n + 1, prev.t, exc) from exc
         n += 1
 
         at_end = state.t >= cfg.t_end - 1e-12

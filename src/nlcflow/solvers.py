@@ -1,9 +1,12 @@
 """Inner linear solvers: direct Helmholtz/Poisson solvers by dense
-eigenbasis transforms, and a matrix-free preconditioned conjugate gradient.
-The director step and the harmonic extension call a direct solver alone,
-since it inverts their constant-coefficient Dirichlet operators exactly;
-the momentum predictor (variable density) and the projection run PCG with
-a direct solver as the preconditioner.
+eigenbasis transforms, and a matrix-free preconditioned conjugate gradient
+in split form. The director step and the harmonic extension call a direct
+solver alone, since it inverts their constant-coefficient Dirichlet
+operators exactly. The momentum predictor (variable density) and the
+projection solve A x = b with A = M + N, where M is a constant-coefficient
+operator that a direct solver inverts exactly and N = A - M is cheap to
+apply: a diagonal for the predictor, a stencil weighted by 1/rho - mean for
+the projection. `pcg` takes N and M^-1, never A.
 
 The cell-centered Dirichlet Laplacian (ghost = 2g - interior) is
 diagonalized by the orthonormal DST-II basis on cells; the node-centered
@@ -115,11 +118,11 @@ class FaceHelmholtz(_EigenSolver):
 
 
 class NeumannPoisson(_EigenSolver):
-    """Direct solver for -Lap x = b with zero-Neumann walls and zero mean;
+    """Direct solver for -c*Lap x = b with zero-Neumann walls and zero mean;
     the constant mode of b is discarded."""
 
-    def __init__(self, grid: GridSpec):
-        super().__init__("dct2", "dct2", grid, 0.0, 1.0)
+    def __init__(self, grid: GridSpec, c: float):
+        super().__init__("dct2", "dct2", grid, 0.0, c)
         self._denom[0, 0] = np.inf  # the null mode: b's mean divides to 0
 
 
@@ -128,57 +131,69 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", a, b))
 
 
-def pcg(apply_a, b: np.ndarray, precond, tol_rel: float = 1e-10,
+def pcg(apply_n, b: np.ndarray, precond, tol_rel: float = 1e-10,
         tol_abs_inf: float | None = None, maxiter: int = 500,
         project=None) -> np.ndarray:
-    """Preconditioned conjugate gradient on 2D arrays, zero initial guess.
+    """Preconditioned conjugate gradient for A x = b with A = M + N, on 2D
+    arrays, zero initial guess. `precond(r)` returns M^-1 r, exactly up to
+    round-off; `apply_n(p)` returns N p as a new array, which pcg then
+    overwrites. A is never applied: since M z_k = r_k, M p follows from
+    M p_0 = r_0, M p_k = r_k + beta_k M p_{k-1} (Eisenstat, SIAM J. Sci.
+    Stat. Comput. 2(1), 1981), and A p = M p + N p.
 
     Stops when ||r||_2 <= tol_rel * ||b||_2, or (if given) when
     ||r||_inf <= tol_abs_inf. Convergence is tested as soon as a residual
     is formed, so the preconditioner is applied only to residuals that
-    feed a further iteration. `project` (e.g. mean removal for the singular
-    Neumann problem) is applied to b and to every residual.
+    feed a further iteration. `project` (mean removal for the singular
+    Neumann problem) is applied in place to the copy of b and to every
+    residual; `precond` must then map the projected space into itself.
+    Vector updates are in place, on x, r, p and M p, with N p as scratch.
     Raises LinearSolveFailure on a non-finite b, before any iteration, and
     at the iteration cap.
     """
+    r = b.copy()
     if project is not None:
-        b = project(b)
-    bnorm = np.sqrt(_dot(b, b))
+        project(r)
+    bnorm = np.sqrt(_dot(r, r))
     if not np.isfinite(bnorm):
         raise LinearSolveFailure(
             f"CG got a non-finite right-hand side (||b|| = {bnorm})")
     x = np.zeros_like(b)
     if bnorm == 0.0:
         return x
-    r = b.copy()
-    if _converged(r, bnorm, tol_rel, tol_abs_inf):
+    if _converged(r, bnorm, tol_rel, tol_abs_inf, np.empty_like(r)):
         return x
     z = precond(r)
-    if project is not None:
-        z = project(z)
     p = z.copy()
+    mp = r.copy()
     rz = _dot(r, z)
     for _ in range(maxiter):
-        ap = apply_a(p)
-        alpha = rz / _dot(p, ap)
-        x += alpha * p
-        r -= alpha * ap
+        s = apply_n(p)
+        s += mp   # s = A p
+        alpha = rz / _dot(p, s)
+        s *= alpha
+        r -= s
+        np.multiply(p, alpha, out=s)
+        x += s
         if project is not None:
-            r = project(r)
-        if _converged(r, bnorm, tol_rel, tol_abs_inf):
+            project(r)
+        if _converged(r, bnorm, tol_rel, tol_abs_inf, s):
             return x
         z = precond(r)
-        if project is not None:
-            z = project(z)
         rz_new = _dot(r, z)
-        p = z + (rz_new / rz) * p
+        beta = rz_new / rz
+        p *= beta
+        p += z
+        mp *= beta
+        mp += r
         rz = rz_new
     raise LinearSolveFailure(
         f"CG hit iteration cap {maxiter}; "
         f"||r||/||b|| = {np.sqrt(_dot(r, r)) / bnorm:.3e}")
 
 
-def _converged(r, bnorm, tol_rel, tol_abs_inf) -> bool:
-    if tol_abs_inf is not None and np.abs(r).max() <= tol_abs_inf:
+def _converged(r, bnorm, tol_rel, tol_abs_inf, scratch) -> bool:
+    if tol_abs_inf is not None \
+            and np.abs(r, out=scratch).max() <= tol_abs_inf:
         return True
     return np.sqrt(_dot(r, r)) <= tol_rel * bnorm

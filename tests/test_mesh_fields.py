@@ -7,7 +7,7 @@ from nlcflow.grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
                           elastic_identity_residual, gradient_interior_faces,
                           gradient_to_faces, laplacian, load_snapshot, norms,
                           sample_walls, save_snapshot)
-from nlcflow.momentum import _lap_u_interior, _lap_v_interior
+from stencils import _lap_u_interior, _lap_v_interior
 
 
 @pytest.fixture

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from nlcflow import momentum
 from nlcflow.director import GLParams
 from nlcflow.grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
                           ScalarField, density_at_faces, divergence,
                           gradient_interior_faces, norms)
 from nlcflow.momentum import (FlowParams, elastic_force, predict_velocity,
                               project)
+from nlcflow.runner import preset_config, run
+from stencils import _lap_u_interior, _lap_v_interior
 
 
 @pytest.fixture
@@ -133,3 +136,62 @@ def test_face_density_average(grid):
     # boundary faces copy the adjacent cell
     assert ru[0, 3] == rho.values[0, 3]
     assert rv[2, -1] == rho.values[2, -1]
+
+
+def _recording_pcg(monkeypatch):
+    """Wrap momentum.pcg; each solve appends (site, b, iterations)."""
+    solves = []
+    pcg = momentum.pcg
+
+    def spy(apply_n, b, precond, **kwargs):
+        iters = 0
+
+        def counted(p):
+            nonlocal iters
+            iters += 1
+            return apply_n(p)
+
+        x = pcg(counted, b, precond, **kwargs)
+        site = "project" if "project" in kwargs else "predict"
+        solves.append((site, b, iters))
+        return x
+
+    monkeypatch.setattr(momentum, "pcg", spy)
+    return solves
+
+
+def test_predicted_velocity_solves_the_stencil_system(monkeypatch):
+    # The predictor never applies its Laplacian; check v* against
+    # (rho_f/dt - nu*Lap) v* = rhs with the reference face stencil
+    g = GridSpec(64, 64, 1.0, 1.0)
+    params, dt = FlowParams(nu=1.0), 5e-3
+    rho = _rho(g)
+    X, Y = g.cell_centers()
+    theta = 0.4 * np.sin(np.pi * X) * np.sin(np.pi * Y)
+    d = DirectorField(g, np.cos(theta), np.sin(theta),
+                      _uniform_director(g).trace)
+    solves = _recording_pcg(monkeypatch)
+    vs = predict_velocity(rho, _smooth_velocity(g), d, None, params,
+                          GLParams(gamma=1.0, eta=0.5, lam=1.0), dt)
+    ru, rv = density_at_faces(rho.values, g)
+    systems = [(ru[1:-1, :], _lap_u_interior, vs.u[1:-1, :]),
+               (rv[:, 1:-1], _lap_v_interior, vs.v[:, 1:-1])]
+    assert [s[0] for s in solves] == ["predict", "predict"]
+    for (rho_f, lap, sol), (_, rhs, _) in zip(systems, solves):
+        res = rho_f / dt * sol - params.nu * lap(sol, g) - rhs
+        assert np.linalg.norm(res) \
+            <= 10 * params.tol_lin * np.linalg.norm(rhs)
+
+
+def test_pcg_iterations_per_solve_are_pinned(monkeypatch):
+    # Counts of the unsplit PCG, which applied A in full: splitting
+    # A = M + N must not cost an iteration at either solve site
+    cfg = preset_config("gzero", nx=32, ny=32, t_end=6 * 5e-3)
+    solves = _recording_pcg(monkeypatch)
+    run(cfg, write_outputs=False, with_stationary=False)
+    iters = {"predict": [], "project": []}
+    for site, _, n in solves:
+        iters[site].append(n)
+    # the initial projection meets tol_proj before any iteration
+    assert iters == {"predict": [8] * 12,
+                     "project": [0, 10, 10, 10, 9, 9, 9]}

@@ -14,7 +14,9 @@ import nlcflow
 from nlcflow import diagnostics
 from nlcflow.cli import main as cli_main
 from nlcflow.diagnostics import FIELD_ORDER, DiagContext, compute_record
-from nlcflow.errors import ConfigError, LinearSolveFailure, StepRejected
+from nlcflow import runner
+from nlcflow.errors import (ConfigError, LinearSolveFailure, StepFailed,
+                            StepRejected)
 from nlcflow.forcing import ForcingSpec
 from nlcflow.runner import (PRESETS, RunConfig, StepperState, initial_state,
                             load_checkpoint, load_config, preset_config,
@@ -171,6 +173,46 @@ def test_step_fails_fast_on_nonfinite_velocity():
     state.v.u[5, 7] = np.nan
     with pytest.raises(LinearSolveFailure, match="non-finite"):
         step(state, cfg, StepperState(dt=cfg.dt))
+
+
+class _TwoArgError(Exception):
+    def __init__(self, code, phase):
+        super().__init__(code, phase)
+        self.phase = phase
+
+
+def _fail_at_step(monkeypatch, n_fail):
+    calls = 0
+    step_ok = runner.step
+
+    def step(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls == n_fail:
+            raise _TwoArgError(7, "predict")
+        return step_ok(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "step", step)
+
+
+def test_run_wraps_a_step_failure_and_chains_it(monkeypatch):
+    # a constructor with two arguments cannot be rebuilt from a message
+    _fail_at_step(monkeypatch, 3)
+    with pytest.raises(StepFailed, match="step 3 .*_TwoArgError") as info:
+        run(_cfg(), write_outputs=False)
+    assert (info.value.step, info.value.t) == (3, pytest.approx(0.01))
+    cause = info.value.__cause__
+    assert isinstance(cause, _TwoArgError)
+    assert cause.args == (7, "predict") and cause.phase == "predict"
+
+
+def test_cli_exits_2_on_a_step_failure(monkeypatch, tmp_path, capsys):
+    _fail_at_step(monkeypatch, 1)
+    p = tmp_path / "run.cfg"
+    p.write_text("[grid]\nnx = 16\nny = 16\n")
+    rc = cli_main(["simulate", str(p), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "error: step 1 " in capsys.readouterr().err
 
 
 def test_run_is_deterministic_bitwise(tmp_path):

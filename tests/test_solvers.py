@@ -1,5 +1,6 @@
-"""The direct eigenbasis solvers against the stencils they invert, PCG's
-stopping and failure behaviour, and thread-count independence."""
+"""The direct eigenbasis solvers against the stencils they invert, the
+split-form PCG's contract (A = M + N from N and M^-1 alone), its stopping
+and failure behaviour, and thread-count independence."""
 
 import os
 import subprocess
@@ -12,9 +13,9 @@ import pytest
 import nlcflow
 from nlcflow.errors import LinearSolveFailure
 from nlcflow.grid import GridSpec, ScalarField, laplacian
-from nlcflow.momentum import _lap_u_interior, _lap_v_interior
 from nlcflow.solvers import (CellHelmholtz, FaceHelmholtz, NeumannPoisson,
                              pcg)
+from stencils import _lap_u_interior, _lap_v_interior
 
 # Non-square in cells, so a basis applied along the wrong axis cannot
 # pass; the second grid also has hx != hy, so swapped spacings cannot.
@@ -53,10 +54,10 @@ def test_face_helmholtz_inverts_face_stencil(g, axis, lap):
 def test_neumann_poisson_inverts_stencil_and_drops_the_mean(g):
     b = np.random.default_rng(4).normal(size=(g.nx, g.ny))
     b -= b.mean()
-    solver = NeumannPoisson(g)
+    solver = NeumannPoisson(g, C)
     x = solver.solve(b)
     lap = laplacian(ScalarField(g, x, "neumann_zero")).values
-    assert _rel_err(-lap, b) <= 1e-12
+    assert _rel_err(-C * lap, b) <= 1e-12
     assert abs(x.mean()) <= 1e-13 * np.abs(x).max()
     assert _rel_err(solver.solve(b + 5.0), x) <= 1e-12
 
@@ -68,19 +69,48 @@ def _counted(fn, counts, key):
     return wrapped
 
 
+def _zero_n(x):
+    return np.zeros_like(x)
+
+
+def _cell_n_of_identity(x):
+    # N = A - I, for PCG preconditioned by the identity
+    return _cell_op(x) - x
+
+
 def test_pcg_with_exact_preconditioner_applies_each_once():
+    # N = 0: M is all of A, so one iteration solves the system
     b = np.random.default_rng(5).normal(size=(GRID.nx, GRID.ny))
     counts = {"apply": 0, "precond": 0}
-    x = pcg(_counted(_cell_op, counts, "apply"), b,
+    x = pcg(_counted(_zero_n, counts, "apply"), b,
             _counted(CellHelmholtz(GRID, A, C).solve, counts, "precond"),
             tol_rel=1e-10)
     assert counts == {"apply": 1, "precond": 1}
     assert _rel_err(_cell_op(x), b) <= 1e-10
 
 
+@pytest.mark.parametrize("axis, lap", [(0, _lap_u_interior),
+                                       (1, _lap_v_interior)])
+def test_pcg_split_form_reaches_true_residual(axis, lap):
+    # M = (A - C*Lap) inverted by FaceHelmholtz, N a diagonal as large as
+    # the predictor's density contrast; the residual PCG carries must match
+    # b - (M + N) x measured with the stencil
+    g, tol = GRID, 1e-10
+    shape = (g.nx - 1, g.ny) if axis == 0 else (g.nx, g.ny - 1)
+    rng = np.random.default_rng(8 + axis)
+    diag = rng.uniform(-0.3, 0.3, size=shape) * A
+    b = rng.normal(size=shape)
+    counts = {"apply": 0}
+    x = pcg(_counted(lambda p: diag * p, counts, "apply"), b,
+            FaceHelmholtz(g, A, C, axis).solve, tol_rel=tol)
+    true_res = b - ((A + diag) * x - C * lap(x, g))
+    assert counts["apply"] > 2  # N is far from 0: this took iterations
+    assert np.linalg.norm(true_res) <= 10 * tol * np.linalg.norm(b)
+
+
 def test_pcg_zero_rhs_returns_zeros_without_work():
     counts = {"apply": 0, "precond": 0}
-    x = pcg(_counted(_cell_op, counts, "apply"),
+    x = pcg(_counted(_zero_n, counts, "apply"),
             np.zeros((GRID.nx, GRID.ny)),
             _counted(CellHelmholtz(GRID, A, C).solve, counts, "precond"))
     assert not x.any()
@@ -90,7 +120,7 @@ def test_pcg_zero_rhs_returns_zeros_without_work():
 def test_pcg_raises_at_iteration_cap():
     b = np.random.default_rng(6).normal(size=(GRID.nx, GRID.ny))
     with pytest.raises(LinearSolveFailure, match="iteration cap 3"):
-        pcg(_cell_op, b, lambda r: r, tol_rel=1e-14, maxiter=3)
+        pcg(_cell_n_of_identity, b, lambda r: r, tol_rel=1e-14, maxiter=3)
 
 
 def test_pcg_rejects_nonfinite_rhs_before_any_work():
@@ -98,7 +128,7 @@ def test_pcg_rejects_nonfinite_rhs_before_any_work():
     b[3, 4] = np.nan
     counts = {"apply": 0, "precond": 0}
     with pytest.raises(LinearSolveFailure, match="non-finite"):
-        pcg(_counted(_cell_op, counts, "apply"), b,
+        pcg(_counted(_zero_n, counts, "apply"), b,
             _counted(CellHelmholtz(GRID, A, C).solve, counts, "precond"))
     assert counts == {"apply": 0, "precond": 0}
 
