@@ -294,6 +294,30 @@ def gradient_interior_faces(p_values: np.ndarray, grid: GridSpec) -> MacVelocity
     return MacVelocity(grid, u, v)
 
 
+def laplacian_interior_faces(x: np.ndarray, grid: GridSpec,
+                             axis: int) -> np.ndarray:
+    """5-point Laplacian of one MAC velocity component on its interior
+    faces, the stencil `solvers.FaceHelmholtz` inverts: axis=0 for u (input
+    shape (nx-1, ny)), axis=1 for v ((nx, ny-1)). Walls: zero node values
+    along the component's own axis, -interior ghosts across it."""
+    cx, cy = 1.0 / grid.hx**2, 1.0 / grid.hy**2
+    p = np.zeros((x.shape[0] + 2, x.shape[1] + 2))
+    p[1:-1, 1:-1] = x
+    if axis == 0:
+        p[1:-1, 0] = -x[:, 0]
+        p[1:-1, -1] = -x[:, -1]
+    else:
+        p[0, 1:-1] = -x[0, :]
+        p[-1, 1:-1] = -x[-1, :]
+    lap = p[2:, 1:-1] + p[:-2, 1:-1]
+    lap *= cx
+    lap_y = p[1:-1, 2:] + p[1:-1, :-2]
+    lap_y *= cy
+    lap += lap_y
+    lap -= (2.0 * (cx + cy)) * x
+    return lap
+
+
 def laplacian(s: ScalarField) -> ScalarField:
     """5-point Laplacian, defined as divergence(gradient_to_faces(s)) so the
     composition identity holds bitwise."""

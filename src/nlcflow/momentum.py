@@ -17,7 +17,7 @@ from .director import GLParams, gl_residual
 from .errors import IncompatibleRhs
 from .grid import (DirectorField, GridSpec, MacVelocity, ScalarField,
                    centered_gradient_at_centers, density_at_faces, divergence,
-                   gradient_interior_faces)
+                   gradient_interior_faces, laplacian_interior_faces)
 from .solvers import FaceHelmholtz, NeumannPoisson, pcg
 
 _CG_CAP = 2000  # iteration cap of the predictor and projection solves
@@ -120,12 +120,33 @@ def _face_pre(grid: GridSpec, a: float, c: float, axis: int) -> FaceHelmholtz:
     return FaceHelmholtz(grid, a, c, axis)
 
 
+def _face_solve(g: GridSpec, axis: int, rho_f: np.ndarray, rhs: np.ndarray,
+                rbar: float, dt: float, params: FlowParams,
+                x0: np.ndarray | None) -> np.ndarray:
+    """(rho_f/dt - nu*Lap) x = rhs on one component's interior faces, from
+    the guess x0 when given. A splits into the exactly inverted
+    M = rbar/dt - nu*Lap and the diagonal N = (rho_f - rbar)/dt; the
+    guess's residual is formed with the full stencil."""
+    r0 = None
+    if x0 is not None:
+        r0 = laplacian_interior_faces(x0, g, axis)
+        r0 *= params.nu
+        r0 += rhs
+        r0 -= rho_f / dt * x0
+    return pcg(partial(np.multiply, (rho_f - rbar) / dt), rhs,
+               _face_pre(g, rbar / dt, params.nu, axis).solve,
+               tol_rel=params.tol_lin, maxiter=_CG_CAP, x0=x0, r0=r0)
+
+
 def predict_velocity(rho: ScalarField, w: MacVelocity, d: DirectorField,
                      force_ext: MacVelocity | None, params: FlowParams,
-                     glp: GLParams, dt: float) -> MacVelocity:
+                     glp: GLParams, dt: float,
+                     guess: MacVelocity | None = None) -> MacVelocity:
     """Implicit-viscosity momentum predictor: per component solve
     (rho/dt - nu*Lap) v* = rho/dt*v - rho*(v.grad v) + elastic + rho*g,
     with no-slip walls; advection is donor-cell upwind in advective form.
+    `guess` is the solves' initial guess (zero when None); the result
+    meets the same tolerance either way.
     """
     g = rho.grid
     ru, rv = density_at_faces(rho.values, g)
@@ -139,31 +160,59 @@ def predict_velocity(rho: ScalarField, w: MacVelocity, d: DirectorField,
         rhs_u = rhs_u + ru * force_ext.u
         rhs_v = rhs_v + rv * force_ext.v
 
-    # A = rho_f/dt - nu*Lap splits into the exactly inverted
-    # M = rbar/dt - nu*Lap and the diagonal N = (rho_f - rbar)/dt
     rbar = float(rho.values.mean())
-    n_u = (ru[1:-1, :] - rbar) / dt
-    n_v = (rv[:, 1:-1] - rbar) / dt
-    sol_u = pcg(partial(np.multiply, n_u), rhs_u[1:-1, :],
-                _face_pre(g, rbar / dt, params.nu, 0).solve,
-                tol_rel=params.tol_lin, maxiter=_CG_CAP)
-    sol_v = pcg(partial(np.multiply, n_v), rhs_v[:, 1:-1],
-                _face_pre(g, rbar / dt, params.nu, 1).solve,
-                tol_rel=params.tol_lin, maxiter=_CG_CAP)
-
     out = MacVelocity.zeros(g)
-    out.u[1:-1, :] = sol_u
-    out.v[:, 1:-1] = sol_v
+    out.u[1:-1, :] = _face_solve(
+        g, 0, ru[1:-1, :], rhs_u[1:-1, :], rbar, dt, params,
+        None if guess is None else guess.u[1:-1, :])
+    out.v[:, 1:-1] = _face_solve(
+        g, 1, rv[:, 1:-1], rhs_v[:, 1:-1], rbar, dt, params,
+        None if guess is None else guess.v[:, 1:-1])
     return out
 
 
+class _NegDivKGrad:
+    """x -> -div(k grad x) on cells with zero-Neumann walls, for k given on
+    the interior faces. Writes into buffers allocated once per instance, so
+    the returned array is overwritten by the next call."""
+
+    def __init__(self, grid: GridSpec):
+        self._g = grid
+        self._gu = np.zeros((grid.nx + 1, grid.ny))  # wall faces stay zero
+        self._gv = np.zeros((grid.nx, grid.ny + 1))
+        self._out = np.empty((grid.nx, grid.ny))
+        self._dv = np.empty((grid.nx, grid.ny))
+
+    def __call__(self, k_u: np.ndarray, k_v: np.ndarray,
+                 x: np.ndarray) -> np.ndarray:
+        g, gu, gv, out = self._g, self._gu, self._gv, self._out
+        ku = gu[1:-1, :]
+        np.subtract(x[1:, :], x[:-1, :], out=ku)
+        ku /= g.hx
+        ku *= k_u
+        kv = gv[:, 1:-1]
+        np.subtract(x[:, 1:], x[:, :-1], out=kv)
+        kv /= g.hy
+        kv *= k_v
+        # b - a is -(a - b) exactly (but for the sign of a zero), so the
+        # differences come out negated
+        np.subtract(gu[:-1, :], gu[1:, :], out=out)
+        out /= g.hx
+        np.subtract(gv[:, :-1], gv[:, 1:], out=self._dv)
+        self._dv /= g.hy
+        out += self._dv
+        return out
+
+
 def project(rho: ScalarField, v_star: MacVelocity, dt: float,
-            params: FlowParams) -> tuple[MacVelocity, ScalarField]:
+            params: FlowParams, guess: np.ndarray | None = None
+            ) -> tuple[MacVelocity, ScalarField]:
     """Variable-density pressure correction: solve
     div((1/rho) grad q) = (1/dt) div(v*) with zero-Neumann walls and zero
     mean, then v' = v* - (dt/rho) grad q. Guarantees
     ||div v'||_inf <= tol_proj (the CG stopping criterion is exactly that
-    residual, with margin).
+    residual, with margin), whatever the initial guess `guess` for q
+    (zero when None).
     """
     g = rho.grid
     ru, rv = density_at_faces(rho.values, g)
@@ -184,22 +233,19 @@ def project(rho: ScalarField, v_star: MacVelocity, dt: float,
     # A = -div((1/rho_f) grad) splits into the exactly inverted
     # M = -cbar*Lap and N = -div((1/rho_f - cbar) grad)
     cbar = float(inv_ru.mean())
-    n_u = inv_ru - cbar
-    n_v = inv_rv - cbar
-
-    def apply_n(q):
-        gq = gradient_interior_faces(q, g)
-        gq.u *= n_u
-        gq.v *= n_v
-        return -divergence(gq).values
+    k_u, k_v = inv_ru[1:-1, :], inv_rv[:, 1:-1]
+    neg_div_k_grad = _NegDivKGrad(g)
+    r0 = None if guess is None else rhs - neg_div_k_grad(k_u, k_v, guess)
 
     def project_mean(x):
         x -= x.mean()
 
     # div v' = -dt * (residual of this solve); stop well inside tol_proj
     tol_inf = 0.1 * params.tol_proj / dt
-    q = pcg(apply_n, rhs, NeumannPoisson(g, cbar).solve, tol_rel=1e-13,
-            tol_abs_inf=tol_inf, maxiter=_CG_CAP, project=project_mean)
+    q = pcg(partial(neg_div_k_grad, k_u - cbar, k_v - cbar), rhs,
+            NeumannPoisson(g, cbar).solve, tol_rel=1e-13,
+            tol_abs_inf=tol_inf, maxiter=_CG_CAP, project=project_mean,
+            x0=guess, r0=r0)
     q -= q.mean()
 
     gq = gradient_interior_faces(q, g)

@@ -6,7 +6,11 @@ operators exactly. The momentum predictor (variable density) and the
 projection solve A x = b with A = M + N, where M is a constant-coefficient
 operator that a direct solver inverts exactly and N = A - M is cheap to
 apply: a diagonal for the predictor, a stencil weighted by 1/rho - mean for
-the projection. `pcg` takes N and M^-1, never A.
+the projection. `pcg` takes N and M^-1, never A. Its initial guess is
+zero unless the caller passes one with its residual b - A x0, formed with
+the full operator; the time loop passes an extrapolation of the previous
+steps' solutions. The stopping tests stay relative to ||b||, so a guess
+saves iterations without loosening any tolerance.
 
 The cell-centered Dirichlet Laplacian (ghost = 2g - interior) is
 diagonalized by the orthonormal DST-II basis on cells; the node-centered
@@ -133,23 +137,33 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 def pcg(apply_n, b: np.ndarray, precond, tol_rel: float = 1e-10,
         tol_abs_inf: float | None = None, maxiter: int = 500,
-        project=None) -> np.ndarray:
+        project=None, x0: np.ndarray | None = None,
+        r0: np.ndarray | None = None) -> np.ndarray:
     """Preconditioned conjugate gradient for A x = b with A = M + N, on 2D
-    arrays, zero initial guess. `precond(r)` returns M^-1 r, exactly up to
-    round-off; `apply_n(p)` returns N p as a new array, which pcg then
-    overwrites. A is never applied: since M z_k = r_k, M p follows from
-    M p_0 = r_0, M p_k = r_k + beta_k M p_{k-1} (Eisenstat, SIAM J. Sci.
-    Stat. Comput. 2(1), 1981), and A p = M p + N p.
+    arrays. `precond(r)` returns M^-1 r, exactly up to round-off;
+    `apply_n(p)` returns N p, which pcg uses as scratch until the next
+    call, so it may return the same buffer every time. A is never applied:
+    since M z_k = r_k, M p follows from M p_0 = r_0,
+    M p_k = r_k + beta_k M p_{k-1} (Eisenstat, SIAM J. Sci. Stat. Comput.
+    2(1), 1981), and A p = M p + N p.
+
+    The initial guess is zero, or `x0` when it is given with its residual
+    `r0` = b - A x0, which the caller forms with the full operator; pcg
+    applies N once per iteration and never for the guess. A guess whose
+    residual is not below ||b||_2, or is not finite, is dropped for the
+    zero guess. x0 and r0 are left unchanged.
 
     Stops when ||r||_2 <= tol_rel * ||b||_2, or (if given) when
-    ||r||_inf <= tol_abs_inf. Convergence is tested as soon as a residual
-    is formed, so the preconditioner is applied only to residuals that
-    feed a further iteration. `project` (mean removal for the singular
-    Neumann problem) is applied in place to the copy of b and to every
-    residual; `precond` must then map the projected space into itself.
-    Vector updates are in place, on x, r, p and M p, with N p as scratch.
-    Raises LinearSolveFailure on a non-finite b, before any iteration, and
-    at the iteration cap.
+    ||r||_inf <= tol_abs_inf: both tests are measured against b, never
+    against the guess's residual, so a guess changes the iteration count
+    but not the accuracy asked for. Convergence is tested as soon as a
+    residual is formed, so the preconditioner is applied only to
+    residuals that feed a further iteration. `project` (mean removal for
+    the singular Neumann problem) is applied in place to the copies of b
+    and r0 and to every residual; `precond` must then map the projected
+    space into itself. Vector updates are in place, on x, r, p and M p,
+    with N p as scratch. Raises LinearSolveFailure on a non-finite b,
+    before any iteration, and at the iteration cap.
     """
     r = b.copy()
     if project is not None:
@@ -161,6 +175,13 @@ def pcg(apply_n, b: np.ndarray, precond, tol_rel: float = 1e-10,
     x = np.zeros_like(b)
     if bnorm == 0.0:
         return x
+    if x0 is not None:
+        r_guess = r0.copy()
+        if project is not None:
+            project(r_guess)
+        # a guess no better than zero, or not finite, is dropped
+        if np.sqrt(_dot(r_guess, r_guess)) < bnorm:
+            x, r = x0.copy(), r_guess
     if _converged(r, bnorm, tol_rel, tol_abs_inf, np.empty_like(r)):
         return x
     z = precond(r)

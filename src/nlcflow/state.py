@@ -15,6 +15,9 @@ class SimState:
     v: MacVelocity
     d: DirectorField
     pressure: ScalarField | None = None
+    # (t, v*, q) of the latest predictor and projection solves, oldest
+    # first: what the time loop extrapolates their next initial guesses from
+    solves: tuple = ()
 
     @property
     def rho(self) -> ScalarField:

@@ -5,7 +5,9 @@ oracle equivalence, manufactured-solution orders, and determinism.
 Each test prints one `criterion N: PASS/FAIL` line (visible with -s; the
 pytest verdict carries the same information). The long t_end=50 preset
 runs are shared module-scoped fixtures, so the whole file costs a few
-minutes, dominated by three 10^4-step trajectories.
+minutes, dominated by three 10^4-step trajectories. The criteria that use
+those trajectories (3-7) are marked `slow`: `pytest -m "not slow"` skips
+them and runs the rest of the suite in well under a minute.
 """
 
 import time
@@ -83,6 +85,7 @@ def test_criterion_02_forced_energy_inequality():
              f"{[f'{c:.1f}' for c in consts]} (spread {hi / max(lo, 1e-300):.2f}x <= 2)")
 
 
+@pytest.mark.slow
 def test_criterion_03_bound_preservation(gzero_run, f1_run, f2_run):
     details = []
     ok = True
@@ -102,6 +105,7 @@ def test_criterion_03_bound_preservation(gzero_run, f1_run, f2_run):
     _verdict(3, ok, "; ".join(details))
 
 
+@pytest.mark.slow
 def test_criterion_04_velocity_decay(gzero_run, f1_run):
     details = []
     ok = True
@@ -113,6 +117,7 @@ def test_criterion_04_velocity_decay(gzero_run, f1_run):
     _verdict(4, ok, "; ".join(details) + " (both <= 1e-3)")
 
 
+@pytest.mark.slow
 def test_criterion_05_convergence_to_equilibrium(f2_run):
     final = f2_run.records[-1]
     ok = final.d_dist <= 1e-4 and final.gl_res_L2 <= 1e-4
@@ -121,6 +126,7 @@ def test_criterion_05_convergence_to_equilibrium(f2_run):
              f"gl_res = {final.gl_res_L2:.2e} (both <= 1e-4)")
 
 
+@pytest.mark.slow
 def test_criterion_06_rate_check(f2_run):
     rate = f2_run.report["rate"]
     if rate.get("kappa_fit") is None:
@@ -134,6 +140,7 @@ def test_criterion_06_rate_check(f2_run):
                     + note)
 
 
+@pytest.mark.slow
 def test_criterion_07_lojasiewicz_inequality(f2_run):
     e_inf = f2_run.report["stationary_energy"]
     lam = preset_config("f2-decaying").lam

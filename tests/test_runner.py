@@ -320,6 +320,30 @@ def test_checkpoint_round_trip_resumes_bitwise(tmp_path):
     assert np.array_equal(cont_a.d.d2, cont_b.d.d2)
 
 
+def test_checkpoint_with_full_solve_history_resumes_bitwise(tmp_path):
+    # after 5 steps the history of solves is full, so the resumed run
+    # extrapolates its initial guesses from the checkpoint's copy of it
+    cfg = _cfg(t_end=0.08)
+    state = initial_state(cfg)
+    stepper = StepperState(dt=cfg.dt)
+    for _ in range(5):
+        state = step(state, cfg, stepper)
+    assert len(state.solves) == 3
+
+    path = tmp_path / "snap.bin"
+    save_checkpoint(path, state, stepper.dt)
+    loaded, dt_loaded = load_checkpoint(path, cfg)
+    resumed = StepperState(dt=dt_loaded)
+    for _ in range(3):
+        state = step(state, cfg, stepper)
+        loaded = step(loaded, cfg, resumed)
+        for a, b in ((state.v.u, loaded.v.u), (state.v.v, loaded.v.v),
+                     (state.rho.values, loaded.rho.values),
+                     (state.d.d1, loaded.d.d1), (state.d.d2, loaded.d.d2),
+                     (state.pressure.values, loaded.pressure.values)):
+            assert a.tobytes() == b.tobytes()
+
+
 def test_run_stops_exactly_at_t_end():
     result = run(_cfg(t_end=0.0123, dt=0.005), write_outputs=False,
                  with_stationary=False)
@@ -343,14 +367,18 @@ def test_run_report_contents(tmp_path):
     assert rep["stationary_residual"] <= cfg.tol_stationary
 
 
-def test_f2_run_reports_rate_block():
-    cfg = _cfg(t_end=0.1, record_every=1,
+def test_f2_run_reports_rate_block(tmp_path):
+    cfg = _cfg(t_end=0.1, record_every=1, out_dir=str(tmp_path),
                forcing=ForcingSpec(variant="f2", ax="0.1*sin(pi*x)*sin(pi*y)",
                                    ay="0", xi=1.0, amplitude=1.0))
-    result = run(cfg, write_outputs=False)
+    result = run(cfg)
     assert "rate" in result.report
     assert "kappa_pred" in result.report["rate"] \
         or "fit_note" in result.report["rate"]
+    # the written report keeps JSON types: true/false, not 1.0/0.0
+    rate = json.loads((tmp_path / "run_report.json").read_text())["rate"]
+    assert isinstance(rate["exceeds_prediction"], bool)
+    assert isinstance(rate["kappa_fit"], float)
 
 
 # ---------------------------------------------------------------------------
