@@ -44,6 +44,15 @@ def sample_potential(spec: ForcingSpec, grid: GridSpec) -> ScalarField:
 
 
 @lru_cache(maxsize=16)
+def _potential_force(spec: ForcingSpec, grid: GridSpec) -> MacVelocity:
+    """The f1 force, time-independent: read-only, built once per grid."""
+    g = gradient_interior_faces(sample_potential(spec, grid).values, grid)
+    g.u.flags.writeable = False
+    g.v.flags.writeable = False
+    return g
+
+
+@lru_cache(maxsize=16)
 def sample_profile(spec: ForcingSpec, grid: GridSpec) -> MacVelocity:
     Xu, Yu = grid.uface_coords()
     Xv, Yv = grid.vface_coords()
@@ -55,14 +64,14 @@ def sample_profile(spec: ForcingSpec, grid: GridSpec) -> MacVelocity:
 
 
 def eval_force(spec: ForcingSpec, grid: GridSpec, t: float) -> MacVelocity:
-    """Acceleration field g(., t) at the velocity faces."""
+    """Acceleration field g(., t) at the velocity faces; for f1 the one
+    cached read-only field."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     if spec.variant == "none":
         return MacVelocity.zeros(grid)
     if spec.variant == "f1":
-        phi = sample_potential(spec, grid)
-        return gradient_interior_faces(phi.values, grid)
+        return _potential_force(spec, grid)
     g = sample_profile(spec, grid)
     s = spec.amplitude * (1.0 + t) ** (-(2.0 + spec.xi) / 2.0)
     return MacVelocity(grid, s * g.u, s * g.v)

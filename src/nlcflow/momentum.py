@@ -8,6 +8,7 @@ director equilibria - the structure the long-time behavior relies on.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -18,7 +19,7 @@ from .errors import IncompatibleRhs
 from .grid import (DirectorField, GridSpec, MacVelocity, ScalarField,
                    centered_gradient_at_centers, density_at_faces, divergence,
                    gradient_interior_faces, laplacian_interior_faces)
-from .solvers import FaceHelmholtz, NeumannPoisson, pcg
+from .solvers import FaceHelmholtz, NeumannPoisson, pcg, projected_guess
 
 _CG_CAP = 2000  # iteration cap of the predictor and projection solves
 
@@ -35,6 +36,40 @@ class FlowParams:
     def __post_init__(self):
         if self.nu <= 0 or self.tol_proj <= 0:
             raise ValueError("nu and tol_proj must be positive")
+
+
+@dataclass(frozen=True, eq=False)
+class FlowSolve:
+    """One step's predictor solution v* and pressure q, each with the part
+    of its operator product that does not depend on the density: nu*L of
+    each velocity component (L = `laplacian_interior_faces`) and grad q, on
+    the interior faces. From these a later step forms A x_k for its own
+    density by elementwise products alone, (rho_f/dt) x_k - nu*L x_k for
+    the predictor and -div((1/rho_f) grad q_k) for the projection, and
+    starts its solves from `solvers.projected_guess` on them."""
+
+    u: np.ndarray         # u* on the interior u-faces, (nx-1, ny)
+    nu_lap_u: np.ndarray
+    v: np.ndarray         # v* on the interior v-faces, (nx, ny-1)
+    nu_lap_v: np.ndarray
+    q: np.ndarray         # pressure on cells
+    grad_q_u: np.ndarray
+    grad_q_v: np.ndarray
+
+    @classmethod
+    def of(cls, v_star: MacVelocity, q: np.ndarray,
+           params: FlowParams) -> "FlowSolve":
+        # interior copies, not views, so the full arrays they come from
+        # are freed (up to 1 MB less peak RSS at 128^2)
+        g = v_star.grid
+        u, v = v_star.u[1:-1, :].copy(), v_star.v[:, 1:-1].copy()
+        nu_lap_u = laplacian_interior_faces(u, g, 0)
+        nu_lap_u *= params.nu
+        nu_lap_v = laplacian_interior_faces(v, g, 1)
+        nu_lap_v *= params.nu
+        gq = gradient_interior_faces(q, g)
+        return cls(u, nu_lap_u, v, nu_lap_v, q,
+                   gq.u[1:-1, :].copy(), gq.v[:, 1:-1].copy())
 
 
 def _centers_to_ufaces(c: np.ndarray) -> np.ndarray:
@@ -120,19 +155,25 @@ def _face_pre(grid: GridSpec, a: float, c: float, axis: int) -> FaceHelmholtz:
     return FaceHelmholtz(grid, a, c, axis)
 
 
+def _face_guess(rhs: np.ndarray, rho_f: np.ndarray, dt: float,
+                basis: list[tuple[np.ndarray, np.ndarray]]
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """`projected_guess` onto the kept pairs (x_k, nu*Lap x_k), with
+    A x_k = (rho_f/dt) x_k - nu*Lap x_k formed elementwise. Its temporaries
+    are freed on return, before the solve allocates its own."""
+    diag = rho_f / dt
+    return projected_guess(rhs, [x for x, _ in basis],
+                           [diag * x - nu_lap_x for x, nu_lap_x in basis])
+
+
 def _face_solve(g: GridSpec, axis: int, rho_f: np.ndarray, rhs: np.ndarray,
                 rbar: float, dt: float, params: FlowParams,
-                x0: np.ndarray | None) -> np.ndarray:
-    """(rho_f/dt - nu*Lap) x = rhs on one component's interior faces, from
-    the guess x0 when given. A splits into the exactly inverted
-    M = rbar/dt - nu*Lap and the diagonal N = (rho_f - rbar)/dt; the
-    guess's residual is formed with the full stencil."""
-    r0 = None
-    if x0 is not None:
-        r0 = laplacian_interior_faces(x0, g, axis)
-        r0 *= params.nu
-        r0 += rhs
-        r0 -= rho_f / dt * x0
+                basis: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """(rho_f/dt - nu*Lap) x = rhs on one component's interior faces,
+    from the A-norm projection onto the kept pairs in `basis` (zero when
+    empty). A splits into the exactly inverted M = rbar/dt - nu*Lap and
+    the diagonal N = (rho_f - rbar)/dt."""
+    x0, r0 = _face_guess(rhs, rho_f, dt, basis) if basis else (None, None)
     return pcg(partial(np.multiply, (rho_f - rbar) / dt), rhs,
                _face_pre(g, rbar / dt, params.nu, axis).solve,
                tol_rel=params.tol_lin, maxiter=_CG_CAP, x0=x0, r0=r0)
@@ -141,12 +182,13 @@ def _face_solve(g: GridSpec, axis: int, rho_f: np.ndarray, rhs: np.ndarray,
 def predict_velocity(rho: ScalarField, w: MacVelocity, d: DirectorField,
                      force_ext: MacVelocity | None, params: FlowParams,
                      glp: GLParams, dt: float,
-                     guess: MacVelocity | None = None) -> MacVelocity:
+                     basis: Sequence[FlowSolve] = ()) -> MacVelocity:
     """Implicit-viscosity momentum predictor: per component solve
     (rho/dt - nu*Lap) v* = rho/dt*v - rho*(v.grad v) + elastic + rho*g,
     with no-slip walls; advection is donor-cell upwind in advective form.
-    `guess` is the solves' initial guess (zero when None); the result
-    meets the same tolerance either way.
+    Each solve starts from the A-norm projection onto the kept solutions
+    in `basis` (zero when empty); the result meets the same tolerance
+    either way.
     """
     g = rho.grid
     ru, rv = density_at_faces(rho.values, g)
@@ -164,10 +206,10 @@ def predict_velocity(rho: ScalarField, w: MacVelocity, d: DirectorField,
     out = MacVelocity.zeros(g)
     out.u[1:-1, :] = _face_solve(
         g, 0, ru[1:-1, :], rhs_u[1:-1, :], rbar, dt, params,
-        None if guess is None else guess.u[1:-1, :])
+        [(s.u, s.nu_lap_u) for s in basis])
     out.v[:, 1:-1] = _face_solve(
         g, 1, rv[:, 1:-1], rhs_v[:, 1:-1], rbar, dt, params,
-        None if guess is None else guess.v[:, 1:-1])
+        [(s.v, s.nu_lap_v) for s in basis])
     return out
 
 
@@ -185,15 +227,26 @@ class _NegDivKGrad:
 
     def __call__(self, k_u: np.ndarray, k_v: np.ndarray,
                  x: np.ndarray) -> np.ndarray:
-        g, gu, gv, out = self._g, self._gu, self._gv, self._out
-        ku = gu[1:-1, :]
+        g = self._g
+        ku = self._gu[1:-1, :]
         np.subtract(x[1:, :], x[:-1, :], out=ku)
         ku /= g.hx
-        ku *= k_u
-        kv = gv[:, 1:-1]
+        kv = self._gv[:, 1:-1]
         np.subtract(x[:, 1:], x[:, :-1], out=kv)
         kv /= g.hy
-        kv *= k_v
+        return self._neg_div_k(k_u, k_v)
+
+    def of_gradient(self, k_u: np.ndarray, k_v: np.ndarray,
+                    grad_u: np.ndarray, grad_v: np.ndarray) -> np.ndarray:
+        """-div(k g) for a given gradient g on the interior faces."""
+        self._gu[1:-1, :] = grad_u
+        self._gv[:, 1:-1] = grad_v
+        return self._neg_div_k(k_u, k_v)
+
+    def _neg_div_k(self, k_u: np.ndarray, k_v: np.ndarray) -> np.ndarray:
+        g, gu, gv, out = self._g, self._gu, self._gv, self._out
+        gu[1:-1, :] *= k_u
+        gv[:, 1:-1] *= k_v
         # b - a is -(a - b) exactly (but for the sign of a zero), so the
         # differences come out negated
         np.subtract(gu[:-1, :], gu[1:, :], out=out)
@@ -204,15 +257,22 @@ class _NegDivKGrad:
         return out
 
 
+@lru_cache(maxsize=8)
+def _projection_ops(grid: GridSpec) -> tuple[NeumannPoisson, _NegDivKGrad]:
+    """The projection's preconditioner and operator, built once per grid
+    and re-targeted by each call; their buffers are shared by its calls."""
+    return NeumannPoisson(grid), _NegDivKGrad(grid)
+
+
 def project(rho: ScalarField, v_star: MacVelocity, dt: float,
-            params: FlowParams, guess: np.ndarray | None = None
+            params: FlowParams, basis: Sequence[FlowSolve] = ()
             ) -> tuple[MacVelocity, ScalarField]:
     """Variable-density pressure correction: solve
     div((1/rho) grad q) = (1/dt) div(v*) with zero-Neumann walls and zero
     mean, then v' = v* - (dt/rho) grad q. Guarantees
     ||div v'||_inf <= tol_proj (the CG stopping criterion is exactly that
-    residual, with margin), whatever the initial guess `guess` for q
-    (zero when None).
+    residual, with margin), whatever the initial guess: the A-norm
+    projection onto the kept pressures in `basis` (zero when empty).
     """
     g = rho.grid
     ru, rv = density_at_faces(rho.values, g)
@@ -234,8 +294,14 @@ def project(rho: ScalarField, v_star: MacVelocity, dt: float,
     # M = -cbar*Lap and N = -div((1/rho_f - cbar) grad)
     cbar = float(inv_ru.mean())
     k_u, k_v = inv_ru[1:-1, :], inv_rv[:, 1:-1]
-    neg_div_k_grad = _NegDivKGrad(g)
-    r0 = None if guess is None else rhs - neg_div_k_grad(k_u, k_v, guess)
+    neumann_poisson, neg_div_k_grad = _projection_ops(g)
+    neumann_poisson.set_scale(cbar)
+    q0 = r0 = None
+    if basis:
+        q0, r0 = projected_guess(
+            rhs, [s.q for s in basis],
+            [neg_div_k_grad.of_gradient(k_u, k_v, s.grad_q_u,
+                                        s.grad_q_v).copy() for s in basis])
 
     def project_mean(x):
         x -= x.mean()
@@ -243,9 +309,8 @@ def project(rho: ScalarField, v_star: MacVelocity, dt: float,
     # div v' = -dt * (residual of this solve); stop well inside tol_proj
     tol_inf = 0.1 * params.tol_proj / dt
     q = pcg(partial(neg_div_k_grad, k_u - cbar, k_v - cbar), rhs,
-            NeumannPoisson(g, cbar).solve, tol_rel=1e-13,
-            tol_abs_inf=tol_inf, maxiter=_CG_CAP, project=project_mean,
-            x0=guess, r0=r0)
+            neumann_poisson.solve, tol_rel=1e-13, tol_abs_inf=tol_inf,
+            maxiter=_CG_CAP, project=project_mean, x0=q0, r0=r0)
     q -= q.mean()
 
     gq = gradient_interior_faces(q, g)

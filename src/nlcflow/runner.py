@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import configparser
 import json
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -25,7 +24,7 @@ from .forcing import (ForcingSpec, eval_force, sample_potential,
 from .grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
                    ScalarField, divergence, elastic_identity_residual,
                    laplacian, load_snapshot, norms, save_snapshot)
-from .momentum import FlowParams, predict_velocity, project
+from .momentum import FlowParams, FlowSolve, predict_velocity, project
 from .state import SimState
 from .stationary import decay_rate_fit, lojasiewicz_probe, solve_stationary
 
@@ -184,31 +183,9 @@ def initial_state(cfg: RunConfig) -> SimState:
     return SimState(t=0.0, density=density, v=v, d=d)
 
 
-_SOLVE_HISTORY = 3  # solves kept: quadratic extrapolation of the guesses
-
-
-def _extrapolate(solves: tuple, t: float):
-    """Lagrange extrapolation to time t of the kept (t_k, v*_k, q_k), with
-    weights from the actual times (3, -3, 1 for equal steps): the
-    predictor's and the projection's initial guesses, (None, None) for an
-    empty history."""
-    if not solves:
-        return None, None
-    times = [tk for tk, _, _ in solves]
-    weights = [math.prod((t - tj) / (tk - tj)
-                         for j, tj in enumerate(times) if j != k)
-               for k, tk in enumerate(times)]
-
-    def combine(arrays):
-        out = weights[0] * arrays[0]
-        for w, a in zip(weights[1:], arrays[1:]):
-            out += w * a
-        return out
-
-    vs = [vk for _, vk, _ in solves]
-    return (MacVelocity(vs[0].grid, combine([vk.u for vk in vs]),
-                        combine([vk.v for vk in vs])),
-            combine([qk for _, _, qk in solves]))
+# solves kept: the predictor and the projection start from the A-norm
+# projection onto their last three solutions
+_SOLVE_HISTORY = 3
 
 
 @dataclass
@@ -221,10 +198,13 @@ class StepperState:
 def step(state: SimState, cfg: RunConfig, stepper: StepperState) -> SimState:
     """One coupled step: density and director advance with the current
     velocity, then the momentum predictor and projection use the fresh
-    density and director, each solve starting from an extrapolation of
-    its last solutions (zero on a state without any). dt is halved until
-    the transport CFL bound holds with the configured safety factor, and
-    a step that would pass t_end is shortened to end there."""
+    density and director. Each of their solves starts from the A-norm
+    projection onto its kept solutions (zero on a state without any),
+    whose operator products the step forms with the fresh density by
+    elementwise products; no stencil is applied to the history, and no
+    step size enters the guess. dt is halved until the transport CFL
+    bound holds with the configured safety factor, and a step that would
+    pass t_end is shortened to end there."""
     dt = stepper.dt
     while cfl_number(state.v, dt) > cfg.cfl_safety:
         dt *= 0.5
@@ -241,11 +221,11 @@ def step(state: SimState, cfg: RunConfig, stepper: StepperState) -> SimState:
     density = advance_density(state.density, state.v, dt)
     d = advance_director(state.d, state.v, cfg.glp, dt)
     g_mid = eval_force(cfg.forcing, cfg.grid, state.t + 0.5 * dt)
-    v_guess, q_guess = _extrapolate(state.solves, t)
     v_star = predict_velocity(density.rho, state.v, d, g_mid, cfg.flow,
-                              cfg.glp, dt, guess=v_guess)
-    v, q = project(density.rho, v_star, dt, cfg.flow, guess=q_guess)
-    solves = (*state.solves, (t, v_star, q.values))[-_SOLVE_HISTORY:]
+                              cfg.glp, dt, basis=state.solves)
+    v, q = project(density.rho, v_star, dt, cfg.flow, basis=state.solves)
+    solves = (*state.solves,
+              FlowSolve.of(v_star, q.values, cfg.flow))[-_SOLVE_HISTORY:]
     return SimState(t=t, density=density, v=v, d=d, pressure=q,
                     solves=solves)
 
@@ -375,14 +355,17 @@ def _rate_analysis(cfg: RunConfig, records, probe_samples) -> dict:
 
 
 def save_checkpoint(path, state: SimState, dt: float) -> None:
-    """The state, dt and the solve history, so that a resumed run continues
-    bitwise like the uninterrupted one."""
+    """The state, dt and the kept solutions, so that a resumed run
+    continues bitwise like the uninterrupted one. Only the solutions are
+    written; `load_checkpoint` rebuilds their operator products."""
     g = state.rho.grid
     history = []
-    for k, (tk, vk, qk) in enumerate(state.solves):
-        history += [(f"solve{k}_t", np.array([[tk]])),
-                    (f"solve{k}_u", vk.u), (f"solve{k}_v", vk.v),
-                    (f"solve{k}_q", qk)]
+    for k, s in enumerate(state.solves):
+        v_star = MacVelocity.zeros(g)
+        v_star.u[1:-1, :] = s.u
+        v_star.v[:, 1:-1] = s.v
+        history += [(f"solve{k}_u", v_star.u), (f"solve{k}_v", v_star.v),
+                    (f"solve{k}_q", s.q)]
     save_snapshot(path, g, [
         ("t", np.array([[state.t]])),
         ("dt", np.array([[dt]])),
@@ -396,16 +379,18 @@ def save_checkpoint(path, state: SimState, dt: float) -> None:
 
 
 def load_checkpoint(path, cfg: RunConfig) -> tuple[SimState, float]:
+    """Inverse of `save_checkpoint`. The kept solutions' products are
+    rebuilt by `FlowSolve.of`, as the time loop built them; the solve times
+    that older snapshots also carry are not needed and are ignored."""
     grid, f = load_snapshot(path)
     rho = ScalarField(grid, f["rho"], "extrapolate")
     # conserved references must come from the run's own t=0 data
     ref = initial_state(cfg)
     density = DensityState(rho, ref.density.rho_max0, ref.density.mass0)
     solves = tuple(
-        (float(f[f"solve{k}_t"][0, 0]),
-         MacVelocity(grid, f[f"solve{k}_u"], f[f"solve{k}_v"]),
-         f[f"solve{k}_q"])
-        for k in range(_SOLVE_HISTORY) if f"solve{k}_t" in f)
+        FlowSolve.of(MacVelocity(grid, f[f"solve{k}_u"], f[f"solve{k}_v"]),
+                     f[f"solve{k}_q"], cfg.flow)
+        for k in range(_SOLVE_HISTORY) if f"solve{k}_q" in f)
     state = SimState(t=float(f["t"][0, 0]), density=density,
                      v=MacVelocity(grid, f["u"], f["v"]),
                      d=DirectorField(grid, f["d1"], f["d2"], ref.d.trace),

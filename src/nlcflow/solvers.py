@@ -7,10 +7,14 @@ projection solve A x = b with A = M + N, where M is a constant-coefficient
 operator that a direct solver inverts exactly and N = A - M is cheap to
 apply: a diagonal for the predictor, a stencil weighted by 1/rho - mean for
 the projection. `pcg` takes N and M^-1, never A. Its initial guess is
-zero unless the caller passes one with its residual b - A x0, formed with
-the full operator; the time loop passes an extrapolation of the previous
-steps' solutions. The stopping tests stay relative to ||b||, so a guess
-saves iterations without loosening any tolerance.
+zero unless the caller passes one with its residual b - A x0. The time
+loop passes `projected_guess`: the combination of the last solutions of
+the same solve nearest to the new solution in the A-norm. Each kept
+solution comes with the part of its operator product that does not depend
+on the density, so the caller forms A x_k with the current density by
+elementwise products, and r0 follows from those by linearity; no stencil
+is applied to the history. The stopping tests stay relative to ||b||, so
+a guess saves iterations without loosening any tolerance.
 
 The cell-centered Dirichlet Laplacian (ghost = 2g - interior) is
 diagonalized by the orthonormal DST-II basis on cells; the node-centered
@@ -19,7 +23,8 @@ nodes; the cell-centered zero-Neumann Laplacian (mirror ghost) by the
 DCT-II basis on cells. Each basis is an explicit n x n matrix, built once
 per (kind, n) and stored read-only, so a solve is two matrix products into
 the eigenbasis, a division by the eigenvalue denominators and two products
-back.
+back. The three intermediate products go to buffers allocated once per
+solver; only the result is a fresh array.
 
 The dense products cost O(nx*ny*(nx + ny)) flops against the FFT's
 O(nx*ny*log(nx*ny)), but run as BLAS gemm with no per-call planning.
@@ -93,11 +98,16 @@ class _EigenSolver:
         lx = _eigenvalues(kx, nx, grid.hx)
         ly = _eigenvalues(ky, ny, grid.hy)
         self._denom = a - c * (lx[:, None] + ly[None, :])
+        self._t = np.empty((len(lx), len(ly)))
+        self._w = np.empty((len(lx), len(ly)))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        w = self._bx @ b @ self._by.T
+        t, w = self._t, self._w
+        np.matmul(self._bx, b, out=t)
+        np.matmul(t, self._by.T, out=w)
         w /= self._denom
-        return self._bx.T @ w @ self._by
+        np.matmul(self._bx.T, w, out=t)
+        return t @ self._by
 
 
 class CellHelmholtz(_EigenSolver):
@@ -123,16 +133,85 @@ class FaceHelmholtz(_EigenSolver):
 
 class NeumannPoisson(_EigenSolver):
     """Direct solver for -c*Lap x = b with zero-Neumann walls and zero mean;
-    the constant mode of b is discarded."""
+    the constant mode of b is discarded. `set_scale` re-targets one solver
+    to another c."""
 
-    def __init__(self, grid: GridSpec, c: float):
-        super().__init__("dct2", "dct2", grid, 0.0, c)
-        self._denom[0, 0] = np.inf  # the null mode: b's mean divides to 0
+    def __init__(self, grid: GridSpec, c: float = 1.0):
+        super().__init__("dct2", "dct2", grid, 0.0, 1.0)
+        self._unit = self._denom.copy()
+        self._unit[0, 0] = np.inf  # the null mode: b's mean divides to 0
+        self.set_scale(c)
+
+    def set_scale(self, c: float) -> None:
+        """Solve -c*Lap from now on. c*(-lambda) is -(c*lambda) exactly, so
+        the denominators are bitwise those built for c directly."""
+        np.multiply(self._unit, c, out=self._denom)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """Inner product whose summation order depends only on the arrays."""
     return float(np.einsum("ij,ij->", a, b))
+
+
+def projected_guess(b: np.ndarray, basis, a_basis
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Initial guess for A x = b (A symmetric positive semi-definite) from
+    earlier solutions x_k: x0 = sum c_k x_k with G c = f, G_ij = x_i . A x_j
+    and f_i = x_i . b, the combination nearest to the solution in the
+    A-norm (Fischer, Comput. Methods Appl. Mech. Engrg. 163, 1998).
+    `a_basis` holds A x_k, formed by the caller with the current operator,
+    and r0 = b - sum c_k A x_k follows by linearity. Returns (x0, r0).
+    """
+    k = len(basis)
+    gram = [[0.0] * k for _ in range(k)]
+    f = [_dot(x, b) for x in basis]
+    for i in range(k):
+        for j in range(i, k):
+            gram[i][j] = gram[j][i] = _dot(basis[i], a_basis[j])
+    c = _solve_gram(gram, f)
+    x0 = basis[0] * c[0]
+    r0 = a_basis[0] * -c[0]
+    r0 += b
+    term = np.empty_like(x0)
+    for ck, xk, axk in zip(c[1:], basis[1:], a_basis[1:]):
+        np.multiply(xk, ck, out=term)
+        x0 += term
+        np.multiply(axk, ck, out=term)
+        r0 -= term
+    return x0, r0
+
+
+def _solve_gram(gram: list, f: list) -> list:
+    """c with G c = f for a Gram matrix G, by Gaussian elimination that
+    pivots on the largest remaining diagonal entry. Successive solutions
+    are nearly dependent, so G can be singular to round-off: elimination
+    stops at the first pivot not above K*eps times G's largest diagonal
+    entry, and the unknowns left get 0. The guess is then the A-norm
+    projection onto the basis vectors taken, finite for any basis. A
+    K <= 3 system in Python floats costs less than a LAPACK call made
+    once between large array operations."""
+    k = len(f)
+    g = [row[:] for row in gram]  # rows become the Schur complements
+    rhs = list(f)
+    floor = k * np.finfo(float).eps * max(g[i][i] for i in range(k))
+    rest, order = list(range(k)), []
+    while rest:
+        p = max(rest, key=lambda i: g[i][i])
+        if not g[p][p] > floor:  # also stops on NaN
+            break
+        rest.remove(p)
+        order.append(p)
+        for i in rest:
+            m = g[i][p] / g[p][p]
+            for j in rest:
+                g[i][j] -= m * g[p][j]
+            rhs[i] -= m * rhs[p]
+    c = [0.0] * k
+    for n in range(len(order) - 1, -1, -1):
+        p = order[n]
+        c[p] = (rhs[p] - sum(g[p][j] * c[j] for j in order[n + 1:])) \
+            / g[p][p]
+    return c
 
 
 def pcg(apply_n, b: np.ndarray, precond, tol_rel: float = 1e-10,
@@ -148,8 +227,9 @@ def pcg(apply_n, b: np.ndarray, precond, tol_rel: float = 1e-10,
     2(1), 1981), and A p = M p + N p.
 
     The initial guess is zero, or `x0` when it is given with its residual
-    `r0` = b - A x0, which the caller forms with the full operator; pcg
-    applies N once per iteration and never for the guess. A guess whose
+    `r0` = b - A x0, which the caller forms by linearity from the stored
+    products of its basis with the current density (`projected_guess`);
+    pcg applies N once per iteration and never for the guess. A guess whose
     residual is not below ||b||_2, or is not finite, is dropped for the
     zero guess. x0 and r0 are left unchanged.
 

@@ -15,8 +15,8 @@ class SimState:
     v: MacVelocity
     d: DirectorField
     pressure: ScalarField | None = None
-    # (t, v*, q) of the latest predictor and projection solves, oldest
-    # first: what the time loop extrapolates their next initial guesses from
+    # `momentum.FlowSolve`s of the latest steps, oldest first: the bases
+    # whose A-norm projections start the next predictor and projection solves
     solves: tuple = ()
 
     @property

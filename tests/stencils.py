@@ -1,9 +1,9 @@
 """The tests' names for the 5-point Laplacians of the MAC velocity
 components on interior faces, the stencils that `FaceHelmholtz` inverts.
 The one copy is the package's `grid.laplacian_interior_faces`, which the
-momentum predictor applies only to form the residual of its initial guess;
-the tests check the eigenbasis solvers and the predictor's solution
-against it."""
+time loop applies once per component and step, to keep nu*L v* for the
+next steps' initial guesses; the tests check the eigenbasis solvers, the
+predictor's solution and those guesses' residuals against it."""
 
 import numpy as np
 

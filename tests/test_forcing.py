@@ -3,8 +3,8 @@ import pytest
 
 from nlcflow.errors import ConfigError, NotApplicable
 from nlcflow.forcing import (ForcingSpec, eval_force, profile_norm_sq,
-                             tail_energy)
-from nlcflow.grid import GridSpec, norms
+                             sample_potential, tail_energy)
+from nlcflow.grid import GridSpec, gradient_interior_faces, norms
 
 
 @pytest.fixture
@@ -16,6 +16,17 @@ def test_constant_potential_gives_zero_force(grid):
     spec = ForcingSpec(variant="f1", phi="3")
     g = eval_force(spec, grid, 0.0)
     assert norms(g, "Linf") == 0.0
+
+
+def test_potential_force_is_one_cached_read_only_field(grid):
+    spec = ForcingSpec(variant="f1", phi="0.002*cos(pi*x)*cos(pi*y)")
+    g = eval_force(spec, grid, 0.0)
+    assert eval_force(spec, grid, 7.5) is g
+    want = gradient_interior_faces(sample_potential(spec, grid).values, grid)
+    assert g.u.tobytes() == want.u.tobytes()
+    assert g.v.tobytes() == want.v.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        g.u[1, 1] = 0.0
 
 
 def test_none_variant_gives_zero(grid):

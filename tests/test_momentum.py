@@ -6,8 +6,8 @@ from nlcflow.director import GLParams
 from nlcflow.grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
                           ScalarField, density_at_faces, divergence,
                           gradient_interior_faces, norms)
-from nlcflow.momentum import (FlowParams, elastic_force, predict_velocity,
-                              project)
+from nlcflow.momentum import (FlowParams, FlowSolve, elastic_force,
+                              predict_velocity, project)
 from nlcflow.runner import (StepperState, initial_state, preset_config, run,
                             step)
 from stencils import _lap_u_interior, _lap_v_interior
@@ -140,7 +140,7 @@ def test_face_density_average(grid):
 
 
 def _recording_pcg(monkeypatch):
-    """Wrap momentum.pcg; each solve appends (site, b, iterations, x0)."""
+    """Wrap momentum.pcg; each solve appends (site, b, iterations, x0, r0)."""
     solves = []
     pcg = momentum.pcg
 
@@ -154,7 +154,7 @@ def _recording_pcg(monkeypatch):
 
         x = pcg(counted, b, precond, **kwargs)
         site = "project" if "project" in kwargs else "predict"
-        solves.append((site, b, iters, kwargs.get("x0")))
+        solves.append((site, b, iters, kwargs.get("x0"), kwargs.get("r0")))
         return x
 
     monkeypatch.setattr(momentum, "pcg", spy)
@@ -168,7 +168,7 @@ def _assert_solves_stencil_system(solves, rho, vs, params, dt):
     systems = [(ru[1:-1, :], _lap_u_interior, vs.u[1:-1, :]),
                (rv[:, 1:-1], _lap_v_interior, vs.v[:, 1:-1])]
     assert [s[0] for s in solves] == ["predict", "predict"]
-    for (rho_f, lap, sol), (_, rhs, _, _) in zip(systems, solves):
+    for (rho_f, lap, sol), (_, rhs, _, _, _) in zip(systems, solves):
         res = rho_f / dt * sol - params.nu * lap(sol, g) - rhs
         assert np.linalg.norm(res) \
             <= 10 * params.tol_lin * np.linalg.norm(rhs)
@@ -194,22 +194,23 @@ def test_predicted_velocity_solves_the_stencil_system(monkeypatch):
     _assert_solves_stencil_system(solves, rho, vs, params, dt)
 
 
-def _guess_residual_norms(rho, guess, solves, params, dt):
-    """||b - A x0|| of each predictor solve's guess, with the stencil."""
+def _guess_residual_norms(rho, solves, params, dt):
+    """||b - A x0|| and ||b|| of each predictor solve, with the stencil."""
     g = rho.grid
     ru, rv = density_at_faces(rho.values, g)
     out = []
-    for rho_f, lap, x0, (_, rhs, _, _) in zip(
+    for rho_f, lap, (_, rhs, _, x0, _) in zip(
             (ru[1:-1, :], rv[:, 1:-1]), (_lap_u_interior, _lap_v_interior),
-            (guess.u[1:-1, :], guess.v[:, 1:-1]), solves):
+            solves):
         res = rhs - (rho_f / dt * x0 - params.nu * lap(x0, g))
         out.append((np.linalg.norm(res), np.linalg.norm(rhs)))
     return out
 
 
 def test_warm_started_predictor_solves_the_stencil_system(monkeypatch):
-    # From a random guess near the solution, taken because its residual is
-    # below ||b||, the solve still meets tol_lin relative to ||b||
+    # From the projection onto a noisy copy of the solution, taken because
+    # its residual is below ||b||, the solve still meets tol_lin relative
+    # to ||b||
     g = GridSpec(32, 32, 1.0, 1.0)
     params, dt = FlowParams(nu=1.0), 5e-3
     glp = GLParams(gamma=1.0, eta=0.5, lam=1.0)
@@ -217,31 +218,70 @@ def test_warm_started_predictor_solves_the_stencil_system(monkeypatch):
     solves = _recording_pcg(monkeypatch)
     cold = predict_velocity(rho, w, d, None, params, glp, dt)
     rng = np.random.default_rng(11)
-    guess = MacVelocity(g, cold.u + 1e-4 * rng.normal(size=cold.u.shape),
+    noisy = MacVelocity(g, cold.u + 1e-4 * rng.normal(size=cold.u.shape),
                         cold.v + 1e-4 * rng.normal(size=cold.v.shape))
-    vs = predict_velocity(rho, w, d, None, params, glp, dt, guess=guess)
+    basis = [FlowSolve.of(noisy, np.zeros((g.nx, g.ny)), params)]
+    vs = predict_velocity(rho, w, d, None, params, glp, dt, basis=basis)
     cold_solves, solves = solves[:2], solves[2:]
     assert all(r < b for r, b in
-               _guess_residual_norms(rho, guess, solves, params, dt))
+               _guess_residual_norms(rho, solves, params, dt))
     # fewer iterations: the solves started from the guess
     assert all(s[2] < c[2] for s, c in zip(solves, cold_solves))
     _assert_solves_stencil_system(solves, rho, vs, params, dt)
 
 
-def test_time_loop_solves_from_the_extrapolated_guess(monkeypatch):
-    # Step 5 extrapolates from three earlier solves; its v* must solve the
+def test_time_loop_solves_from_the_projected_guess(monkeypatch):
+    # Step 5 projects onto three earlier solutions; its v* must solve the
     # stencil system and its v' meet tol_proj as from a zero guess
     cfg = preset_config("gzero", nx=32, ny=32)
     state = initial_state(cfg)
     stepper = StepperState(dt=cfg.dt)
     for _ in range(4):
         state = step(state, cfg, stepper)
+    assert len(state.solves) == 3
+    solves = _recording_pcg(monkeypatch)
+    new = step(state, cfg, stepper)
+    assert all(s[3] is not None for s in solves)
+    # each guess lies in the span of its kept solutions
+    for (_, _, _, x0, _), basis in zip(solves, (
+            [s.u for s in state.solves], [s.v for s in state.solves],
+            [s.q for s in state.solves])):
+        coef = np.linalg.lstsq(np.stack([x.ravel() for x in basis], 1),
+                               x0.ravel(), rcond=None)[0]
+        fit = sum(c * x for c, x in zip(coef, basis))
+        assert np.abs(fit - x0).max() <= 1e-12 * np.abs(x0).max()
+    v_star = new.solves[-1]
+    _assert_solves_stencil_system(
+        solves[:2], new.rho,
+        MacVelocity(cfg.grid, np.pad(v_star.u, ((1, 1), (0, 0))),
+                    np.pad(v_star.v, ((0, 0), (1, 1)))), cfg.flow, cfg.dt)
+    assert np.abs(divergence(new.v).values).max() <= cfg.tol_proj
+
+
+def test_projected_guess_residual_matches_the_stencils(monkeypatch):
+    # r0 is formed by linearity from the kept products; it must be
+    # b - A x0 with A built from the reference stencils. nu != 1, so a
+    # product that lost nu cannot pass.
+    cfg = preset_config("gzero", nx=32, ny=32, nu=0.5)
+    state = initial_state(cfg)
+    stepper = StepperState(dt=cfg.dt)
+    for _ in range(4):
+        state = step(state, cfg, stepper)
     solves = _recording_pcg(monkeypatch)
     state = step(state, cfg, stepper)
-    assert all(s[3] is not None for s in solves)
-    _assert_solves_stencil_system(solves[:2], state.rho,
-                                  state.solves[-1][1], cfg.flow, cfg.dt)
-    assert np.abs(divergence(state.v).values).max() <= cfg.tol_proj
+    g, dt = cfg.grid, cfg.dt
+    ru, rv = density_at_faces(state.rho.values, g)
+    for rho_f, lap, (site, b, _, x0, r0) in zip(
+            (ru[1:-1, :], rv[:, 1:-1]), (_lap_u_interior, _lap_v_interior),
+            solves[:2]):
+        assert site == "predict"
+        ref = b - (rho_f / dt * x0 - cfg.nu * lap(x0, g))
+        assert np.linalg.norm(r0 - ref) <= 1e-12 * np.linalg.norm(b)
+    site, b, _, q0, r0 = solves[2]
+    assert site == "project"
+    gq = gradient_interior_faces(q0, g)
+    ref = b + divergence(MacVelocity(g, gq.u / ru, gq.v / rv)).values
+    assert np.linalg.norm(r0 - ref) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_warm_started_projection_matches_the_cold_one(monkeypatch):
@@ -255,16 +295,17 @@ def test_warm_started_projection_matches_the_cold_one(monkeypatch):
     solves = _recording_pcg(monkeypatch)
     cold, q_cold = project(rho, vs, dt, params)
     rng = np.random.default_rng(12)
-    guess = q_cold.values + 1e-3 * rng.normal(size=(g.nx, g.ny))
+    noisy = q_cold.values + 1e-3 * rng.normal(size=(g.nx, g.ny))
+    noisy -= noisy.mean()
+    warm, _ = project(rho, vs, dt, params,
+                      basis=[FlowSolve.of(vs, noisy, params)])
     # the guess's residual, with the grid's own gradient and divergence,
     # is below ||b||, so the solve must start from it
+    _, rhs, _, q0, _ = solves[1]
     ru, rv = density_at_faces(rho.values, g)
-    gq = gradient_interior_faces(guess, g)
-    flux = MacVelocity(g, gq.u / ru, gq.v / rv)
-    rhs = -divergence(vs).values / dt
-    res = rhs + divergence(flux).values
+    gq = gradient_interior_faces(q0, g)
+    res = rhs + divergence(MacVelocity(g, gq.u / ru, gq.v / rv)).values
     assert np.linalg.norm(res - res.mean()) < np.linalg.norm(rhs)
-    warm, _ = project(rho, vs, dt, params, guess=guess)
     # fewer iterations: the solve started from the guess
     assert solves[1][2] < solves[0][2]
     assert np.abs(divergence(warm).values).max() <= params.tol_proj
@@ -272,40 +313,20 @@ def test_warm_started_projection_matches_the_cold_one(monkeypatch):
     assert np.abs(warm.v - cold.v).max() <= params.tol_proj
 
 
-def test_a_guess_worse_than_zero_gives_the_cold_result_bitwise():
-    g = GridSpec(32, 32, 1.0, 1.0)
-    params, dt = FlowParams(), 1e-2
-    glp = GLParams(gamma=1.0, eta=0.5, lam=1.0)
-    rho, w, d = _rho(g), _smooth_velocity(g), _tilted_director(g)
-    rng = np.random.default_rng(13)
-    noise = MacVelocity(g, 1e3 * rng.normal(size=(g.nx + 1, g.ny)),
-                        1e3 * rng.normal(size=(g.nx, g.ny + 1)))
-    cold = predict_velocity(rho, w, d, None, params, glp, dt)
-    warm = predict_velocity(rho, w, d, None, params, glp, dt, guess=noise)
-    assert warm.u.tobytes() == cold.u.tobytes()
-    assert warm.v.tobytes() == cold.v.tobytes()
-    cold_v, cold_q = project(rho, cold, dt, params)
-    warm_v, warm_q = project(rho, cold, dt, params,
-                             guess=1e3 * rng.normal(size=(g.nx, g.ny)))
-    for a, b in ((cold_v.u, warm_v.u), (cold_v.v, warm_v.v),
-                 (cold_q.values, warm_q.values)):
-        assert a.tobytes() == b.tobytes()
-
-
 def test_pcg_iterations_per_solve_are_pinned(monkeypatch):
     # Cold pins: every solve from the zero guess, as the unsplit PCG that
     # applied A in full counted them. Step 1 has no history and must match
-    # them; later steps start from the extrapolated guesses and may only
+    # them; later steps start from the projected guesses and may only
     # save iterations. The initial projection meets tol_proj before any
     # iteration.
     cold = {"predict": [8] * 12, "project": [0, 10, 10, 10, 9, 9, 9]}
-    warm = {"predict": [8] * 4 + [7] * 8,
-            "project": [0, 10, 9, 8, 8, 7, 7]}
+    warm = {"predict": [8, 8] + [7] * 4 + [6] * 6,
+            "project": [0, 10, 8, 7, 6, 6, 5]}
     cfg = preset_config("gzero", nx=32, ny=32, t_end=6 * 5e-3)
     solves = _recording_pcg(monkeypatch)
     run(cfg, write_outputs=False, with_stationary=False)
     iters = {"predict": [], "project": []}
-    for site, _, n, _ in solves:
+    for site, _, n, _, _ in solves:
         iters[site].append(n)
     assert iters == warm
     # step 1: two predictor solves; the initial and the step's projection

@@ -18,6 +18,7 @@ from nlcflow import runner
 from nlcflow.errors import (ConfigError, LinearSolveFailure, StepFailed,
                             StepRejected)
 from nlcflow.forcing import ForcingSpec
+from nlcflow.grid import save_snapshot
 from nlcflow.runner import (PRESETS, RunConfig, StepperState, initial_state,
                             load_checkpoint, load_config, preset_config,
                             run, save_checkpoint, step, validate_config)
@@ -322,7 +323,7 @@ def test_checkpoint_round_trip_resumes_bitwise(tmp_path):
 
 def test_checkpoint_with_full_solve_history_resumes_bitwise(tmp_path):
     # after 5 steps the history of solves is full, so the resumed run
-    # extrapolates its initial guesses from the checkpoint's copy of it
+    # projects its initial guesses onto the checkpoint's copy of it
     cfg = _cfg(t_end=0.08)
     state = initial_state(cfg)
     stepper = StepperState(dt=cfg.dt)
@@ -342,6 +343,42 @@ def test_checkpoint_with_full_solve_history_resumes_bitwise(tmp_path):
                      (state.d.d1, loaded.d.d1), (state.d.d2, loaded.d.d2),
                      (state.pressure.values, loaded.pressure.values)):
             assert a.tobytes() == b.tobytes()
+
+
+def test_checkpoint_in_the_older_layout_with_solve_times_loads(tmp_path):
+    # snapshots written before the products were rebuilt at load also hold
+    # each kept solve's time; those entries are ignored
+    cfg = _cfg(t_end=0.08)
+    state = initial_state(cfg)
+    stepper = StepperState(dt=cfg.dt)
+    for _ in range(5):
+        state = step(state, cfg, stepper)
+    g = cfg.grid
+    history = []
+    for k, s in enumerate(state.solves):
+        u = np.zeros((g.nx + 1, g.ny))
+        u[1:-1, :] = s.u
+        v = np.zeros((g.nx, g.ny + 1))
+        v[:, 1:-1] = s.v
+        history += [(f"solve{k}_t", np.array([[state.t - (2 - k) * 5e-3]])),
+                    (f"solve{k}_u", u), (f"solve{k}_v", v),
+                    (f"solve{k}_q", s.q)]
+    path = tmp_path / "old.bin"
+    save_snapshot(path, g, [
+        ("t", np.array([[state.t]])), ("dt", np.array([[stepper.dt]])),
+        ("rho", state.rho.values), ("u", state.v.u), ("v", state.v.v),
+        ("d1", state.d.d1), ("d2", state.d.d2), *history])
+    loaded, dt_loaded = load_checkpoint(path, cfg)
+    assert len(loaded.solves) == 3
+    for a, b in zip(state.solves, loaded.solves):
+        for name in ("u", "nu_lap_u", "v", "nu_lap_v", "q", "grad_q_u",
+                     "grad_q_v"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    cont = step(state, cfg, stepper)
+    resumed = step(loaded, cfg, StepperState(dt=dt_loaded))
+    for a, b in ((cont.v.u, resumed.v.u), (cont.v.v, resumed.v.v),
+                 (cont.pressure.values, resumed.pressure.values)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_run_stops_exactly_at_t_end():

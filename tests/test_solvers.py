@@ -14,7 +14,7 @@ import nlcflow
 from nlcflow.errors import LinearSolveFailure
 from nlcflow.grid import GridSpec, ScalarField, laplacian
 from nlcflow.solvers import (CellHelmholtz, FaceHelmholtz, NeumannPoisson,
-                             pcg)
+                             pcg, projected_guess)
 from stencils import _lap_u_interior, _lap_v_interior
 
 # Non-square in cells, so a basis applied along the wrong axis cannot
@@ -60,6 +60,25 @@ def test_neumann_poisson_inverts_stencil_and_drops_the_mean(g):
     assert _rel_err(-C * lap, b) <= 1e-12
     assert abs(x.mean()) <= 1e-13 * np.abs(x).max()
     assert _rel_err(solver.solve(b + 5.0), x) <= 1e-12
+
+
+def test_neumann_poisson_rescaled_is_bitwise_the_one_built_for_c():
+    b = np.random.default_rng(4).normal(size=(GRID.nx, GRID.ny))
+    b -= b.mean()
+    solver = NeumannPoisson(GRID)
+    solver.set_scale(C)
+    assert solver.solve(b).tobytes() == NeumannPoisson(GRID, C).solve(b) \
+        .tobytes()
+
+
+def test_direct_solve_returns_a_fresh_array():
+    # the intermediate products are buffered; the result must not be
+    solver = CellHelmholtz(GRID, A, C)
+    rng = np.random.default_rng(9)
+    x = solver.solve(rng.normal(size=(GRID.nx, GRID.ny)))
+    kept = x.copy()
+    solver.solve(rng.normal(size=(GRID.nx, GRID.ny)))
+    assert x.tobytes() == kept.tobytes()
 
 
 def _counted(fn, counts, key):
@@ -167,3 +186,91 @@ def test_projection_is_bitwise_independent_of_blas_threads():
     # 128^2. On a one-core machine BLAS runs one thread either way, so
     # there this test cannot fail.
     assert _project_hash(1) == _project_hash(2)
+
+
+# ---------------------------------------------------------------------------
+# initial guesses: the A-norm projection onto earlier solutions, and the
+# guard that drops a guess no better than zero
+
+_DIAG_GRID = GridSpec(32, 32, 1.0, 1.0)
+
+
+def _diag_system(seed):
+    """A = (A + D) - C*Lap on the u-faces of a 32^2 grid with a diagonal D
+    as large as the predictor's density contrast: (N, M^-1, A)."""
+    g = _DIAG_GRID
+    diag = np.random.default_rng(seed).uniform(-0.3, 0.3, (g.nx - 1, g.ny))
+    diag *= A
+
+    def apply_a(x):
+        return (A + diag) * x - C * _lap_u_interior(x, g)
+    return (lambda p: diag * p), FaceHelmholtz(g, A, C, 0).solve, apply_a
+
+
+def _smooth_series(n):
+    """n solutions x(t_k) of a smoothly moving field on the u-faces."""
+    g = _DIAG_GRID
+    X, Y = g.uface_coords()
+    X, Y = X[1:-1, :], Y[1:-1, :]
+    # a drifting frequency: no finite basis holds every x(t_k)
+    return [np.sin(np.pi * (1.0 + 0.1 * t) * X) * np.sin(2 * np.pi * Y)
+            + 0.1 * t * t * X * Y for t in range(n)]
+
+
+def _a_norm(e, apply_a):
+    return np.sqrt(np.einsum("ij,ij->", e, apply_a(e)))
+
+
+def test_projected_guess_returns_a_solution_in_its_basis():
+    apply_n, precond, apply_a = _diag_system(21)
+    rng = np.random.default_rng(22)
+    x_true = _smooth_series(1)[0]
+    b = apply_a(x_true)
+    basis = [rng.normal(size=b.shape), x_true, rng.normal(size=b.shape)]
+    x0, r0 = projected_guess(b, basis, [apply_a(x) for x in basis])
+    assert np.abs(x0 - x_true).max() <= 1e-12 * np.abs(x_true).max()
+    counts = {"apply": 0}
+    x = pcg(_counted(apply_n, counts, "apply"), b, precond, tol_rel=1e-10,
+            x0=x0, r0=r0)
+    assert counts["apply"] == 0
+    assert x.tobytes() == x0.tobytes()
+
+
+def test_projected_guess_on_a_repeated_solution_is_finite():
+    # G is exactly singular; the guess is the projection onto the one
+    # direction. RuntimeWarnings are errors in this suite.
+    _, _, apply_a = _diag_system(23)
+    x_old, x_true = _smooth_series(2)
+    b = apply_a(x_true)
+    ax = apply_a(x_old)
+    x0, r0 = projected_guess(b, [x_old, x_old], [ax, ax])
+    assert np.isfinite(x0).all() and np.isfinite(r0).all()
+    c = np.einsum("ij,ij->", x_old, b) / np.einsum("ij,ij->", x_old, ax)
+    assert np.abs(x0 - c * x_old).max() <= 1e-12 * np.abs(x_old).max()
+    assert np.abs(r0 - (b - c * ax)).max() <= 1e-12 * np.abs(b).max()
+
+
+def test_projected_guess_beats_the_lagrange_extrapolation():
+    _, _, apply_a = _diag_system(24)
+    *basis, x_true = _smooth_series(4)
+    b = apply_a(x_true)
+    x0, _ = projected_guess(b, basis, [apply_a(x) for x in basis])
+    # quadratic extrapolation, oldest first: weights 1, -3, 3
+    lagrange = basis[0] - 3.0 * basis[1] + 3.0 * basis[2]
+    err = _a_norm(x_true - x0, apply_a)
+    assert err <= _a_norm(x_true - lagrange, apply_a)
+    assert err < _a_norm(x_true, apply_a)
+
+
+def test_pcg_drops_a_guess_worse_than_zero_bitwise():
+    # the guard: a guess whose residual is not below ||b|| is replaced by
+    # the zero guess, and the solve is bitwise the cold one
+    apply_n, precond, apply_a = _diag_system(25)
+    rng = np.random.default_rng(26)
+    b = rng.normal(size=(_DIAG_GRID.nx - 1, _DIAG_GRID.ny))
+    cold = pcg(apply_n, b, precond, tol_rel=1e-10)
+    for x0 in (1e3 * rng.normal(size=b.shape), np.full(b.shape, np.nan)):
+        with np.errstate(invalid="ignore"):
+            r0 = b - apply_a(x0)
+            warm = pcg(apply_n, b, precond, tol_rel=1e-10, x0=x0, r0=r0)
+        assert warm.tobytes() == cold.tobytes()
