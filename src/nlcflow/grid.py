@@ -289,17 +289,27 @@ def gradient_interior_faces(p_values: np.ndarray, grid: GridSpec) -> MacVelocity
     the projection and by the potential-force evaluation."""
     u = np.zeros((grid.nx + 1, grid.ny))
     v = np.zeros((grid.nx, grid.ny + 1))
-    u[1:-1, :] = (p_values[1:, :] - p_values[:-1, :]) / grid.hx
-    v[:, 1:-1] = (p_values[:, 1:] - p_values[:, :-1]) / grid.hy
+    interior_gradient(p_values, grid, u[1:-1, :], v[:, 1:-1])
     return MacVelocity(grid, u, v)
 
 
-def laplacian_interior_faces(x: np.ndarray, grid: GridSpec,
-                             axis: int) -> np.ndarray:
+def interior_gradient(p_values: np.ndarray, grid: GridSpec,
+                      out_u: np.ndarray, out_v: np.ndarray) -> None:
+    """The interior faces of `gradient_interior_faces`, written into out_u
+    (nx-1, ny) and out_v (nx, ny-1)."""
+    np.subtract(p_values[1:, :], p_values[:-1, :], out=out_u)
+    out_u /= grid.hx
+    np.subtract(p_values[:, 1:], p_values[:, :-1], out=out_v)
+    out_v /= grid.hy
+
+
+def laplacian_interior_faces(x: np.ndarray, grid: GridSpec, axis: int,
+                             out: np.ndarray | None = None) -> np.ndarray:
     """5-point Laplacian of one MAC velocity component on its interior
     faces, the stencil `solvers.FaceHelmholtz` inverts: axis=0 for u (input
     shape (nx-1, ny)), axis=1 for v ((nx, ny-1)). Walls: zero node values
-    along the component's own axis, -interior ghosts across it."""
+    along the component's own axis, -interior ghosts across it. Written
+    into `out` when given."""
     cx, cy = 1.0 / grid.hx**2, 1.0 / grid.hy**2
     p = np.zeros((x.shape[0] + 2, x.shape[1] + 2))
     p[1:-1, 1:-1] = x
@@ -309,7 +319,7 @@ def laplacian_interior_faces(x: np.ndarray, grid: GridSpec,
     else:
         p[0, 1:-1] = -x[0, :]
         p[-1, 1:-1] = -x[-1, :]
-    lap = p[2:, 1:-1] + p[:-2, 1:-1]
+    lap = np.add(p[2:, 1:-1], p[:-2, 1:-1], out=out)
     lap *= cx
     lap_y = p[1:-1, 2:] + p[1:-1, :-2]
     lap_y *= cy

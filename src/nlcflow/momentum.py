@@ -8,7 +8,6 @@ director equilibria - the structure the long-time behavior relies on.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -18,8 +17,9 @@ from .director import GLParams, gl_residual
 from .errors import IncompatibleRhs
 from .grid import (DirectorField, GridSpec, MacVelocity, ScalarField,
                    centered_gradient_at_centers, density_at_faces, divergence,
-                   gradient_interior_faces, laplacian_interior_faces)
-from .solvers import FaceHelmholtz, NeumannPoisson, pcg, projected_guess
+                   interior_gradient, laplacian_interior_faces)
+from .solvers import (FaceHelmholtz, NeumannPoisson, combine_rows,
+                      gram_coefficients, pcg, projected_guess, row_products)
 
 _CG_CAP = 2000  # iteration cap of the predictor and projection solves
 
@@ -38,38 +38,112 @@ class FlowParams:
             raise ValueError("nu and tol_proj must be positive")
 
 
-@dataclass(frozen=True, eq=False)
-class FlowSolve:
-    """One step's predictor solution v* and pressure q, each with the part
-    of its operator product that does not depend on the density: nu*L of
-    each velocity component (L = `laplacian_interior_faces`) and grad q, on
-    the interior faces. From these a later step forms A x_k for its own
-    density by elementwise products alone, (rho_f/dt) x_k - nu*L x_k for
-    the predictor and -div((1/rho_f) grad q_k) for the projection, and
-    starts its solves from `solvers.projected_guess` on them."""
+# solutions kept: the predictor and the projection start from the A-norm
+# projection onto their last six
+_SOLVE_HISTORY = 6
 
-    u: np.ndarray         # u* on the interior u-faces, (nx-1, ny)
-    nu_lap_u: np.ndarray
-    v: np.ndarray         # v* on the interior v-faces, (nx, ny-1)
-    nu_lap_v: np.ndarray
-    q: np.ndarray         # pressure on cells
-    grad_q_u: np.ndarray
-    grad_q_v: np.ndarray
 
-    @classmethod
-    def of(cls, v_star: MacVelocity, q: np.ndarray,
-           params: FlowParams) -> "FlowSolve":
-        # interior copies, not views, so the full arrays they come from
-        # are freed (up to 1 MB less peak RSS at 128^2)
+class SolveHistory:
+    """The last `_SOLVE_HISTORY` predictor solutions v* and pressures q of
+    a run, stacked in one ring of (K, ...) arrays, each with the part of
+    its operator product that does not depend on the density: nu*L of each
+    velocity component (L = `laplacian_interior_faces`) and grad q, on the
+    interior faces. From these a later step forms its guesses for its own
+    density with a few BLAS products (`velocity_guess`, `pressure_guess`);
+    no stencil is applied to the history. `push` writes slot count mod K
+    in place, so the slots are not in time order once the ring is full;
+    the projection onto them does not depend on their order but for
+    round-off. The rings are allocated at the first push."""
+
+    def __init__(self):
+        self.count = 0    # solutions pushed so far
+        self.u = None     # u* on the interior u-faces, (K, nx-1, ny)
+        self.nu_lap_u = None
+        self.v = None     # v* on the interior v-faces, (K, nx, ny-1)
+        self.nu_lap_v = None
+        self.q = None     # pressure on cells, (K, nx, ny)
+        self.grad_q_u = None
+        self.grad_q_v = None
+        self._work = None  # A x_k or k grad q_k of the rings
+
+    @property
+    def filled(self) -> int:
+        """Number of slots holding a solution."""
+        return min(self.count, _SOLVE_HISTORY)
+
+    def _allocate(self, g: GridSpec) -> None:
+        k, nu, nv = _SOLVE_HISTORY, (g.nx - 1, g.ny), (g.nx, g.ny - 1)
+        self.u, self.nu_lap_u, self.grad_q_u = (
+            np.zeros((k, *nu)) for _ in range(3))
+        self.v, self.nu_lap_v, self.grad_q_v = (
+            np.zeros((k, *nv)) for _ in range(3))
+        self.q = np.zeros((k, g.nx, g.ny))
+        self._work = np.empty(k * max(nu[0] * nu[1], nv[0] * nv[1]))
+
+    def push(self, v_star: MacVelocity, q: np.ndarray, nu: float) -> int:
+        """Keep (v*, q), overwriting the oldest solution once the ring is
+        full, and return its slot. The products are computed into the
+        slot."""
         g = v_star.grid
-        u, v = v_star.u[1:-1, :].copy(), v_star.v[:, 1:-1].copy()
-        nu_lap_u = laplacian_interior_faces(u, g, 0)
-        nu_lap_u *= params.nu
-        nu_lap_v = laplacian_interior_faces(v, g, 1)
-        nu_lap_v *= params.nu
-        gq = gradient_interior_faces(q, g)
-        return cls(u, nu_lap_u, v, nu_lap_v, q,
-                   gq.u[1:-1, :].copy(), gq.v[:, 1:-1].copy())
+        if self.u is None:
+            self._allocate(g)
+        n = self.count % _SOLVE_HISTORY
+        for x, ring, lap, axis in (
+                (v_star.u[1:-1, :], self.u, self.nu_lap_u, 0),
+                (v_star.v[:, 1:-1], self.v, self.nu_lap_v, 1)):
+            ring[n] = x
+            laplacian_interior_faces(ring[n], g, axis, out=lap[n])
+            lap[n] *= nu
+        self.q[n] = q
+        interior_gradient(self.q[n], g, self.grad_q_u[n], self.grad_q_v[n])
+        self.count += 1
+        return n
+
+    def _stack(self, shape: tuple) -> np.ndarray:
+        return self._work[:self.filled * shape[0] * shape[1]].reshape(
+            self.filled, *shape)
+
+    def velocity_guess(self, axis: int, rhs: np.ndarray, diag: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """`projected_guess` of (diag - nu*L) x = rhs for one velocity
+        component (axis 0 for u, 1 for v) onto the kept v*, with
+        A x_k = diag * x_k - nu*L x_k formed into the work stack."""
+        xs, nu_lap = ((self.u, self.nu_lap_u) if axis == 0
+                      else (self.v, self.nu_lap_v))
+        k = self.filled
+        axs = self._stack(rhs.shape)
+        np.multiply(xs[:k], diag, out=axs)
+        axs -= nu_lap[:k]
+        return projected_guess(rhs, xs[:k], axs)
+
+    def pressure_gram(self, k_u: np.ndarray, k_v: np.ndarray) -> np.ndarray:
+        """G_ij = q_i . A q_j for A = -div(k grad) with zero-Neumann walls.
+        Summation by parts makes it sum over the faces of k grad q_i .
+        grad q_j: two BLAS products of the kept gradients."""
+        k = self.filled
+        gram = 0.0
+        for kf, grads in ((k_u, self.grad_q_u[:k]),
+                          (k_v, self.grad_q_v[:k])):
+            kgrads = self._stack(kf.shape)
+            np.multiply(grads, kf, out=kgrads)
+            gram = gram + row_products(kgrads, grads)
+        return gram
+
+    def pressure_guess(self, rhs: np.ndarray, k_u: np.ndarray,
+                       k_v: np.ndarray, neg_div_k_grad: _NegDivKGrad
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """The A-norm projection of A q = rhs, A = -div(k grad), onto the
+        kept pressures: (q0, r0) as from `projected_guess`, with G from
+        `pressure_gram` and r0 = rhs - A q0 from one application of A to
+        the combined gradient."""
+        k = self.filled
+        qs = self.q[:k]
+        c = gram_coefficients(self.pressure_gram(k_u, k_v),
+                              row_products(qs, rhs[None])[:, 0])
+        r0 = neg_div_k_grad.of_gradient(
+            k_u, k_v, combine_rows(c, self.grad_q_u[:k]),
+            combine_rows(c, self.grad_q_v[:k]))
+        return combine_rows(c, qs), np.subtract(rhs, r0)
 
 
 def _centers_to_ufaces(c: np.ndarray) -> np.ndarray:
@@ -98,53 +172,70 @@ def elastic_force(d: DirectorField, p: GLParams) -> MacVelocity:
 
 def _upwind_advection_u(w: MacVelocity) -> np.ndarray:
     """(v . grad) u at u-faces, donor-cell upwind, with -interior wall
-    ghosts in y. Returned for all u-faces; boundary faces are zeroed."""
+    ghosts in y. Returned for all u-faces; boundary faces are zeroed.
+    u * (backward or forward difference) is the product with the selected
+    difference, so the few arrays below hold the same bits as the plain
+    select-of-products expression."""
     g = w.grid
-    u = w.u
-    # ghost-padded in y (wall value zero via linear extrapolation)
+    u, v = w.u, w.v
+    # d/dx: forward differences, replaced by the backward ones where u > 0
+    diff = np.subtract(u[1:, :], u[:-1, :])
+    diff /= g.hx
+    adv = np.empty_like(u)
+    adv[:-1, :] = diff
+    adv[-1, :] = 0.0
+    np.copyto(adv[1:, :], diff, where=u[1:, :] > 0)
+    adv *= u
+    # d/dy on the ghost-padded rows (wall value zero by linear
+    # extrapolation): column j - 1 is backward, column j forward
     up = np.empty((g.nx + 1, g.ny + 2))
     up[:, 1:-1] = u
-    up[:, 0] = -u[:, 0]
-    up[:, -1] = -u[:, -1]
-
-    dudx_m = np.zeros_like(u)
-    dudx_p = np.zeros_like(u)
-    dudx_m[1:, :] = (u[1:, :] - u[:-1, :]) / g.hx     # backward
-    dudx_p[:-1, :] = (u[1:, :] - u[:-1, :]) / g.hx    # forward
-    dudy_m = (up[:, 1:-1] - up[:, :-2]) / g.hy
-    dudy_p = (up[:, 2:] - up[:, 1:-1]) / g.hy
-
+    np.negative(u[:, 0], out=up[:, 0])
+    np.negative(u[:, -1], out=up[:, -1])
+    dy = np.subtract(up[:, 1:], up[:, :-1])
+    dy /= g.hy
     # v interpolated to u-faces (average of the 4 surrounding v faces)
     vbar = np.zeros_like(u)
-    vbar[1:-1, :] = 0.25 * (w.v[1:, :-1] + w.v[1:, 1:]
-                            + w.v[:-1, :-1] + w.v[:-1, 1:])
-    adv = np.where(u > 0, u * dudx_m, u * dudx_p) \
-        + np.where(vbar > 0, vbar * dudy_m, vbar * dudy_p)
+    mid = vbar[1:-1, :]
+    np.add(v[1:, :-1], v[1:, 1:], out=mid)
+    mid += v[:-1, :-1]
+    mid += v[:-1, 1:]
+    mid *= 0.25
+    across = np.where(vbar > 0, dy[:, :-1], dy[:, 1:])
+    across *= vbar
+    adv += across
     adv[0, :] = 0.0
     adv[-1, :] = 0.0
     return adv
 
 
 def _upwind_advection_v(w: MacVelocity) -> np.ndarray:
+    """(v . grad) v at v-faces, as `_upwind_advection_u` with the axes
+    swapped."""
     g = w.grid
-    v = w.v
+    u, v = w.u, w.v
+    diff = np.subtract(v[:, 1:], v[:, :-1])
+    diff /= g.hy
+    adv = np.empty_like(v)
+    adv[:, :-1] = diff
+    adv[:, -1] = 0.0
+    np.copyto(adv[:, 1:], diff, where=v[:, 1:] > 0)
+    adv *= v
     vp = np.empty((g.nx + 2, g.ny + 1))
     vp[1:-1, :] = v
-    vp[0, :] = -v[0, :]
-    vp[-1, :] = -v[-1, :]
-
-    dvdy_m = np.zeros_like(v)
-    dvdy_p = np.zeros_like(v)
-    dvdy_m[:, 1:] = (v[:, 1:] - v[:, :-1]) / g.hy
-    dvdy_p[:, :-1] = (v[:, 1:] - v[:, :-1]) / g.hy
-    dvdx_m = (vp[1:-1, :] - vp[:-2, :]) / g.hx
-    dvdx_p = (vp[2:, :] - vp[1:-1, :]) / g.hx
-
+    np.negative(v[0, :], out=vp[0, :])
+    np.negative(v[-1, :], out=vp[-1, :])
+    dx = np.subtract(vp[1:, :], vp[:-1, :])
+    dx /= g.hx
     ubar = np.zeros_like(v)
-    ubar[:, 1:-1] = 0.25 * (w.u[:-1, 1:] + w.u[:-1, :-1]
-                            + w.u[1:, 1:] + w.u[1:, :-1])
-    adv = np.where(ubar > 0, ubar * dvdx_m, ubar * dvdx_p) \
-        + np.where(v > 0, v * dvdy_m, v * dvdy_p)
+    mid = ubar[:, 1:-1]
+    np.add(u[:-1, 1:], u[:-1, :-1], out=mid)
+    mid += u[1:, 1:]
+    mid += u[1:, :-1]
+    mid *= 0.25
+    across = np.where(ubar > 0, dx[:-1, :], dx[1:, :])
+    across *= ubar
+    adv += across
     adv[:, 0] = 0.0
     adv[:, -1] = 0.0
     return adv
@@ -155,25 +246,16 @@ def _face_pre(grid: GridSpec, a: float, c: float, axis: int) -> FaceHelmholtz:
     return FaceHelmholtz(grid, a, c, axis)
 
 
-def _face_guess(rhs: np.ndarray, rho_f: np.ndarray, dt: float,
-                basis: list[tuple[np.ndarray, np.ndarray]]
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """`projected_guess` onto the kept pairs (x_k, nu*Lap x_k), with
-    A x_k = (rho_f/dt) x_k - nu*Lap x_k formed elementwise. Its temporaries
-    are freed on return, before the solve allocates its own."""
-    diag = rho_f / dt
-    return projected_guess(rhs, [x for x, _ in basis],
-                           [diag * x - nu_lap_x for x, nu_lap_x in basis])
-
-
 def _face_solve(g: GridSpec, axis: int, rho_f: np.ndarray, rhs: np.ndarray,
                 rbar: float, dt: float, params: FlowParams,
-                basis: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+                history: SolveHistory | None) -> np.ndarray:
     """(rho_f/dt - nu*Lap) x = rhs on one component's interior faces,
-    from the A-norm projection onto the kept pairs in `basis` (zero when
-    empty). A splits into the exactly inverted M = rbar/dt - nu*Lap and
-    the diagonal N = (rho_f - rbar)/dt."""
-    x0, r0 = _face_guess(rhs, rho_f, dt, basis) if basis else (None, None)
+    from the A-norm projection onto the kept solutions in `history` (zero
+    without any). A splits into the exactly inverted M = rbar/dt - nu*Lap
+    and the diagonal N = (rho_f - rbar)/dt."""
+    x0 = r0 = None
+    if history is not None and history.count:
+        x0, r0 = history.velocity_guess(axis, rhs, rho_f / dt)
     return pcg(partial(np.multiply, (rho_f - rbar) / dt), rhs,
                _face_pre(g, rbar / dt, params.nu, axis).solve,
                tol_rel=params.tol_lin, maxiter=_CG_CAP, x0=x0, r0=r0)
@@ -182,35 +264,47 @@ def _face_solve(g: GridSpec, axis: int, rho_f: np.ndarray, rhs: np.ndarray,
 def predict_velocity(rho: ScalarField, w: MacVelocity, d: DirectorField,
                      force_ext: MacVelocity | None, params: FlowParams,
                      glp: GLParams, dt: float,
-                     basis: Sequence[FlowSolve] = ()) -> MacVelocity:
+                     history: SolveHistory | None = None) -> MacVelocity:
     """Implicit-viscosity momentum predictor: per component solve
     (rho/dt - nu*Lap) v* = rho/dt*v - rho*(v.grad v) + elastic + rho*g,
     with no-slip walls; advection is donor-cell upwind in advective form.
     Each solve starts from the A-norm projection onto the kept solutions
-    in `basis` (zero when empty); the result meets the same tolerance
+    in `history` (zero without any); the result meets the same tolerance
     either way.
     """
     g = rho.grid
     ru, rv = density_at_faces(rho.values, g)
     fel = elastic_force(d, glp)
-    adv_u = _upwind_advection_u(w)
-    adv_v = _upwind_advection_v(w)
-
-    rhs_u = ru / dt * w.u - ru * adv_u + fel.u
-    rhs_v = rv / dt * w.v - rv * adv_v + fel.v
-    if force_ext is not None:
-        rhs_u = rhs_u + ru * force_ext.u
-        rhs_v = rhs_v + rv * force_ext.v
+    rhs_u = _momentum_rhs(ru, w.u, _upwind_advection_u(w), fel.u,
+                          None if force_ext is None else force_ext.u, dt)
+    rhs_v = _momentum_rhs(rv, w.v, _upwind_advection_v(w), fel.v,
+                          None if force_ext is None else force_ext.v, dt)
 
     rbar = float(rho.values.mean())
     out = MacVelocity.zeros(g)
-    out.u[1:-1, :] = _face_solve(
-        g, 0, ru[1:-1, :], rhs_u[1:-1, :], rbar, dt, params,
-        [(s.u, s.nu_lap_u) for s in basis])
-    out.v[:, 1:-1] = _face_solve(
-        g, 1, rv[:, 1:-1], rhs_v[:, 1:-1], rbar, dt, params,
-        [(s.v, s.nu_lap_v) for s in basis])
+    out.u[1:-1, :] = _face_solve(g, 0, ru[1:-1, :], rhs_u[1:-1, :], rbar,
+                                 dt, params, history)
+    out.v[:, 1:-1] = _face_solve(g, 1, rv[:, 1:-1],
+                                 np.ascontiguousarray(rhs_v[:, 1:-1]), rbar,
+                                 dt, params, history)
     return out
+
+
+def _momentum_rhs(r: np.ndarray, w: np.ndarray, adv: np.ndarray,
+                  fel: np.ndarray, force: np.ndarray | None,
+                  dt: float) -> np.ndarray:
+    """r/dt*w - r*adv + fel (+ r*force), in place: the operations of the
+    plain expression in the same order, so the same bits. `adv` is
+    overwritten."""
+    rhs = np.divide(r, dt)
+    rhs *= w
+    adv *= r
+    rhs -= adv
+    rhs += fel
+    if force is not None:
+        np.multiply(r, force, out=adv)
+        rhs += adv
+    return rhs
 
 
 class _NegDivKGrad:
@@ -265,19 +359,20 @@ def _projection_ops(grid: GridSpec) -> tuple[NeumannPoisson, _NegDivKGrad]:
 
 
 def project(rho: ScalarField, v_star: MacVelocity, dt: float,
-            params: FlowParams, basis: Sequence[FlowSolve] = ()
+            params: FlowParams, history: SolveHistory | None = None
             ) -> tuple[MacVelocity, ScalarField]:
     """Variable-density pressure correction: solve
     div((1/rho) grad q) = (1/dt) div(v*) with zero-Neumann walls and zero
     mean, then v' = v* - (dt/rho) grad q. Guarantees
     ||div v'||_inf <= tol_proj (the CG stopping criterion is exactly that
     residual, with margin), whatever the initial guess: the A-norm
-    projection onto the kept pressures in `basis` (zero when empty).
+    projection onto the kept pressures in `history` (zero without any).
+    With a history, the step's (v*, q) is then pushed onto it, and the
+    correction reads grad q from the slot the push computed it into.
     """
     g = rho.grid
     ru, rv = density_at_faces(rho.values, g)
     inv_ru = 1.0 / ru
-    inv_rv = 1.0 / rv
 
     div_star = divergence(v_star).values
     rhs = -div_star / dt
@@ -293,15 +388,13 @@ def project(rho: ScalarField, v_star: MacVelocity, dt: float,
     # A = -div((1/rho_f) grad) splits into the exactly inverted
     # M = -cbar*Lap and N = -div((1/rho_f - cbar) grad)
     cbar = float(inv_ru.mean())
-    k_u, k_v = inv_ru[1:-1, :], inv_rv[:, 1:-1]
+    # contiguous, so the guess's products with a stack of gradients stream
+    k_u, k_v = inv_ru[1:-1, :], 1.0 / rv[:, 1:-1]
     neumann_poisson, neg_div_k_grad = _projection_ops(g)
     neumann_poisson.set_scale(cbar)
     q0 = r0 = None
-    if basis:
-        q0, r0 = projected_guess(
-            rhs, [s.q for s in basis],
-            [neg_div_k_grad.of_gradient(k_u, k_v, s.grad_q_u,
-                                        s.grad_q_v).copy() for s in basis])
+    if history is not None and history.count:
+        q0, r0 = history.pressure_guess(rhs, k_u, k_v, neg_div_k_grad)
 
     def project_mean(x):
         x -= x.mean()
@@ -313,9 +406,19 @@ def project(rho: ScalarField, v_star: MacVelocity, dt: float,
             maxiter=_CG_CAP, project=project_mean, x0=q0, r0=r0)
     q -= q.mean()
 
-    gq = gradient_interior_faces(q, g)
-    out = MacVelocity(g, v_star.u - dt * inv_ru * gq.u,
-                      v_star.v - dt * inv_rv * gq.v)
-    out.enforce_noslip()
+    if history is not None:
+        n = history.push(v_star, q, params.nu)
+        gq_u, gq_v = history.grad_q_u[n], history.grad_q_v[n]
+    else:
+        gq_u, gq_v = np.empty_like(k_u), np.empty(k_v.shape)
+        interior_gradient(q, g, gq_u, gq_v)
+    # v* - (dt/rho_f) grad q on the interior faces; the wall faces are
+    # no-slip
+    out = MacVelocity.zeros(g)
+    for corr, gq, vs, dest in (
+            (dt * k_u, gq_u, v_star.u[1:-1, :], out.u[1:-1, :]),
+            (dt * k_v, gq_v, v_star.v[:, 1:-1], out.v[:, 1:-1])):
+        corr *= gq
+        np.subtract(vs, corr, out=dest)
     pressure = ScalarField(g, q, "neumann_zero")
     return out, pressure

@@ -24,7 +24,8 @@ from .forcing import (ForcingSpec, eval_force, sample_potential,
 from .grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
                    ScalarField, divergence, elastic_identity_residual,
                    laplacian, load_snapshot, norms, save_snapshot)
-from .momentum import FlowParams, FlowSolve, predict_velocity, project
+from .momentum import (FlowParams, SolveHistory, predict_velocity,
+                       project)
 from .state import SimState
 from .stationary import decay_rate_fit, lojasiewicz_probe, solve_stationary
 
@@ -183,26 +184,26 @@ def initial_state(cfg: RunConfig) -> SimState:
     return SimState(t=0.0, density=density, v=v, d=d)
 
 
-# solves kept: the predictor and the projection start from the A-norm
-# projection onto their last three solutions
-_SOLVE_HISTORY = 3
-
-
 @dataclass
 class StepperState:
-    """Mutable loop bookkeeping: the (auto-shrunk, never grown) dt."""
+    """Mutable loop bookkeeping: the (auto-shrunk, never grown) dt, and the
+    run's last predictor and projection solutions, whose A-norm projection
+    starts the next step's solves. `step` pushes onto the history in place,
+    so a stepper belongs to one sequence of states."""
 
     dt: float
+    history: SolveHistory = field(default_factory=SolveHistory)
 
 
 def step(state: SimState, cfg: RunConfig, stepper: StepperState) -> SimState:
     """One coupled step: density and director advance with the current
     velocity, then the momentum predictor and projection use the fresh
     density and director. Each of their solves starts from the A-norm
-    projection onto its kept solutions (zero on a state without any),
-    whose operator products the step forms with the fresh density by
-    elementwise products; no stencil is applied to the history, and no
-    step size enters the guess. dt is halved until the transport CFL
+    projection onto its solutions kept in `stepper.history` (zero without
+    any), whose operator products the step forms with the fresh density
+    by elementwise and BLAS products; no stencil is applied to the
+    history, and no step size enters the guess. The projection pushes the
+    step's solutions onto the history. dt is halved until the transport CFL
     bound holds with the configured safety factor, and a step that would
     pass t_end is shortened to end there."""
     dt = stepper.dt
@@ -222,12 +223,10 @@ def step(state: SimState, cfg: RunConfig, stepper: StepperState) -> SimState:
     d = advance_director(state.d, state.v, cfg.glp, dt)
     g_mid = eval_force(cfg.forcing, cfg.grid, state.t + 0.5 * dt)
     v_star = predict_velocity(density.rho, state.v, d, g_mid, cfg.flow,
-                              cfg.glp, dt, basis=state.solves)
-    v, q = project(density.rho, v_star, dt, cfg.flow, basis=state.solves)
-    solves = (*state.solves,
-              FlowSolve.of(v_star, q.values, cfg.flow))[-_SOLVE_HISTORY:]
-    return SimState(t=t, density=density, v=v, d=d, pressure=q,
-                    solves=solves)
+                              cfg.glp, dt, history=stepper.history)
+    v, q = project(density.rho, v_star, dt, cfg.flow,
+                   history=stepper.history)
+    return SimState(t=t, density=density, v=v, d=d, pressure=q)
 
 
 @dataclass
@@ -294,7 +293,7 @@ def run(cfg: RunConfig, write_outputs: bool = True,
         if write_outputs and cfg.snapshot_every > 0 \
                 and n % cfg.snapshot_every == 0:
             save_checkpoint(os.path.join(cfg.out_dir, f"snap_{n:07d}.bin"),
-                            state, stepper.dt)
+                            state, stepper)
         prev_rec = rec
     inv["steps"] = n
 
@@ -354,48 +353,58 @@ def _rate_analysis(cfg: RunConfig, records, probe_samples) -> dict:
     return out
 
 
-def save_checkpoint(path, state: SimState, dt: float) -> None:
+def save_checkpoint(path, state: SimState, stepper: StepperState) -> None:
     """The state, dt and the kept solutions, so that a resumed run
-    continues bitwise like the uninterrupted one. Only the solutions are
-    written; `load_checkpoint` rebuilds their operator products."""
+    continues bitwise like the uninterrupted one. The ring's slots are
+    written in slot order with its push count; only the solutions are
+    written, and `load_checkpoint` rebuilds their operator products."""
     g = state.rho.grid
-    history = []
-    for k, s in enumerate(state.solves):
+    hist = stepper.history
+    slots = []
+    for k in range(hist.filled):
         v_star = MacVelocity.zeros(g)
-        v_star.u[1:-1, :] = s.u
-        v_star.v[:, 1:-1] = s.v
-        history += [(f"solve{k}_u", v_star.u), (f"solve{k}_v", v_star.v),
-                    (f"solve{k}_q", s.q)]
+        v_star.u[1:-1, :] = hist.u[k]
+        v_star.v[:, 1:-1] = hist.v[k]
+        slots += [(f"solve{k}_u", v_star.u), (f"solve{k}_v", v_star.v),
+                  (f"solve{k}_q", hist.q[k])]
     save_snapshot(path, g, [
         ("t", np.array([[state.t]])),
-        ("dt", np.array([[dt]])),
+        ("dt", np.array([[stepper.dt]])),
         ("rho", state.rho.values),
         ("u", state.v.u),
         ("v", state.v.v),
         ("d1", state.d.d1),
         ("d2", state.d.d2),
-        *history,
+        ("solve_count", np.array([[float(hist.count)]])),
+        *slots,
     ])
 
 
-def load_checkpoint(path, cfg: RunConfig) -> tuple[SimState, float]:
-    """Inverse of `save_checkpoint`. The kept solutions' products are
-    rebuilt by `FlowSolve.of`, as the time loop built them; the solve times
-    that older snapshots also carry are not needed and are ignored."""
+def load_checkpoint(path, cfg: RunConfig) -> tuple[SimState, StepperState]:
+    """Inverse of `save_checkpoint`: the state, and a stepper with its dt
+    and its history. The slots are pushed in slot order, which refills
+    each one and rebuilds its products as the time loop built them, and
+    then the push count is restored. Older snapshots hold their kept
+    solutions oldest first without a count (some also with their solve
+    times, which are not needed); pushed in that order, they need none."""
     grid, f = load_snapshot(path)
     rho = ScalarField(grid, f["rho"], "extrapolate")
     # conserved references must come from the run's own t=0 data
     ref = initial_state(cfg)
     density = DensityState(rho, ref.density.rho_max0, ref.density.mass0)
-    solves = tuple(
-        FlowSolve.of(MacVelocity(grid, f[f"solve{k}_u"], f[f"solve{k}_v"]),
-                     f[f"solve{k}_q"], cfg.flow)
-        for k in range(_SOLVE_HISTORY) if f"solve{k}_q" in f)
+    stepper = StepperState(dt=float(f["dt"][0, 0]))
+    hist = stepper.history
+    k = 0
+    while f"solve{k}_q" in f:
+        hist.push(MacVelocity(grid, f[f"solve{k}_u"], f[f"solve{k}_v"]),
+                  f[f"solve{k}_q"], cfg.nu)
+        k += 1
+    if "solve_count" in f:
+        hist.count = int(f["solve_count"][0, 0])
     state = SimState(t=float(f["t"][0, 0]), density=density,
                      v=MacVelocity(grid, f["u"], f["v"]),
-                     d=DirectorField(grid, f["d1"], f["d2"], ref.d.trace),
-                     solves=solves)
-    return state, float(f["dt"][0, 0])
+                     d=DirectorField(grid, f["d1"], f["d2"], ref.d.trace))
+    return state, stepper
 
 
 # ---------------------------------------------------------------------------

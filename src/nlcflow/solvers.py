@@ -9,12 +9,13 @@ apply: a diagonal for the predictor, a stencil weighted by 1/rho - mean for
 the projection. `pcg` takes N and M^-1, never A. Its initial guess is
 zero unless the caller passes one with its residual b - A x0. The time
 loop passes `projected_guess`: the combination of the last solutions of
-the same solve nearest to the new solution in the A-norm. Each kept
-solution comes with the part of its operator product that does not depend
-on the density, so the caller forms A x_k with the current density by
-elementwise products, and r0 follows from those by linearity; no stencil
-is applied to the history. The stopping tests stay relative to ||b||, so
-a guess saves iterations without loosening any tolerance.
+the same solve nearest to the new solution in the A-norm. The solutions
+are kept stacked in (K, ...) arrays, each with the part of its operator
+product that does not depend on the density, so the caller forms A x_k
+with the current density by elementwise products, the Gram matrix and
+right-hand side with one BLAS product each, and r0 by linearity; no
+stencil is applied to the history. The stopping tests stay relative to
+||b||, so a guess saves iterations without loosening any tolerance.
 
 The cell-centered Dirichlet Laplacian (ghost = 2g - interior) is
 diagonalized by the orthonormal DST-II basis on cells; the node-centered
@@ -36,9 +37,15 @@ by size is left until one does.
 
 Reductions in `pcg` go through one einsum-based inner product, never the
 BLAS dot: OpenBLAS splits a dot across threads above about 10^4 elements,
-which changes its summation order. Together with gemm, whose results do not
-depend on the thread count, this keeps results bitwise reproducible for a
-fixed configuration at any BLAS thread count.
+which changes its summation order. The guesses' inner products of stacked
+solutions are BLAS matrix products; with two to six rows their results
+were bitwise the same at one and two threads (OpenBLAS 0.3.31), and a
+test runs the time loop at both. numpy sends the products of one kept
+solution, (1, N) @ (N, 1), to the BLAS dot instead, whose result changed
+with the thread count, so for those `row_products` uses the einsum
+product. Together with gemm, whose results do not depend on the thread
+count, this keeps results bitwise reproducible for a fixed configuration
+at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -148,70 +155,89 @@ class NeumannPoisson(_EigenSolver):
         np.multiply(self._unit, c, out=self._denom)
 
 
+_EPS = float(np.finfo(float).eps)
+
+
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """Inner product whose summation order depends only on the arrays."""
     return float(np.einsum("ij,ij->", a, b))
 
 
-def projected_guess(b: np.ndarray, basis, a_basis
+def row_products(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The (k, m) matrix of inner products x_i . y_j of the stacked 2D
+    arrays xs (k, n0, n1) and ys (m, n0, n1): one BLAS product. With one
+    row and one column numpy hands it to the BLAS dot, which OpenBLAS
+    splits across threads; k = 1 goes through `_dot` instead."""
+    k, m = len(xs), len(ys)
+    if k == 1:
+        return np.array([[_dot(xs[0], y) for y in ys]])
+    return xs.reshape(k, -1) @ ys.reshape(m, -1).T
+
+
+def combine_rows(c: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """sum_k c_k x_k of the stacked arrays xs (k, n0, n1), as a fresh
+    array. Each entry sums k products of its own column only, so the BLAS
+    product's result does not depend on its thread count."""
+    out = np.empty(xs.shape[1:])
+    np.matmul(c, xs.reshape(len(xs), -1), out=out.reshape(-1))
+    return out
+
+
+def projected_guess(b: np.ndarray, xs: np.ndarray, axs: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Initial guess for A x = b (A symmetric positive semi-definite) from
-    earlier solutions x_k: x0 = sum c_k x_k with G c = f, G_ij = x_i . A x_j
-    and f_i = x_i . b, the combination nearest to the solution in the
-    A-norm (Fischer, Comput. Methods Appl. Mech. Engrg. 163, 1998).
-    `a_basis` holds A x_k, formed by the caller with the current operator,
-    and r0 = b - sum c_k A x_k follows by linearity. Returns (x0, r0).
-    """
-    k = len(basis)
-    gram = [[0.0] * k for _ in range(k)]
-    f = [_dot(x, b) for x in basis]
-    for i in range(k):
-        for j in range(i, k):
-            gram[i][j] = gram[j][i] = _dot(basis[i], a_basis[j])
-    c = _solve_gram(gram, f)
-    x0 = basis[0] * c[0]
-    r0 = a_basis[0] * -c[0]
-    r0 += b
-    term = np.empty_like(x0)
-    for ck, xk, axk in zip(c[1:], basis[1:], a_basis[1:]):
-        np.multiply(xk, ck, out=term)
-        x0 += term
-        np.multiply(axk, ck, out=term)
-        r0 -= term
-    return x0, r0
+    the earlier solutions stacked in xs (k, n0, n1): x0 = sum c_k x_k with
+    G c = f, G = xs . axs^T and f = xs . b, the combination nearest to the
+    solution in the A-norm (Fischer, Comput. Methods Appl. Mech. Engrg.
+    163, 1998). `axs` holds A x_k, formed by the caller with the current
+    operator, and r0 = b - sum c_k A x_k follows by linearity. Returns
+    (x0, r0)."""
+    c = gram_coefficients(row_products(xs, axs),
+                          row_products(xs, b[None])[:, 0])
+    r0 = combine_rows(c, axs)
+    np.subtract(b, r0, out=r0)
+    return combine_rows(c, xs), r0
 
 
-def _solve_gram(gram: list, f: list) -> list:
-    """c with G c = f for a Gram matrix G, by Gaussian elimination that
-    pivots on the largest remaining diagonal entry. Successive solutions
-    are nearly dependent, so G can be singular to round-off: elimination
-    stops at the first pivot not above K*eps times G's largest diagonal
-    entry, and the unknowns left get 0. The guess is then the A-norm
-    projection onto the basis vectors taken, finite for any basis. A
-    K <= 3 system in Python floats costs less than a LAPACK call made
-    once between large array operations."""
+def gram_coefficients(gram: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """c with G c = f for a Gram matrix G, read from its upper triangle,
+    by Gaussian elimination that pivots on the largest remaining diagonal
+    entry. Successive solutions are nearly dependent, so G can be singular
+    to round-off: elimination stops at the first pivot not above K*eps
+    times G's largest diagonal entry, and the unknowns left get 0. The
+    guess is then the A-norm projection onto the vectors taken, finite for
+    any basis. The K <= 6 system is solved in Python floats: inside a run
+    LAPACK's eigh took as long (about 50 us at K = 6), and an LU solve,
+    though faster, fails on the singular G that successive solutions
+    give."""
     k = len(f)
-    g = [row[:] for row in gram]  # rows become the Schur complements
-    rhs = list(f)
-    floor = k * np.finfo(float).eps * max(g[i][i] for i in range(k))
-    rest, order = list(range(k)), []
+    g = gram.tolist()  # rows become the Schur complements
+    for i in range(1, k):  # G symmetric, from its upper triangle
+        for j in range(i):
+            g[i][j] = g[j][i]
+    rhs = f.tolist()
+    diag = [g[i][i] for i in range(k)]
+    floor = k * _EPS * max(diag)
+    rest, pivots = list(range(k)), []
     while rest:
-        p = max(rest, key=lambda i: g[i][i])
-        if not g[p][p] > floor:  # also stops on NaN
+        p = max(rest, key=diag.__getitem__)
+        pivot = diag[p]
+        if not pivot > floor:  # also stops on NaN
             break
         rest.remove(p)
-        order.append(p)
+        row, rp = g[p], rhs[p]
+        pivots.append((p, row))
+        # whole rows: the columns already eliminated are never read again
         for i in rest:
-            m = g[i][p] / g[p][p]
-            for j in rest:
-                g[i][j] -= m * g[p][j]
-            rhs[i] -= m * rhs[p]
-    c = [0.0] * k
-    for n in range(len(order) - 1, -1, -1):
-        p = order[n]
-        c[p] = (rhs[p] - sum(g[p][j] * c[j] for j in order[n + 1:])) \
-            / g[p][p]
-    return c
+            m = row[i] / pivot
+            g[i] = gi = [a - m * b for a, b in zip(g[i], row)]
+            diag[i] = gi[i]
+            rhs[i] -= m * rp
+    c, done = [0.0] * k, []
+    for p, row in reversed(pivots):
+        c[p] = (rhs[p] - sum([row[j] * c[j] for j in done])) / row[p]
+        done.append(p)
+    return np.array(c)
 
 
 def pcg(apply_n, b: np.ndarray, precond, tol_rel: float = 1e-10,
@@ -228,10 +254,11 @@ def pcg(apply_n, b: np.ndarray, precond, tol_rel: float = 1e-10,
 
     The initial guess is zero, or `x0` when it is given with its residual
     `r0` = b - A x0, which the caller forms by linearity from the stored
-    products of its basis with the current density (`projected_guess`);
-    pcg applies N once per iteration and never for the guess. A guess whose
-    residual is not below ||b||_2, or is not finite, is dropped for the
-    zero guess. x0 and r0 are left unchanged.
+    products of its kept solutions with the current density
+    (`projected_guess`, `momentum.SolveHistory`); pcg applies N once per
+    iteration and never for the guess. A guess whose residual is not below
+    ||b||_2, or is not finite, is dropped for the zero guess. x0 and r0
+    are left unchanged.
 
     Stops when ||r||_2 <= tol_rel * ||b||_2, or (if given) when
     ||r||_inf <= tol_abs_inf: both tests are measured against b, never

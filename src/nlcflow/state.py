@@ -15,9 +15,6 @@ class SimState:
     v: MacVelocity
     d: DirectorField
     pressure: ScalarField | None = None
-    # `momentum.FlowSolve`s of the latest steps, oldest first: the bases
-    # whose A-norm projections start the next predictor and projection solves
-    solves: tuple = ()
 
     @property
     def rho(self) -> ScalarField:

@@ -6,7 +6,7 @@ from nlcflow.director import GLParams
 from nlcflow.grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
                           ScalarField, density_at_faces, divergence,
                           gradient_interior_faces, norms)
-from nlcflow.momentum import (FlowParams, FlowSolve, elastic_force,
+from nlcflow.momentum import (FlowParams, SolveHistory, elastic_force,
                               predict_velocity, project)
 from nlcflow.runner import (StepperState, initial_state, preset_config, run,
                             step)
@@ -220,8 +220,9 @@ def test_warm_started_predictor_solves_the_stencil_system(monkeypatch):
     rng = np.random.default_rng(11)
     noisy = MacVelocity(g, cold.u + 1e-4 * rng.normal(size=cold.u.shape),
                         cold.v + 1e-4 * rng.normal(size=cold.v.shape))
-    basis = [FlowSolve.of(noisy, np.zeros((g.nx, g.ny)), params)]
-    vs = predict_velocity(rho, w, d, None, params, glp, dt, basis=basis)
+    history = SolveHistory()
+    history.push(noisy, np.zeros((g.nx, g.ny)), params.nu)
+    vs = predict_velocity(rho, w, d, None, params, glp, dt, history=history)
     cold_solves, solves = solves[:2], solves[2:]
     assert all(r < b for r, b in
                _guess_residual_norms(rho, solves, params, dt))
@@ -231,30 +232,32 @@ def test_warm_started_predictor_solves_the_stencil_system(monkeypatch):
 
 
 def test_time_loop_solves_from_the_projected_guess(monkeypatch):
-    # Step 5 projects onto three earlier solutions; its v* must solve the
-    # stencil system and its v' meet tol_proj as from a zero guess
+    # Step 8 projects onto a full ring of six earlier solutions, whose
+    # slots have wrapped; its v* must solve the stencil system and its v'
+    # meet tol_proj as from a zero guess
     cfg = preset_config("gzero", nx=32, ny=32)
     state = initial_state(cfg)
     stepper = StepperState(dt=cfg.dt)
-    for _ in range(4):
+    for _ in range(7):
         state = step(state, cfg, stepper)
-    assert len(state.solves) == 3
+    history = stepper.history
+    assert history.count == 7 and history.filled == 6
+    kept = [history.u.copy(), history.v.copy(), history.q.copy()]
     solves = _recording_pcg(monkeypatch)
     new = step(state, cfg, stepper)
     assert all(s[3] is not None for s in solves)
     # each guess lies in the span of its kept solutions
-    for (_, _, _, x0, _), basis in zip(solves, (
-            [s.u for s in state.solves], [s.v for s in state.solves],
-            [s.q for s in state.solves])):
-        coef = np.linalg.lstsq(np.stack([x.ravel() for x in basis], 1),
+    for (_, _, _, x0, _), basis in zip(solves, kept):
+        coef = np.linalg.lstsq(basis.reshape(len(basis), -1).T,
                                x0.ravel(), rcond=None)[0]
-        fit = sum(c * x for c, x in zip(coef, basis))
+        fit = np.tensordot(coef, basis, 1)
         assert np.abs(fit - x0).max() <= 1e-12 * np.abs(x0).max()
-    v_star = new.solves[-1]
+    n = (history.count - 1) % 6  # the slot step 8 pushed
     _assert_solves_stencil_system(
         solves[:2], new.rho,
-        MacVelocity(cfg.grid, np.pad(v_star.u, ((1, 1), (0, 0))),
-                    np.pad(v_star.v, ((0, 0), (1, 1)))), cfg.flow, cfg.dt)
+        MacVelocity(cfg.grid, np.pad(history.u[n], ((1, 1), (0, 0))),
+                    np.pad(history.v[n], ((0, 0), (1, 1)))), cfg.flow,
+        cfg.dt)
     assert np.abs(divergence(new.v).values).max() <= cfg.tol_proj
 
 
@@ -265,8 +268,9 @@ def test_projected_guess_residual_matches_the_stencils(monkeypatch):
     cfg = preset_config("gzero", nx=32, ny=32, nu=0.5)
     state = initial_state(cfg)
     stepper = StepperState(dt=cfg.dt)
-    for _ in range(4):
+    for _ in range(7):
         state = step(state, cfg, stepper)
+    assert stepper.history.filled == 6
     solves = _recording_pcg(monkeypatch)
     state = step(state, cfg, stepper)
     g, dt = cfg.grid, cfg.dt
@@ -297,8 +301,9 @@ def test_warm_started_projection_matches_the_cold_one(monkeypatch):
     rng = np.random.default_rng(12)
     noisy = q_cold.values + 1e-3 * rng.normal(size=(g.nx, g.ny))
     noisy -= noisy.mean()
-    warm, _ = project(rho, vs, dt, params,
-                      basis=[FlowSolve.of(vs, noisy, params)])
+    history = SolveHistory()
+    history.push(vs, noisy, params.nu)
+    warm, _ = project(rho, vs, dt, params, history=history)
     # the guess's residual, with the grid's own gradient and divergence,
     # is below ||b||, so the solve must start from it
     _, rhs, _, q0, _ = solves[1]
@@ -320,8 +325,8 @@ def test_pcg_iterations_per_solve_are_pinned(monkeypatch):
     # save iterations. The initial projection meets tol_proj before any
     # iteration.
     cold = {"predict": [8] * 12, "project": [0, 10, 10, 10, 9, 9, 9]}
-    warm = {"predict": [8, 8] + [7] * 4 + [6] * 6,
-            "project": [0, 10, 8, 7, 6, 6, 5]}
+    warm = {"predict": [8, 8] + [7] * 4 + [6] * 4 + [5] * 2,
+            "project": [0, 10, 8, 7, 6, 5, 4]}
     cfg = preset_config("gzero", nx=32, ny=32, t_end=6 * 5e-3)
     solves = _recording_pcg(monkeypatch)
     run(cfg, write_outputs=False, with_stationary=False)
@@ -334,3 +339,59 @@ def test_pcg_iterations_per_solve_are_pinned(monkeypatch):
     assert warm["project"][:2] == cold["project"][:2]
     for site in cold:
         assert all(w <= c for w, c in zip(warm[site], cold[site]))
+
+
+def _six_pushes(g, seed, params):
+    """A history holding six random (v*, q), q with zero mean."""
+    rng = np.random.default_rng(seed)
+    history = SolveHistory()
+    for _ in range(6):
+        vs = MacVelocity(g, rng.normal(size=(g.nx + 1, g.ny)),
+                         rng.normal(size=(g.nx, g.ny + 1)))
+        vs.enforce_noslip()
+        q = rng.normal(size=(g.nx, g.ny))
+        history.push(vs, q - q.mean(), params.nu)
+    return history
+
+
+def test_pressure_gram_by_parts_equals_the_cell_products(grid):
+    # sum over faces of k grad q_i . grad q_j against q_i . A q_j on the
+    # cells, A = -div(k grad) from the grid's own gradient and divergence
+    history = _six_pushes(grid, 13, FlowParams())
+    ru, rv = density_at_faces(_rho(grid).values, grid)
+    gram = history.pressure_gram(1.0 / ru[1:-1, :], 1.0 / rv[:, 1:-1])
+    aq = []
+    for q in history.q:
+        gq = gradient_interior_faces(q, grid)
+        aq.append(-divergence(MacVelocity(grid, gq.u / ru,
+                                          gq.v / rv)).values)
+    ref = np.array([[np.vdot(qi, aqj) for aqj in aq] for qi in history.q])
+    assert np.abs(gram - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_a_ring_of_one_repeated_solution_gives_finite_guesses(grid):
+    # six pushes of one (v*, q): both Gram matrices are singular to rank
+    # one, and each guess is the projection onto that one solution.
+    # RuntimeWarnings are errors in this suite.
+    params, dt = FlowParams(), 5e-3
+    rho, vs = _rho(grid), _smooth_velocity(grid)
+    X, Y = grid.cell_centers()
+    q = np.cos(np.pi * X) * np.cos(np.pi * Y)
+    history = SolveHistory()
+    for _ in range(6):
+        history.push(vs, q, params.nu)
+    assert history.filled == 6
+    ru, rv = density_at_faces(rho.values, grid)
+    rhs = np.random.default_rng(14).normal(size=(grid.nx - 1, grid.ny))
+    x0, r0 = history.velocity_guess(0, rhs, ru[1:-1, :] / dt)
+    assert np.isfinite(x0).all() and np.isfinite(r0).all()
+    coef = np.vdot(x0, vs.u[1:-1, :]) / np.vdot(vs.u[1:-1, :], vs.u[1:-1, :])
+    assert np.abs(x0 - coef * vs.u[1:-1, :]).max() \
+        <= 1e-12 * np.abs(x0).max()
+    _, neg_div_k_grad = momentum._projection_ops(grid)
+    b = np.random.default_rng(15).normal(size=(grid.nx, grid.ny))
+    q0, r0 = history.pressure_guess(b - b.mean(), 1.0 / ru[1:-1, :],
+                                    1.0 / rv[:, 1:-1], neg_div_k_grad)
+    assert np.isfinite(q0).all() and np.isfinite(r0).all()
+    assert np.abs(q0 - np.vdot(q0, q) / np.vdot(q, q) * q).max() \
+        <= 1e-12 * np.abs(q0).max()

@@ -304,9 +304,9 @@ def test_checkpoint_round_trip_resumes_bitwise(tmp_path):
         state = step(state, cfg, stepper)
 
     path = tmp_path / "snap.bin"
-    save_checkpoint(path, state, stepper.dt)
-    loaded, dt_loaded = load_checkpoint(path, cfg)
-    assert dt_loaded == stepper.dt
+    save_checkpoint(path, state, stepper)
+    loaded, resumed = load_checkpoint(path, cfg)
+    assert resumed.dt == stepper.dt
     assert loaded.t == state.t
     assert np.array_equal(loaded.rho.values, state.rho.values)
     assert np.array_equal(loaded.v.u, state.v.u)
@@ -314,27 +314,28 @@ def test_checkpoint_round_trip_resumes_bitwise(tmp_path):
     # conserved references match the run's own initial data
     assert loaded.density.mass0 == initial_state(cfg).density.mass0
 
-    cont_a = step(state, cfg, StepperState(dt=stepper.dt))
-    cont_b = step(loaded, cfg, StepperState(dt=dt_loaded))
+    cont_a = step(state, cfg, stepper)
+    cont_b = step(loaded, cfg, resumed)
     assert np.array_equal(cont_a.v.u, cont_b.v.u)
     assert np.array_equal(cont_a.rho.values, cont_b.rho.values)
     assert np.array_equal(cont_a.d.d2, cont_b.d.d2)
 
 
 def test_checkpoint_with_full_solve_history_resumes_bitwise(tmp_path):
-    # after 5 steps the history of solves is full, so the resumed run
-    # projects its initial guesses onto the checkpoint's copy of it
-    cfg = _cfg(t_end=0.08)
+    # after 8 steps the ring of six solutions is full and its slots have
+    # wrapped, so the resumed run must restore each slot and the push
+    # count to project its initial guesses as the uninterrupted one does
+    cfg = _cfg(t_end=0.1)
     state = initial_state(cfg)
     stepper = StepperState(dt=cfg.dt)
-    for _ in range(5):
+    for _ in range(8):
         state = step(state, cfg, stepper)
-    assert len(state.solves) == 3
+    assert stepper.history.count == 8 and stepper.history.filled == 6
 
     path = tmp_path / "snap.bin"
-    save_checkpoint(path, state, stepper.dt)
-    loaded, dt_loaded = load_checkpoint(path, cfg)
-    resumed = StepperState(dt=dt_loaded)
+    save_checkpoint(path, state, stepper)
+    loaded, resumed = load_checkpoint(path, cfg)
+    assert resumed.history.count == 8
     for _ in range(3):
         state = step(state, cfg, stepper)
         loaded = step(loaded, cfg, resumed)
@@ -346,38 +347,41 @@ def test_checkpoint_with_full_solve_history_resumes_bitwise(tmp_path):
 
 
 def test_checkpoint_in_the_older_layout_with_solve_times_loads(tmp_path):
-    # snapshots written before the products were rebuilt at load also hold
-    # each kept solve's time; those entries are ignored
+    # snapshots written before the history became a ring hold the last
+    # three solves oldest first, without a push count, and some also each
+    # solve's time, which is ignored; after three steps the ring holds
+    # those three in time order
     cfg = _cfg(t_end=0.08)
     state = initial_state(cfg)
     stepper = StepperState(dt=cfg.dt)
-    for _ in range(5):
+    for _ in range(3):
         state = step(state, cfg, stepper)
-    g = cfg.grid
+    g, hist = cfg.grid, stepper.history
     history = []
-    for k, s in enumerate(state.solves):
+    for k in range(3):
         u = np.zeros((g.nx + 1, g.ny))
-        u[1:-1, :] = s.u
+        u[1:-1, :] = hist.u[k]
         v = np.zeros((g.nx, g.ny + 1))
-        v[:, 1:-1] = s.v
+        v[:, 1:-1] = hist.v[k]
         history += [(f"solve{k}_t", np.array([[state.t - (2 - k) * 5e-3]])),
                     (f"solve{k}_u", u), (f"solve{k}_v", v),
-                    (f"solve{k}_q", s.q)]
+                    (f"solve{k}_q", hist.q[k])]
     path = tmp_path / "old.bin"
     save_snapshot(path, g, [
         ("t", np.array([[state.t]])), ("dt", np.array([[stepper.dt]])),
         ("rho", state.rho.values), ("u", state.v.u), ("v", state.v.v),
         ("d1", state.d.d1), ("d2", state.d.d2), *history])
-    loaded, dt_loaded = load_checkpoint(path, cfg)
-    assert len(loaded.solves) == 3
-    for a, b in zip(state.solves, loaded.solves):
-        for name in ("u", "nu_lap_u", "v", "nu_lap_v", "q", "grad_q_u",
-                     "grad_q_v"):
-            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    loaded, resumed = load_checkpoint(path, cfg)
+    assert resumed.history.count == 3
+    for name in ("u", "nu_lap_u", "v", "nu_lap_v", "q", "grad_q_u",
+                 "grad_q_v"):
+        a, b = getattr(hist, name), getattr(resumed.history, name)
+        assert a.tobytes() == b.tobytes()
     cont = step(state, cfg, stepper)
-    resumed = step(loaded, cfg, StepperState(dt=dt_loaded))
-    for a, b in ((cont.v.u, resumed.v.u), (cont.v.v, resumed.v.v),
-                 (cont.pressure.values, resumed.pressure.values)):
+    resumed_state = step(loaded, cfg, resumed)
+    for a, b in ((cont.v.u, resumed_state.v.u),
+                 (cont.v.v, resumed_state.v.v),
+                 (cont.pressure.values, resumed_state.pressure.values)):
         assert a.tobytes() == b.tobytes()
 
 

@@ -171,11 +171,31 @@ print(h.hexdigest())
 """
 
 
-def _project_hash(threads: int) -> str:
+# Ten f2 steps at 128^2: step 2 projects onto one kept solution, whose
+# inner products numpy would hand to the BLAS dot, and the later steps onto
+# two to six, through BLAS matrix products.
+_STEPS_HASH = """
+import hashlib
+import numpy as np
+from nlcflow.runner import preset_config, run
+cfg = preset_config("f2-decaying", nx=128, ny=128, t_end=10 * 5e-3,
+                    record_every=5)
+res = run(cfg, write_outputs=False, with_stationary=False)
+assert res.report["invariants"]["steps"] == 10
+h = hashlib.sha256()
+fin = res.final
+for a in (fin.rho.values, fin.v.u, fin.v.v, fin.d.d1, fin.d.d2,
+          fin.pressure.values):
+    h.update(a.tobytes())
+print(h.hexdigest())
+"""
+
+
+def _hash_in_subprocess(script: str, threads: int) -> str:
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
                OMP_NUM_THREADS=str(threads),
                PYTHONPATH=str(Path(nlcflow.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-c", _PROJECT_HASH], env=env,
+    done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout.strip()
@@ -185,7 +205,14 @@ def test_projection_is_bitwise_independent_of_blas_threads():
     # A threaded BLAS dot reorders its sum above ~1e4 elements, as at
     # 128^2. On a one-core machine BLAS runs one thread either way, so
     # there this test cannot fail.
-    assert _project_hash(1) == _project_hash(2)
+    assert _hash_in_subprocess(_PROJECT_HASH, 1) \
+        == _hash_in_subprocess(_PROJECT_HASH, 2)
+
+
+def test_time_loop_is_bitwise_independent_of_blas_threads():
+    # the same for the guesses' products with one to six kept solutions
+    assert _hash_in_subprocess(_STEPS_HASH, 1) \
+        == _hash_in_subprocess(_STEPS_HASH, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -221,40 +248,57 @@ def _a_norm(e, apply_a):
     return np.sqrt(np.einsum("ij,ij->", e, apply_a(e)))
 
 
+def _six_deep_basis(seed):
+    """Six random vectors on the u-faces: a well conditioned basis."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(6, _DIAG_GRID.nx - 1, _DIAG_GRID.ny))
+
+
 def test_projected_guess_returns_a_solution_in_its_basis():
+    # the solution as one of three kept vectors, and as a combination of
+    # six random ones
     apply_n, precond, apply_a = _diag_system(21)
     rng = np.random.default_rng(22)
-    x_true = _smooth_series(1)[0]
-    b = apply_a(x_true)
-    basis = [rng.normal(size=b.shape), x_true, rng.normal(size=b.shape)]
-    x0, r0 = projected_guess(b, basis, [apply_a(x) for x in basis])
-    assert np.abs(x0 - x_true).max() <= 1e-12 * np.abs(x_true).max()
-    counts = {"apply": 0}
-    x = pcg(_counted(apply_n, counts, "apply"), b, precond, tol_rel=1e-10,
-            x0=x0, r0=r0)
-    assert counts["apply"] == 0
-    assert x.tobytes() == x0.tobytes()
+    x_smooth = _smooth_series(1)[0]
+    six = _six_deep_basis(31)
+    for x_true, basis in (
+            (x_smooth, np.stack([rng.normal(size=x_smooth.shape), x_smooth,
+                                 rng.normal(size=x_smooth.shape)])),
+            (np.tensordot([0.3, -1.2, 0.0, 2.5, 0.7, -0.4], six, 1), six)):
+        b = apply_a(x_true)
+        x0, r0 = projected_guess(b, basis,
+                                 np.stack([apply_a(x) for x in basis]))
+        assert np.abs(x0 - x_true).max() <= 1e-12 * np.abs(x_true).max()
+        counts = {"apply": 0}
+        x = pcg(_counted(apply_n, counts, "apply"), b, precond,
+                tol_rel=1e-10, x0=x0, r0=r0)
+        assert counts["apply"] == 0
+        assert x.tobytes() == x0.tobytes()
 
 
 def test_projected_guess_on_a_repeated_solution_is_finite():
-    # G is exactly singular; the guess is the projection onto the one
-    # direction. RuntimeWarnings are errors in this suite.
+    # G is exactly singular, for two copies and for a full ring of six;
+    # the guess is the projection onto the one direction. RuntimeWarnings
+    # are errors in this suite.
     _, _, apply_a = _diag_system(23)
     x_old, x_true = _smooth_series(2)
     b = apply_a(x_true)
     ax = apply_a(x_old)
-    x0, r0 = projected_guess(b, [x_old, x_old], [ax, ax])
-    assert np.isfinite(x0).all() and np.isfinite(r0).all()
     c = np.einsum("ij,ij->", x_old, b) / np.einsum("ij,ij->", x_old, ax)
-    assert np.abs(x0 - c * x_old).max() <= 1e-12 * np.abs(x_old).max()
-    assert np.abs(r0 - (b - c * ax)).max() <= 1e-12 * np.abs(b).max()
+    for copies in (2, 6):
+        x0, r0 = projected_guess(b, np.stack([x_old] * copies),
+                                 np.stack([ax] * copies))
+        assert np.isfinite(x0).all() and np.isfinite(r0).all()
+        assert np.abs(x0 - c * x_old).max() <= 1e-12 * np.abs(x_old).max()
+        assert np.abs(r0 - (b - c * ax)).max() <= 1e-12 * np.abs(b).max()
 
 
 def test_projected_guess_beats_the_lagrange_extrapolation():
     _, _, apply_a = _diag_system(24)
     *basis, x_true = _smooth_series(4)
     b = apply_a(x_true)
-    x0, _ = projected_guess(b, basis, [apply_a(x) for x in basis])
+    x0, _ = projected_guess(b, np.stack(basis),
+                            np.stack([apply_a(x) for x in basis]))
     # quadratic extrapolation, oldest first: weights 1, -3, 3
     lagrange = basis[0] - 3.0 * basis[1] + 3.0 * basis[2]
     err = _a_norm(x_true - x0, apply_a)
@@ -274,3 +318,26 @@ def test_pcg_drops_a_guess_worse_than_zero_bitwise():
             r0 = b - apply_a(x0)
             warm = pcg(apply_n, b, precond, tol_rel=1e-10, x0=x0, r0=r0)
         assert warm.tobytes() == cold.tobytes()
+
+
+def test_projected_guess_on_six_solutions_matches_a_dense_reference():
+    # the stacked products against G and f from separate inner products
+    # and a LAPACK solve, on a random (well conditioned) six-deep basis
+    _, _, apply_a = _diag_system(27)
+    xs = _six_deep_basis(28)
+    axs = np.stack([apply_a(x) for x in xs])
+    b = np.random.default_rng(29).normal(size=xs.shape[1:])
+    x0, r0 = projected_guess(b, xs, axs)
+    gram = np.array([[np.vdot(xi, axj) for axj in axs] for xi in xs])
+    c = np.linalg.solve(gram, [np.vdot(x, b) for x in xs])
+    ref = np.tensordot(c, xs, 1)
+    assert np.abs(x0 - ref).max() <= 1e-12 * np.abs(ref).max()
+    # x0 lies in the span, and r0 is its residual
+    coef = np.linalg.lstsq(xs.reshape(6, -1).T, x0.ravel(), rcond=None)[0]
+    assert np.abs(np.tensordot(coef, xs, 1) - x0).max() \
+        <= 1e-12 * np.abs(x0).max()
+    assert np.abs(r0 - (b - apply_a(x0))).max() <= 1e-12 * np.abs(b).max()
+    # the residual is orthogonal to the basis, so the error is A-orthogonal
+    # to it: x0 is the A-norm projection
+    assert np.abs(xs.reshape(6, -1) @ r0.ravel()).max() \
+        <= 1e-10 * np.abs(b).sum() * np.abs(xs).max()
