@@ -309,23 +309,39 @@ def laplacian_interior_faces(x: np.ndarray, grid: GridSpec, axis: int,
     faces, the stencil `solvers.FaceHelmholtz` inverts: axis=0 for u (input
     shape (nx-1, ny)), axis=1 for v ((nx, ny-1)). Walls: zero node values
     along the component's own axis, -interior ghosts across it. Written
-    into `out` when given."""
+    into `out` when given.
+
+    Built from slices of x, without a ghost-padded copy, in the order of
+    the padded formula cx*(east + west) + cy*(north + south) - 2(cx+cy)*x:
+    a wall neighbour's zero drops out of its sum (a + 0 is a) and a
+    -interior ghost turns the sum into a difference (a + (-b) is a - b),
+    so the result is the padded formula's up to the sign of a zero."""
     cx, cy = 1.0 / grid.hx**2, 1.0 / grid.hy**2
-    p = np.zeros((x.shape[0] + 2, x.shape[1] + 2))
-    p[1:-1, 1:-1] = x
-    if axis == 0:
-        p[1:-1, 0] = -x[:, 0]
-        p[1:-1, -1] = -x[:, -1]
-    else:
-        p[0, 1:-1] = -x[0, :]
-        p[-1, 1:-1] = -x[-1, :]
-    lap = np.add(p[2:, 1:-1], p[:-2, 1:-1], out=out)
+    lap = np.empty_like(x) if out is None else out
+    across = np.empty_like(x)
+    # the x-direction sum into lap, the y-direction sum into across
+    _neighbour_sum(x, 0, axis == 1, lap)
+    _neighbour_sum(x, 1, axis == 0, across)
     lap *= cx
-    lap_y = p[1:-1, 2:] + p[1:-1, :-2]
-    lap_y *= cy
-    lap += lap_y
-    lap -= (2.0 * (cx + cy)) * x
+    across *= cy
+    lap += across
+    np.multiply(x, 2.0 * (cx + cy), out=across)
+    lap -= across
     return lap
+
+
+def _neighbour_sum(x: np.ndarray, axis: int, odd: bool,
+                   out: np.ndarray) -> None:
+    """x[i+1] + x[i-1] along `axis`, into `out`, with zero values beyond
+    both ends, or the -interior ghosts there if `odd`."""
+    xa, oa = np.moveaxis(x, axis, 0), np.moveaxis(out, axis, 0)
+    np.add(xa[2:], xa[:-2], out=oa[1:-1])
+    if odd:
+        np.subtract(xa[1], xa[0], out=oa[0])
+        np.subtract(xa[-2], xa[-1], out=oa[-1])
+    else:
+        oa[0] = xa[1]
+        oa[-1] = xa[-2]
 
 
 def laplacian(s: ScalarField) -> ScalarField:

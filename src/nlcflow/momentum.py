@@ -1,5 +1,6 @@
 """Variable-density momentum predictor with the director elastic stress in
-reduced form, and the variable-coefficient pressure projection.
+reduced form, and the pressure projection, split into one
+constant-coefficient Poisson solve and a lagged variable-coefficient term.
 
 The stress enters as -lambda*(lap d - f(d)) . grad d (gradient parts are
 absorbed into the pressure), so the coupling force vanishes identically at
@@ -14,20 +15,20 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .director import GLParams, gl_residual
-from .errors import IncompatibleRhs
+from .errors import IncompatibleRhs, LinearSolveFailure
 from .grid import (DirectorField, GridSpec, MacVelocity, ScalarField,
                    centered_gradient_at_centers, density_at_faces, divergence,
                    interior_gradient, laplacian_interior_faces)
-from .solvers import (FaceHelmholtz, NeumannPoisson, combine_rows,
-                      gram_coefficients, pcg, projected_guess, row_products)
+from .solvers import FaceHelmholtz, NeumannPoisson, pcg, projected_guess
 
-_CG_CAP = 2000  # iteration cap of the predictor and projection solves
+_CG_CAP = 2000  # iteration cap of the predictor solves
 
 
 @dataclass(frozen=True)
 class FlowParams:
-    """Viscosity and the predictor and projection solve tolerances. The
-    elastic coupling lambda is `GLParams.lam`."""
+    """Viscosity, the predictor's solve tolerance and the bound that
+    `project` guarantees on ||div v'||_inf. The elastic coupling lambda is
+    `GLParams.lam`."""
 
     nu: float = 1.0
     tol_proj: float = 1e-8
@@ -38,22 +39,22 @@ class FlowParams:
             raise ValueError("nu and tol_proj must be positive")
 
 
-# solutions kept: the predictor and the projection start from the A-norm
-# projection onto their last six
+# solutions kept: the predictor starts from the A-norm projection onto its
+# last six
 _SOLVE_HISTORY = 6
 
 
 class SolveHistory:
-    """The last `_SOLVE_HISTORY` predictor solutions v* and pressures q of
-    a run, stacked in one ring of (K, ...) arrays, each with the part of
-    its operator product that does not depend on the density: nu*L of each
-    velocity component (L = `laplacian_interior_faces`) and grad q, on the
-    interior faces. From these a later step forms its guesses for its own
-    density with a few BLAS products (`velocity_guess`, `pressure_guess`);
-    no stencil is applied to the history. `push` writes slot count mod K
-    in place, so the slots are not in time order once the ring is full;
-    the projection onto them does not depend on their order but for
-    round-off. The rings are allocated at the first push."""
+    """The last `_SOLVE_HISTORY` predictor solutions v* of a run, stacked
+    in one ring of (K, ...) arrays per velocity component, each with the
+    part of its operator product that does not depend on the density:
+    nu*L of the component (L = `laplacian_interior_faces`) on the interior
+    faces. From these a later step forms its guesses for its own density
+    with a few BLAS products (`velocity_guess`); no stencil is applied to
+    the history. `push` writes slot count mod K in place, so the slots are
+    not in time order once the ring is full; the projection onto them does
+    not depend on their order but for round-off. The rings are allocated
+    at the first push."""
 
     def __init__(self):
         self.count = 0    # solutions pushed so far
@@ -61,10 +62,7 @@ class SolveHistory:
         self.nu_lap_u = None
         self.v = None     # v* on the interior v-faces, (K, nx, ny-1)
         self.nu_lap_v = None
-        self.q = None     # pressure on cells, (K, nx, ny)
-        self.grad_q_u = None
-        self.grad_q_v = None
-        self._work = None  # A x_k or k grad q_k of the rings
+        self._work = None  # A x_k of a ring
 
     @property
     def filled(self) -> int:
@@ -73,17 +71,13 @@ class SolveHistory:
 
     def _allocate(self, g: GridSpec) -> None:
         k, nu, nv = _SOLVE_HISTORY, (g.nx - 1, g.ny), (g.nx, g.ny - 1)
-        self.u, self.nu_lap_u, self.grad_q_u = (
-            np.zeros((k, *nu)) for _ in range(3))
-        self.v, self.nu_lap_v, self.grad_q_v = (
-            np.zeros((k, *nv)) for _ in range(3))
-        self.q = np.zeros((k, g.nx, g.ny))
+        self.u, self.nu_lap_u = np.zeros((k, *nu)), np.zeros((k, *nu))
+        self.v, self.nu_lap_v = np.zeros((k, *nv)), np.zeros((k, *nv))
         self._work = np.empty(k * max(nu[0] * nu[1], nv[0] * nv[1]))
 
-    def push(self, v_star: MacVelocity, q: np.ndarray, nu: float) -> int:
-        """Keep (v*, q), overwriting the oldest solution once the ring is
-        full, and return its slot. The products are computed into the
-        slot."""
+    def push(self, v_star: MacVelocity, nu: float) -> int:
+        """Keep v*, overwriting the oldest solution once the ring is full,
+        and return its slot. The products are computed into the slot."""
         g = v_star.grid
         if self.u is None:
             self._allocate(g)
@@ -94,14 +88,8 @@ class SolveHistory:
             ring[n] = x
             laplacian_interior_faces(ring[n], g, axis, out=lap[n])
             lap[n] *= nu
-        self.q[n] = q
-        interior_gradient(self.q[n], g, self.grad_q_u[n], self.grad_q_v[n])
         self.count += 1
         return n
-
-    def _stack(self, shape: tuple) -> np.ndarray:
-        return self._work[:self.filled * shape[0] * shape[1]].reshape(
-            self.filled, *shape)
 
     def velocity_guess(self, axis: int, rhs: np.ndarray, diag: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:
@@ -111,39 +99,10 @@ class SolveHistory:
         xs, nu_lap = ((self.u, self.nu_lap_u) if axis == 0
                       else (self.v, self.nu_lap_v))
         k = self.filled
-        axs = self._stack(rhs.shape)
+        axs = self._work[:k * rhs.size].reshape(k, *rhs.shape)
         np.multiply(xs[:k], diag, out=axs)
         axs -= nu_lap[:k]
         return projected_guess(rhs, xs[:k], axs)
-
-    def pressure_gram(self, k_u: np.ndarray, k_v: np.ndarray) -> np.ndarray:
-        """G_ij = q_i . A q_j for A = -div(k grad) with zero-Neumann walls.
-        Summation by parts makes it sum over the faces of k grad q_i .
-        grad q_j: two BLAS products of the kept gradients."""
-        k = self.filled
-        gram = 0.0
-        for kf, grads in ((k_u, self.grad_q_u[:k]),
-                          (k_v, self.grad_q_v[:k])):
-            kgrads = self._stack(kf.shape)
-            np.multiply(grads, kf, out=kgrads)
-            gram = gram + row_products(kgrads, grads)
-        return gram
-
-    def pressure_guess(self, rhs: np.ndarray, k_u: np.ndarray,
-                       k_v: np.ndarray, neg_div_k_grad: _NegDivKGrad
-                       ) -> tuple[np.ndarray, np.ndarray]:
-        """The A-norm projection of A q = rhs, A = -div(k grad), onto the
-        kept pressures: (q0, r0) as from `projected_guess`, with G from
-        `pressure_gram` and r0 = rhs - A q0 from one application of A to
-        the combined gradient."""
-        k = self.filled
-        qs = self.q[:k]
-        c = gram_coefficients(self.pressure_gram(k_u, k_v),
-                              row_products(qs, rhs[None])[:, 0])
-        r0 = neg_div_k_grad.of_gradient(
-            k_u, k_v, combine_rows(c, self.grad_q_u[:k]),
-            combine_rows(c, self.grad_q_v[:k]))
-        return combine_rows(c, qs), np.subtract(rhs, r0)
 
 
 def _centers_to_ufaces(c: np.ndarray) -> np.ndarray:
@@ -270,7 +229,7 @@ def predict_velocity(rho: ScalarField, w: MacVelocity, d: DirectorField,
     with no-slip walls; advection is donor-cell upwind in advective form.
     Each solve starts from the A-norm projection onto the kept solutions
     in `history` (zero without any); the result meets the same tolerance
-    either way.
+    either way. With a history, v* is then pushed onto it.
     """
     g = rho.grid
     ru, rv = density_at_faces(rho.values, g)
@@ -287,6 +246,8 @@ def predict_velocity(rho: ScalarField, w: MacVelocity, d: DirectorField,
     out.v[:, 1:-1] = _face_solve(g, 1, rv[:, 1:-1],
                                  np.ascontiguousarray(rhs_v[:, 1:-1]), rbar,
                                  dt, params, history)
+    if history is not None:
+        history.push(out, params.nu)
     return out
 
 
@@ -310,37 +271,23 @@ def _momentum_rhs(r: np.ndarray, w: np.ndarray, adv: np.ndarray,
 class _NegDivKGrad:
     """x -> -div(k grad x) on cells with zero-Neumann walls, for k given on
     the interior faces. Writes into buffers allocated once per instance, so
-    the returned array is overwritten by the next call."""
+    the returned array and the fluxes are overwritten by the next call."""
 
     def __init__(self, grid: GridSpec):
         self._g = grid
         self._gu = np.zeros((grid.nx + 1, grid.ny))  # wall faces stay zero
         self._gv = np.zeros((grid.nx, grid.ny + 1))
+        # k grad x on the interior faces, of the last call
+        self.flux_u, self.flux_v = self._gu[1:-1, :], self._gv[:, 1:-1]
         self._out = np.empty((grid.nx, grid.ny))
         self._dv = np.empty((grid.nx, grid.ny))
 
     def __call__(self, k_u: np.ndarray, k_v: np.ndarray,
                  x: np.ndarray) -> np.ndarray:
-        g = self._g
-        ku = self._gu[1:-1, :]
-        np.subtract(x[1:, :], x[:-1, :], out=ku)
-        ku /= g.hx
-        kv = self._gv[:, 1:-1]
-        np.subtract(x[:, 1:], x[:, :-1], out=kv)
-        kv /= g.hy
-        return self._neg_div_k(k_u, k_v)
-
-    def of_gradient(self, k_u: np.ndarray, k_v: np.ndarray,
-                    grad_u: np.ndarray, grad_v: np.ndarray) -> np.ndarray:
-        """-div(k g) for a given gradient g on the interior faces."""
-        self._gu[1:-1, :] = grad_u
-        self._gv[:, 1:-1] = grad_v
-        return self._neg_div_k(k_u, k_v)
-
-    def _neg_div_k(self, k_u: np.ndarray, k_v: np.ndarray) -> np.ndarray:
         g, gu, gv, out = self._g, self._gu, self._gv, self._out
-        gu[1:-1, :] *= k_u
-        gv[:, 1:-1] *= k_v
+        interior_gradient(x, g, self.flux_u, self.flux_v)
+        self.flux_u *= k_u
+        self.flux_v *= k_v
         # b - a is -(a - b) exactly (but for the sign of a zero), so the
         # differences come out negated
         np.subtract(gu[:-1, :], gu[1:, :], out=out)
@@ -353,26 +300,34 @@ class _NegDivKGrad:
 
 @lru_cache(maxsize=8)
 def _projection_ops(grid: GridSpec) -> tuple[NeumannPoisson, _NegDivKGrad]:
-    """The projection's preconditioner and operator, built once per grid
-    and re-targeted by each call; their buffers are shared by its calls."""
+    """The projection's Poisson solver and the operator of its lagged
+    term, built once per grid and re-targeted by each call; their buffers
+    are shared by its calls."""
     return NeumannPoisson(grid), _NegDivKGrad(grid)
 
 
 def project(rho: ScalarField, v_star: MacVelocity, dt: float,
-            params: FlowParams, history: SolveHistory | None = None
+            params: FlowParams, p_hat: np.ndarray | None = None
             ) -> tuple[MacVelocity, ScalarField]:
-    """Variable-density pressure correction: solve
-    div((1/rho) grad q) = (1/dt) div(v*) with zero-Neumann walls and zero
-    mean, then v' = v* - (dt/rho) grad q. Guarantees
-    ||div v'||_inf <= tol_proj (the CG stopping criterion is exactly that
-    residual, with margin), whatever the initial guess: the A-norm
-    projection onto the kept pressures in `history` (zero without any).
-    With a history, the step's (v*, q) is then pushed onto it, and the
-    correction reads grad q from the slot the push computed it into.
+    """Variable-density pressure correction by the constant-coefficient
+    split of Dodd & Ferrante (J. Comput. Phys. 273, 2014). With
+    k = 1/rho_f on the interior faces and c0 = max k, the correction
+    (dt/rho_f) grad p is replaced by dt [c0 grad q + (k - c0) grad p_hat],
+    where p_hat is a pressure estimate: the previous step's pressure in
+    the time loop. One direct solve of
+    -c0 Lap q = -div(v*)/dt + div((k - c0) grad p_hat)
+    with zero-Neumann walls and zero mean gives
+    v' = v* - dt [c0 grad q + (k - c0) grad p_hat], whose discrete
+    divergence is zero to round-off; q is returned as the pressure.
+    Without p_hat (step 1, the initial projection) the lagged term is
+    absent, and with constant rho it vanishes identically, k = c0: both
+    are the exact constant-coefficient projection. Raises
+    LinearSolveFailure if ||div v'||_inf exceeds tol_proj.
     """
     g = rho.grid
     ru, rv = density_at_faces(rho.values, g)
-    inv_ru = 1.0 / ru
+    k_u, k_v = 1.0 / ru[1:-1, :], 1.0 / rv[:, 1:-1]
+    c0 = max(float(k_u.max()), float(k_v.max()))
 
     div_star = divergence(v_star).values
     rhs = -div_star / dt
@@ -385,40 +340,31 @@ def project(rho: ScalarField, v_star: MacVelocity, dt: float,
             f"pressure rhs mean {mean_rhs:.3e} exceeds round-off "
             f"(scale {scale:.3e}); boundary fluxes are broken")
 
-    # A = -div((1/rho_f) grad) splits into the exactly inverted
-    # M = -cbar*Lap and N = -div((1/rho_f - cbar) grad)
-    cbar = float(inv_ru.mean())
-    # contiguous, so the guess's products with a stack of gradients stream
-    k_u, k_v = inv_ru[1:-1, :], 1.0 / rv[:, 1:-1]
-    neumann_poisson, neg_div_k_grad = _projection_ops(g)
-    neumann_poisson.set_scale(cbar)
-    q0 = r0 = None
-    if history is not None and history.count:
-        q0, r0 = history.pressure_guess(rhs, k_u, k_v, neg_div_k_grad)
-
-    def project_mean(x):
-        x -= x.mean()
-
-    # div v' = -dt * (residual of this solve); stop well inside tol_proj
-    tol_inf = 0.1 * params.tol_proj / dt
-    q = pcg(partial(neg_div_k_grad, k_u - cbar, k_v - cbar), rhs,
-            neumann_poisson.solve, tol_rel=1e-13, tol_abs_inf=tol_inf,
-            maxiter=_CG_CAP, project=project_mean, x0=q0, r0=r0)
+    neumann_poisson, lagged = _projection_ops(g)
+    neumann_poisson.set_scale(c0)
+    if p_hat is not None:
+        # leaves (k - c0) grad p_hat in lagged.flux_u, flux_v
+        rhs -= lagged(k_u - c0, k_v - c0, p_hat)
+    q = neumann_poisson.solve(rhs)
     q -= q.mean()
 
-    if history is not None:
-        n = history.push(v_star, q, params.nu)
-        gq_u, gq_v = history.grad_q_u[n], history.grad_q_v[n]
-    else:
-        gq_u, gq_v = np.empty_like(k_u), np.empty(k_v.shape)
-        interior_gradient(q, g, gq_u, gq_v)
-    # v* - (dt/rho_f) grad q on the interior faces; the wall faces are
-    # no-slip
+    # v* - dt [c0 grad q + (k - c0) grad p_hat] on the interior faces; the
+    # wall faces are no-slip
     out = MacVelocity.zeros(g)
-    for corr, gq, vs, dest in (
-            (dt * k_u, gq_u, v_star.u[1:-1, :], out.u[1:-1, :]),
-            (dt * k_v, gq_v, v_star.v[:, 1:-1], out.v[:, 1:-1])):
-        corr *= gq
-        np.subtract(vs, corr, out=dest)
-    pressure = ScalarField(g, q, "neumann_zero")
-    return out, pressure
+    interior_gradient(q, g, out.u[1:-1, :], out.v[:, 1:-1])
+    for corr, vs, flux in ((out.u[1:-1, :], v_star.u[1:-1, :],
+                            lagged.flux_u),
+                           (out.v[:, 1:-1], v_star.v[:, 1:-1],
+                            lagged.flux_v)):
+        corr *= c0
+        if p_hat is not None:
+            corr += flux
+        corr *= dt
+        np.subtract(vs, corr, out=corr)
+
+    div_inf = float(np.abs(divergence(out).values).max())
+    if not div_inf <= params.tol_proj:
+        raise LinearSolveFailure(
+            f"projected velocity has ||div v||_inf = {div_inf:.3e} above "
+            f"tol_proj = {params.tol_proj:.3e}")
+    return out, ScalarField(g, q, "neumann_zero")

@@ -187,8 +187,8 @@ def initial_state(cfg: RunConfig) -> SimState:
 @dataclass
 class StepperState:
     """Mutable loop bookkeeping: the (auto-shrunk, never grown) dt, and the
-    run's last predictor and projection solutions, whose A-norm projection
-    starts the next step's solves. `step` pushes onto the history in place,
+    run's last predictor solutions, whose A-norm projection starts the
+    next step's predictor solves. `step` pushes onto the history in place,
     so a stepper belongs to one sequence of states."""
 
     dt: float
@@ -198,14 +198,15 @@ class StepperState:
 def step(state: SimState, cfg: RunConfig, stepper: StepperState) -> SimState:
     """One coupled step: density and director advance with the current
     velocity, then the momentum predictor and projection use the fresh
-    density and director. Each of their solves starts from the A-norm
+    density and director. Each predictor solve starts from the A-norm
     projection onto its solutions kept in `stepper.history` (zero without
     any), whose operator products the step forms with the fresh density
     by elementwise and BLAS products; no stencil is applied to the
-    history, and no step size enters the guess. The projection pushes the
-    step's solutions onto the history. dt is halved until the transport CFL
-    bound holds with the configured safety factor, and a step that would
-    pass t_end is shortened to end there."""
+    history, and no step size enters the guess. The predictor pushes the
+    step's v* onto the history. The projection's lagged pressure is the
+    state's pressure, absent on step 1. dt is halved until the transport
+    CFL bound holds with the configured safety factor, and a step that
+    would pass t_end is shortened to end there."""
     dt = stepper.dt
     while cfl_number(state.v, dt) > cfg.cfl_safety:
         dt *= 0.5
@@ -224,8 +225,8 @@ def step(state: SimState, cfg: RunConfig, stepper: StepperState) -> SimState:
     g_mid = eval_force(cfg.forcing, cfg.grid, state.t + 0.5 * dt)
     v_star = predict_velocity(density.rho, state.v, d, g_mid, cfg.flow,
                               cfg.glp, dt, history=stepper.history)
-    v, q = project(density.rho, v_star, dt, cfg.flow,
-                   history=stepper.history)
+    p_hat = None if state.pressure is None else state.pressure.values
+    v, q = project(density.rho, v_star, dt, cfg.flow, p_hat=p_hat)
     return SimState(t=t, density=density, v=v, d=d, pressure=q)
 
 
@@ -354,8 +355,9 @@ def _rate_analysis(cfg: RunConfig, records, probe_samples) -> dict:
 
 
 def save_checkpoint(path, state: SimState, stepper: StepperState) -> None:
-    """The state, dt and the kept solutions, so that a resumed run
-    continues bitwise like the uninterrupted one. The ring's slots are
+    """The state with its pressure, dt and the kept predictor solutions,
+    so that a resumed run continues bitwise like the uninterrupted one:
+    its first projection lags the saved pressure. The ring's slots are
     written in slot order with its push count; only the solutions are
     written, and `load_checkpoint` rebuilds their operator products."""
     g = state.rho.grid
@@ -365,8 +367,9 @@ def save_checkpoint(path, state: SimState, stepper: StepperState) -> None:
         v_star = MacVelocity.zeros(g)
         v_star.u[1:-1, :] = hist.u[k]
         v_star.v[:, 1:-1] = hist.v[k]
-        slots += [(f"solve{k}_u", v_star.u), (f"solve{k}_v", v_star.v),
-                  (f"solve{k}_q", hist.q[k])]
+        slots += [(f"solve{k}_u", v_star.u), (f"solve{k}_v", v_star.v)]
+    pressure = [] if state.pressure is None \
+        else [("q", state.pressure.values)]
     save_snapshot(path, g, [
         ("t", np.array([[state.t]])),
         ("dt", np.array([[stepper.dt]])),
@@ -375,18 +378,22 @@ def save_checkpoint(path, state: SimState, stepper: StepperState) -> None:
         ("v", state.v.v),
         ("d1", state.d.d1),
         ("d2", state.d.d2),
+        *pressure,
         ("solve_count", np.array([[float(hist.count)]])),
         *slots,
     ])
 
 
 def load_checkpoint(path, cfg: RunConfig) -> tuple[SimState, StepperState]:
-    """Inverse of `save_checkpoint`: the state, and a stepper with its dt
-    and its history. The slots are pushed in slot order, which refills
-    each one and rebuilds its products as the time loop built them, and
-    then the push count is restored. Older snapshots hold their kept
-    solutions oldest first without a count (some also with their solve
-    times, which are not needed); pushed in that order, they need none."""
+    """Inverse of `save_checkpoint`: the state with its pressure, and a
+    stepper with its dt and its history. The slots are pushed in slot
+    order, which refills each one and rebuilds its products as the time
+    loop built them, and then the push count is restored. Older snapshots
+    also hold each kept step's pressure (`solve{k}_q`) and no `q`; the
+    state's pressure is the newest of them. The oldest layout holds its
+    kept solutions oldest first without a count (some also with their
+    solve times, which are not needed); pushed in that order, they need
+    none."""
     grid, f = load_snapshot(path)
     rho = ScalarField(grid, f["rho"], "extrapolate")
     # conserved references must come from the run's own t=0 data
@@ -395,15 +402,20 @@ def load_checkpoint(path, cfg: RunConfig) -> tuple[SimState, StepperState]:
     stepper = StepperState(dt=float(f["dt"][0, 0]))
     hist = stepper.history
     k = 0
-    while f"solve{k}_q" in f:
+    while f"solve{k}_u" in f:
         hist.push(MacVelocity(grid, f[f"solve{k}_u"], f[f"solve{k}_v"]),
-                  f[f"solve{k}_q"], cfg.nu)
+                  cfg.nu)
         k += 1
     if "solve_count" in f:
         hist.count = int(f["solve_count"][0, 0])
+    q = f.get("q")
+    if q is None and hist.count:
+        q = f.get(f"solve{(hist.count - 1) % hist.filled}_q")
     state = SimState(t=float(f["t"][0, 0]), density=density,
                      v=MacVelocity(grid, f["u"], f["v"]),
-                     d=DirectorField(grid, f["d1"], f["d2"], ref.d.trace))
+                     d=DirectorField(grid, f["d1"], f["d2"], ref.d.trace),
+                     pressure=None if q is None
+                     else ScalarField(grid, q, "neumann_zero"))
     return state, stepper
 
 

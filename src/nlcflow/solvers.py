@@ -1,21 +1,23 @@
 """Inner linear solvers: direct Helmholtz/Poisson solvers by dense
 eigenbasis transforms, and a matrix-free preconditioned conjugate gradient
-in split form. The director step and the harmonic extension call a direct
-solver alone, since it inverts their constant-coefficient Dirichlet
-operators exactly. The momentum predictor (variable density) and the
-projection solve A x = b with A = M + N, where M is a constant-coefficient
-operator that a direct solver inverts exactly and N = A - M is cheap to
-apply: a diagonal for the predictor, a stencil weighted by 1/rho - mean for
-the projection. `pcg` takes N and M^-1, never A. Its initial guess is
-zero unless the caller passes one with its residual b - A x0. The time
-loop passes `projected_guess`: the combination of the last solutions of
-the same solve nearest to the new solution in the A-norm. The solutions
-are kept stacked in (K, ...) arrays, each with the part of its operator
-product that does not depend on the density, so the caller forms A x_k
-with the current density by elementwise products, the Gram matrix and
-right-hand side with one BLAS product each, and r0 by linearity; no
-stencil is applied to the history. The stopping tests stay relative to
-||b||, so a guess saves iterations without loosening any tolerance.
+in split form. The director step, the harmonic extension and the pressure
+projection call a direct solver alone, since it inverts their
+constant-coefficient operators exactly (the projection's variable
+coefficient is split off into its right-hand side, see
+`momentum.project`). The momentum predictor (variable density) solves
+A x = b with A = M + N, where M = rbar/dt - nu*Lap is a
+constant-coefficient operator that a direct solver inverts exactly and
+N = (rho_f - rbar)/dt is a diagonal. `pcg` takes N and M^-1, never A. Its
+initial guess is zero unless the caller passes one with its residual
+b - A x0. The time loop passes `projected_guess`: the combination of the
+last solutions of the same solve nearest to the new solution in the
+A-norm. The solutions are kept stacked in (K, ...) arrays, each with the
+part of its operator product that does not depend on the density, so the
+caller forms A x_k with the current density by elementwise products, the
+Gram matrix and right-hand side with one BLAS product each, and r0 by
+linearity; no stencil is applied to the history. The stopping test stays
+relative to ||b||, so a guess saves iterations without loosening any
+tolerance.
 
 The cell-centered Dirichlet Laplacian (ghost = 2g - interior) is
 diagonalized by the orthonormal DST-II basis on cells; the node-centered
@@ -241,8 +243,7 @@ def gram_coefficients(gram: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def pcg(apply_n, b: np.ndarray, precond, tol_rel: float = 1e-10,
-        tol_abs_inf: float | None = None, maxiter: int = 500,
-        project=None, x0: np.ndarray | None = None,
+        maxiter: int = 500, x0: np.ndarray | None = None,
         r0: np.ndarray | None = None) -> np.ndarray:
     """Preconditioned conjugate gradient for A x = b with A = M + N, on 2D
     arrays. `precond(r)` returns M^-1 r, exactly up to round-off;
@@ -260,36 +261,29 @@ def pcg(apply_n, b: np.ndarray, precond, tol_rel: float = 1e-10,
     ||b||_2, or is not finite, is dropped for the zero guess. x0 and r0
     are left unchanged.
 
-    Stops when ||r||_2 <= tol_rel * ||b||_2, or (if given) when
-    ||r||_inf <= tol_abs_inf: both tests are measured against b, never
-    against the guess's residual, so a guess changes the iteration count
-    but not the accuracy asked for. Convergence is tested as soon as a
-    residual is formed, so the preconditioner is applied only to
-    residuals that feed a further iteration. `project` (mean removal for
-    the singular Neumann problem) is applied in place to the copies of b
-    and r0 and to every residual; `precond` must then map the projected
-    space into itself. Vector updates are in place, on x, r, p and M p,
-    with N p as scratch. Raises LinearSolveFailure on a non-finite b,
-    before any iteration, and at the iteration cap.
+    Stops when ||r||_2 <= tol_rel * ||b||_2: the test is measured against
+    b, never against the guess's residual, so a guess changes the
+    iteration count but not the accuracy asked for. Convergence is tested
+    as soon as a residual is formed, so the preconditioner is applied only
+    to residuals that feed a further iteration. Vector updates are in
+    place, on x, r, p and M p, with N p as scratch. Raises
+    LinearSolveFailure on a non-finite b, before any iteration, and at the
+    iteration cap.
     """
-    r = b.copy()
-    if project is not None:
-        project(r)
-    bnorm = np.sqrt(_dot(r, r))
+    bnorm = np.sqrt(_dot(b, b))
     if not np.isfinite(bnorm):
         raise LinearSolveFailure(
             f"CG got a non-finite right-hand side (||b|| = {bnorm})")
     x = np.zeros_like(b)
     if bnorm == 0.0:
         return x
-    if x0 is not None:
-        r_guess = r0.copy()
-        if project is not None:
-            project(r_guess)
-        # a guess no better than zero, or not finite, is dropped
-        if np.sqrt(_dot(r_guess, r_guess)) < bnorm:
-            x, r = x0.copy(), r_guess
-    if _converged(r, bnorm, tol_rel, tol_abs_inf, np.empty_like(r)):
+    tol = tol_rel * bnorm
+    r = b
+    # a guess no better than zero, or not finite, is dropped
+    if x0 is not None and np.sqrt(_dot(r0, r0)) < bnorm:
+        x, r = x0.copy(), r0
+    r = r.copy()
+    if np.sqrt(_dot(r, r)) <= tol:
         return x
     z = precond(r)
     p = z.copy()
@@ -303,9 +297,7 @@ def pcg(apply_n, b: np.ndarray, precond, tol_rel: float = 1e-10,
         r -= s
         np.multiply(p, alpha, out=s)
         x += s
-        if project is not None:
-            project(r)
-        if _converged(r, bnorm, tol_rel, tol_abs_inf, s):
+        if np.sqrt(_dot(r, r)) <= tol:
             return x
         z = precond(r)
         rz_new = _dot(r, z)
@@ -318,10 +310,3 @@ def pcg(apply_n, b: np.ndarray, precond, tol_rel: float = 1e-10,
     raise LinearSolveFailure(
         f"CG hit iteration cap {maxiter}; "
         f"||r||/||b|| = {np.sqrt(_dot(r, r)) / bnorm:.3e}")
-
-
-def _converged(r, bnorm, tol_rel, tol_abs_inf, scratch) -> bool:
-    if tol_abs_inf is not None \
-            and np.abs(r, out=scratch).max() <= tol_abs_inf:
-        return True
-    return np.sqrt(_dot(r, r)) <= tol_rel * bnorm

@@ -170,8 +170,9 @@ def test_criterion_08_oracle_equivalence():
     test_oracle.test_density_step_matches_loop_oracle()
     test_oracle.test_director_step_matches_dense_oracle()
     test_oracle.test_momentum_predictor_matches_dense_oracle()
-    _verdict(8, True, "density, director, and momentum steps match "
-                      "4x4 dense/loop oracles to 1e-12 relative")
+    test_oracle.test_projection_matches_dense_oracle()
+    _verdict(8, True, "density, director, momentum predictor and projection "
+                      "steps match 4x4 dense/loop oracles to 1e-12 relative")
 
 
 def test_criterion_09_mms_orders():

@@ -5,7 +5,8 @@ from nlcflow.grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
                           ScalarField,
                           density_at_faces, divergence,
                           elastic_identity_residual, gradient_interior_faces,
-                          gradient_to_faces, laplacian, load_snapshot, norms,
+                          gradient_to_faces, laplacian,
+                          laplacian_interior_faces, load_snapshot, norms,
                           sample_walls, save_snapshot)
 from stencils import _lap_u_interior, _lap_v_interior
 
@@ -61,6 +62,33 @@ def test_laplacian_is_div_of_grad(grid):
     s = ScalarField(grid, rng.normal(size=(16, 12)), "dirichlet")
     composed = divergence(gradient_to_faces(s)).values
     assert np.array_equal(laplacian(s).values, composed)
+
+
+def _padded_face_laplacian(x, g, axis):
+    """The face Laplacian from a ghost-padded copy: zero node values along
+    the component's axis, -interior ghosts across it."""
+    cx, cy = 1.0 / g.hx**2, 1.0 / g.hy**2
+    p = np.zeros((x.shape[0] + 2, x.shape[1] + 2))
+    p[1:-1, 1:-1] = x
+    if axis == 0:
+        p[1:-1, 0], p[1:-1, -1] = -x[:, 0], -x[:, -1]
+    else:
+        p[0, 1:-1], p[-1, 1:-1] = -x[0, :], -x[-1, :]
+    lap = (p[2:, 1:-1] + p[:-2, 1:-1]) * cx
+    lap += (p[1:-1, 2:] + p[1:-1, :-2]) * cy
+    lap -= (2.0 * (cx + cy)) * x
+    return lap
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_face_laplacian_from_slices_equals_the_padded_formula(grid, axis):
+    shape = (grid.nx - 1, grid.ny) if axis == 0 else (grid.nx, grid.ny - 1)
+    x = np.random.default_rng(22 + axis).normal(size=shape)
+    ref = _padded_face_laplacian(x, grid, axis)
+    out = np.empty(shape)
+    assert laplacian_interior_faces(x, grid, axis, out=out) is out
+    assert (out == ref).all()
+    assert (laplacian_interior_faces(x, grid, axis) == ref).all()
 
 
 def test_laplacian_neumann_constant_is_zero(grid):

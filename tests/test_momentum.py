@@ -3,6 +3,7 @@ import pytest
 
 from nlcflow import momentum
 from nlcflow.director import GLParams
+from nlcflow.errors import LinearSolveFailure
 from nlcflow.grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
                           ScalarField, density_at_faces, divergence,
                           gradient_interior_faces, norms)
@@ -140,7 +141,7 @@ def test_face_density_average(grid):
 
 
 def _recording_pcg(monkeypatch):
-    """Wrap momentum.pcg; each solve appends (site, b, iterations, x0, r0)."""
+    """Wrap momentum.pcg; each solve appends (b, iterations, x0, r0)."""
     solves = []
     pcg = momentum.pcg
 
@@ -153,8 +154,7 @@ def _recording_pcg(monkeypatch):
             return apply_n(p)
 
         x = pcg(counted, b, precond, **kwargs)
-        site = "project" if "project" in kwargs else "predict"
-        solves.append((site, b, iters, kwargs.get("x0"), kwargs.get("r0")))
+        solves.append((b, iters, kwargs.get("x0"), kwargs.get("r0")))
         return x
 
     monkeypatch.setattr(momentum, "pcg", spy)
@@ -167,8 +167,8 @@ def _assert_solves_stencil_system(solves, rho, vs, params, dt):
     ru, rv = density_at_faces(rho.values, g)
     systems = [(ru[1:-1, :], _lap_u_interior, vs.u[1:-1, :]),
                (rv[:, 1:-1], _lap_v_interior, vs.v[:, 1:-1])]
-    assert [s[0] for s in solves] == ["predict", "predict"]
-    for (rho_f, lap, sol), (_, rhs, _, _, _) in zip(systems, solves):
+    assert len(solves) == 2
+    for (rho_f, lap, sol), (rhs, _, _, _) in zip(systems, solves):
         res = rho_f / dt * sol - params.nu * lap(sol, g) - rhs
         assert np.linalg.norm(res) \
             <= 10 * params.tol_lin * np.linalg.norm(rhs)
@@ -199,7 +199,7 @@ def _guess_residual_norms(rho, solves, params, dt):
     g = rho.grid
     ru, rv = density_at_faces(rho.values, g)
     out = []
-    for rho_f, lap, (_, rhs, _, x0, _) in zip(
+    for rho_f, lap, (rhs, _, x0, _) in zip(
             (ru[1:-1, :], rv[:, 1:-1]), (_lap_u_interior, _lap_v_interior),
             solves):
         res = rhs - (rho_f / dt * x0 - params.nu * lap(x0, g))
@@ -221,13 +221,13 @@ def test_warm_started_predictor_solves_the_stencil_system(monkeypatch):
     noisy = MacVelocity(g, cold.u + 1e-4 * rng.normal(size=cold.u.shape),
                         cold.v + 1e-4 * rng.normal(size=cold.v.shape))
     history = SolveHistory()
-    history.push(noisy, np.zeros((g.nx, g.ny)), params.nu)
+    history.push(noisy, params.nu)
     vs = predict_velocity(rho, w, d, None, params, glp, dt, history=history)
     cold_solves, solves = solves[:2], solves[2:]
     assert all(r < b for r, b in
                _guess_residual_norms(rho, solves, params, dt))
     # fewer iterations: the solves started from the guess
-    assert all(s[2] < c[2] for s, c in zip(solves, cold_solves))
+    assert all(s[1] < c[1] for s, c in zip(solves, cold_solves))
     _assert_solves_stencil_system(solves, rho, vs, params, dt)
 
 
@@ -242,19 +242,19 @@ def test_time_loop_solves_from_the_projected_guess(monkeypatch):
         state = step(state, cfg, stepper)
     history = stepper.history
     assert history.count == 7 and history.filled == 6
-    kept = [history.u.copy(), history.v.copy(), history.q.copy()]
+    kept = [history.u.copy(), history.v.copy()]
     solves = _recording_pcg(monkeypatch)
     new = step(state, cfg, stepper)
-    assert all(s[3] is not None for s in solves)
+    assert all(s[2] is not None for s in solves)
     # each guess lies in the span of its kept solutions
-    for (_, _, _, x0, _), basis in zip(solves, kept):
+    for (_, _, x0, _), basis in zip(solves, kept):
         coef = np.linalg.lstsq(basis.reshape(len(basis), -1).T,
                                x0.ravel(), rcond=None)[0]
         fit = np.tensordot(coef, basis, 1)
         assert np.abs(fit - x0).max() <= 1e-12 * np.abs(x0).max()
     n = (history.count - 1) % 6  # the slot step 8 pushed
     _assert_solves_stencil_system(
-        solves[:2], new.rho,
+        solves, new.rho,
         MacVelocity(cfg.grid, np.pad(history.u[n], ((1, 1), (0, 0))),
                     np.pad(history.v[n], ((0, 0), (1, 1)))), cfg.flow,
         cfg.dt)
@@ -273,125 +273,109 @@ def test_projected_guess_residual_matches_the_stencils(monkeypatch):
     assert stepper.history.filled == 6
     solves = _recording_pcg(monkeypatch)
     state = step(state, cfg, stepper)
+    assert len(solves) == 2
     g, dt = cfg.grid, cfg.dt
     ru, rv = density_at_faces(state.rho.values, g)
-    for rho_f, lap, (site, b, _, x0, r0) in zip(
+    for rho_f, lap, (b, _, x0, r0) in zip(
             (ru[1:-1, :], rv[:, 1:-1]), (_lap_u_interior, _lap_v_interior),
-            solves[:2]):
-        assert site == "predict"
+            solves):
         ref = b - (rho_f / dt * x0 - cfg.nu * lap(x0, g))
         assert np.linalg.norm(r0 - ref) <= 1e-12 * np.linalg.norm(b)
-    site, b, _, q0, r0 = solves[2]
-    assert site == "project"
-    gq = gradient_interior_faces(q0, g)
-    ref = b + divergence(MacVelocity(g, gq.u / ru, gq.v / rv)).values
-    assert np.linalg.norm(r0 - ref) <= 1e-12 * np.linalg.norm(b)
-
-
-def test_warm_started_projection_matches_the_cold_one(monkeypatch):
-    g = GridSpec(32, 32, 1.0, 1.0)
-    params, dt = FlowParams(tol_proj=1e-8), 1e-2
-    X, Y = g.cell_centers()
-    grad = gradient_interior_faces(
-        0.2 * np.cos(np.pi * X) * np.cos(np.pi * Y), g)
-    sol = _smooth_velocity(g)
-    rho, vs = _rho(g), MacVelocity(g, sol.u + grad.u, sol.v + grad.v)
-    solves = _recording_pcg(monkeypatch)
-    cold, q_cold = project(rho, vs, dt, params)
-    rng = np.random.default_rng(12)
-    noisy = q_cold.values + 1e-3 * rng.normal(size=(g.nx, g.ny))
-    noisy -= noisy.mean()
-    history = SolveHistory()
-    history.push(vs, noisy, params.nu)
-    warm, _ = project(rho, vs, dt, params, history=history)
-    # the guess's residual, with the grid's own gradient and divergence,
-    # is below ||b||, so the solve must start from it
-    _, rhs, _, q0, _ = solves[1]
-    ru, rv = density_at_faces(rho.values, g)
-    gq = gradient_interior_faces(q0, g)
-    res = rhs + divergence(MacVelocity(g, gq.u / ru, gq.v / rv)).values
-    assert np.linalg.norm(res - res.mean()) < np.linalg.norm(rhs)
-    # fewer iterations: the solve started from the guess
-    assert solves[1][2] < solves[0][2]
-    assert np.abs(divergence(warm).values).max() <= params.tol_proj
-    assert np.abs(warm.u - cold.u).max() <= params.tol_proj
-    assert np.abs(warm.v - cold.v).max() <= params.tol_proj
 
 
 def test_pcg_iterations_per_solve_are_pinned(monkeypatch):
-    # Cold pins: every solve from the zero guess, as the unsplit PCG that
-    # applied A in full counted them. Step 1 has no history and must match
-    # them; later steps start from the projected guesses and may only
-    # save iterations. The initial projection meets tol_proj before any
-    # iteration.
-    cold = {"predict": [8] * 12, "project": [0, 10, 10, 10, 9, 9, 9]}
-    warm = {"predict": [8, 8] + [7] * 4 + [6] * 4 + [5] * 2,
-            "project": [0, 10, 8, 7, 6, 5, 4]}
+    # Cold pins: every predictor solve from the zero guess, as the unsplit
+    # PCG that applied A in full counted them. Step 1 has no history and
+    # must match them; later steps start from the projected guesses and
+    # may only save iterations. The projection makes no pcg call.
+    cold = [8] * 12
+    warm = [8, 8] + [7] * 4 + [6] * 4 + [5] * 2
     cfg = preset_config("gzero", nx=32, ny=32, t_end=6 * 5e-3)
     solves = _recording_pcg(monkeypatch)
     run(cfg, write_outputs=False, with_stationary=False)
-    iters = {"predict": [], "project": []}
-    for site, _, n, _, _ in solves:
-        iters[site].append(n)
+    iters = [n for _, n, _, _ in solves]
     assert iters == warm
-    # step 1: two predictor solves; the initial and the step's projection
-    assert warm["predict"][:2] == cold["predict"][:2]
-    assert warm["project"][:2] == cold["project"][:2]
-    for site in cold:
-        assert all(w <= c for w, c in zip(warm[site], cold[site]))
-
-
-def _six_pushes(g, seed, params):
-    """A history holding six random (v*, q), q with zero mean."""
-    rng = np.random.default_rng(seed)
-    history = SolveHistory()
-    for _ in range(6):
-        vs = MacVelocity(g, rng.normal(size=(g.nx + 1, g.ny)),
-                         rng.normal(size=(g.nx, g.ny + 1)))
-        vs.enforce_noslip()
-        q = rng.normal(size=(g.nx, g.ny))
-        history.push(vs, q - q.mean(), params.nu)
-    return history
-
-
-def test_pressure_gram_by_parts_equals_the_cell_products(grid):
-    # sum over faces of k grad q_i . grad q_j against q_i . A q_j on the
-    # cells, A = -div(k grad) from the grid's own gradient and divergence
-    history = _six_pushes(grid, 13, FlowParams())
-    ru, rv = density_at_faces(_rho(grid).values, grid)
-    gram = history.pressure_gram(1.0 / ru[1:-1, :], 1.0 / rv[:, 1:-1])
-    aq = []
-    for q in history.q:
-        gq = gradient_interior_faces(q, grid)
-        aq.append(-divergence(MacVelocity(grid, gq.u / ru,
-                                          gq.v / rv)).values)
-    ref = np.array([[np.vdot(qi, aqj) for aqj in aq] for qi in history.q])
-    assert np.abs(gram - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert warm[:2] == cold[:2]
+    assert all(w <= c for w, c in zip(warm, cold))
 
 
 def test_a_ring_of_one_repeated_solution_gives_finite_guesses(grid):
-    # six pushes of one (v*, q): both Gram matrices are singular to rank
-    # one, and each guess is the projection onto that one solution.
-    # RuntimeWarnings are errors in this suite.
+    # six pushes of one v*: the Gram matrix is singular to rank one, and
+    # the guess is the projection onto that one solution. RuntimeWarnings
+    # are errors in this suite.
     params, dt = FlowParams(), 5e-3
     rho, vs = _rho(grid), _smooth_velocity(grid)
-    X, Y = grid.cell_centers()
-    q = np.cos(np.pi * X) * np.cos(np.pi * Y)
     history = SolveHistory()
     for _ in range(6):
-        history.push(vs, q, params.nu)
+        history.push(vs, params.nu)
     assert history.filled == 6
-    ru, rv = density_at_faces(rho.values, grid)
+    ru, _ = density_at_faces(rho.values, grid)
     rhs = np.random.default_rng(14).normal(size=(grid.nx - 1, grid.ny))
     x0, r0 = history.velocity_guess(0, rhs, ru[1:-1, :] / dt)
     assert np.isfinite(x0).all() and np.isfinite(r0).all()
     coef = np.vdot(x0, vs.u[1:-1, :]) / np.vdot(vs.u[1:-1, :], vs.u[1:-1, :])
     assert np.abs(x0 - coef * vs.u[1:-1, :]).max() \
         <= 1e-12 * np.abs(x0).max()
-    _, neg_div_k_grad = momentum._projection_ops(grid)
-    b = np.random.default_rng(15).normal(size=(grid.nx, grid.ny))
-    q0, r0 = history.pressure_guess(b - b.mean(), 1.0 / ru[1:-1, :],
-                                    1.0 / rv[:, 1:-1], neg_div_k_grad)
-    assert np.isfinite(q0).all() and np.isfinite(r0).all()
-    assert np.abs(q0 - np.vdot(q0, q) / np.vdot(q, q) * q).max() \
-        <= 1e-12 * np.abs(q0).max()
+
+
+# ---------------------------------------------------------------------------
+# the split projection
+
+def _pressure(grid, seed):
+    q = np.random.default_rng(seed).normal(size=(grid.nx, grid.ny))
+    return q - q.mean()
+
+
+def test_projection_with_constant_density_ignores_the_lagged_pressure(grid):
+    # k = c0 on every face, so the lagged term vanishes identically
+    rho, vs, dt = _rho(grid, const=1.5), _smooth_velocity(grid), 1e-2
+    ref, q_ref = project(rho, vs, dt, FlowParams())
+    for seed in (16, 17):
+        out, q = project(rho, vs, dt, FlowParams(),
+                         p_hat=_pressure(grid, seed))
+        for a, b in ((out.u, ref.u), (out.v, ref.v),
+                     (q.values, q_ref.values)):
+            assert np.array_equal(a, b)
+
+
+def test_projection_with_a_lagged_pressure_is_divergence_free(grid):
+    rho, vs, dt = _rho(grid), _smooth_velocity(grid), 1e-2
+    out, q = project(rho, vs, dt, FlowParams(), p_hat=_pressure(grid, 18))
+    assert np.abs(divergence(out).values).max() <= 1e-12
+    assert abs(q.values.mean()) < 1e-15
+
+
+def test_projection_makes_one_poisson_solve_and_no_pcg_call(monkeypatch,
+                                                            grid):
+    calls = {"solve": 0, "pcg": 0}
+    solve = momentum.NeumannPoisson.solve
+
+    def counted_solve(self, b):
+        calls["solve"] += 1
+        return solve(self, b)
+
+    def no_pcg(*args, **kwargs):
+        calls["pcg"] += 1
+        raise AssertionError("the projection called pcg")
+
+    monkeypatch.setattr(momentum.NeumannPoisson, "solve", counted_solve)
+    monkeypatch.setattr(momentum, "pcg", no_pcg)
+    rho, vs = _rho(grid), _smooth_velocity(grid)
+    for p_hat in (None, _pressure(grid, 19)):
+        calls["solve"] = 0
+        project(rho, vs, 1e-2, FlowParams(), p_hat=p_hat)
+        assert calls == {"solve": 1, "pcg": 0}
+
+
+def test_projection_raises_when_its_result_misses_tol_proj(monkeypatch,
+                                                           grid):
+    # a Poisson solution perturbed by 1e-6 leaves a divergence of about
+    # dt * c0 * 1e-6 * 8 / h^2, far above tol_proj
+    solve = momentum.NeumannPoisson.solve
+    bump = 1e-6 * np.random.default_rng(20).normal(size=(grid.nx, grid.ny))
+    monkeypatch.setattr(momentum.NeumannPoisson, "solve",
+                        lambda self, b: solve(self, b) + bump)
+    with pytest.raises(LinearSolveFailure,
+                       match=r"\|\|div v\|\|_inf = .* above tol_proj = "
+                             r"1\.000e-08"):
+        project(_rho(grid), _smooth_velocity(grid), 1e-2, FlowParams())

@@ -321,6 +321,33 @@ def test_checkpoint_round_trip_resumes_bitwise(tmp_path):
     assert np.array_equal(cont_a.d.d2, cont_b.d.d2)
 
 
+def _older_slots(state, stepper, slots):
+    """The kept solves of a snapshot in a layout from before the pressure
+    was written on its own: for each k -> (extra fields, q) of `slots`,
+    the extra fields, then solve{k}_u, solve{k}_v and solve{k}_q = q."""
+    g, hist = state.rho.grid, stepper.history
+    fields = []
+    for k, (extra, q) in sorted(slots.items()):
+        u = np.zeros((g.nx + 1, g.ny))
+        u[1:-1, :] = hist.u[k]
+        v = np.zeros((g.nx, g.ny + 1))
+        v[:, 1:-1] = hist.v[k]
+        fields += [*extra, (f"solve{k}_u", u), (f"solve{k}_v", v),
+                   (f"solve{k}_q", q)]
+    return fields
+
+
+def _assert_resumes_bitwise(cfg, state, stepper, loaded, resumed, steps):
+    for _ in range(steps):
+        state = step(state, cfg, stepper)
+        loaded = step(loaded, cfg, resumed)
+        for a, b in ((state.v.u, loaded.v.u), (state.v.v, loaded.v.v),
+                     (state.rho.values, loaded.rho.values),
+                     (state.d.d1, loaded.d.d1), (state.d.d2, loaded.d.d2),
+                     (state.pressure.values, loaded.pressure.values)):
+            assert a.tobytes() == b.tobytes()
+
+
 def test_checkpoint_with_full_solve_history_resumes_bitwise(tmp_path):
     # after 8 steps the ring of six solutions is full and its slots have
     # wrapped, so the resumed run must restore each slot and the push
@@ -336,53 +363,66 @@ def test_checkpoint_with_full_solve_history_resumes_bitwise(tmp_path):
     save_checkpoint(path, state, stepper)
     loaded, resumed = load_checkpoint(path, cfg)
     assert resumed.history.count == 8
-    for _ in range(3):
-        state = step(state, cfg, stepper)
-        loaded = step(loaded, cfg, resumed)
-        for a, b in ((state.v.u, loaded.v.u), (state.v.v, loaded.v.v),
-                     (state.rho.values, loaded.rho.values),
-                     (state.d.d1, loaded.d.d1), (state.d.d2, loaded.d.d2),
-                     (state.pressure.values, loaded.pressure.values)):
-            assert a.tobytes() == b.tobytes()
+    # the resumed first projection lags the saved pressure
+    assert loaded.pressure.values.tobytes() == state.pressure.values.tobytes()
+    _assert_resumes_bitwise(cfg, state, stepper, loaded, resumed, 3)
 
 
 def test_checkpoint_in_the_older_layout_with_solve_times_loads(tmp_path):
     # snapshots written before the history became a ring hold the last
-    # three solves oldest first, without a push count, and some also each
-    # solve's time, which is ignored; after three steps the ring holds
-    # those three in time order
+    # three solves oldest first, with each step's pressure and without a
+    # push count, and some also each solve's time, which is ignored; after
+    # three steps the ring holds those three in time order, and the
+    # newest pressure is the state's
     cfg = _cfg(t_end=0.08)
     state = initial_state(cfg)
     stepper = StepperState(dt=cfg.dt)
+    pressures = []
     for _ in range(3):
         state = step(state, cfg, stepper)
+        pressures.append(state.pressure.values)
     g, hist = cfg.grid, stepper.history
-    history = []
-    for k in range(3):
-        u = np.zeros((g.nx + 1, g.ny))
-        u[1:-1, :] = hist.u[k]
-        v = np.zeros((g.nx, g.ny + 1))
-        v[:, 1:-1] = hist.v[k]
-        history += [(f"solve{k}_t", np.array([[state.t - (2 - k) * 5e-3]])),
-                    (f"solve{k}_u", u), (f"solve{k}_v", v),
-                    (f"solve{k}_q", hist.q[k])]
+    slots = {k: ([(f"solve{k}_t", np.array([[state.t - (2 - k) * 5e-3]]))],
+                 pressures[k]) for k in range(3)}
     path = tmp_path / "old.bin"
     save_snapshot(path, g, [
         ("t", np.array([[state.t]])), ("dt", np.array([[stepper.dt]])),
         ("rho", state.rho.values), ("u", state.v.u), ("v", state.v.v),
-        ("d1", state.d.d1), ("d2", state.d.d2), *history])
+        ("d1", state.d.d1), ("d2", state.d.d2),
+        *_older_slots(state, stepper, slots)])
     loaded, resumed = load_checkpoint(path, cfg)
     assert resumed.history.count == 3
-    for name in ("u", "nu_lap_u", "v", "nu_lap_v", "q", "grad_q_u",
-                 "grad_q_v"):
+    for name in ("u", "nu_lap_u", "v", "nu_lap_v"):
         a, b = getattr(hist, name), getattr(resumed.history, name)
         assert a.tobytes() == b.tobytes()
-    cont = step(state, cfg, stepper)
-    resumed_state = step(loaded, cfg, resumed)
-    for a, b in ((cont.v.u, resumed_state.v.u),
-                 (cont.v.v, resumed_state.v.v),
-                 (cont.pressure.values, resumed_state.pressure.values)):
-        assert a.tobytes() == b.tobytes()
+    assert loaded.pressure.values.tobytes() == state.pressure.values.tobytes()
+    _assert_resumes_bitwise(cfg, state, stepper, loaded, resumed, 1)
+
+
+def test_checkpoint_in_the_ring_layout_with_pressure_slots_loads(tmp_path):
+    # snapshots of the ring that also kept each step's pressure: after 8
+    # steps the newest solve is in slot 1; only its pressure is read, so
+    # the other slots hold noise here
+    cfg = _cfg(t_end=0.1)
+    state = initial_state(cfg)
+    stepper = StepperState(dt=cfg.dt)
+    for _ in range(8):
+        state = step(state, cfg, stepper)
+    g = cfg.grid
+    rng = np.random.default_rng(21)
+    slots = {k: ([], state.pressure.values if k == 1
+                 else rng.normal(size=(g.nx, g.ny))) for k in range(6)}
+    path = tmp_path / "ring.bin"
+    save_snapshot(path, g, [
+        ("t", np.array([[state.t]])), ("dt", np.array([[stepper.dt]])),
+        ("rho", state.rho.values), ("u", state.v.u), ("v", state.v.v),
+        ("d1", state.d.d1), ("d2", state.d.d2),
+        ("solve_count", np.array([[8.0]])),
+        *_older_slots(state, stepper, slots)])
+    loaded, resumed = load_checkpoint(path, cfg)
+    assert resumed.history.count == 8
+    assert loaded.pressure.values.tobytes() == state.pressure.values.tobytes()
+    _assert_resumes_bitwise(cfg, state, stepper, loaded, resumed, 2)
 
 
 def test_run_stops_exactly_at_t_end():
