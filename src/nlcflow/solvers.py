@@ -277,12 +277,12 @@ def pcg(apply_n, b: np.ndarray, precond, tol_rel: float = 1e-10,
     x = np.zeros_like(b)
     if bnorm == 0.0:
         return x
-    tol = tol_rel * bnorm
-    r = b
     # a guess no better than zero, or not finite, is dropped
     if x0 is not None and np.sqrt(_dot(r0, r0)) < bnorm:
-        x, r = x0.copy(), r0
-    r = r.copy()
+        x, r = x0.copy(), r0.copy()
+    else:
+        r = b.copy()
+    tol = tol_rel * bnorm
     if np.sqrt(_dot(r, r)) <= tol:
         return x
     z = precond(r)
