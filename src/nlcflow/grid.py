@@ -304,12 +304,14 @@ def interior_gradient(p_values: np.ndarray, grid: GridSpec,
 
 
 def laplacian_interior_faces(x: np.ndarray, grid: GridSpec, axis: int,
-                             out: np.ndarray | None = None) -> np.ndarray:
+                             out: np.ndarray | None = None,
+                             work: np.ndarray | None = None) -> np.ndarray:
     """5-point Laplacian of one MAC velocity component on its interior
     faces, the stencil `solvers.FaceHelmholtz` inverts: axis=0 for u (input
     shape (nx-1, ny)), axis=1 for v ((nx, ny-1)). Walls: zero node values
     along the component's own axis, -interior ghosts across it. Written
-    into `out` when given.
+    into `out` when given; `work`, of x's shape, is overwritten as scratch
+    when given, so that nothing is allocated.
 
     Built from slices of x, without a ghost-padded copy, in the order of
     the padded formula cx*(east + west) + cy*(north + south) - 2(cx+cy)*x:
@@ -318,7 +320,7 @@ def laplacian_interior_faces(x: np.ndarray, grid: GridSpec, axis: int,
     so the result is the padded formula's up to the sign of a zero."""
     cx, cy = 1.0 / grid.hx**2, 1.0 / grid.hy**2
     lap = np.empty_like(x) if out is None else out
-    across = np.empty_like(x)
+    across = np.empty_like(x) if work is None else work
     # the x-direction sum into lap, the y-direction sum into across
     _neighbour_sum(x, 0, axis == 1, lap)
     _neighbour_sum(x, 1, axis == 0, across)

@@ -62,7 +62,7 @@ class SolveHistory:
         self.nu_lap_u = None
         self.v = None     # v* on the interior v-faces, (K, nx, ny-1)
         self.nu_lap_v = None
-        self._work = None  # A x_k of a ring
+        self._work = None  # A x_k of a ring, or the push's scratch
 
     @property
     def filled(self) -> int:
@@ -86,7 +86,9 @@ class SolveHistory:
                 (v_star.u[1:-1, :], self.u, self.nu_lap_u, 0),
                 (v_star.v[:, 1:-1], self.v, self.nu_lap_v, 1)):
             ring[n] = x
-            laplacian_interior_faces(ring[n], g, axis, out=lap[n])
+            laplacian_interior_faces(
+                ring[n], g, axis, out=lap[n],
+                work=self._work[:x.size].reshape(x.shape))
             lap[n] *= nu
         self.count += 1
         return n

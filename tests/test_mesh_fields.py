@@ -85,8 +85,9 @@ def test_face_laplacian_from_slices_equals_the_padded_formula(grid, axis):
     shape = (grid.nx - 1, grid.ny) if axis == 0 else (grid.nx, grid.ny - 1)
     x = np.random.default_rng(22 + axis).normal(size=shape)
     ref = _padded_face_laplacian(x, grid, axis)
-    out = np.empty(shape)
-    assert laplacian_interior_faces(x, grid, axis, out=out) is out
+    out, work = np.empty(shape), np.empty(shape)
+    assert laplacian_interior_faces(x, grid, axis, out=out, work=work) \
+        is out
     assert (out == ref).all()
     assert (laplacian_interior_faces(x, grid, axis) == ref).all()
 
