@@ -1,8 +1,8 @@
 """Independent brute-force re-implementations of the update operators
 (density, director, momentum predictor, pressure projection) on a 4x4 grid:
 explicit Python loops and dense linear algebra, no shared code with the
-production stencils beyond the data containers. Agreement is required to
-1e-12 in relative L2.
+production stencils beyond the data containers, and of one coupled step
+composed from them. Agreement is required to 1e-12 in relative L2.
 """
 
 import numpy as np
@@ -10,9 +10,12 @@ import pytest
 
 from nlcflow.density import DensityState, advance_density
 from nlcflow.director import GLParams, advance_director
+from nlcflow.forcing import ForcingSpec
 from nlcflow.grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
                           ScalarField)
 from nlcflow.momentum import FlowParams, predict_velocity, project
+from nlcflow.runner import RunConfig, StepperState, step
+from nlcflow.state import SimState
 
 NX = NY = 4
 GRID = GridSpec(NX, NY, 1.0, 1.0)
@@ -442,3 +445,101 @@ def test_projection_matches_dense_oracle():
         err = max(_rel_err(fast.u, ou), _rel_err(fast.v, ov),
                   _rel_err(q.values, oq))
         assert err <= 1e-12, f"projection oracle mismatch: {err:.3e}"
+
+
+# ---------------------------------------------------------------------------
+# one coupled step, composed from the oracles above in the README's order:
+# rho^{n+1} and d^{n+1} from v^n; the predictor with rho^{n+1}, d^{n+1}, v^n
+# and g(t^n + dt/2); the projection lagging the state's pressure p_hat
+
+def _ax(x, y):
+    return 0.3 * np.sin(np.pi * x) * np.cos(np.pi * y)
+
+
+def _ay(x, y):
+    return -0.2 * np.cos(np.pi * x) * np.sin(np.pi * y)
+
+
+_F2 = ForcingSpec(variant="f2", ax="0.3*sin(pi*x)*cos(pi*y)",
+                  ay="-0.2*cos(pi*x)*sin(pi*y)", xi=1.0, amplitude=1.5)
+
+
+def _step_config():
+    return RunConfig(nx=NX, ny=NY, nu=0.7, lam=0.8, gamma=1.3, eta=0.5,
+                     dt=0.004, t_end=1.0, tol_lin=1e-14, forcing=_F2)
+
+
+def _oracle_force(t):
+    """The f2 force at time t on the interior faces; zero on the walls."""
+    s = _F2.amplitude * (1.0 + t) ** (-(2.0 + _F2.xi) / 2.0)
+    u = np.zeros((NX + 1, NY))
+    v = np.zeros((NX, NY + 1))
+    for i in range(1, NX):
+        for j in range(NY):
+            u[i, j] = s * _ax(i * HX, (j + 0.5) * HY)
+    for i in range(NX):
+        for j in range(1, NY):
+            v[i, j] = s * _ay((i + 0.5) * HX, j * HY)
+    return MacVelocity(GRID, u, v)
+
+
+def _oracle_step(state, cfg, dt):
+    """(rho, d1, d2, u, v, q) after one step of length dt from `state`."""
+    glp = cfg.glp
+    w = state.v
+    rho = _oracle_advance_density(state.rho.values, w, dt)
+    n1, n2 = _oracle_advance_director(state.d, w, glp, dt)
+    d = DirectorField(GRID, n1, n2, state.d.trace)
+    us, vs = _oracle_predict_velocity(rho, w, d, _oracle_force(
+        state.t + 0.5 * dt), cfg.flow, glp, dt)
+    p_hat = np.zeros((NX, NY)) if state.pressure is None \
+        else state.pressure.values
+    u, v, q = _oracle_project(rho, MacVelocity(GRID, us, vs), dt, p_hat)
+    return rho, n1, n2, u, v, q
+
+
+def _start_state():
+    rho, w, d = _setup()
+    return SimState(t=0.0, density=DensityState.from_field(
+        ScalarField(GRID, rho, "extrapolate")), v=w, d=d)
+
+
+def _assert_step_matches(fast, slow):
+    got = (fast.rho.values, fast.d.d1, fast.d.d2, fast.v.u, fast.v.v,
+           fast.pressure.values)
+    err = max(_rel_err(a, b) for a, b in zip(got, slow))
+    assert err <= 1e-12, f"step oracle mismatch: {err:.3e}"
+
+
+def _oracle_state(state, slow, dt):
+    rho, n1, n2, u, v, q = slow
+    return SimState(
+        t=state.t + dt,
+        density=DensityState.from_field(ScalarField(GRID, rho,
+                                                    "extrapolate")),
+        v=MacVelocity(GRID, u, v),
+        d=DirectorField(GRID, n1, n2, state.d.trace),
+        pressure=ScalarField(GRID, q, "neumann_zero"))
+
+
+def test_three_cold_steps_match_the_step_oracle():
+    # Each step starts from an empty solve history. Step 1 projects without
+    # a lagged pressure, steps 2 and 3 with the previous one; the oracle
+    # runs its own chain of states.
+    cfg = _step_config()
+    fast = slow = _start_state()
+    for _ in range(3):
+        fast = step(fast, cfg, StepperState(dt=cfg.dt))
+        result = _oracle_step(slow, cfg, cfg.dt)
+        _assert_step_matches(fast, result)
+        slow = _oracle_state(slow, result, cfg.dt)
+
+
+def test_step_from_a_one_solution_history_matches_the_step_oracle():
+    # step 2 of a run: its history holds step 1's v* alone
+    cfg = _step_config()
+    stepper = StepperState(dt=cfg.dt)
+    state = step(_start_state(), cfg, stepper)
+    assert stepper.history.filled == 1
+    fast = step(state, cfg, stepper)
+    _assert_step_matches(fast, _oracle_step(state, cfg, cfg.dt))
