@@ -10,8 +10,8 @@ class CflViolation(NlcflowError):
 
 
 class LinearSolveFailure(NlcflowError):
-    """An inner conjugate-gradient solve got a non-finite right-hand side
-    or hit its iteration cap."""
+    """The momentum predictor got a non-finite right-hand side, or the
+    projected velocity missed its divergence bound."""
 
 
 class IncompatibleRhs(NlcflowError):

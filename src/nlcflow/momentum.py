@@ -1,6 +1,7 @@
 """Variable-density momentum predictor with the director elastic stress in
-reduced form, and the pressure projection, split into one
-constant-coefficient Poisson solve and a lagged variable-coefficient term.
+reduced form, and the pressure projection. Each is split into one
+constant-coefficient direct solve and a lagged variable-coefficient term
+(Dodd & Ferrante, J. Comput. Phys. 273, 2014).
 
 The stress enters as -lambda*(lap d - f(d)) . grad d (gradient parts are
 absorbed into the pressure), so the coupling force vanishes identically at
@@ -10,7 +11,7 @@ director equilibria - the structure the long-time behavior relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,28 +20,24 @@ from .errors import IncompatibleRhs, LinearSolveFailure
 from .grid import (DirectorField, GridSpec, MacVelocity, ScalarField,
                    centered_gradient_at_centers, density_at_faces, divergence,
                    interior_gradient, laplacian_interior_faces)
-from .solvers import FaceHelmholtz, NeumannPoisson, pcg, projected_guess
-
-_CG_CAP = 2000  # iteration cap of the predictor solves
+from .solvers import FaceHelmholtz, NeumannPoisson, projected_guess
 
 
 @dataclass(frozen=True)
 class FlowParams:
-    """Viscosity, the predictor's solve tolerance and the bound that
-    `project` guarantees on ||div v'||_inf. The elastic coupling lambda is
-    `GLParams.lam`."""
+    """Viscosity and the bound that `project` guarantees on
+    ||div v'||_inf. The elastic coupling lambda is `GLParams.lam`."""
 
     nu: float = 1.0
     tol_proj: float = 1e-8
-    tol_lin: float = 1e-10
 
     def __post_init__(self):
         if self.nu <= 0 or self.tol_proj <= 0:
             raise ValueError("nu and tol_proj must be positive")
 
 
-# solutions kept: the predictor starts from the A-norm projection onto its
-# last six
+# solutions kept: the predictor lags the A-norm projection onto its last
+# six
 _SOLVE_HISTORY = 6
 
 
@@ -49,12 +46,12 @@ class SolveHistory:
     in one ring of (K, ...) arrays per velocity component, each with the
     part of its operator product that does not depend on the density:
     nu*L of the component (L = `laplacian_interior_faces`) on the interior
-    faces. From these a later step forms its guesses for its own density
-    with a few BLAS products (`velocity_guess`); no stencil is applied to
-    the history. `push` writes slot count mod K in place, so the slots are
-    not in time order once the ring is full; the projection onto them does
-    not depend on their order but for round-off. The rings are allocated
-    at the first push."""
+    faces. From these a later step forms its lagged velocity for its own
+    density with a few BLAS products (`velocity_guess`); no stencil is
+    applied to the history. `push` writes slot count mod K in place, so
+    the slots are not in time order once the ring is full; the projection
+    onto them does not depend on their order but for round-off. The rings
+    are allocated at the first push."""
 
     def __init__(self):
         self.count = 0    # solutions pushed so far
@@ -94,7 +91,7 @@ class SolveHistory:
         return n
 
     def velocity_guess(self, axis: int, rhs: np.ndarray, diag: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray]:
+                       ) -> np.ndarray:
         """`projected_guess` of (diag - nu*L) x = rhs for one velocity
         component (axis 0 for u, 1 for v) onto the kept v*, with
         A x_k = diag * x_k - nu*L x_k formed into the work stack."""
@@ -209,29 +206,40 @@ def _face_pre(grid: GridSpec, a: float, c: float, axis: int) -> FaceHelmholtz:
 
 def _face_solve(g: GridSpec, axis: int, rho_f: np.ndarray, rhs: np.ndarray,
                 rbar: float, dt: float, params: FlowParams,
-                history: SolveHistory | None) -> np.ndarray:
-    """(rho_f/dt - nu*Lap) x = rhs on one component's interior faces,
-    from the A-norm projection onto the kept solutions in `history` (zero
-    without any). A splits into the exactly inverted M = rbar/dt - nu*Lap
-    and the diagonal N = (rho_f - rbar)/dt."""
-    x0 = r0 = None
+                history: SolveHistory | None,
+                w_face: np.ndarray) -> np.ndarray:
+    """(rho_f/dt - nu*Lap) x = rhs on one component's interior faces, by
+    the density split of Dodd & Ferrante (J. Comput. Phys. 273, 2014): one
+    direct solve of (rbar/dt - nu*Lap) x = rhs - (rho_f - rbar)/dt * x_hat.
+    The lagged x_hat is the A-norm projection onto the kept solutions in
+    `history`, or the old velocity `w_face` without any. Raises
+    LinearSolveFailure on a non-finite right-hand side."""
+    x_hat = w_face
     if history is not None and history.count:
-        x0, r0 = history.velocity_guess(axis, rhs, rho_f / dt)
-    return pcg(partial(np.multiply, (rho_f - rbar) / dt), rhs,
-               _face_pre(g, rbar / dt, params.nu, axis).solve,
-               tol_rel=params.tol_lin, maxiter=_CG_CAP, x0=x0, r0=r0)
+        x_hat = history.velocity_guess(axis, rhs, rho_f / dt)
+    b = np.subtract(rho_f, rbar)
+    b /= dt
+    b *= x_hat
+    np.subtract(rhs, b, out=b)
+    if not np.isfinite(b).all():
+        raise LinearSolveFailure(
+            f"the momentum predictor got a non-finite right-hand side "
+            f"(axis {axis})")
+    return _face_pre(g, rbar / dt, params.nu, axis).solve(b)
 
 
 def predict_velocity(rho: ScalarField, w: MacVelocity, d: DirectorField,
                      force_ext: MacVelocity | None, params: FlowParams,
                      glp: GLParams, dt: float,
                      history: SolveHistory | None = None) -> MacVelocity:
-    """Implicit-viscosity momentum predictor: per component solve
+    """Implicit-viscosity momentum predictor: per component
     (rho/dt - nu*Lap) v* = rho/dt*v - rho*(v.grad v) + elastic + rho*g,
     with no-slip walls; advection is donor-cell upwind in advective form.
-    Each solve starts from the A-norm projection onto the kept solutions
-    in `history` (zero without any); the result meets the same tolerance
-    either way. With a history, v* is then pushed onto it.
+    The inertia splits into the mean density rbar, solved for directly,
+    and (rho - rbar)/dt times a lagged velocity on the right-hand side:
+    the A-norm projection onto the kept solutions in `history`, or v
+    without any (step 1, an O(dt) splitting error). With a history, v* is
+    then pushed onto it.
     """
     g = rho.grid
     ru, rv = density_at_faces(rho.values, g)
@@ -244,10 +252,10 @@ def predict_velocity(rho: ScalarField, w: MacVelocity, d: DirectorField,
     rbar = float(rho.values.mean())
     out = MacVelocity.zeros(g)
     out.u[1:-1, :] = _face_solve(g, 0, ru[1:-1, :], rhs_u[1:-1, :], rbar,
-                                 dt, params, history)
+                                 dt, params, history, w.u[1:-1, :])
     out.v[:, 1:-1] = _face_solve(g, 1, rv[:, 1:-1],
                                  np.ascontiguousarray(rhs_v[:, 1:-1]), rbar,
-                                 dt, params, history)
+                                 dt, params, history, w.v[:, 1:-1])
     if history is not None:
         history.push(out, params.nu)
     return out

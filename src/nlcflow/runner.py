@@ -58,7 +58,6 @@ class RunConfig:
     cfl_safety: float = 0.5
     dt_min: float = 1e-8
     # tolerances
-    tol_lin: float = 1e-10
     tol_proj: float = 1e-8
     tol_stationary: float = 1e-9
     tol_max: float = 1e-6
@@ -77,8 +76,7 @@ class RunConfig:
 
     @property
     def flow(self) -> FlowParams:
-        return FlowParams(nu=self.nu, tol_proj=self.tol_proj,
-                          tol_lin=self.tol_lin)
+        return FlowParams(nu=self.nu, tol_proj=self.tol_proj)
 
 
 _SECTIONS = {
@@ -89,8 +87,8 @@ _SECTIONS = {
                 ("d0x", str), ("d0y", str)),
     "stepping": (("dt", float), ("t_end", float), ("cfl_safety", float),
                  ("dt_min", float)),
-    "tolerances": (("tol_lin", float), ("tol_proj", float),
-                   ("tol_stationary", float), ("tol_max", float)),
+    "tolerances": (("tol_proj", float), ("tol_stationary", float),
+                   ("tol_max", float)),
     "output": (("record_every", int), ("snapshot_every", int),
                ("out_dir", str)),
 }
@@ -187,9 +185,9 @@ def initial_state(cfg: RunConfig) -> SimState:
 @dataclass
 class StepperState:
     """Mutable loop bookkeeping: the (auto-shrunk, never grown) dt, and the
-    run's last predictor solutions, whose A-norm projection starts the
-    next step's predictor solves. `step` pushes onto the history in place,
-    so a stepper belongs to one sequence of states."""
+    run's last predictor solutions, whose A-norm projection is the next
+    step's lagged velocity in the predictor. `step` pushes onto the
+    history in place, so a stepper belongs to one sequence of states."""
 
     dt: float
     history: SolveHistory = field(default_factory=SolveHistory)
@@ -198,15 +196,15 @@ class StepperState:
 def step(state: SimState, cfg: RunConfig, stepper: StepperState) -> SimState:
     """One coupled step: density and director advance with the current
     velocity, then the momentum predictor and projection use the fresh
-    density and director. Each predictor solve starts from the A-norm
-    projection onto its solutions kept in `stepper.history` (zero without
-    any), whose operator products the step forms with the fresh density
-    by elementwise and BLAS products; no stencil is applied to the
-    history, and no step size enters the guess. The predictor pushes the
-    step's v* onto the history. The projection's lagged pressure is the
-    state's pressure, absent on step 1. dt is halved until the transport
-    CFL bound holds with the configured safety factor, and a step that
-    would pass t_end is shortened to end there."""
+    density and director. The predictor's lagged velocity is the A-norm
+    projection onto its solutions kept in `stepper.history` (the current
+    velocity without any), whose operator products the step forms with
+    the fresh density by elementwise and BLAS products; no stencil is
+    applied to the history, and no step size enters the projection. The
+    predictor pushes the step's v* onto the history. The projection's
+    lagged pressure is the state's pressure, absent on step 1. dt is
+    halved until the transport CFL bound holds with the configured safety
+    factor, and a step that would pass t_end is shortened to end there."""
     dt = stepper.dt
     while cfl_number(state.v, dt) > cfg.cfl_safety:
         dt *= 0.5

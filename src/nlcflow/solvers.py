@@ -1,23 +1,20 @@
-"""Inner linear solvers: direct Helmholtz/Poisson solvers by dense
-eigenbasis transforms, and a matrix-free preconditioned conjugate gradient
-in split form. The director step, the harmonic extension and the pressure
-projection call a direct solver alone, since it inverts their
+"""Direct Helmholtz/Poisson solvers by dense eigenbasis transforms, and
+the A-norm projection that gives the momentum predictor its lagged
+velocity. Every linear solve of a step is one direct solve: the director
+step, the harmonic extension and the pressure projection invert their
 constant-coefficient operators exactly (the projection's variable
-coefficient is split off into its right-hand side, see
-`momentum.project`). The momentum predictor (variable density) solves
-A x = b with A = M + N, where M = rbar/dt - nu*Lap is a
-constant-coefficient operator that a direct solver inverts exactly and
-N = (rho_f - rbar)/dt is a diagonal. `pcg` takes N and M^-1, never A. Its
-initial guess is zero unless the caller passes one with its residual
-b - A x0. The time loop passes `projected_guess`: the combination of the
-last solutions of the same solve nearest to the new solution in the
-A-norm. The solutions are kept stacked in (K, ...) arrays, each with the
-part of its operator product that does not depend on the density, so the
-caller forms A x_k with the current density by elementwise products, the
-Gram matrix and right-hand side with one BLAS product each, and r0 by
-linearity; no stencil is applied to the history. The stopping test stays
-relative to ||b||, so a guess saves iterations without loosening any
-tolerance.
+coefficient is split off into its right-hand side, see `momentum.project`),
+and so does the momentum predictor. Its variable-density operator
+A = M + N, with M = rbar/dt - nu*Lap and the diagonal
+N = (rho_f - rbar)/dt, is split the same way: N acts on a lagged velocity
+in the right-hand side, and M is inverted exactly. The lagged velocity is
+`projected_guess`: the combination of the last solutions of the same
+solve nearest to the new solution in the A-norm. The solutions are kept
+stacked in (K, ...) arrays, each with the part of its operator product
+that does not depend on the density, so the caller forms A x_k with the
+current density by elementwise products, and the Gram matrix and
+right-hand side with one BLAS product each; no stencil is applied to the
+history.
 
 The cell-centered Dirichlet Laplacian (ghost = 2g - interior) is
 diagonalized by the orthonormal DST-II basis on cells; the node-centered
@@ -37,17 +34,15 @@ at about 160^2, and a loss above that (3.9 against 2.8 ms at 256^2). No
 preset, test or benchmark workload runs above 128^2; choosing the transform
 by size is left until one does.
 
-Reductions in `pcg` go through one einsum-based inner product, never the
-BLAS dot: OpenBLAS splits a dot across threads above about 10^4 elements,
-which changes its summation order. The guesses' inner products of stacked
-solutions are BLAS matrix products; with two to six rows their results
-were bitwise the same at one and two threads (OpenBLAS 0.3.31), and a
-test runs the time loop at both. numpy sends the products of one kept
-solution, (1, N) @ (N, 1), to the BLAS dot instead, whose result changed
-with the thread count, so for those `row_products` uses the einsum
-product. Together with gemm, whose results do not depend on the thread
-count, this keeps results bitwise reproducible for a fixed configuration
-at any BLAS thread count.
+The guesses' inner products of stacked solutions are BLAS matrix
+products; with two to six rows their results were bitwise the same at one
+and two threads (OpenBLAS 0.3.31), and a test runs the time loop at both.
+numpy sends the products of one kept solution, (1, N) @ (N, 1), to the
+BLAS dot instead, which OpenBLAS splits across threads above about 10^4
+elements, so its summation order and result change with the thread count;
+for those `row_products` uses an einsum product. Together with gemm, whose
+results do not depend on the thread count, this keeps results bitwise
+reproducible for a fixed configuration at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -56,7 +51,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import LinearSolveFailure
 from .grid import GridSpec
 
 
@@ -186,19 +180,15 @@ def combine_rows(c: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 
 def projected_guess(b: np.ndarray, xs: np.ndarray, axs: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Initial guess for A x = b (A symmetric positive semi-definite) from
-    the earlier solutions stacked in xs (k, n0, n1): x0 = sum c_k x_k with
-    G c = f, G = xs . axs^T and f = xs . b, the combination nearest to the
-    solution in the A-norm (Fischer, Comput. Methods Appl. Mech. Engrg.
-    163, 1998). `axs` holds A x_k, formed by the caller with the current
-    operator, and r0 = b - sum c_k A x_k follows by linearity. Returns
-    (x0, r0)."""
+                    ) -> np.ndarray:
+    """x0 = sum c_k x_k, the combination of the earlier solutions of
+    A x = b (A symmetric positive semi-definite) stacked in xs (k, n0, n1)
+    nearest to the solution in the A-norm: G c = f with G = xs . axs^T and
+    f = xs . b (Fischer, Comput. Methods Appl. Mech. Engrg. 163, 1998).
+    `axs` holds A x_k, formed by the caller with the current operator."""
     c = gram_coefficients(row_products(xs, axs),
                           row_products(xs, b[None])[:, 0])
-    r0 = combine_rows(c, axs)
-    np.subtract(b, r0, out=r0)
-    return combine_rows(c, xs), r0
+    return combine_rows(c, xs)
 
 
 def gram_coefficients(gram: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -240,73 +230,3 @@ def gram_coefficients(gram: np.ndarray, f: np.ndarray) -> np.ndarray:
         c[p] = (rhs[p] - sum([row[j] * c[j] for j in done])) / row[p]
         done.append(p)
     return np.array(c)
-
-
-def pcg(apply_n, b: np.ndarray, precond, tol_rel: float = 1e-10,
-        maxiter: int = 500, x0: np.ndarray | None = None,
-        r0: np.ndarray | None = None) -> np.ndarray:
-    """Preconditioned conjugate gradient for A x = b with A = M + N, on 2D
-    arrays. `precond(r)` returns M^-1 r, exactly up to round-off;
-    `apply_n(p)` returns N p, which pcg uses as scratch until the next
-    call, so it may return the same buffer every time. A is never applied:
-    since M z_k = r_k, M p follows from M p_0 = r_0,
-    M p_k = r_k + beta_k M p_{k-1} (Eisenstat, SIAM J. Sci. Stat. Comput.
-    2(1), 1981), and A p = M p + N p.
-
-    The initial guess is zero, or `x0` when it is given with its residual
-    `r0` = b - A x0, which the caller forms by linearity from the stored
-    products of its kept solutions with the current density
-    (`projected_guess`, `momentum.SolveHistory`); pcg applies N once per
-    iteration and never for the guess. A guess whose residual is not below
-    ||b||_2, or is not finite, is dropped for the zero guess. x0 and r0
-    are left unchanged.
-
-    Stops when ||r||_2 <= tol_rel * ||b||_2: the test is measured against
-    b, never against the guess's residual, so a guess changes the
-    iteration count but not the accuracy asked for. Convergence is tested
-    as soon as a residual is formed, so the preconditioner is applied only
-    to residuals that feed a further iteration. Vector updates are in
-    place, on x, r, p and M p, with N p as scratch. Raises
-    LinearSolveFailure on a non-finite b, before any iteration, and at the
-    iteration cap.
-    """
-    bnorm = np.sqrt(_dot(b, b))
-    if not np.isfinite(bnorm):
-        raise LinearSolveFailure(
-            f"CG got a non-finite right-hand side (||b|| = {bnorm})")
-    x = np.zeros_like(b)
-    if bnorm == 0.0:
-        return x
-    # a guess no better than zero, or not finite, is dropped
-    if x0 is not None and np.sqrt(_dot(r0, r0)) < bnorm:
-        x, r = x0.copy(), r0.copy()
-    else:
-        r = b.copy()
-    tol = tol_rel * bnorm
-    if np.sqrt(_dot(r, r)) <= tol:
-        return x
-    z = precond(r)
-    p = z.copy()
-    mp = r.copy()
-    rz = _dot(r, z)
-    for _ in range(maxiter):
-        s = apply_n(p)
-        s += mp   # s = A p
-        alpha = rz / _dot(p, s)
-        s *= alpha
-        r -= s
-        np.multiply(p, alpha, out=s)
-        x += s
-        if np.sqrt(_dot(r, r)) <= tol:
-            return x
-        z = precond(r)
-        rz_new = _dot(r, z)
-        beta = rz_new / rz
-        p *= beta
-        p += z
-        mp *= beta
-        mp += r
-        rz = rz_new
-    raise LinearSolveFailure(
-        f"CG hit iteration cap {maxiter}; "
-        f"||r||/||b|| = {np.sqrt(_dot(r, r)) / bnorm:.3e}")

@@ -315,7 +315,13 @@ def _dense_v_operator(rv, nu, dt):
     return A
 
 
-def _oracle_predict_velocity(rho, w, d, g_ext, flow, glp, dt):
+def _oracle_predict_velocity(rho, w, d, g_ext, flow, glp, dt, kept=None):
+    """The predictor with its inertia split: per component, with
+    A = rho_f/dt - nu*Lap, M = rbar/dt - nu*Lap for the mean cell density
+    rbar and N = A - M, solve M v* = rhs - N v_hat. v_hat is the old
+    velocity w, or, given the one kept solution x1 of each component in
+    `kept`, its A-norm projection (x1.rhs)/(x1.A x1) x1. Returns v* with
+    its wall faces, and the interior parts."""
     ru, rv = _faces_rho(rho)
     fu, fv = _oracle_elastic_force(d, glp)
     adv_u = _oracle_adv_u(w)
@@ -327,29 +333,38 @@ def _oracle_predict_velocity(rho, w, d, g_ext, flow, glp, dt):
         rhs_u += ru * g_ext.u
         rhs_v += rv * g_ext.v
 
-    Au = _dense_u_operator(ru, flow.nu, dt)
-    Av = _dense_v_operator(rv, flow.nu, dt)
-    su = np.linalg.solve(Au, rhs_u[1:-1, :].ravel()).reshape(NX - 1, NY)
-    sv = np.linalg.solve(Av, rhs_v[:, 1:-1].ravel()).reshape(NX, NY - 1)
+    rbar = rho.mean()
+    parts = []
+    for k, (r, rhs, old, dense) in enumerate((
+            (ru, rhs_u[1:-1, :], w.u[1:-1, :], _dense_u_operator),
+            (rv, rhs_v[:, 1:-1], w.v[:, 1:-1], _dense_v_operator))):
+        A = dense(r, flow.nu, dt)
+        M = dense(np.full_like(r, rbar), flow.nu, dt)
+        b = rhs.ravel()
+        v_hat = old.ravel()
+        if kept is not None:
+            x1 = kept[k].ravel()
+            v_hat = (x1 @ b) / (x1 @ A @ x1) * x1
+        parts.append(np.linalg.solve(M, b - (A - M) @ v_hat)
+                     .reshape(rhs.shape))
 
     u = np.zeros((NX + 1, NY))
     v = np.zeros((NX, NY + 1))
-    u[1:-1, :] = su
-    v[:, 1:-1] = sv
-    return u, v
+    u[1:-1, :], v[:, 1:-1] = parts
+    return u, v, parts
 
 
 def test_momentum_predictor_matches_dense_oracle():
     rho, w, d = _setup()
     glp = GLParams(gamma=1.0, eta=0.5, lam=0.8)
-    flow = FlowParams(nu=0.7, tol_lin=1e-14)
+    flow = FlowParams(nu=0.7)
     dt = 0.004
     g_ext = MacVelocity(GRID, 0.1 * np.ones((NX + 1, NY)),
                         -0.05 * np.ones((NX, NY + 1)))
 
     rho_f = ScalarField(GRID, rho, "extrapolate")
     fast = predict_velocity(rho_f, w, d, g_ext, flow, glp, dt)
-    ou, ov = _oracle_predict_velocity(rho, w, d, g_ext, flow, glp, dt)
+    ou, ov, _ = _oracle_predict_velocity(rho, w, d, g_ext, flow, glp, dt)
     err = max(_rel_err(fast.u, ou), _rel_err(fast.v, ov))
     assert err <= 1e-12, f"momentum oracle mismatch: {err:.3e}"
 
@@ -357,11 +372,11 @@ def test_momentum_predictor_matches_dense_oracle():
 def test_oracle_agreement_without_external_force():
     rho, w, d = _setup()
     glp = GLParams(gamma=1.0, eta=0.4, lam=1.2)
-    flow = FlowParams(nu=1.3, tol_lin=1e-14)
+    flow = FlowParams(nu=1.3)
     dt = 0.002
     rho_f = ScalarField(GRID, rho, "extrapolate")
     fast = predict_velocity(rho_f, w, d, None, flow, glp, dt)
-    ou, ov = _oracle_predict_velocity(rho, w, d, None, flow, glp, dt)
+    ou, ov, _ = _oracle_predict_velocity(rho, w, d, None, flow, glp, dt)
     err = max(_rel_err(fast.u, ou), _rel_err(fast.v, ov))
     assert err <= 1e-12, f"momentum oracle mismatch: {err:.3e}"
 
@@ -466,7 +481,7 @@ _F2 = ForcingSpec(variant="f2", ax="0.3*sin(pi*x)*cos(pi*y)",
 
 def _step_config():
     return RunConfig(nx=NX, ny=NY, nu=0.7, lam=0.8, gamma=1.3, eta=0.5,
-                     dt=0.004, t_end=1.0, tol_lin=1e-14, forcing=_F2)
+                     dt=0.004, t_end=1.0, forcing=_F2)
 
 
 def _oracle_force(t):
@@ -483,19 +498,22 @@ def _oracle_force(t):
     return MacVelocity(GRID, u, v)
 
 
-def _oracle_step(state, cfg, dt):
-    """(rho, d1, d2, u, v, q) after one step of length dt from `state`."""
+def _oracle_step(state, cfg, dt, kept=None):
+    """(rho, d1, d2, u, v, q) after one step of length dt from `state`,
+    and the interior parts of the predictor's v*, whose lagged velocity is
+    the projection onto the solutions in `kept` if given."""
     glp = cfg.glp
     w = state.v
     rho = _oracle_advance_density(state.rho.values, w, dt)
     n1, n2 = _oracle_advance_director(state.d, w, glp, dt)
     d = DirectorField(GRID, n1, n2, state.d.trace)
-    us, vs = _oracle_predict_velocity(rho, w, d, _oracle_force(
-        state.t + 0.5 * dt), cfg.flow, glp, dt)
+    us, vs, v_star = _oracle_predict_velocity(
+        rho, w, d, _oracle_force(state.t + 0.5 * dt), cfg.flow, glp, dt,
+        kept)
     p_hat = np.zeros((NX, NY)) if state.pressure is None \
         else state.pressure.values
     u, v, q = _oracle_project(rho, MacVelocity(GRID, us, vs), dt, p_hat)
-    return rho, n1, n2, u, v, q
+    return rho, n1, n2, u, v, q, v_star
 
 
 def _start_state():
@@ -512,7 +530,7 @@ def _assert_step_matches(fast, slow):
 
 
 def _oracle_state(state, slow, dt):
-    rho, n1, n2, u, v, q = slow
+    rho, n1, n2, u, v, q, _ = slow
     return SimState(
         t=state.t + dt,
         density=DensityState.from_field(ScalarField(GRID, rho,
@@ -523,7 +541,8 @@ def _oracle_state(state, slow, dt):
 
 
 def test_three_cold_steps_match_the_step_oracle():
-    # Each step starts from an empty solve history. Step 1 projects without
+    # Each step starts from an empty solve history, so the predictor lags
+    # the old velocity. Step 1 projects without
     # a lagged pressure, steps 2 and 3 with the previous one; the oracle
     # runs its own chain of states.
     cfg = _step_config()
@@ -536,10 +555,15 @@ def test_three_cold_steps_match_the_step_oracle():
 
 
 def test_step_from_a_one_solution_history_matches_the_step_oracle():
-    # step 2 of a run: its history holds step 1's v* alone
+    # step 2 of a run: its history holds step 1's v* alone, and the
+    # oracle projects onto its own step 1's v* in closed form
     cfg = _step_config()
     stepper = StepperState(dt=cfg.dt)
-    state = step(_start_state(), cfg, stepper)
+    start = _start_state()
+    fast = step(start, cfg, stepper)
     assert stepper.history.filled == 1
-    fast = step(state, cfg, stepper)
-    _assert_step_matches(fast, _oracle_step(state, cfg, cfg.dt))
+    slow = _oracle_step(start, cfg, cfg.dt)
+    _assert_step_matches(fast, slow)
+    fast = step(fast, cfg, stepper)
+    _assert_step_matches(fast, _oracle_step(
+        _oracle_state(start, slow, cfg.dt), cfg, cfg.dt, kept=slow[-1]))

@@ -59,6 +59,15 @@ def test_load_config_round_trip(tmp_path):
     assert cfg.lam == 1.0  # untouched default
 
 
+def test_load_config_rejects_the_removed_tol_lin(tmp_path):
+    # the predictor makes one direct solve per component; no linear
+    # tolerance is left to set
+    p = tmp_path / "run.cfg"
+    p.write_text("[tolerances]\ntol_lin = 1e-10\ntol_proj = 1e-8\n")
+    with pytest.raises(ConfigError, match="'tol_lin'"):
+        load_config(p)
+
+
 def test_load_config_rejects_unknown_key(tmp_path):
     p = tmp_path / "bad.cfg"
     p.write_text("[grid]\nnx = 16\nresolution = 99\n")
