@@ -144,9 +144,8 @@ def test_face_density_average(grid):
 
 def _recording_solves(monkeypatch):
     """Wrap momentum._face_solve; each predictor solve appends a dict of
-    its right-hand side, the old velocity it was given, the kept
-    solutions of its component (None without any), the lagged velocity it
-    used and its solution."""
+    its right-hand side, the kept solutions of its component (None
+    without any), the lagged velocity it used and its solution."""
     solves = []
     face_solve = momentum._face_solve
     guess = SolveHistory.velocity_guess
@@ -160,7 +159,7 @@ def _recording_solves(monkeypatch):
         if history is not None and history.count:
             ring = history.u if axis == 0 else history.v
             kept = ring[:history.filled].copy()
-        rec = dict(rhs=rhs.copy(), w_face=w_face, kept=kept, x_hat=w_face)
+        rec = dict(rhs=rhs.copy(), kept=kept, x_hat=w_face)
         solves.append(rec)
         rec["x"] = face_solve(g, axis, rho_f, rhs, rbar, dt, params,
                               history, w_face)
@@ -394,7 +393,7 @@ def test_projection_makes_one_poisson_solve_and_no_pcg_call(monkeypatch,
     # no iterative solver is left in the package; the projection makes
     # one direct Poisson solve and no other solve
     calls = {"poisson": 0, "other": 0}
-    solve = momentum.NeumannPoisson.solve
+    solve = _EigenSolver.solve
 
     def counted_solve(self, b):
         calls["poisson" if isinstance(self, momentum.NeumannPoisson)
