@@ -8,7 +8,7 @@ made right after another reads the shared state's functionals from it.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -19,13 +19,6 @@ from .grid import (DirectorField, MacVelocity, density_at_faces, divergence,
                    norms)
 from .momentum import FlowParams
 from .state import SimState
-
-FIELD_ORDER = (
-    "t", "kinetic", "elastic", "potential", "E_total", "E_tilde",
-    "grad_v_L2", "gl_res_L2", "A_val", "B_val", "mass", "rho_min",
-    "rho_max", "d_maxnorm", "div_v_inf", "law_residual", "g_L2",
-    "d_dist", "v_H1",
-)
 
 
 @dataclass(frozen=True)
@@ -49,6 +42,10 @@ class DiagRecord:
     g_L2: float
     d_dist: float
     v_H1: float
+
+
+# the CSV's columns, in the order `read_csv` passes them to DiagRecord
+FIELD_ORDER = tuple(f.name for f in fields(DiagRecord))
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,11 @@ class ConfigError(NlcflowError):
     """Run configuration violates a validated assumption."""
 
 
+class CheckpointError(NlcflowError):
+    """A file is not a checkpoint archive of this format version, or
+    holds a run on another grid."""
+
+
 class StepFailed(NlcflowError):
     """A coupled time step raised; the original exception is chained as
     __cause__."""

@@ -1,5 +1,5 @@
 """Staggered (MAC) grid geometry, field containers, discrete operators,
-boundary handling, norms, and the shared binary snapshot format.
+boundary handling and norms.
 
 Layout conventions
 ------------------
@@ -23,13 +23,10 @@ share of the Laplacian.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-MAGIC = b"NLCF1\n"
 
 
 @dataclass(frozen=True)
@@ -494,81 +491,3 @@ def density_at_faces(rho: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.nd
     rv[:, -1] = rho[:, -1]
     return ru, rv
 
-
-# ---------------------------------------------------------------------------
-# snapshot format
-# ---------------------------------------------------------------------------
-
-def save_snapshot(path, grid: GridSpec, fields: list[tuple[str, np.ndarray]]) -> None:
-    """Binary snapshot: magic, ASCII header, then per field a name line with
-    its declared staggering and row-major float64 data (ny rows of nx values
-    per row, y-major)."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(f"{grid.nx} {grid.ny} {grid.Lx!r} {grid.Ly!r} {len(fields)}\n".encode())
-        for name, arr in fields:
-            dims = _dims_label(grid, arr)
-            fh.write(f"{name} {dims}\n".encode())
-            data = np.ascontiguousarray(arr.T, dtype="<f8")
-            fh.write(data.tobytes())
-
-
-def _dims_label(grid: GridSpec, arr: np.ndarray) -> str:
-    n0, n1 = arr.shape
-    def lab(n, base, name):
-        if n == base:
-            return f"({name})"
-        if n == base + 1:
-            return f"({name}+1)"
-        return str(n)
-    return f"{lab(n0, grid.nx, 'nx')}x{lab(n1, grid.ny, 'ny')}"
-
-
-def load_snapshot(path):
-    """Inverse of `save_snapshot`; returns (grid, dict name -> array)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise ValueError("not a snapshot file (bad magic)")
-        header = _read_line(fh).split()
-        nx, ny = int(header[0]), int(header[1])
-        Lx, Ly = float(header[2]), float(header[3])
-        nfields = int(header[4])
-        grid = GridSpec(nx, ny, Lx, Ly)
-        out = {}
-        for _ in range(nfields):
-            name_line = _read_line(fh)
-            name, dims = name_line.rsplit(" ", 1)
-            m = re.match(r"^(\(.*?\)|\d+)x(\(.*?\)|\d+)$", dims)
-            if m is None:
-                raise ValueError(f"bad field dimension label {dims!r}")
-            n0 = _parse_dim(m.group(1), nx, ny)
-            n1 = _parse_dim(m.group(2), nx, ny)
-            raw = fh.read(8 * n0 * n1)
-            arr = np.frombuffer(raw, dtype="<f8").reshape(n1, n0).T.copy()
-            out[name] = arr
-    return grid, out
-
-
-def _read_line(fh) -> str:
-    chars = bytearray()
-    while True:
-        c = fh.read(1)
-        if not c or c == b"\n":
-            break
-        chars.extend(c)
-    return chars.decode()
-
-
-def _parse_dim(tok: str, nx: int, ny: int) -> int:
-    tok = tok.strip("()")
-    total = 0
-    for part in tok.split("+"):
-        part = part.strip()
-        if part == "nx":
-            total += nx
-        elif part == "ny":
-            total += ny
-        else:
-            total += int(part)
-    return total

@@ -1,5 +1,6 @@
 """Configuration, the coupled time loop (density -> director -> momentum ->
-projection), invariant tracking, checkpointing, scenario presets, and the
+projection), invariant tracking, checkpoints (one versioned `np.savez`
+archive, read back bitwise), scenario presets, and the
 refinement/manufactured-solution harnesses.
 """
 
@@ -8,6 +9,7 @@ from __future__ import annotations
 import configparser
 import json
 import os
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,14 +18,15 @@ from .density import DensityState, advance_density, cfl_number
 from .diagnostics import (DiagContext, compute_record, convergence_monitor,
                           state_bounds, write_csv)
 from .director import GLParams, advance_director
-from .errors import (ConfigError, DegenerateFit, InsufficientSamples,
-                     OrderRegression, StepFailed, StepRejected)
+from .errors import (CheckpointError, ConfigError, DegenerateFit,
+                     InsufficientSamples, OrderRegression, StepFailed,
+                     StepRejected)
 from .expressions import parse_expression
 from .forcing import (ForcingSpec, eval_force, sample_potential,
                       sample_profile)
 from .grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
                    ScalarField, divergence, elastic_identity_residual,
-                   laplacian, load_snapshot, norms, save_snapshot)
+                   laplacian, norms)
 from .momentum import (FlowParams, SolveHistory, predict_velocity,
                        project)
 from .state import SimState
@@ -126,6 +129,14 @@ def validate_config(cfg: RunConfig) -> dict:
     """Reject every model-assumption violation that can be sampled, and
     return the initial-data samples keyed by config name, with the
     director's wall trace under ``"trace"``."""
+    try:  # the grid and parameter classes check their own ranges
+        g, _, _ = cfg.grid, cfg.glp, cfg.flow
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if cfg.record_every < 1:
+        raise ConfigError("record_every must be at least 1")
+    if cfg.snapshot_every < 0:
+        raise ConfigError("snapshot_every must not be negative")
     if cfg.rho_low <= 0:
         raise ConfigError("rho_low must be positive")
     if cfg.rho_high < cfg.rho_low:
@@ -136,7 +147,7 @@ def validate_config(cfg: RunConfig) -> dict:
         raise ConfigError("cfl_safety must lie in (0, 1]")
     # each expression is sampled where the run uses it, the forcing by its
     # own cached samplers; the forcing spec checks xi > 0 itself
-    g, f = cfg.grid, cfg.forcing
+    f = cfg.forcing
     c, u, v = g.cell_centers(), g.uface_coords(), g.vface_coords()
     sites = {"rho0": (cfg.rho0, c), "v0x": (cfg.v0x, u), "v0y": (cfg.v0y, v),
              "d0x": (cfg.d0x, c), "d0y": (cfg.d0y, c)}
@@ -291,7 +302,7 @@ def run(cfg: RunConfig, write_outputs: bool = True,
         inv["div_v_inf_max"] = max(inv["div_v_inf_max"], b["div_v_inf"])
         if write_outputs and cfg.snapshot_every > 0 \
                 and n % cfg.snapshot_every == 0:
-            save_checkpoint(os.path.join(cfg.out_dir, f"snap_{n:07d}.bin"),
+            save_checkpoint(os.path.join(cfg.out_dir, f"snap_{n:07d}.npz"),
                             state, stepper)
         prev_rec = rec
     inv["steps"] = n
@@ -352,64 +363,77 @@ def _rate_analysis(cfg: RunConfig, records, probe_samples) -> dict:
     return out
 
 
+# the one checkpoint layout; `load_checkpoint` rejects any other version
+CHECKPOINT_VERSION = 1
+
+
 def save_checkpoint(path, state: SimState, stepper: StepperState) -> None:
     """The state with its pressure, dt and the kept predictor solutions,
     so that a resumed run continues bitwise like the uninterrupted one:
-    its first projection lags the saved pressure. The ring's slots are
-    written in slot order with its push count; only the solutions are
-    written, and `load_checkpoint` rebuilds their operator products."""
+    its first projection lags the saved pressure. Written to `path` as
+    one `np.savez` archive: the format `version`, the grid (`nx`, `ny`,
+    `Lx`, `Ly`), `t`, `dt`, `rho`, `u`, `v`, `d1`, `d2`, `q` when the
+    state has a pressure, the ring's push `count`, and its filled slots in
+    slot order as `solve_u` (K, nx-1, ny) and `solve_v` (K, nx, ny-1).
+    Only the solutions are written; `load_checkpoint` rebuilds their
+    operator products."""
     g = state.rho.grid
     hist = stepper.history
-    slots = []
-    for k in range(hist.filled):
-        v_star = MacVelocity.zeros(g)
-        v_star.u[1:-1, :] = hist.u[k]
-        v_star.v[:, 1:-1] = hist.v[k]
-        slots += [(f"solve{k}_u", v_star.u), (f"solve{k}_v", v_star.v)]
-    pressure = [] if state.pressure is None \
-        else [("q", state.pressure.values)]
-    save_snapshot(path, g, [
-        ("t", np.array([[state.t]])),
-        ("dt", np.array([[stepper.dt]])),
-        ("rho", state.rho.values),
-        ("u", state.v.u),
-        ("v", state.v.v),
-        ("d1", state.d.d1),
-        ("d2", state.d.d2),
-        *pressure,
-        ("solve_count", np.array([[float(hist.count)]])),
-        *slots,
-    ])
+    if hist.u is None:
+        solve_u, solve_v = (np.zeros((0, g.nx - 1, g.ny)),
+                            np.zeros((0, g.nx, g.ny - 1)))
+    else:
+        solve_u, solve_v = hist.u[:hist.filled], hist.v[:hist.filled]
+    pressure = {} if state.pressure is None else {"q": state.pressure.values}
+    with open(path, "wb") as fh:
+        np.savez(fh, version=CHECKPOINT_VERSION, nx=g.nx, ny=g.ny, Lx=g.Lx,
+                 Ly=g.Ly, t=state.t, dt=stepper.dt, rho=state.rho.values,
+                 u=state.v.u, v=state.v.v, d1=state.d.d1, d2=state.d.d2,
+                 **pressure, count=hist.count, solve_u=solve_u,
+                 solve_v=solve_v)
 
 
 def load_checkpoint(path, cfg: RunConfig) -> tuple[SimState, StepperState]:
     """Inverse of `save_checkpoint`: the state with its pressure, and a
     stepper with its dt and its history. The slots are pushed in slot
     order, which refills each one and rebuilds its products as the time
-    loop built them, and then the push count is restored. Older snapshots
-    also hold each kept step's pressure (`solve{k}_q`) and no `q`; the
-    state's pressure is the newest of them. The oldest layout holds its
-    kept solutions oldest first without a count (some also with their
-    solve times, which are not needed); pushed in that order, they need
-    none."""
-    grid, f = load_snapshot(path)
+    loop built them, and then the push count is restored. A file that is
+    not such an archive, another format version, or a run on a grid other
+    than `cfg`'s raises `CheckpointError`."""
+    try:
+        archive = np.load(path, allow_pickle=False)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise CheckpointError(
+                f"{path} is not a checkpoint archive: it holds one array")
+        with archive:
+            f = dict(archive)
+    except (EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(
+            f"{path} is not a checkpoint archive: {exc}") from exc
+    version = f["version"].tolist() if "version" in f else None
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"{path} has checkpoint format version {version!r}; "
+            f"this reader knows version {CHECKPOINT_VERSION}")
+    grid = cfg.grid
+    saved = tuple(f[k].tolist() for k in ("nx", "ny", "Lx", "Ly"))
+    if saved != (grid.nx, grid.ny, grid.Lx, grid.Ly):
+        raise CheckpointError(
+            f"{path} holds a run on the grid (nx, ny, Lx, Ly) = {saved}, "
+            f"not the config's {(grid.nx, grid.ny, grid.Lx, grid.Ly)}")
     rho = ScalarField(grid, f["rho"], "extrapolate")
     # conserved references must come from the run's own t=0 data
     ref = initial_state(cfg)
     density = DensityState(rho, ref.density.rho_max0, ref.density.mass0)
-    stepper = StepperState(dt=float(f["dt"][0, 0]))
+    stepper = StepperState(dt=float(f["dt"]))
     hist = stepper.history
-    k = 0
-    while f"solve{k}_u" in f:
-        hist.push(MacVelocity(grid, f[f"solve{k}_u"], f[f"solve{k}_v"]),
-                  cfg.nu)
-        k += 1
-    if "solve_count" in f:
-        hist.count = int(f["solve_count"][0, 0])
+    v_star = MacVelocity.zeros(grid)
+    for u_k, v_k in zip(f["solve_u"], f["solve_v"]):
+        v_star.u[1:-1, :], v_star.v[:, 1:-1] = u_k, v_k
+        hist.push(v_star, cfg.nu)
+    hist.count = int(f["count"])
     q = f.get("q")
-    if q is None and hist.count:
-        q = f.get(f"solve{(hist.count - 1) % hist.filled}_q")
-    state = SimState(t=float(f["t"][0, 0]), density=density,
+    state = SimState(t=float(f["t"]), density=density,
                      v=MacVelocity(grid, f["u"], f["v"]),
                      d=DirectorField(grid, f["d1"], f["d2"], ref.d.trace),
                      pressure=None if q is None

@@ -6,8 +6,7 @@ from nlcflow.grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
                           density_at_faces, divergence,
                           elastic_identity_residual, gradient_interior_faces,
                           gradient_to_faces, laplacian,
-                          laplacian_interior_faces, load_snapshot, norms,
-                          sample_walls, save_snapshot)
+                          laplacian_interior_faces, norms, sample_walls)
 from stencils import _lap_u_interior, _lap_v_interior
 
 
@@ -232,17 +231,3 @@ def test_elastic_identity_residual_smooth_field_small():
     d = DirectorField(g, np.cos(th), np.sin(th),
                       DirectorTrace.sample(g, trace))
     assert elastic_identity_residual(d) < 0.05
-
-
-def test_snapshot_roundtrip_bitwise(tmp_path, grid):
-    rng = np.random.default_rng(1)
-    fields = [("rho", rng.normal(size=(16, 12))),
-              ("u", rng.normal(size=(17, 12))),
-              ("v", rng.normal(size=(16, 13)))]
-    path = tmp_path / "snap.bin"
-    save_snapshot(path, grid, fields)
-    g2, loaded = load_snapshot(path)
-    assert g2 == grid
-    assert list(loaded) == [name for name, _ in fields]
-    for name, arr in fields:
-        assert np.array_equal(loaded[name], arr)

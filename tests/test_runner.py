@@ -15,10 +15,9 @@ from nlcflow import diagnostics
 from nlcflow.cli import main as cli_main
 from nlcflow.diagnostics import FIELD_ORDER, DiagContext, compute_record
 from nlcflow import runner
-from nlcflow.errors import (ConfigError, LinearSolveFailure, StepFailed,
-                            StepRejected)
+from nlcflow.errors import (CheckpointError, ConfigError,
+                            LinearSolveFailure, StepFailed, StepRejected)
 from nlcflow.forcing import ForcingSpec
-from nlcflow.grid import save_snapshot
 from nlcflow.runner import (PRESETS, RunConfig, StepperState, initial_state,
                             load_checkpoint, load_config, preset_config,
                             run, save_checkpoint, step, validate_config)
@@ -312,7 +311,7 @@ def test_checkpoint_round_trip_resumes_bitwise(tmp_path):
     for _ in range(4):
         state = step(state, cfg, stepper)
 
-    path = tmp_path / "snap.bin"
+    path = tmp_path / "snap.npz"
     save_checkpoint(path, state, stepper)
     loaded, resumed = load_checkpoint(path, cfg)
     assert resumed.dt == stepper.dt
@@ -328,22 +327,6 @@ def test_checkpoint_round_trip_resumes_bitwise(tmp_path):
     assert np.array_equal(cont_a.v.u, cont_b.v.u)
     assert np.array_equal(cont_a.rho.values, cont_b.rho.values)
     assert np.array_equal(cont_a.d.d2, cont_b.d.d2)
-
-
-def _older_slots(state, stepper, slots):
-    """The kept solves of a snapshot in a layout from before the pressure
-    was written on its own: for each k -> (extra fields, q) of `slots`,
-    the extra fields, then solve{k}_u, solve{k}_v and solve{k}_q = q."""
-    g, hist = state.rho.grid, stepper.history
-    fields = []
-    for k, (extra, q) in sorted(slots.items()):
-        u = np.zeros((g.nx + 1, g.ny))
-        u[1:-1, :] = hist.u[k]
-        v = np.zeros((g.nx, g.ny + 1))
-        v[:, 1:-1] = hist.v[k]
-        fields += [*extra, (f"solve{k}_u", u), (f"solve{k}_v", v),
-                   (f"solve{k}_q", q)]
-    return fields
 
 
 def _assert_resumes_bitwise(cfg, state, stepper, loaded, resumed, steps):
@@ -368,7 +351,7 @@ def test_checkpoint_with_full_solve_history_resumes_bitwise(tmp_path):
         state = step(state, cfg, stepper)
     assert stepper.history.count == 8 and stepper.history.filled == 6
 
-    path = tmp_path / "snap.bin"
+    path = tmp_path / "snap.npz"
     save_checkpoint(path, state, stepper)
     loaded, resumed = load_checkpoint(path, cfg)
     assert resumed.history.count == 8
@@ -377,61 +360,67 @@ def test_checkpoint_with_full_solve_history_resumes_bitwise(tmp_path):
     _assert_resumes_bitwise(cfg, state, stepper, loaded, resumed, 3)
 
 
-def test_checkpoint_in_the_older_layout_with_solve_times_loads(tmp_path):
-    # snapshots written before the history became a ring hold the last
-    # three solves oldest first, with each step's pressure and without a
-    # push count, and some also each solve's time, which is ignored; after
-    # three steps the ring holds those three in time order, and the
-    # newest pressure is the state's
-    cfg = _cfg(t_end=0.08)
+def _written_checkpoint(tmp_path, cfg):
     state = initial_state(cfg)
     stepper = StepperState(dt=cfg.dt)
-    pressures = []
-    for _ in range(3):
+    for _ in range(2):
         state = step(state, cfg, stepper)
-        pressures.append(state.pressure.values)
-    g, hist = cfg.grid, stepper.history
-    slots = {k: ([(f"solve{k}_t", np.array([[state.t - (2 - k) * 5e-3]]))],
-                 pressures[k]) for k in range(3)}
-    path = tmp_path / "old.bin"
-    save_snapshot(path, g, [
-        ("t", np.array([[state.t]])), ("dt", np.array([[stepper.dt]])),
-        ("rho", state.rho.values), ("u", state.v.u), ("v", state.v.v),
-        ("d1", state.d.d1), ("d2", state.d.d2),
-        *_older_slots(state, stepper, slots)])
-    loaded, resumed = load_checkpoint(path, cfg)
-    assert resumed.history.count == 3
-    for name in ("u", "nu_lap_u", "v", "nu_lap_v"):
-        a, b = getattr(hist, name), getattr(resumed.history, name)
-        assert a.tobytes() == b.tobytes()
-    assert loaded.pressure.values.tobytes() == state.pressure.values.tobytes()
-    _assert_resumes_bitwise(cfg, state, stepper, loaded, resumed, 1)
+    path = tmp_path / "snap.npz"
+    save_checkpoint(path, state, stepper)
+    return path
 
 
-def test_checkpoint_in_the_ring_layout_with_pressure_slots_loads(tmp_path):
-    # snapshots of the ring that also kept each step's pressure: after 8
-    # steps the newest solve is in slot 1; only its pressure is read, so
-    # the other slots hold noise here
-    cfg = _cfg(t_end=0.1)
-    state = initial_state(cfg)
-    stepper = StepperState(dt=cfg.dt)
-    for _ in range(8):
-        state = step(state, cfg, stepper)
-    g = cfg.grid
-    rng = np.random.default_rng(21)
-    slots = {k: ([], state.pressure.values if k == 1
-                 else rng.normal(size=(g.nx, g.ny))) for k in range(6)}
-    path = tmp_path / "ring.bin"
-    save_snapshot(path, g, [
-        ("t", np.array([[state.t]])), ("dt", np.array([[stepper.dt]])),
-        ("rho", state.rho.values), ("u", state.v.u), ("v", state.v.v),
-        ("d1", state.d.d1), ("d2", state.d.d2),
-        ("solve_count", np.array([[8.0]])),
-        *_older_slots(state, stepper, slots)])
-    loaded, resumed = load_checkpoint(path, cfg)
+@pytest.mark.parametrize("content", [
+    b"NLCF1\n16 16 1.0 1.0 0\n",  # a snapshot in the former binary codec
+    b"",
+], ids=["nlcf1", "empty"])
+def test_load_checkpoint_rejects_a_file_that_is_no_archive(tmp_path,
+                                                           content):
+    path = tmp_path / "snap.npz"
+    path.write_bytes(content)
+    with pytest.raises(CheckpointError, match="not a checkpoint archive"):
+        load_checkpoint(path, _cfg())
+
+
+@pytest.mark.parametrize("version", [None, runner.CHECKPOINT_VERSION + 1])
+def test_load_checkpoint_rejects_an_unknown_version(tmp_path, version):
+    cfg = _cfg()
+    path = _written_checkpoint(tmp_path, cfg)
+    with np.load(path) as f:
+        fields = {k: a for k, a in f.items() if k != "version"}
+    if version is not None:
+        fields["version"] = np.array(version)
+    np.savez(path, **fields)
+    with pytest.raises(CheckpointError, match=f"format version {version}"):
+        load_checkpoint(path, cfg)
+
+
+@pytest.mark.parametrize("other", [dict(nx=20), dict(Lx=2.0)],
+                         ids=["nx", "Lx"])
+def test_load_checkpoint_rejects_a_run_on_another_grid(tmp_path, other):
+    path = _written_checkpoint(tmp_path, _cfg())
+    with pytest.raises(CheckpointError, match="on the grid"):
+        load_checkpoint(path, _cfg(**other))
+
+
+def test_run_writes_snapshots_that_resume_bitwise(tmp_path):
+    # nine steps with a snapshot every second one: the last is at step 8,
+    # and one step from it must reproduce the run's final state
+    cfg = _cfg(t_end=0.045, snapshot_every=2, out_dir=str(tmp_path))
+    result = run(cfg, with_stationary=False)
+    assert result.report["invariants"]["steps"] == 9
+    snaps = sorted(p.name for p in tmp_path.glob("snap_*"))
+    assert snaps == [f"snap_{n:07d}.npz" for n in (2, 4, 6, 8)]
+    loaded, resumed = load_checkpoint(tmp_path / snaps[-1], cfg)
     assert resumed.history.count == 8
-    assert loaded.pressure.values.tobytes() == state.pressure.values.tobytes()
-    _assert_resumes_bitwise(cfg, state, stepper, loaded, resumed, 2)
+    end = step(loaded, cfg, resumed)
+    final = result.final
+    assert end.t == final.t
+    for a, b in ((final.v.u, end.v.u), (final.v.v, end.v.v),
+                 (final.rho.values, end.rho.values),
+                 (final.d.d1, end.d.d1), (final.d.d2, end.d.d2),
+                 (final.pressure.values, end.pressure.values)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_run_stops_exactly_at_t_end():
@@ -509,9 +498,18 @@ def test_cli_report(tmp_path, capsys):
     assert "v_H1_ratio" in out
 
 
-def test_cli_error_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("text", [
+    "[physics]\nrho_low = -1\n",
+    # the grid and parameter classes' own range checks
+    "[grid]\nnx = 2\n",
+    "[physics]\ngamma = -1\n",
+    # a zero cadence would divide by zero in the time loop
+    "[output]\nrecord_every = 0\n",
+    "[output]\nsnapshot_every = -1\n",
+], ids=["rho_low", "nx", "gamma", "record_every", "snapshot_every"])
+def test_cli_error_exit_code(tmp_path, capsys, text):
     p = tmp_path / "bad.cfg"
-    p.write_text("[physics]\nrho_low = -1\n")
+    p.write_text(text)
     rc = cli_main(["simulate", str(p)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
