@@ -15,8 +15,7 @@ import numpy as np
 from . import forcing
 from .director import GLParams, director_energy_terms, gl_residual_l2
 from .forcing import ForcingSpec
-from .grid import (DirectorField, MacVelocity, density_at_faces, divergence,
-                   norms)
+from .grid import DirectorField, MacVelocity, ScalarField, norms
 from .momentum import FlowParams
 from .state import SimState
 
@@ -59,11 +58,12 @@ class DiagContext:
     d_inf: DirectorField | None = None
 
 
-def kinetic_energy(rho_values: np.ndarray, v: MacVelocity) -> float:
-    """(1/2) integral of rho |v|^2, with the half-weight boundary-face
-    quadrature the projection's energy identity uses."""
+def kinetic_energy(rho: ScalarField, v: MacVelocity) -> float:
+    """(1/2) integral of rho |v|^2 with the face densities `rho.faces`, and
+    the half-weight boundary-face quadrature the projection's energy
+    identity uses."""
     g = v.grid
-    ru, rv = density_at_faces(rho_values, g)
+    ru, rv = rho.faces
     wu = np.ones_like(v.u)
     wu[0, :] = wu[-1, :] = 0.5
     wv = np.ones_like(v.v)
@@ -74,11 +74,13 @@ def kinetic_energy(rho_values: np.ndarray, v: MacVelocity) -> float:
 
 def state_bounds(st: SimState) -> dict:
     """Mass, density range, max|d| and ||div v||_inf of one state, keyed by
-    their DiagRecord field names; run() checks them at every step."""
+    their DiagRecord field names; run() checks them at every step. The
+    divergence norm is the velocity's `div_inf`, which `project` has
+    already computed for its check."""
     vals = st.rho.values
     return dict(mass=st.density.mass(), rho_min=float(vals.min()),
                 rho_max=float(vals.max()), d_maxnorm=norms(st.d, "Linf"),
-                div_v_inf=float(np.abs(divergence(st.v).values).max()))
+                div_v_inf=st.v.div_inf)
 
 
 def _functionals(st: SimState, ctx: DiagContext) -> dict:
@@ -87,7 +89,7 @@ def _functionals(st: SimState, ctx: DiagContext) -> dict:
     lam, g = ctx.glp.lam, st.rho.grid
     ela, pot = director_energy_terms(st.d, ctx.glp.eta)
     ela, pot = lam * ela, lam * pot
-    kin = kinetic_energy(st.rho.values, st.v)
+    kin = kinetic_energy(st.rho, st.v)
     total = kin + ela + pot
     tilde = total
     if ctx.spec.variant == "f1":
@@ -141,7 +143,7 @@ def compute_record(prev: SimState, curr: SimState, ctx: DiagContext,
                      (curr.v.v - prev.v.v) / dt)
     dt_dir = DirectorField(g, (curr.d.d1 - prev.d.d1) / dt,
                            (curr.d.d2 - prev.d.d2) / dt, None)
-    b_val = 2.0 * kinetic_energy(curr.rho.values, vt) \
+    b_val = 2.0 * kinetic_energy(curr.rho, vt) \
         + norms(dt_dir, "H1_semi") ** 2
     a_val = ctx.flow.nu * c["grad_v_L2"]**2 + c["gl_res_L2"]**2
 

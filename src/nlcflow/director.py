@@ -2,6 +2,8 @@
 antiderivative F, the residual of the stationary operator, and the
 semi-implicit advance (implicit diffusion, explicit advection, explicit f
 with linear stabilization S = 2/eta^2, the Lipschitz bound of f on |d|<=1).
+f(d) and the Laplacian are kept with the `DirectorField`, and the advance
+hands its result the Laplacian of the equation it has just solved.
 """
 
 from __future__ import annotations
@@ -11,8 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import (DirectorField, GridSpec, MacVelocity, ScalarField,
-                   centered_gradient_at_centers, laplacian, norms)
+from .grid import DirectorField, GridSpec, MacVelocity, ScalarField, norms
 from .solvers import CellHelmholtz
 
 
@@ -34,9 +35,11 @@ class GLParams:
 
 
 def gl_f(d: DirectorField, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """f(d) = (|d|^2 - 1) d / eta^2, pointwise."""
-    fac = (d.d1**2 + d.d2**2 - 1.0) / eta**2
-    return fac * d.d1, fac * d.d2
+    """f(d) = (|d|^2 - 1) d / eta^2, pointwise; kept with d, read-only."""
+    def build():
+        fac = (d.d1**2 + d.d2**2 - 1.0) / eta**2
+        return fac * d.d1, fac * d.d2
+    return d.derived(("f", eta), build)
 
 
 def gl_F(d: DirectorField, eta: float) -> ScalarField:
@@ -46,13 +49,13 @@ def gl_F(d: DirectorField, eta: float) -> ScalarField:
 
 
 def gl_residual(d: DirectorField, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Componentwise lap(d) - f(d) with the Dirichlet trace ghost fill.
+    """Componentwise lap(d) - f(d), with the Laplacian `d.lap` of the
+    Dirichlet trace ghost fill.
 
     Vanishes at solutions of the stationary problem and is the relaxational
     dissipation density in the energy law."""
-    c1, c2 = d.components()
-    f1, f2 = gl_f(d, eta)
-    return laplacian(c1).values - f1, laplacian(c2).values - f2
+    (lap1, lap2), (f1, f2) = d.lap, gl_f(d, eta)
+    return lap1 - f1, lap2 - f2
 
 
 def gl_residual_l2(d: DirectorField, eta: float) -> float:
@@ -79,12 +82,11 @@ def velocity_at_centers(w: MacVelocity) -> tuple[np.ndarray, np.ndarray]:
 
 
 def advect_director(d: DirectorField, w: MacVelocity) -> tuple[np.ndarray, np.ndarray]:
-    """(w . grad) d with centered differences of d at cell centers and
-    face-interpolated velocity (second order for smooth fields)."""
+    """(w . grad) d with centered differences of d at cell centers
+    (`d.gradients`) and face-interpolated velocity (second order for
+    smooth fields)."""
     uc, vc = velocity_at_centers(w)
-    c1, c2 = d.components()
-    d1x, d1y = centered_gradient_at_centers(c1)
-    d2x, d2y = centered_gradient_at_centers(c2)
+    (d1x, d1y), (d2x, d2y) = d.gradients
     return uc * d1x + vc * d1y, uc * d2x + vc * d2y
 
 
@@ -99,7 +101,11 @@ def advance_director(d: DirectorField, w: MacVelocity, p: GLParams,
     d - dt*(w.grad d) - gamma*dt*(f(d) - S d), per component, with the
     Dirichlet trace on d'. The implicit operator has constant coefficients
     and homogeneous Dirichlet walls once the trace is moved into the load,
-    so `CellHelmholtz` inverts it exactly: one direct solve per component.
+    so `CellHelmholtz` inverts it exactly: one direct solve of
+    (a - c Lap_0) d' = r + c*load per component, with a = 1 + gamma*dt*S,
+    c = gamma*dt and r the right-hand side without the trace's load. d'
+    keeps the Laplacian that equation fixes, Lap d' = (a d' - r)/c, so no
+    stencil is applied to it.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -107,12 +113,18 @@ def advance_director(d: DirectorField, w: MacVelocity, p: GLParams,
     s = p.stabilization
     a = 1.0 + p.gamma * dt * s
     c = p.gamma * dt
-    adv1, adv2 = advect_director(d, w)
-    f1, f2 = gl_f(d, p.eta)
-    bc1, bc2 = (0.0, 0.0) if d.trace is None else d.trace.load
-
-    rhs1 = d.d1 - dt * adv1 - c * (f1 - s * d.d1) + c * bc1
-    rhs2 = d.d2 - dt * adv2 - c * (f2 - s * d.d2) + c * bc2
-
     pre = _helmholtz(g, a, c)
-    return DirectorField(g, pre.solve(rhs1), pre.solve(rhs2), d.trace)
+    loads = (0.0, 0.0) if d.trace is None else d.trace.load
+    comps, laps = [], []
+    for dk, adv, fk, load in zip((d.d1, d.d2), advect_director(d, w),
+                                 gl_f(d, p.eta), loads):
+        r = dk - dt * adv - c * (fk - s * dk)
+        x = pre.solve(r + c * load)
+        lap = a * x
+        lap -= r
+        lap /= c
+        comps.append(x)
+        laps.append(lap)
+    out = DirectorField(g, *comps, d.trace)
+    out.derived("lap", lambda: laps)
+    return out

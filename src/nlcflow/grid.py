@@ -19,6 +19,12 @@ north) holding the trace at the boundary-face midpoints, sampled by
 its trace as a `DirectorTrace` value, sampled once per run: both
 components' read-only wall arrays and, computed on first use, the trace's
 share of the Laplacian.
+
+Values derived from a field and shared by the layers of a step (a
+density's face averages, a velocity's ||div||_inf, a director's
+Laplacian, centred gradients and f(d)) are computed once and kept with the
+field. The field's arrays and the kept ones are made read-only when the
+first value is kept, so that no kept value can go stale.
 """
 
 from __future__ import annotations
@@ -124,6 +130,12 @@ class ScalarField:
         return pad_with_ghosts(self.grid, self.values, self.boundary_kind,
                                self.boundary_value)
 
+    @cached_property
+    def faces(self) -> tuple[np.ndarray, np.ndarray]:
+        """`density_at_faces` of the values, computed once, read-only."""
+        _freeze(self.values)
+        return _freeze(*density_at_faces(self.values, self.grid))
+
 
 def pad_with_ghosts(grid: GridSpec, values: np.ndarray, kind: str,
                     bv: Walls | None) -> np.ndarray:
@@ -190,11 +202,22 @@ class MacVelocity:
     def max_speed(self) -> tuple[float, float]:
         return float(np.abs(self.u).max()), float(np.abs(self.v).max())
 
+    @cached_property
+    def div_inf(self) -> float:
+        """||divergence||_inf, computed once; u and v become read-only."""
+        _freeze(self.u, self.v)
+        return float(np.abs(divergence(self).values).max())
+
+
+def _freeze(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only in place."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
 
 def _read_only(a) -> np.ndarray:
-    a = np.array(a, dtype=np.float64)
-    a.flags.writeable = False
-    return a
+    return _freeze(np.array(a, dtype=np.float64))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,6 +278,32 @@ class DirectorField:
     def pointwise_norm(self) -> np.ndarray:
         return np.sqrt(self.d1**2 + self.d2**2)
 
+    def derived(self, key, build) -> tuple[np.ndarray, ...]:
+        """The arrays ``build()`` returns, built on the first call with
+        ``key`` and kept read-only with the field; d1 and d2 become
+        read-only with the first. A solve that knows a derived value
+        already passes it as ``build``."""
+        kept = self.__dict__.setdefault("_derived", {})
+        if key not in kept:
+            _freeze(self.d1, self.d2)
+            kept[key] = _freeze(*build())
+        return kept[key]
+
+    @property
+    def lap(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each component's Laplacian with the trace's ghosts."""
+        return self.derived("lap", lambda: tuple(
+            laplacian(c).values for c in self.components()))
+
+    @property
+    def gradients(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Each component's `centered_gradient_at_centers`, as
+        ((d1_x, d1_y), (d2_x, d2_y))."""
+        flat = self.derived("gradients", lambda: tuple(
+            g for c in self.components()
+            for g in centered_gradient_at_centers(c)))
+        return flat[:2], flat[2:]
+
 
 # ---------------------------------------------------------------------------
 # discrete operators
@@ -298,49 +347,6 @@ def interior_gradient(p_values: np.ndarray, grid: GridSpec,
     out_u /= grid.hx
     np.subtract(p_values[:, 1:], p_values[:, :-1], out=out_v)
     out_v /= grid.hy
-
-
-def laplacian_interior_faces(x: np.ndarray, grid: GridSpec, axis: int,
-                             out: np.ndarray | None = None,
-                             work: np.ndarray | None = None) -> np.ndarray:
-    """5-point Laplacian of one MAC velocity component on its interior
-    faces, the stencil `solvers.FaceHelmholtz` inverts: axis=0 for u (input
-    shape (nx-1, ny)), axis=1 for v ((nx, ny-1)). Walls: zero node values
-    along the component's own axis, -interior ghosts across it. Written
-    into `out` when given; `work`, of x's shape, is overwritten as scratch
-    when given, so that nothing is allocated.
-
-    Built from slices of x, without a ghost-padded copy, in the order of
-    the padded formula cx*(east + west) + cy*(north + south) - 2(cx+cy)*x:
-    a wall neighbour's zero drops out of its sum (a + 0 is a) and a
-    -interior ghost turns the sum into a difference (a + (-b) is a - b),
-    so the result is the padded formula's up to the sign of a zero."""
-    cx, cy = 1.0 / grid.hx**2, 1.0 / grid.hy**2
-    lap = np.empty_like(x) if out is None else out
-    across = np.empty_like(x) if work is None else work
-    # the x-direction sum into lap, the y-direction sum into across
-    _neighbour_sum(x, 0, axis == 1, lap)
-    _neighbour_sum(x, 1, axis == 0, across)
-    lap *= cx
-    across *= cy
-    lap += across
-    np.multiply(x, 2.0 * (cx + cy), out=across)
-    lap -= across
-    return lap
-
-
-def _neighbour_sum(x: np.ndarray, axis: int, odd: bool,
-                   out: np.ndarray) -> None:
-    """x[i+1] + x[i-1] along `axis`, into `out`, with zero values beyond
-    both ends, or the -interior ghosts there if `odd`."""
-    xa, oa = np.moveaxis(x, axis, 0), np.moveaxis(out, axis, 0)
-    np.add(xa[2:], xa[:-2], out=oa[1:-1])
-    if odd:
-        np.subtract(xa[1], xa[0], out=oa[0])
-        np.subtract(xa[-2], xa[-1], out=oa[-1])
-    else:
-        oa[0] = xa[1]
-        oa[-1] = xa[-2]
 
 
 def laplacian(s: ScalarField) -> ScalarField:
@@ -445,11 +451,8 @@ def elastic_identity_residual(d: DirectorField, margin: int = 2) -> float:
     ``margin`` cells away from the wall (the identity is exact only in the
     continuum; near-wall ghost reconstruction would dominate otherwise)."""
     g = d.grid
-    c1, c2 = d.components()
-    d1x, d1y = centered_gradient_at_centers(c1)
-    d2x, d2y = centered_gradient_at_centers(c2)
-    lap1 = laplacian(c1).values
-    lap2 = laplacian(c2).values
+    (d1x, d1y), (d2x, d2y) = d.gradients
+    lap1, lap2 = d.lap
 
     # sigma_ij = grad_i d . grad_j d at cell centers
     s11 = d1x * d1x + d2x * d2x

@@ -18,9 +18,9 @@ import numpy as np
 from .director import GLParams, gl_residual
 from .errors import IncompatibleRhs, LinearSolveFailure
 from .grid import (DirectorField, GridSpec, MacVelocity, ScalarField,
-                   centered_gradient_at_centers, density_at_faces, divergence,
-                   interior_gradient, laplacian_interior_faces)
-from .solvers import FaceHelmholtz, NeumannPoisson, projected_guess
+                   divergence, interior_gradient)
+from .solvers import (FaceHelmholtz, NeumannPoisson, combine_rows,
+                      gram_coefficients, row_products)
 
 
 @dataclass(frozen=True)
@@ -43,65 +43,87 @@ _SOLVE_HISTORY = 6
 
 class SolveHistory:
     """The last `_SOLVE_HISTORY` predictor solutions v* of a run, stacked
-    in one ring of (K, ...) arrays per velocity component, each with the
-    part of its operator product that does not depend on the density:
-    nu*L of the component (L = `laplacian_interior_faces`) on the interior
-    faces. From these a later step forms its lagged velocity for its own
-    density with a few BLAS products (`velocity_guess`); no stencil is
-    applied to the history. `push` writes slot count mod K in place, so
-    the slots are not in time order once the ring is full; the projection
-    onto them does not depend on their order but for round-off. The rings
-    are allocated at the first push."""
+    in one ring of (K, ...) arrays per velocity component, with the part
+    of their Gram matrix that does not depend on the density: per
+    component the K x K matrix S = X (nu*L X)^T, S_ij = x_i . nu*L x_j.
+    The predictor hands `push` each nu*L x from the equation it has just
+    solved, so no stencil is applied to a solution; `velocity_guess` forms
+    the Gram matrix for the current density with one BLAS product. `push`
+    writes slot (pushes so far) mod K of its ring in place, so the slots
+    are not in time order once the ring is full; the projection onto them
+    does not depend on their order but for round-off. Each ring and its S
+    are allocated at its first push."""
 
     def __init__(self):
-        self.count = 0    # solutions pushed so far
         self.u = None     # u* on the interior u-faces, (K, nx-1, ny)
-        self.nu_lap_u = None
+        self.s_u = None   # S of the u ring, (K, K)
         self.v = None     # v* on the interior v-faces, (K, nx, ny-1)
-        self.nu_lap_v = None
-        self._work = None  # A x_k of a ring, or the push's scratch
+        self.s_v = None
+        self._pushed = [0, 0]  # components pushed onto each ring
+        self._work = None  # (rho_f/dt) x_k of a ring
+
+    @property
+    def count(self) -> int:
+        """Number of solutions v* pushed whole (both components)."""
+        return min(self._pushed)
+
+    @count.setter
+    def count(self, n: int) -> None:
+        self._pushed = [n, n]
 
     @property
     def filled(self) -> int:
         """Number of slots holding a solution."""
         return min(self.count, _SOLVE_HISTORY)
 
-    def _allocate(self, g: GridSpec) -> None:
-        k, nu, nv = _SOLVE_HISTORY, (g.nx - 1, g.ny), (g.nx, g.ny - 1)
-        self.u, self.nu_lap_u = np.zeros((k, *nu)), np.zeros((k, *nu))
-        self.v, self.nu_lap_v = np.zeros((k, *nv)), np.zeros((k, *nv))
-        self._work = np.empty(k * max(nu[0] * nu[1], nv[0] * nv[1]))
+    def ring(self, axis: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ring of one component (axis 0 for u, 1 for v) and its S."""
+        return (self.u, self.s_u) if axis == 0 else (self.v, self.s_v)
 
-    def push(self, v_star: MacVelocity, nu: float) -> int:
-        """Keep v*, overwriting the oldest solution once the ring is full,
-        and return its slot. The products are computed into the slot."""
-        g = v_star.grid
-        if self.u is None:
-            self._allocate(g)
-        n = self.count % _SOLVE_HISTORY
-        for x, ring, lap, axis in (
-                (v_star.u[1:-1, :], self.u, self.nu_lap_u, 0),
-                (v_star.v[:, 1:-1], self.v, self.nu_lap_v, 1)):
-            ring[n] = x
-            laplacian_interior_faces(
-                ring[n], g, axis, out=lap[n],
-                work=self._work[:x.size].reshape(x.shape))
-            lap[n] *= nu
-        self.count += 1
+    def restore(self, axis: int, xs: np.ndarray, s: np.ndarray) -> None:
+        """Set one component's filled slots, in slot order, and their S,
+        as `push` left them."""
+        k = _SOLVE_HISTORY
+        ring, gram = np.zeros((k, *xs.shape[1:])), np.zeros((k, k))
+        ring[:len(xs)], gram[:len(xs), :len(xs)] = xs, s
+        if axis == 0:
+            self.u, self.s_u = ring, gram
+        else:
+            self.v, self.s_v = ring, gram
+        if self._work is None or self._work.size < ring.size:
+            self._work = np.empty(ring.size)
+
+    def push(self, axis: int, x: np.ndarray, nu_lap: np.ndarray) -> int:
+        """Keep one component's solution x with nu*L x, overwriting the
+        oldest once the ring is full, and return its slot. Row and column
+        slot of S become X . nu*L x (L is symmetric), one `row_products`
+        call."""
+        if self.ring(axis)[0] is None:
+            self.restore(axis, np.empty((0, *x.shape)), np.empty((0, 0)))
+        ring, s = self.ring(axis)
+        pushed = self._pushed[axis]
+        n = pushed % _SOLVE_HISTORY
+        ring[n] = x
+        m = min(pushed + 1, _SOLVE_HISTORY)
+        s[n, :m] = s[:m, n] = row_products(ring[:m], nu_lap[None])[:, 0]
+        self._pushed[axis] += 1
         return n
 
     def velocity_guess(self, axis: int, rhs: np.ndarray, diag: np.ndarray
                        ) -> np.ndarray:
-        """`projected_guess` of (diag - nu*L) x = rhs for one velocity
-        component (axis 0 for u, 1 for v) onto the kept v*, with
-        A x_k = diag * x_k - nu*L x_k formed into the work stack."""
-        xs, nu_lap = ((self.u, self.nu_lap_u) if axis == 0
-                      else (self.v, self.nu_lap_v))
-        k = self.filled
-        axs = self._work[:k * rhs.size].reshape(k, *rhs.shape)
-        np.multiply(xs[:k], diag, out=axs)
-        axs -= nu_lap[:k]
-        return projected_guess(rhs, xs[:k], axs)
+        """The A-norm projection x0 = sum c_k x_k of the solution of
+        (diag - nu*L) x = rhs onto the kept solutions of one velocity
+        component (Fischer, Comput. Methods Appl. Mech. Engrg. 163, 1998):
+        G c = f with G = X (diag*X)^T - S and f = X . rhs."""
+        xs, s = self.ring(axis)
+        k = min(self._pushed[axis], _SOLVE_HISTORY)
+        xs = xs[:k]
+        axs = self._work[:k * rhs.size].reshape(xs.shape)
+        np.multiply(xs, diag, out=axs)
+        gram = row_products(xs, axs)
+        gram -= s[:k, :k]
+        f = row_products(xs, rhs[None])[:, 0]
+        return combine_rows(gram_coefficients(gram, f), xs)
 
 
 def _centers_to_ufaces(c: np.ndarray) -> np.ndarray:
@@ -120,9 +142,7 @@ def elastic_force(d: DirectorField, p: GLParams) -> MacVelocity:
     """Body force -lambda*(lap d - f(d)) . grad d, computed at cell centers
     and averaged to faces (zero on boundary faces; no-slip pins them)."""
     r1, r2 = gl_residual(d, p.eta)
-    c1, c2 = d.components()
-    d1x, d1y = centered_gradient_at_centers(c1)
-    d2x, d2y = centered_gradient_at_centers(c2)
+    (d1x, d1y), (d2x, d2y) = d.gradients
     fx = -p.lam * (r1 * d1x + r2 * d2x)
     fy = -p.lam * (r1 * d1y + r2 * d2y)
     return MacVelocity(d.grid, _centers_to_ufaces(fx), _centers_to_vfaces(fy))
@@ -212,8 +232,10 @@ def _face_solve(g: GridSpec, axis: int, rho_f: np.ndarray, rhs: np.ndarray,
     the density split of Dodd & Ferrante (J. Comput. Phys. 273, 2014): one
     direct solve of (rbar/dt - nu*Lap) x = rhs - (rho_f - rbar)/dt * x_hat.
     The lagged x_hat is the A-norm projection onto the kept solutions in
-    `history`, or the old velocity `w_face` without any. Raises
-    LinearSolveFailure on a non-finite right-hand side."""
+    `history`, or the old velocity `w_face` without any. With a history,
+    x is pushed onto it with nu*L x = (rbar/dt) x - b, b the right-hand
+    side solved for. Raises LinearSolveFailure on a non-finite right-hand
+    side."""
     x_hat = w_face
     if history is not None and history.count:
         x_hat = history.velocity_guess(axis, rhs, rho_f / dt)
@@ -225,7 +247,12 @@ def _face_solve(g: GridSpec, axis: int, rho_f: np.ndarray, rhs: np.ndarray,
         raise LinearSolveFailure(
             f"the momentum predictor got a non-finite right-hand side "
             f"(axis {axis})")
-    return _face_pre(g, rbar / dt, params.nu, axis).solve(b)
+    x = _face_pre(g, rbar / dt, params.nu, axis).solve(b)
+    if history is not None:
+        # b becomes nu*L x
+        np.subtract(np.multiply(x, rbar / dt), b, out=b)
+        history.push(axis, x, b)
+    return x
 
 
 def predict_velocity(rho: ScalarField, w: MacVelocity, d: DirectorField,
@@ -239,10 +266,10 @@ def predict_velocity(rho: ScalarField, w: MacVelocity, d: DirectorField,
     and (rho - rbar)/dt times a lagged velocity on the right-hand side:
     the A-norm projection onto the kept solutions in `history`, or v
     without any (step 1, an O(dt) splitting error). With a history, v* is
-    then pushed onto it.
+    then pushed onto it. The face densities are `rho.faces`.
     """
     g = rho.grid
-    ru, rv = density_at_faces(rho.values, g)
+    ru, rv = rho.faces
     fel = elastic_force(d, glp)
     rhs_u = _momentum_rhs(ru, w.u, _upwind_advection_u(w), fel.u,
                           None if force_ext is None else force_ext.u, dt)
@@ -256,8 +283,6 @@ def predict_velocity(rho: ScalarField, w: MacVelocity, d: DirectorField,
     out.v[:, 1:-1] = _face_solve(g, 1, rv[:, 1:-1],
                                  np.ascontiguousarray(rhs_v[:, 1:-1]), rbar,
                                  dt, params, history, w.v[:, 1:-1])
-    if history is not None:
-        history.push(out, params.nu)
     return out
 
 
@@ -332,10 +357,11 @@ def project(rho: ScalarField, v_star: MacVelocity, dt: float,
     Without p_hat (step 1, the initial projection) the lagged term is
     absent, and with constant rho it vanishes identically, k = c0: both
     are the exact constant-coefficient projection. Raises
-    LinearSolveFailure if ||div v'||_inf exceeds tol_proj.
+    LinearSolveFailure if ||div v'||_inf exceeds tol_proj; v' keeps that
+    norm as `div_inf`. The face densities are `rho.faces`.
     """
     g = rho.grid
-    ru, rv = density_at_faces(rho.values, g)
+    ru, rv = rho.faces
     k_u, k_v = 1.0 / ru[1:-1, :], 1.0 / rv[:, 1:-1]
     c0 = max(float(k_u.max()), float(k_v.max()))
 
@@ -372,7 +398,7 @@ def project(rho: ScalarField, v_star: MacVelocity, dt: float,
         corr *= dt
         np.subtract(vs, corr, out=corr)
 
-    div_inf = float(np.abs(divergence(out).values).max())
+    div_inf = out.div_inf
     if not div_inf <= params.tol_proj:
         raise LinearSolveFailure(
             f"projected velocity has ||div v||_inf = {div_inf:.3e} above "

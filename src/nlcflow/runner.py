@@ -25,8 +25,8 @@ from .expressions import parse_expression
 from .forcing import (ForcingSpec, eval_force, sample_potential,
                       sample_profile)
 from .grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
-                   ScalarField, divergence, elastic_identity_residual,
-                   laplacian, norms)
+                   ScalarField, elastic_identity_residual, laplacian,
+                   norms)
 from .momentum import (FlowParams, SolveHistory, predict_velocity,
                        project)
 from .state import SimState
@@ -110,19 +110,30 @@ def load_config(path) -> RunConfig:
         for k in cp[section]:
             if k not in known:
                 raise ConfigError(f"unknown key {k!r} in [{section}]")
-        for key, conv in keys:
-            if cp.has_option(section, key):
-                kwargs[key] = conv(cp[section][key])
+        kwargs.update(_parse_keys(cp, section, keys))
     if cp.has_section("forcing"):
-        fkw = {}
-        for key, conv in (("variant", str), ("phi", str), ("ax", str),
-                          ("ay", str), ("xi", float), ("amplitude", float)):
-            if cp.has_option("forcing", key):
-                fkw[key] = conv(cp["forcing"][key])
-        kwargs["forcing"] = ForcingSpec(**fkw)
+        kwargs["forcing"] = ForcingSpec(**_parse_keys(cp, "forcing", (
+            ("variant", str), ("phi", str), ("ax", str), ("ay", str),
+            ("xi", float), ("amplitude", float))))
     cfg = RunConfig(**kwargs)
     validate_config(cfg)
     return cfg
+
+
+def _parse_keys(cp: configparser.ConfigParser, section: str, keys) -> dict:
+    """The section's given keys, each converted; a value that does not
+    parse raises ConfigError naming its key and section."""
+    out = {}
+    for key, conv in keys:
+        if cp.has_option(section, key):
+            text = cp[section][key]
+            try:
+                out[key] = conv(text)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"{key} = {text!r} in [{section}] is not a valid "
+                    f"{conv.__name__}") from exc
+    return out
 
 
 def validate_config(cfg: RunConfig) -> dict:
@@ -209,13 +220,16 @@ def step(state: SimState, cfg: RunConfig, stepper: StepperState) -> SimState:
     velocity, then the momentum predictor and projection use the fresh
     density and director. The predictor's lagged velocity is the A-norm
     projection onto its solutions kept in `stepper.history` (the current
-    velocity without any), whose operator products the step forms with
-    the fresh density by elementwise and BLAS products; no stencil is
-    applied to the history, and no step size enters the projection. The
-    predictor pushes the step's v* onto the history. The projection's
-    lagged pressure is the state's pressure, absent on step 1. dt is
-    halved until the transport CFL bound holds with the configured safety
-    factor, and a step that would pass t_end is shortened to end there."""
+    velocity without any), whose Gram matrix the step forms with the fresh
+    density by elementwise and BLAS products; no step size enters the
+    projection. The predictor pushes the step's v* onto the history with
+    nu*L v* from its own equation, and the director step hands d' the
+    Laplacian of its equation, so the step applies no Laplacian stencil.
+    Each field keeps what it derives (face densities, f(d), gradients,
+    ||div v||_inf) for the later layers. The projection's lagged pressure
+    is the state's pressure, absent on step 1. dt is halved until the
+    transport CFL bound holds with the configured safety factor, and a
+    step that would pass t_end is shortened to end there."""
     dt = stepper.dt
     while cfl_number(state.v, dt) > cfg.cfl_safety:
         dt *= 0.5
@@ -364,42 +378,48 @@ def _rate_analysis(cfg: RunConfig, records, probe_samples) -> dict:
 
 
 # the one checkpoint layout; `load_checkpoint` rejects any other version
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(path, state: SimState, stepper: StepperState) -> None:
-    """The state with its pressure, dt and the kept predictor solutions,
-    so that a resumed run continues bitwise like the uninterrupted one:
-    its first projection lags the saved pressure. Written to `path` as
-    one `np.savez` archive: the format `version`, the grid (`nx`, `ny`,
-    `Lx`, `Ly`), `t`, `dt`, `rho`, `u`, `v`, `d1`, `d2`, `q` when the
-    state has a pressure, the ring's push `count`, and its filled slots in
-    slot order as `solve_u` (K, nx-1, ny) and `solve_v` (K, nx, ny-1).
-    Only the solutions are written; `load_checkpoint` rebuilds their
-    operator products."""
+    """The state with its pressure, dt and the predictor's history, so
+    that a resumed run continues bitwise like the uninterrupted one: its
+    first projection lags the saved pressure, its guesses use the saved
+    products, and its first record reads the saved Laplacian of d.
+    Written to `path` as one `np.savez` archive: the format `version`,
+    the grid (`nx`, `ny`, `Lx`, `Ly`), `t`, `dt`, the conserved
+    references `mass0` and `rho_max0`, `rho`, `u`, `v`, `d1`, `d2`, the
+    director's Laplacian `lap_d1`, `lap_d2`, `q` when the state has a
+    pressure, the ring's push `count`, its filled slots in slot order as
+    `solve_u` (K, nx-1, ny) and `solve_v` (K, nx, ny-1), and their K x K
+    products S (`SolveHistory`) as `s_u` and `s_v`."""
     g = state.rho.grid
-    hist = stepper.history
-    if hist.u is None:
-        solve_u, solve_v = (np.zeros((0, g.nx - 1, g.ny)),
-                            np.zeros((0, g.nx, g.ny - 1)))
-    else:
-        solve_u, solve_v = hist.u[:hist.filled], hist.v[:hist.filled]
+    hist, k = stepper.history, stepper.history.filled
+    rings = {}
+    for axis, (xs, sk) in enumerate((("solve_u", "s_u"),
+                                      ("solve_v", "s_v"))):
+        ring, s = hist.ring(axis)
+        shape = (g.nx - 1, g.ny) if axis == 0 else (g.nx, g.ny - 1)
+        rings[xs] = np.zeros((0, *shape)) if ring is None else ring[:k]
+        rings[sk] = np.zeros((0, 0)) if s is None else s[:k, :k]
     pressure = {} if state.pressure is None else {"q": state.pressure.values}
+    lap1, lap2 = state.d.lap
     with open(path, "wb") as fh:
         np.savez(fh, version=CHECKPOINT_VERSION, nx=g.nx, ny=g.ny, Lx=g.Lx,
-                 Ly=g.Ly, t=state.t, dt=stepper.dt, rho=state.rho.values,
-                 u=state.v.u, v=state.v.v, d1=state.d.d1, d2=state.d.d2,
-                 **pressure, count=hist.count, solve_u=solve_u,
-                 solve_v=solve_v)
+                 Ly=g.Ly, t=state.t, dt=stepper.dt,
+                 mass0=state.density.mass0, rho_max0=state.density.rho_max0,
+                 rho=state.rho.values, u=state.v.u, v=state.v.v,
+                 d1=state.d.d1, d2=state.d.d2, lap_d1=lap1, lap_d2=lap2,
+                 **pressure, count=hist.count, **rings)
 
 
 def load_checkpoint(path, cfg: RunConfig) -> tuple[SimState, StepperState]:
-    """Inverse of `save_checkpoint`: the state with its pressure, and a
-    stepper with its dt and its history. The slots are pushed in slot
-    order, which refills each one and rebuilds its products as the time
-    loop built them, and then the push count is restored. A file that is
-    not such an archive, another format version, or a run on a grid other
-    than `cfg`'s raises `CheckpointError`."""
+    """Inverse of `save_checkpoint`: the state with its pressure and the
+    Laplacian of its director, and a stepper with its dt and its history,
+    each array restored as saved. A file that is not such an archive,
+    another format version, a run on a grid other than `cfg`'s, or
+    conserved references other than those of `cfg`'s t = 0 data raise
+    `CheckpointError`."""
     try:
         archive = np.load(path, allow_pickle=False)
         if not isinstance(archive, np.lib.npyio.NpzFile):
@@ -421,21 +441,27 @@ def load_checkpoint(path, cfg: RunConfig) -> tuple[SimState, StepperState]:
         raise CheckpointError(
             f"{path} holds a run on the grid (nx, ny, Lx, Ly) = {saved}, "
             f"not the config's {(grid.nx, grid.ny, grid.Lx, grid.Ly)}")
-    rho = ScalarField(grid, f["rho"], "extrapolate")
-    # conserved references must come from the run's own t=0 data
     ref = initial_state(cfg)
-    density = DensityState(rho, ref.density.rho_max0, ref.density.mass0)
+    mass0, rho_max0 = f["mass0"].tolist(), f["rho_max0"].tolist()
+    if (mass0, rho_max0) != (ref.density.mass0, ref.density.rho_max0):
+        raise CheckpointError(
+            f"{path} holds a run with (mass0, rho_max0) = "
+            f"{(mass0, rho_max0)}, not the "
+            f"{(ref.density.mass0, ref.density.rho_max0)} of the config's "
+            f"initial data")
+    density = DensityState(ScalarField(grid, f["rho"], "extrapolate"),
+                           rho_max0, mass0)
     stepper = StepperState(dt=float(f["dt"]))
-    hist = stepper.history
-    v_star = MacVelocity.zeros(grid)
-    for u_k, v_k in zip(f["solve_u"], f["solve_v"]):
-        v_star.u[1:-1, :], v_star.v[:, 1:-1] = u_k, v_k
-        hist.push(v_star, cfg.nu)
-    hist.count = int(f["count"])
+    if len(f["solve_u"]):
+        for axis, (xs, s) in enumerate(((f["solve_u"], f["s_u"]),
+                                        (f["solve_v"], f["s_v"]))):
+            stepper.history.restore(axis, xs, s)
+    stepper.history.count = int(f["count"])
+    d = DirectorField(grid, f["d1"], f["d2"], ref.d.trace)
+    d.derived("lap", lambda: (f["lap_d1"], f["lap_d2"]))
     q = f.get("q")
     state = SimState(t=float(f["t"]), density=density,
-                     v=MacVelocity(grid, f["u"], f["v"]),
-                     d=DirectorField(grid, f["d1"], f["d2"], ref.d.trace),
+                     v=MacVelocity(grid, f["u"], f["v"]), d=d,
                      pressure=None if q is None
                      else ScalarField(grid, q, "neumann_zero"))
     return state, stepper
@@ -539,7 +565,7 @@ def mms_verify(resolutions=(16, 32, 64), tol_proj: float = 1e-8) -> dict:
         rho_f = ScalarField(g, rho, "extrapolate")
         vproj, _ = project(rho_f, vstar, 1.0,
                            FlowParams(tol_proj=tol_proj))
-        if np.abs(divergence(vproj).values).max() > tol_proj:
+        if vproj.div_inf > tol_proj:
             div_ok = False
 
     table = {

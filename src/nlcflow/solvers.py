@@ -1,20 +1,19 @@
 """Direct Helmholtz/Poisson solvers by dense eigenbasis transforms, and
-the A-norm projection that gives the momentum predictor its lagged
-velocity. Every linear solve of a step is one direct solve: the director
-step, the harmonic extension and the pressure projection invert their
-constant-coefficient operators exactly (the projection's variable
-coefficient is split off into its right-hand side, see `momentum.project`),
-and so does the momentum predictor. Its variable-density operator
-A = M + N, with M = rbar/dt - nu*Lap and the diagonal
-N = (rho_f - rbar)/dt, is split the same way: N acts on a lagged velocity
-in the right-hand side, and M is inverted exactly. The lagged velocity is
-`projected_guess`: the combination of the last solutions of the same
-solve nearest to the new solution in the A-norm. The solutions are kept
-stacked in (K, ...) arrays, each with the part of its operator product
-that does not depend on the density, so the caller forms A x_k with the
-current density by elementwise products, and the Gram matrix and
-right-hand side with one BLAS product each; no stencil is applied to the
-history.
+the products and Gram solve of the A-norm projection that gives the
+momentum predictor its lagged velocity. Every linear solve of a step is
+one direct solve: the director step, the harmonic extension and the
+pressure projection invert their constant-coefficient operators exactly
+(the projection's variable coefficient is split off into its right-hand
+side, see `momentum.project`), and so does the momentum predictor. Its
+variable-density operator A = M + N, with M = rbar/dt - nu*Lap and the
+diagonal N = (rho_f - rbar)/dt, is split the same way: N acts on a lagged
+velocity in the right-hand side, and M is inverted exactly. The lagged
+velocity is the combination of the last solutions of the same solve
+nearest to the new solution in the A-norm (`momentum.SolveHistory`): its
+Gram matrix X (A X)^T is one BLAS product of the kept solutions with
+their density-scaled copies (`row_products`), less the density-independent
+part X (nu*L X)^T kept with them, and `gram_coefficients` solves it; no
+stencil is applied to a kept solution.
 
 The cell-centered Dirichlet Laplacian (ghost = 2g - interior) is
 diagonalized by the orthonormal DST-II basis on cells; the node-centered
@@ -177,18 +176,6 @@ def combine_rows(c: np.ndarray, xs: np.ndarray) -> np.ndarray:
     out = np.empty(xs.shape[1:])
     np.matmul(c, xs.reshape(len(xs), -1), out=out.reshape(-1))
     return out
-
-
-def projected_guess(b: np.ndarray, xs: np.ndarray, axs: np.ndarray
-                    ) -> np.ndarray:
-    """x0 = sum c_k x_k, the combination of the earlier solutions of
-    A x = b (A symmetric positive semi-definite) stacked in xs (k, n0, n1)
-    nearest to the solution in the A-norm: G c = f with G = xs . axs^T and
-    f = xs . b (Fischer, Comput. Methods Appl. Mech. Engrg. 163, 1998).
-    `axs` holds A x_k, formed by the caller with the current operator."""
-    c = gram_coefficients(row_products(xs, axs),
-                          row_products(xs, b[None])[:, 0])
-    return combine_rows(c, xs)
 
 
 def gram_coefficients(gram: np.ndarray, f: np.ndarray) -> np.ndarray:

@@ -4,13 +4,16 @@ oracle equivalence, manufactured-solution orders, and determinism.
 
 Each test prints one `criterion N: PASS/FAIL` line (visible with -s; the
 pytest verdict carries the same information). The long t_end=50 preset
-runs are shared module-scoped fixtures, so the whole file costs a few
-minutes, dominated by three 10^4-step trajectories. The criteria that use
+runs come from one module-scoped fixture that runs them in parallel worker
+processes, so the whole file costs a few minutes, dominated by three
+10^4-step trajectories. The criteria that use
 those trajectories (3-7) are marked `slow`: `pytest -m "not slow"` skips
 them and runs the rest of the suite in well under a minute.
 """
 
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -25,25 +28,32 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num} failed: {detail}"
 
 
-def _long_run(name, tmp_path_factory):
-    out = tmp_path_factory.mktemp(f"long_{name}")
-    cfg = preset_config(name, out_dir=str(out))
-    return run(cfg)
+@pytest.fixture(scope="module")
+def long_runs(tmp_path_factory):
+    """The three 10^4-step preset runs, submitted together to a pool of
+    min(3, os.cpu_count()) worker processes; each writes its outputs to
+    its own directory."""
+    names = ("gzero", "f1-potential", "f2-decaying")
+    cfgs = [preset_config(name, out_dir=str(tmp_path_factory.mktemp(
+        f"long_{name}"))) for name in names]
+    with ProcessPoolExecutor(min(len(cfgs), os.cpu_count() or 1)) as pool:
+        futures = [pool.submit(run, cfg) for cfg in cfgs]
+        return dict(zip(names, (f.result() for f in futures)))
 
 
 @pytest.fixture(scope="module")
-def gzero_run(tmp_path_factory):
-    return _long_run("gzero", tmp_path_factory)
+def gzero_run(long_runs):
+    return long_runs["gzero"]
 
 
 @pytest.fixture(scope="module")
-def f1_run(tmp_path_factory):
-    return _long_run("f1-potential", tmp_path_factory)
+def f1_run(long_runs):
+    return long_runs["f1-potential"]
 
 
 @pytest.fixture(scope="module")
-def f2_run(tmp_path_factory):
-    return _long_run("f2-decaying", tmp_path_factory)
+def f2_run(long_runs):
+    return long_runs["f2-decaying"]
 
 
 def _refinement(preset, dts=(4e-3, 2e-3, 1e-3)):

@@ -50,7 +50,7 @@ def test_kinetic_energy_constant_velocity_interior():
     v = MacVelocity.zeros(grid)
     v.u[1:-1, :] = 2.0
     # rho = 3: (1/2) * 3 * 4 over interior x-faces with half-weight walls
-    ke = kinetic_energy(np.full((8, 8), 3.0), v)
+    ke = kinetic_energy(ScalarField(grid, np.full((8, 8), 3.0)), v)
     expected = 0.5 * 3.0 * 4.0 * grid.cell_area * (grid.nx - 1) * grid.ny
     assert ke == pytest.approx(expected, rel=1e-14)
 

@@ -138,6 +138,34 @@ def test_step_output_satisfies_implicit_system():
         assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
 
 
+def test_advance_keeps_the_laplacian_of_its_equation():
+    # Lap d' = (a d' - r)/c from the solved equation, against the stencil
+    # Laplacian of d': they differ by the solve's residual over c, of
+    # order eps * (a/c + 4/hx^2 + 4/hy^2) * max|d'| (measured up to 6x that)
+    g = GridSpec(32, 24, 1.0, 1.5)
+
+    def trace(x, y):
+        return x + 2.0 * y**2, np.sin(3.0 * x) * y
+
+    rng = np.random.default_rng(13)
+    d = DirectorField(g, *rng.uniform(-0.7, 0.7, size=(2, g.nx, g.ny)),
+                      DirectorTrace.sample(g, trace))
+    w = MacVelocity(g, rng.normal(size=(g.nx + 1, g.ny)),
+                    rng.normal(size=(g.nx, g.ny + 1)))
+    w.enforce_noslip()
+    p = GLParams(gamma=1.3, eta=0.5, lam=1.0)
+    for dt in (1e-2, 1e-4):
+        out = advance_director(d, w, p, dt)
+        a, c = 1.0 + p.gamma * dt * p.stabilization, p.gamma * dt
+        scale = np.finfo(float).eps * (a / c + 4.0 / g.hx**2
+                                       + 4.0 / g.hy**2)
+        for k in range(2):
+            new = out.component(k)
+            ref = laplacian(new).values
+            assert np.abs(out.lap[k] - ref).max() \
+                <= 16.0 * scale * np.abs(new.values).max()
+
+
 def test_trace_is_respected(grid):
     d = _wavy(grid)
     p = GLParams(gamma=1.0, eta=0.5, lam=1.0)

@@ -5,9 +5,9 @@ from nlcflow.grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
                           ScalarField,
                           density_at_faces, divergence,
                           elastic_identity_residual, gradient_interior_faces,
-                          gradient_to_faces, laplacian,
-                          laplacian_interior_faces, norms, sample_walls)
-from stencils import _lap_u_interior, _lap_v_interior
+                          gradient_to_faces, laplacian, norms, sample_walls)
+from stencils import (_lap_u_interior, _lap_v_interior,
+                      laplacian_interior_faces)
 
 
 @pytest.fixture
@@ -89,6 +89,25 @@ def test_face_laplacian_from_slices_equals_the_padded_formula(grid, axis):
         is out
     assert (out == ref).all()
     assert (laplacian_interior_faces(x, grid, axis) == ref).all()
+
+
+def test_kept_values_make_their_field_read_only(grid):
+    # a value derived once and kept with its field cannot go stale: the
+    # field's arrays and the kept ones refuse writes
+    rng = np.random.default_rng(23)
+    d = DirectorField(grid, *rng.normal(size=(2, grid.nx, grid.ny)), None)
+    rho = ScalarField(grid, 1.0 + rng.uniform(size=(grid.nx, grid.ny)))
+    w = MacVelocity(grid, rng.normal(size=(grid.nx + 1, grid.ny)),
+                    rng.normal(size=(grid.nx, grid.ny + 1)))
+    kept = [*d.lap, *d.gradients[0], *d.gradients[1], *rho.faces]
+    assert w.div_inf == np.abs(divergence(w).values).max()
+    for a in (d.d1, d.d2, rho.values, w.u, w.v, *kept):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 0.0
+    # the kept values are those of the operators
+    assert np.array_equal(d.lap[1], laplacian(d.component(1)).values)
+    assert np.array_equal(rho.faces[0], density_at_faces(rho.values,
+                                                         grid)[0])
 
 
 def test_laplacian_neumann_constant_is_zero(grid):

@@ -81,8 +81,7 @@ def test_projection_decreases_kinetic_energy(grid):
     rho = _rho(grid)
     vs = _smooth_velocity(grid)
     out, _ = project(rho, vs, 1e-2, FlowParams())
-    assert kinetic_energy(rho.values, out) \
-        <= kinetic_energy(rho.values, vs) + 1e-14
+    assert kinetic_energy(rho, out) <= kinetic_energy(rho, vs) + 1e-14
 
 
 def test_projection_annihilates_discrete_gradient_constant_rho(grid):
@@ -212,6 +211,14 @@ def _unsplit_solution(g, axis, rho_f, rhs, nu, dt):
     return np.linalg.solve(a, rhs.ravel()).reshape(rhs.shape)
 
 
+def _push(history, w, nu):
+    """Push both components of w, with nu*L from the reference stencils."""
+    g = w.grid
+    for axis, (x, lap) in enumerate(((w.u[1:-1, :], _lap_u_interior),
+                                     (w.v[:, 1:-1], _lap_v_interior))):
+        history.push(axis, x, nu * lap(x, g))
+
+
 def _tilted_director(g):
     X, Y = g.cell_centers()
     theta = 0.4 * np.sin(np.pi * X) * np.sin(np.pi * Y)
@@ -254,7 +261,7 @@ def test_warm_started_predictor_solves_the_stencil_system(monkeypatch):
     noisy.u[1:-1, :] = exact[0] + 1e-4 * rng.normal(size=exact[0].shape)
     noisy.v[:, 1:-1] = exact[1] + 1e-4 * rng.normal(size=exact[1].shape)
     history = SolveHistory()
-    history.push(noisy, params.nu)
+    _push(history, noisy, params.nu)
     vs = predict_velocity(rho, w, d, None, params, glp, dt, history=history)
     solves = solves[2:]
     for (rho_f, lap), s in zip(_face_systems(rho), solves):
@@ -317,6 +324,25 @@ def test_projected_guess_residual_matches_the_stencils(monkeypatch):
                 <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(b)
 
 
+def test_kept_products_match_the_stencils():
+    # after 8 steps (the ring has wrapped) each component's S, formed from
+    # nu*L v* of the predictor's own equations, is X (nu*L X)^T with the
+    # reference stencils; nu != 1, so a product that lost nu cannot pass
+    cfg = preset_config("gzero", nx=16, ny=16, nu=0.5)
+    state = initial_state(cfg)
+    stepper = StepperState(dt=cfg.dt)
+    for _ in range(8):
+        state = step(state, cfg, stepper)
+    history, g = stepper.history, cfg.grid
+    k = history.filled
+    assert (history.count, k) == (8, 6)
+    for axis, lap in ((0, _lap_u_interior), (1, _lap_v_interior)):
+        xs, s = history.ring(axis)
+        ref = np.array([[np.vdot(xi, cfg.nu * lap(xj, g)) for xj in xs[:k]]
+                        for xi in xs[:k]])
+        assert np.abs(s[:k, :k] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_splitting_error_is_first_order_in_dt(monkeypatch):
     # f1 at 16^2 to t = 0.2 at dt, dt/2 and dt/4, against runs whose
     # predictor solves the unsplit system densely: the rms difference of
@@ -350,7 +376,7 @@ def test_a_ring_of_one_repeated_solution_gives_finite_guesses(grid):
     rho, vs = _rho(grid), _smooth_velocity(grid)
     history = SolveHistory()
     for _ in range(6):
-        history.push(vs, params.nu)
+        _push(history, vs, params.nu)
     assert history.filled == 6
     ru, _ = density_at_faces(rho.values, grid)
     rhs = np.random.default_rng(14).normal(size=(grid.nx - 1, grid.ny))

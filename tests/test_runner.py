@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 
 import nlcflow
 from nlcflow import diagnostics
+from nlcflow import grid as grid_module
 from nlcflow.cli import main as cli_main
 from nlcflow.diagnostics import FIELD_ORDER, DiagContext, compute_record
 from nlcflow import runner
@@ -167,6 +169,42 @@ def test_step_halves_dt_under_cfl_and_keeps_it():
         round(np.log2(0.05 / stepper.dt)))
 
 
+def test_a_step_applies_no_laplacian_stencil_and_pads_d_once(monkeypatch):
+    # From step 2 on, a step takes both Laplacians from its solves and
+    # reuses each field's kept values: it calls no Laplacian (face or cell)
+    # and fills the ghosts of each component of the new director once,
+    # for its centred gradients, and of nothing else
+    cfg = _cfg()
+    state = initial_state(cfg)
+    stepper = StepperState(dt=cfg.dt)
+    state = step(state, cfg, stepper)
+    pads = []
+    pad = grid_module.pad_with_ghosts
+
+    def counted(g, values, kind, bv):
+        pads.append(values)
+        return pad(g, values, kind, bv)
+
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code.co_name)
+
+    monkeypatch.setattr(grid_module, "pad_with_ghosts", counted)
+    for _ in range(3):
+        pads.clear()
+        sys.setprofile(profile)
+        try:
+            state = step(state, cfg, stepper)
+        finally:
+            sys.setprofile(None)
+        assert len(pads) == 2
+        assert pads[0] is state.d.d1 and pads[1] is state.d.d2
+    assert not {name for name in called if "laplacian" in name}
+    assert "_neighbour_sum" not in called
+
+
 def test_step_rejected_below_dt_min():
     cfg = _cfg(v0x="0.9*sin(pi*x)*sin(pi*x)*sin(2*pi*y)",
                v0y="-0.9*sin(2*pi*x)*sin(pi*y)*sin(pi*y)",
@@ -179,7 +217,10 @@ def test_step_rejected_below_dt_min():
 def test_step_fails_fast_on_nonfinite_velocity():
     cfg = _cfg()
     state = initial_state(cfg)
-    state.v.u[5, 7] = np.nan
+    # the projected velocity's arrays are read-only: poison a copy
+    u = state.v.u.copy()
+    u[5, 7] = np.nan
+    state = dataclasses.replace(state, v=dataclasses.replace(state.v, u=u))
     with pytest.raises(LinearSolveFailure, match="non-finite"):
         step(state, cfg, StepperState(dt=cfg.dt))
 
@@ -382,7 +423,7 @@ def test_load_checkpoint_rejects_a_file_that_is_no_archive(tmp_path,
         load_checkpoint(path, _cfg())
 
 
-@pytest.mark.parametrize("version", [None, runner.CHECKPOINT_VERSION + 1])
+@pytest.mark.parametrize("version", [None, 1, runner.CHECKPOINT_VERSION + 1])
 def test_load_checkpoint_rejects_an_unknown_version(tmp_path, version):
     cfg = _cfg()
     path = _written_checkpoint(tmp_path, cfg)
@@ -393,6 +434,23 @@ def test_load_checkpoint_rejects_an_unknown_version(tmp_path, version):
     np.savez(path, **fields)
     with pytest.raises(CheckpointError, match=f"format version {version}"):
         load_checkpoint(path, cfg)
+
+
+def test_load_checkpoint_rejects_other_initial_data(tmp_path):
+    # the conserved references are the saved run's: a config whose t = 0
+    # data gives another mass0 or rho_max0 is not that run's
+    cfg = _cfg()
+    state = initial_state(cfg)
+    stepper = StepperState(dt=cfg.dt)
+    for _ in range(3):
+        state = step(state, cfg, stepper)
+    path = tmp_path / "snap.npz"
+    save_checkpoint(path, state, stepper)
+    with pytest.raises(CheckpointError, match=r"\(mass0, rho_max0\)"):
+        load_checkpoint(path, _cfg(rho0="1.2"))
+    loaded, _ = load_checkpoint(path, cfg)
+    assert (loaded.density.mass0, loaded.density.rho_max0) \
+        == (state.density.mass0, state.density.rho_max0)
 
 
 @pytest.mark.parametrize("other", [dict(nx=20), dict(Lx=2.0)],
@@ -463,6 +521,18 @@ def test_f2_run_reports_rate_block(tmp_path):
 # ---------------------------------------------------------------------------
 # CLI
 
+@pytest.mark.parametrize("text, where", [
+    ("[grid]\nnx = abc\n", "nx = 'abc' in [grid]"),
+    ("[forcing]\nxi = fast\n", "xi = 'fast' in [forcing]"),
+], ids=["nx", "xi"])
+def test_load_config_names_a_value_that_does_not_parse(tmp_path, text,
+                                                       where):
+    p = tmp_path / "bad.cfg"
+    p.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(where)):
+        load_config(p)
+
+
 def test_cli_simulate_preset_override(tmp_path, capsys):
     # tiny run: override via a config file since presets fix t_end
     p = tmp_path / "run.cfg"
@@ -506,7 +576,11 @@ def test_cli_report(tmp_path, capsys):
     # a zero cadence would divide by zero in the time loop
     "[output]\nrecord_every = 0\n",
     "[output]\nsnapshot_every = -1\n",
-], ids=["rho_low", "nx", "gamma", "record_every", "snapshot_every"])
+    # values that do not parse
+    "[grid]\nnx = abc\n",
+    "[forcing]\nxi = fast\n",
+], ids=["rho_low", "nx", "gamma", "record_every", "snapshot_every",
+        "nx_abc", "xi_fast"])
 def test_cli_error_exit_code(tmp_path, capsys, text):
     p = tmp_path / "bad.cfg"
     p.write_text(text)

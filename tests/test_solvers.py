@@ -1,5 +1,6 @@
 """The direct eigenbasis solvers against the stencils they invert, the
-A-norm projection onto earlier solutions, and thread-count independence."""
+A-norm projection onto earlier solutions (`SolveHistory.velocity_guess`),
+and thread-count independence."""
 
 import os
 import subprocess
@@ -11,8 +12,8 @@ import pytest
 
 import nlcflow
 from nlcflow.grid import GridSpec, ScalarField, laplacian
-from nlcflow.solvers import (CellHelmholtz, FaceHelmholtz, NeumannPoisson,
-                             projected_guess)
+from nlcflow.momentum import SolveHistory
+from nlcflow.solvers import CellHelmholtz, FaceHelmholtz, NeumannPoisson
 from stencils import _lap_u_interior, _lap_v_interior
 
 # Non-square in cells, so a basis applied along the wrong axis cannot
@@ -150,14 +151,25 @@ _DIAG_GRID = GridSpec(32, 32, 1.0, 1.0)
 
 def _diag_system(seed):
     """x -> (A + D) x - C*Lap x on the u-faces of a 32^2 grid, with a
-    diagonal D as large as the predictor's density contrast."""
+    diagonal D as large as the predictor's density contrast, and A + D."""
     g = _DIAG_GRID
     diag = np.random.default_rng(seed).uniform(-0.3, 0.3, (g.nx - 1, g.ny))
     diag *= A
+    diag += A
 
     def apply_a(x):
-        return (A + diag) * x - C * _lap_u_interior(x, g)
-    return apply_a
+        return diag * x - C * _lap_u_interior(x, g)
+    return apply_a, diag
+
+
+def _projected_guess(b, xs, diag):
+    """`SolveHistory.velocity_guess` of (diag - C*Lap) x = b on the
+    u-faces, from the solutions xs pushed in order, each with C*Lap x from
+    the reference stencil."""
+    history = SolveHistory()
+    for x in xs:
+        history.push(0, x, C * _lap_u_interior(x, _DIAG_GRID))
+    return history.velocity_guess(0, b, diag)
 
 
 def _smooth_series(n):
@@ -183,7 +195,7 @@ def _six_deep_basis(seed):
 def test_projected_guess_returns_a_solution_in_its_basis():
     # the solution as one of three kept vectors, and as a combination of
     # six random ones
-    apply_a = _diag_system(21)
+    apply_a, diag = _diag_system(21)
     rng = np.random.default_rng(22)
     x_smooth = _smooth_series(1)[0]
     six = _six_deep_basis(31)
@@ -191,8 +203,7 @@ def test_projected_guess_returns_a_solution_in_its_basis():
             (x_smooth, np.stack([rng.normal(size=x_smooth.shape), x_smooth,
                                  rng.normal(size=x_smooth.shape)])),
             (np.tensordot([0.3, -1.2, 0.0, 2.5, 0.7, -0.4], six, 1), six)):
-        x0 = projected_guess(apply_a(x_true), basis,
-                             np.stack([apply_a(x) for x in basis]))
+        x0 = _projected_guess(apply_a(x_true), basis, diag)
         assert np.abs(x0 - x_true).max() <= 1e-12 * np.abs(x_true).max()
 
 
@@ -200,24 +211,22 @@ def test_projected_guess_on_a_repeated_solution_is_finite():
     # G is exactly singular, for two copies and for a full ring of six;
     # the guess is the projection onto the one direction. RuntimeWarnings
     # are errors in this suite.
-    apply_a = _diag_system(23)
+    apply_a, diag = _diag_system(23)
     x_old, x_true = _smooth_series(2)
     b = apply_a(x_true)
     ax = apply_a(x_old)
     c = np.einsum("ij,ij->", x_old, b) / np.einsum("ij,ij->", x_old, ax)
     for copies in (2, 6):
-        x0 = projected_guess(b, np.stack([x_old] * copies),
-                             np.stack([ax] * copies))
+        x0 = _projected_guess(b, [x_old] * copies, diag)
         assert np.isfinite(x0).all()
         assert np.abs(x0 - c * x_old).max() <= 1e-12 * np.abs(x_old).max()
 
 
 def test_projected_guess_beats_the_lagrange_extrapolation():
-    apply_a = _diag_system(24)
+    apply_a, diag = _diag_system(24)
     *basis, x_true = _smooth_series(4)
     b = apply_a(x_true)
-    x0 = projected_guess(b, np.stack(basis),
-                         np.stack([apply_a(x) for x in basis]))
+    x0 = _projected_guess(b, basis, diag)
     # quadratic extrapolation, oldest first: weights 1, -3, 3
     lagrange = basis[0] - 3.0 * basis[1] + 3.0 * basis[2]
     err = _a_norm(x_true - x0, apply_a)
@@ -228,11 +237,11 @@ def test_projected_guess_beats_the_lagrange_extrapolation():
 def test_projected_guess_on_six_solutions_matches_a_dense_reference():
     # the stacked products against G and f from separate inner products
     # and a LAPACK solve, on a random (well conditioned) six-deep basis
-    apply_a = _diag_system(27)
+    apply_a, diag = _diag_system(27)
     xs = _six_deep_basis(28)
     axs = np.stack([apply_a(x) for x in xs])
     b = np.random.default_rng(29).normal(size=xs.shape[1:])
-    x0 = projected_guess(b, xs, axs)
+    x0 = _projected_guess(b, xs, diag)
     gram = np.array([[np.vdot(xi, axj) for axj in axs] for xi in xs])
     c = np.linalg.solve(gram, [np.vdot(x, b) for x in xs])
     ref = np.tensordot(c, xs, 1)
