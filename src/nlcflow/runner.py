@@ -452,10 +452,9 @@ def load_checkpoint(path, cfg: RunConfig) -> tuple[SimState, StepperState]:
     density = DensityState(ScalarField(grid, f["rho"], "extrapolate"),
                            rho_max0, mass0)
     stepper = StepperState(dt=float(f["dt"]))
-    if len(f["solve_u"]):
-        for axis, (xs, s) in enumerate(((f["solve_u"], f["s_u"]),
-                                        (f["solve_v"], f["s_v"]))):
-            stepper.history.restore(axis, xs, s)
+    for axis, (xs, s) in enumerate(((f["solve_u"], f["s_u"]),
+                                    (f["solve_v"], f["s_v"]))):
+        stepper.history.restore(axis, xs, s)
     stepper.history.count = int(f["count"])
     d = DirectorField(grid, f["d1"], f["d2"], ref.d.trace)
     d.derived("lap", lambda: (f["lap_d1"], f["lap_d2"]))

@@ -14,6 +14,7 @@ them and runs the rest of the suite in well under a minute.
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 
 import numpy as np
 import pytest
@@ -31,12 +32,13 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def long_runs(tmp_path_factory):
     """The three 10^4-step preset runs, submitted together to a pool of
-    min(3, os.cpu_count()) worker processes; each writes its outputs to
-    its own directory."""
+    min(3, os.cpu_count()) spawned worker processes; each writes its
+    outputs to its own directory."""
     names = ("gzero", "f1-potential", "f2-decaying")
     cfgs = [preset_config(name, out_dir=str(tmp_path_factory.mktemp(
         f"long_{name}"))) for name in names]
-    with ProcessPoolExecutor(min(len(cfgs), os.cpu_count() or 1)) as pool:
+    with ProcessPoolExecutor(min(len(cfgs), os.cpu_count() or 1),
+                             mp_context=get_context("spawn")) as pool:
         futures = [pool.submit(run, cfg) for cfg in cfgs]
         return dict(zip(names, (f.result() for f in futures)))
 
