@@ -15,7 +15,8 @@ import numpy as np
 from . import forcing
 from .director import GLParams, director_energy_terms, gl_residual_l2
 from .forcing import ForcingSpec
-from .grid import DirectorField, MacVelocity, ScalarField, norms
+from .grid import (DirectorField, MacVelocity, ScalarField, cell_h1_sq,
+                   face_sum, inner, norms)
 from .momentum import FlowParams
 from .state import SimState
 
@@ -62,19 +63,20 @@ def kinetic_energy(rho: ScalarField, v: MacVelocity) -> float:
     """(1/2) integral of rho |v|^2 with the face densities `rho.faces`, and
     the half-weight boundary-face quadrature the projection's energy
     identity uses."""
-    g = v.grid
-    ru, rv = rho.faces
-    wu = np.ones_like(v.u)
-    wu[0, :] = wu[-1, :] = 0.5
-    wv = np.ones_like(v.v)
-    wv[:, 0] = wv[:, -1] = 0.5
-    return 0.5 * g.cell_area * (float(np.sum(ru * wu * v.u**2))
-                                + float(np.sum(rv * wv * v.v**2)))
+    return 0.5 * v.grid.cell_area * _rho_v_sq(rho.faces, v.u, v.v)
+
+
+def _rho_v_sq(faces, u: np.ndarray, v: np.ndarray) -> float:
+    """Sum of rho_f |v|^2 over the faces at `face_sum`'s weights, without
+    the cell area; u and v are a velocity's face arrays."""
+    ru, rv = faces
+    return face_sum(ru * u, rv * v, u, v)
 
 
 def state_bounds(st: SimState) -> dict:
     """Mass, density range, max|d| and ||div v||_inf of one state, keyed by
-    their DiagRecord field names; run() checks them at every step. The
+    their DiagRecord field names; run() checks them at every step. max|d|
+    is the square root of max |d|^2, which the director keeps, and the
     divergence norm is the velocity's `div_inf`, which `project` has
     already computed for its check."""
     vals = st.rho.values
@@ -94,12 +96,12 @@ def _functionals(st: SimState, ctx: DiagContext) -> dict:
     tilde = total
     if ctx.spec.variant == "f1":
         phi = forcing.sample_potential(ctx.spec, g).values
-        tilde -= float(np.sum(st.rho.values * phi)) * g.cell_area
+        tilde -= inner(st.rho.values, phi) * g.cell_area
     return dict(
         kinetic=kin, elastic=ela, potential=pot, E_total=total,
         E_tilde=tilde, grad_v_L2=norms(st.v, "H1_semi"),
         gl_res_L2=gl_residual_l2(st.d, ctx.glp.eta),
-        g_L2=norms(forcing.eval_force(ctx.spec, g, st.t), "L2"))
+        g_L2=forcing.force_l2(ctx.spec, g, st.t))
 
 
 def _law_residual(p: dict, c: dict, dt: float, ctx: DiagContext,
@@ -139,19 +141,22 @@ def compute_record(prev: SimState, curr: SimState, ctx: DiagContext,
     c = _functionals(curr, ctx)
     p = _functionals(prev, ctx) if prev_rec is None else vars(prev_rec)
 
-    vt = MacVelocity(g, (curr.v.u - prev.v.u) / dt,
-                     (curr.v.v - prev.v.v) / dt)
-    dt_dir = DirectorField(g, (curr.d.d1 - prev.d.d1) / dt,
-                           (curr.d.d2 - prev.d.d2) / dt, None)
-    b_val = 2.0 * kinetic_energy(curr.rho, vt) \
-        + norms(dt_dir, "H1_semi") ** 2
+    # B_val = ||sqrt(rho) v_t||^2 + ||grad d_t||^2 of the backward
+    # differences, each difference measured unscaled and the sum by 1/dt^2
+    flow = _rho_v_sq(curr.rho.faces, curr.v.u - prev.v.u,
+                     curr.v.v - prev.v.v) * g.cell_area
+    diff = curr.d.d1 - prev.d.d1
+    director = cell_h1_sq(g, diff)
+    np.subtract(curr.d.d2, prev.d.d2, out=diff)
+    b_val = (flow + director + cell_h1_sq(g, diff)) / dt**2
     a_val = ctx.flow.nu * c["grad_v_L2"]**2 + c["gl_res_L2"]**2
 
     d_dist = 0.0
     if ctx.d_inf is not None:
-        diff = DirectorField(g, curr.d.d1 - ctx.d_inf.d1,
-                             curr.d.d2 - ctx.d_inf.d2, None)
-        d_dist = norms(diff, "L2")
+        np.subtract(curr.d.d1, ctx.d_inf.d1, out=diff)
+        sq = inner(diff, diff)
+        np.subtract(curr.d.d2, ctx.d_inf.d2, out=diff)
+        d_dist = float(np.sqrt((sq + inner(diff, diff)) * g.cell_area))
     return DiagRecord(
         t=curr.t, **c, A_val=a_val, B_val=b_val, **state_bounds(curr),
         law_residual=_law_residual(p, c, dt, ctx, g.poincare_constant(),

@@ -13,7 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import DirectorField, GridSpec, MacVelocity, ScalarField, norms
+from .grid import (DirectorField, GridSpec, MacVelocity, ScalarField, inner,
+                   norms)
 from .solvers import CellHelmholtz
 
 
@@ -37,7 +38,7 @@ class GLParams:
 def gl_f(d: DirectorField, eta: float) -> tuple[np.ndarray, np.ndarray]:
     """f(d) = (|d|^2 - 1) d / eta^2, pointwise; kept with d, read-only."""
     def build():
-        fac = (d.d1**2 + d.d2**2 - 1.0) / eta**2
+        fac = (d.norm_sq - 1.0) / eta**2
         return fac * d.d1, fac * d.d2
     return d.derived(("f", eta), build)
 
@@ -60,14 +61,17 @@ def gl_residual(d: DirectorField, eta: float) -> tuple[np.ndarray, np.ndarray]:
 
 def gl_residual_l2(d: DirectorField, eta: float) -> float:
     r1, r2 = gl_residual(d, eta)
-    a = d.grid.cell_area
-    return float(np.sqrt((np.sum(r1**2) + np.sum(r2**2)) * a))
+    return float(np.sqrt((inner(r1, r1) + inner(r2, r2)) * d.grid.cell_area))
 
 
 def director_energy_terms(d: DirectorField, eta: float) -> tuple[float, float]:
     """The terms 1/2 ||grad d||^2 and integral F(d) of E(d), without the
-    elastic coupling lambda (the record's energy columns apply it)."""
-    return 0.5 * norms(d, "H1_semi") ** 2, norms(gl_F(d, eta), "L1")
+    elastic coupling lambda (the record's energy columns apply it). The
+    integral sums the square of |d|^2 - 1 once, with the factor of `gl_F`
+    applied to the sum."""
+    gap = d.norm_sq - 1.0
+    return (0.5 * norms(d, "H1_semi") ** 2,
+            inner(gap, gap) * d.grid.cell_area / (4.0 * eta**2))
 
 
 def director_energy(d: DirectorField, eta: float) -> float:

@@ -7,6 +7,7 @@ norm tail integral has the closed form used by the decay-rate analysis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -63,6 +64,17 @@ def sample_profile(spec: ForcingSpec, grid: GridSpec) -> MacVelocity:
     return g
 
 
+@lru_cache(maxsize=16)
+def _potential_force_l2(spec: ForcingSpec, grid: GridSpec) -> float:
+    """||g||_L2 of the f1 force, computed once per grid."""
+    return norms(_potential_force(spec, grid), "L2")
+
+
+def _decay(spec: ForcingSpec, t: float) -> float:
+    """The f2 force's time factor amplitude * (1+t)^(-(2+xi)/2)."""
+    return spec.amplitude * (1.0 + t) ** (-(2.0 + spec.xi) / 2.0)
+
+
 def eval_force(spec: ForcingSpec, grid: GridSpec, t: float) -> MacVelocity:
     """Acceleration field g(., t) at the velocity faces; for f1 the one
     cached read-only field."""
@@ -73,11 +85,26 @@ def eval_force(spec: ForcingSpec, grid: GridSpec, t: float) -> MacVelocity:
     if spec.variant == "f1":
         return _potential_force(spec, grid)
     g = sample_profile(spec, grid)
-    s = spec.amplitude * (1.0 + t) ** (-(2.0 + spec.xi) / 2.0)
+    s = _decay(spec, t)
     return MacVelocity(grid, s * g.u, s * g.v)
 
 
+def force_l2(spec: ForcingSpec, grid: GridSpec, t: float) -> float:
+    """||g(., t)||_L2 without building the field: 0 with no forcing, the
+    cached norm of the f1 force, and |s(t)| * sqrt(profile_norm_sq) for
+    the separable f2 force."""
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    if spec.variant == "none":
+        return 0.0
+    if spec.variant == "f1":
+        return _potential_force_l2(spec, grid)
+    return abs(_decay(spec, t)) * math.sqrt(profile_norm_sq(spec, grid))
+
+
+@lru_cache(maxsize=16)
 def profile_norm_sq(spec: ForcingSpec, grid: GridSpec) -> float:
+    """||a||_L2^2 of the f2 profile, computed once per grid."""
     return norms(sample_profile(spec, grid), "L2") ** 2
 
 

@@ -22,9 +22,12 @@ share of the Laplacian.
 
 Values derived from a field and shared by the layers of a step (a
 density's face averages, a velocity's ||div||_inf, a director's
-Laplacian, centred gradients and f(d)) are computed once and kept with the
-field. The field's arrays and the kept ones are made read-only when the
-first value is kept, so that no kept value can go stale.
+Laplacian, centred gradients, |d|^2 and f(d)) are computed once and kept
+with the field. The field's arrays and the kept ones are made read-only
+when the first value is kept, so that no kept value can go stale.
+
+The norms sum their quadratures from slices of the field's arrays and the
+trace's wall arrays: they fill no ghosts.
 """
 
 from __future__ import annotations
@@ -275,8 +278,10 @@ class DirectorField:
     def components(self) -> tuple[ScalarField, ScalarField]:
         return self.component(0), self.component(1)
 
-    def pointwise_norm(self) -> np.ndarray:
-        return np.sqrt(self.d1**2 + self.d2**2)
+    @property
+    def norm_sq(self) -> np.ndarray:
+        """|d|^2 = d1^2 + d2^2 pointwise, which f(d), F(d) and max|d| read."""
+        return self.derived("norm_sq", lambda: (self.d1**2 + self.d2**2,))[0]
 
     def derived(self, key, build) -> tuple[np.ndarray, ...]:
         """The arrays ``build()`` returns, built on the first call with
@@ -366,38 +371,70 @@ def centered_gradient_at_centers(s: ScalarField) -> tuple[np.ndarray, np.ndarray
 
 # ---------------------------------------------------------------------------
 # norms and quadrature
+#
+# A sum of products over 2-D arrays is an einsum (`inner`). np.dot would
+# hand it to the BLAS dot, which OpenBLAS splits across threads above about
+# 10^4 elements, so that its summation order, and the result, would change
+# with the thread count at 128^2. Short wall rows use np.dot.
 # ---------------------------------------------------------------------------
 
-def _mac_component_h1_sq(grid: GridSpec, comp: np.ndarray, axis: int) -> float:
-    """Squared H1 seminorm of one MAC component with no-slip wall ghosts.
-
-    `axis` 0 for u (normal direction x), 1 for v. Along the normal direction
-    the component is node-centered with homogeneous Dirichlet end values
-    already stored in the array; across it the wall ghost is -interior and the
-    wall term carries half a cell of weight, matching the quadratic form of
-    the viscous operator."""
-    a = grid.cell_area
-    if axis == 0:
-        h_n, h_t = grid.hx, grid.hy
-        normal_diff = (comp[1:, :] - comp[:-1, :]) / h_n          # at centers
-        tang_diff = (comp[:, 1:] - comp[:, :-1]) / h_t            # interior rows
-        wall_sq = (2.0 * comp[:, 0] / h_t) ** 2 + (2.0 * comp[:, -1] / h_t) ** 2
-    else:
-        h_n, h_t = grid.hy, grid.hx
-        normal_diff = (comp[:, 1:] - comp[:, :-1]) / h_n
-        tang_diff = (comp[1:, :] - comp[:-1, :]) / h_t
-        wall_sq = (2.0 * comp[0, :] / h_t) ** 2 + (2.0 * comp[-1, :] / h_t) ** 2
-    return float(a * (np.sum(normal_diff**2) + np.sum(tang_diff**2))
-                 + 0.5 * a * np.sum(wall_sq))
+def inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of a*b over two 2-D arrays, in an order that depends only on
+    the arrays."""
+    return float(np.einsum("ij,ij->", a, b))
 
 
-def _mac_l2_sq(w: MacVelocity) -> float:
-    g = w.grid
-    a = g.cell_area
-    s = a * (np.sum(w.u[1:-1, :] ** 2) + np.sum(w.v[:, 1:-1] ** 2))
-    s += 0.5 * a * (np.sum(w.u[0, :] ** 2) + np.sum(w.u[-1, :] ** 2)
-                    + np.sum(w.v[:, 0] ** 2) + np.sum(w.v[:, -1] ** 2))
-    return float(s)
+def _row_sq(row: np.ndarray, wall: np.ndarray | None = None) -> float:
+    """Sum of (row - wall)^2 over one wall row; no wall stands for zero."""
+    if wall is not None:
+        row = row - wall
+    return float(np.dot(row, row))
+
+
+def face_sum(pu: np.ndarray, pv: np.ndarray, qu: np.ndarray,
+             qv: np.ndarray) -> float:
+    """Sum of p*q over the faces of two MAC fields given as their u and v
+    arrays, boundary faces at half weight, without the cell area: the
+    quadrature of a velocity's L2 norm and of the kinetic energy."""
+    interior = inner(pu[1:-1], qu[1:-1]) + inner(pv[:, 1:-1], qv[:, 1:-1])
+    walls = (np.dot(pu[0], qu[0]) + np.dot(pu[-1], qu[-1])
+             + np.dot(pv[:, 0], qv[:, 0]) + np.dot(pv[:, -1], qv[:, -1]))
+    return interior + 0.5 * float(walls)
+
+
+def cell_h1_sq(grid: GridSpec, values: np.ndarray,
+               kind: str = "dirichlet", walls: Walls | None = None) -> float:
+    """Squared H1 seminorm of cell values with the ghost fill of `kind` and
+    `walls` (as in `pad_with_ghosts`): the face quadrature of
+    `gradient_to_faces`, half weight on boundary faces, summed from slices
+    without a ghost-padded copy. A boundary face's difference is 2(s - g)
+    against the Dirichlet ghost 2g - s, 0 against the zero-Neumann mirror,
+    and the first interior difference against the linear extrapolation."""
+    dx = values[1:] - values[:-1]
+    dy = values[:, 1:] - values[:, :-1]
+    sx, sy = inner(dx, dx), inner(dy, dy)
+    if kind == "dirichlet":
+        gw, ge, gs, gn = (None,) * 4 if walls is None else walls
+        sx += 2.0 * (_row_sq(values[0], gw) + _row_sq(values[-1], ge))
+        sy += 2.0 * (_row_sq(values[:, 0], gs) + _row_sq(values[:, -1], gn))
+    elif kind == "extrapolate":
+        sx += 0.5 * (_row_sq(dx[0]) + _row_sq(dx[-1]))
+        sy += 0.5 * (_row_sq(dy[:, 0]) + _row_sq(dy[:, -1]))
+    return grid.cell_area * (sx / grid.hx**2 + sy / grid.hy**2)
+
+
+def _mac_h1_sq(grid: GridSpec, u: np.ndarray, v: np.ndarray) -> float:
+    """Squared H1 seminorm of a MAC velocity with no-slip wall ghosts: each
+    component is node-centred along its own axis, with its end values
+    stored, and across it the wall ghost is -interior, so that a wall
+    difference is twice the wall row, at half weight. This is the
+    quadratic form of the viscous operator."""
+    ux, uy = u[1:] - u[:-1], u[:, 1:] - u[:, :-1]
+    vx, vy = v[1:] - v[:-1], v[:, 1:] - v[:, :-1]
+    across_u = inner(uy, uy) + 2.0 * (_row_sq(u[:, 0]) + _row_sq(u[:, -1]))
+    across_v = inner(vx, vx) + 2.0 * (_row_sq(v[0]) + _row_sq(v[-1]))
+    return grid.cell_area * ((inner(ux, ux) + across_v) / grid.hx**2
+                             + (inner(vy, vy) + across_u) / grid.hy**2)
 
 
 def norms(fieldlike, kind: str) -> float:
@@ -406,8 +443,9 @@ def norms(fieldlike, kind: str) -> float:
     Accepts ScalarField, MacVelocity or DirectorField; kinds are ``L2``,
     ``Linf``, ``H1_semi`` and ``H1``, and ``L1`` for scalars. A scalar's
     ``H1_semi`` is the face-quadrature norm of `gradient_to_faces` (half
-    weight on boundary faces), so for a zero-trace Dirichlet or a
-    zero-Neumann field its square is <s, -laplacian(s)> * cell_area.
+    weight on boundary faces, `cell_h1_sq`), so for a zero-trace Dirichlet
+    or a zero-Neumann field its square is <s, -laplacian(s)> * cell_area.
+    A director's is summed over its components with the trace's ghosts.
     """
     if kind == "H1":
         return float(np.hypot(norms(fieldlike, "L2"),
@@ -418,29 +456,32 @@ def norms(fieldlike, kind: str) -> float:
         if kind == "L1":
             return float(np.sum(np.abs(vals)) * g.cell_area)
         if kind == "L2":
-            return float(np.sqrt(np.sum(vals**2) * g.cell_area))
+            return float(np.sqrt(inner(vals, vals) * g.cell_area))
         if kind == "Linf":
             return float(np.abs(vals).max())
         if kind == "H1_semi":
-            return float(np.sqrt(_mac_l2_sq(gradient_to_faces(fieldlike))))
+            return float(np.sqrt(cell_h1_sq(g, vals, fieldlike.boundary_kind,
+                                            fieldlike.boundary_value)))
     elif isinstance(fieldlike, MacVelocity):
-        g = fieldlike.grid
+        g, u, v = fieldlike.grid, fieldlike.u, fieldlike.v
         if kind == "L2":
-            return float(np.sqrt(_mac_l2_sq(fieldlike)))
+            return float(np.sqrt(face_sum(u, v, u, v) * g.cell_area))
         if kind == "Linf":
-            return float(max(np.abs(fieldlike.u).max(), np.abs(fieldlike.v).max()))
+            return float(max(np.abs(u).max(), np.abs(v).max()))
         if kind == "H1_semi":
-            return float(np.sqrt(_mac_component_h1_sq(g, fieldlike.u, 0)
-                                 + _mac_component_h1_sq(g, fieldlike.v, 1)))
+            return float(np.sqrt(_mac_h1_sq(g, u, v)))
     elif isinstance(fieldlike, DirectorField):
+        g, d1, d2 = fieldlike.grid, fieldlike.d1, fieldlike.d2
         if kind == "Linf":
-            return float(fieldlike.pointwise_norm().max())
-        c1, c2 = fieldlike.components()
+            return float(np.sqrt(fieldlike.norm_sq.max()))
         if kind == "L2":
-            return float(np.hypot(norms(c1, "L2"), norms(c2, "L2")))
+            return float(np.sqrt((inner(d1, d1) + inner(d2, d2))
+                                 * g.cell_area))
         if kind == "H1_semi":
-            return float(np.sqrt(_mac_l2_sq(gradient_to_faces(c1))
-                                 + _mac_l2_sq(gradient_to_faces(c2))))
+            w1, w2 = (None, None) if fieldlike.trace is None \
+                else fieldlike.trace.walls
+            return float(np.sqrt(cell_h1_sq(g, d1, "dirichlet", w1)
+                                 + cell_h1_sq(g, d2, "dirichlet", w2)))
     raise ValueError(f"unsupported norm kind {kind!r} for {type(fieldlike).__name__}")
 
 

@@ -33,6 +33,10 @@ from .state import SimState
 from .stationary import decay_rate_fit, lojasiewicz_probe, solve_stationary
 
 
+# a run ends once t is within this of t_end
+T_END_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class RunConfig:
     # grid
@@ -94,27 +98,35 @@ _SECTIONS = {
                    ("tol_max", float)),
     "output": (("record_every", int), ("snapshot_every", int),
                ("out_dir", str)),
+    # the fields of RunConfig.forcing, a ForcingSpec
+    "forcing": (("variant", str), ("phi", str), ("ax", str), ("ay", str),
+                ("xi", float), ("amplitude", float)),
 }
 
 
 def load_config(path) -> RunConfig:
-    """Plain key=value config with section headers mirroring RunConfig."""
+    """Plain key=value config with section headers mirroring RunConfig. An
+    unknown section or key raises ConfigError naming it, so that a typo
+    cannot fall back to a default unnoticed."""
     cp = configparser.ConfigParser()
     if not cp.read(path):
         raise ConfigError(f"cannot read config file {path}")
-    kwargs = {}
-    for section, keys in _SECTIONS.items():
-        if not cp.has_section(section):
-            continue
-        known = {k for k, _ in keys}
+    for section in cp.sections():
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section [{section}]; choose from "
+                              f"{', '.join(_SECTIONS)}")
+        # configparser lower-cases the keys it reads
+        known = {k.lower() for k, _ in _SECTIONS[section]}
         for k in cp[section]:
             if k not in known:
                 raise ConfigError(f"unknown key {k!r} in [{section}]")
-        kwargs.update(_parse_keys(cp, section, keys))
+    kwargs = {}
+    for section, keys in _SECTIONS.items():
+        if section != "forcing" and cp.has_section(section):
+            kwargs.update(_parse_keys(cp, section, keys))
     if cp.has_section("forcing"):
-        kwargs["forcing"] = ForcingSpec(**_parse_keys(cp, "forcing", (
-            ("variant", str), ("phi", str), ("ax", str), ("ay", str),
-            ("xi", float), ("amplitude", float))))
+        kwargs["forcing"] = ForcingSpec(
+            **_parse_keys(cp, "forcing", _SECTIONS["forcing"]))
     cfg = RunConfig(**kwargs)
     validate_config(cfg)
     return cfg
@@ -154,6 +166,10 @@ def validate_config(cfg: RunConfig) -> dict:
         raise ConfigError("rho_high < rho_low")
     if cfg.dt <= 0 or cfg.t_end <= 0:
         raise ConfigError("dt and t_end must be positive")
+    if cfg.t_end <= T_END_TOL:
+        raise ConfigError(
+            f"t_end = {cfg.t_end:g} is within the time loop's end tolerance "
+            f"{T_END_TOL:g} of t = 0, so the run would make no step")
     if not 0 < cfg.cfl_safety <= 1:
         raise ConfigError("cfl_safety must lie in (0, 1]")
     # each expression is sampled where the run uses it, the forcing by its
@@ -287,7 +303,7 @@ def run(cfg: RunConfig, write_outputs: bool = True,
     n = 0
     mass0 = state.density.mass0
     prev_rec = None  # the record made at the step's start state, if any
-    while state.t < cfg.t_end - 1e-12:
+    while state.t < cfg.t_end - T_END_TOL:
         prev = state
         try:
             state = step(state, cfg, stepper)
@@ -295,7 +311,7 @@ def run(cfg: RunConfig, write_outputs: bool = True,
             raise StepFailed(n + 1, prev.t, exc) from exc
         n += 1
 
-        at_end = state.t >= cfg.t_end - 1e-12
+        at_end = state.t >= cfg.t_end - T_END_TOL
         rec = None
         if n % cfg.record_every == 0 or at_end or n == 1:
             rec = compute_record(prev, state, ctx, prev_rec)

@@ -50,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridSpec
+from .grid import GridSpec, inner
 
 
 def _modes(kind: str, n: int) -> np.ndarray:
@@ -153,19 +153,14 @@ class NeumannPoisson(_EigenSolver):
 _EPS = float(np.finfo(float).eps)
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Inner product whose summation order depends only on the arrays."""
-    return float(np.einsum("ij,ij->", a, b))
-
-
 def row_products(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """The (k, m) matrix of inner products x_i . y_j of the stacked 2D
     arrays xs (k, n0, n1) and ys (m, n0, n1): one BLAS product. With one
     row and one column numpy hands it to the BLAS dot, which OpenBLAS
-    splits across threads; k = 1 goes through `_dot` instead."""
+    splits across threads; k = 1 goes through `inner` instead."""
     k, m = len(xs), len(ys)
     if k == 1:
-        return np.array([[_dot(xs[0], y) for y in ys]])
+        return np.array([[inner(xs[0], y) for y in ys]])
     return xs.reshape(k, -1) @ ys.reshape(m, -1).T
 
 

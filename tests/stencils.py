@@ -1,12 +1,23 @@
-"""The reference 5-point Laplacians of the MAC velocity components on
-interior faces, the stencils that `FaceHelmholtz` inverts. The package
-applies none of them: the predictor takes nu*L v* from the equation it has
-just solved. The tests check the eigenbasis solvers, the predictor's
-solution, its kept products and its guesses' residuals against them."""
+"""Reference stencils and quadratures, which the package no longer applies.
+
+The 5-point Laplacians of the MAC velocity components on interior faces
+are the stencils that `FaceHelmholtz` inverts; the predictor takes nu*L v*
+from the equation it has just solved. The tests check the eigenbasis
+solvers, the predictor's solution, its kept products and its guesses'
+residuals against them.
+
+The quadratures are the padded formulas of `grid.norms` and
+`diagnostics.kinetic_energy`: a scalar's H1 seminorm as the face L2 norm
+of `gradient_to_faces`, which fills ghosts, a velocity's L2 norm and H1
+seminorm summed from scaled differences, and the kinetic energy with
+per-call weight arrays. The package sums the same quadratures from slices;
+the tests compare the two.
+"""
 
 import numpy as np
 
-from nlcflow.grid import GridSpec
+from nlcflow.grid import (DirectorField, GridSpec, MacVelocity, ScalarField,
+                          gradient_to_faces)
 
 
 def laplacian_interior_faces(x: np.ndarray, grid: GridSpec, axis: int,
@@ -60,3 +71,69 @@ def _lap_u_interior(x: np.ndarray, g: GridSpec) -> np.ndarray:
 def _lap_v_interior(x: np.ndarray, g: GridSpec) -> np.ndarray:
     """Laplacian of the v component on interior faces (shape (nx, ny-1))."""
     return laplacian_interior_faces(x, g, 1)
+
+
+def _mac_component_h1_sq(grid: GridSpec, comp: np.ndarray, axis: int) -> float:
+    """Squared H1 seminorm of one MAC component with no-slip wall ghosts.
+
+    `axis` 0 for u (normal direction x), 1 for v. Along the normal direction
+    the component is node-centered with homogeneous Dirichlet end values
+    already stored in the array; across it the wall ghost is -interior and the
+    wall term carries half a cell of weight, matching the quadratic form of
+    the viscous operator."""
+    a = grid.cell_area
+    if axis == 0:
+        h_n, h_t = grid.hx, grid.hy
+        normal_diff = (comp[1:, :] - comp[:-1, :]) / h_n          # at centers
+        tang_diff = (comp[:, 1:] - comp[:, :-1]) / h_t            # interior rows
+        wall_sq = (2.0 * comp[:, 0] / h_t) ** 2 + (2.0 * comp[:, -1] / h_t) ** 2
+    else:
+        h_n, h_t = grid.hy, grid.hx
+        normal_diff = (comp[:, 1:] - comp[:, :-1]) / h_n
+        tang_diff = (comp[1:, :] - comp[:-1, :]) / h_t
+        wall_sq = (2.0 * comp[0, :] / h_t) ** 2 + (2.0 * comp[-1, :] / h_t) ** 2
+    return float(a * (np.sum(normal_diff**2) + np.sum(tang_diff**2))
+                 + 0.5 * a * np.sum(wall_sq))
+
+
+def _mac_l2_sq(w: MacVelocity) -> float:
+    g = w.grid
+    a = g.cell_area
+    s = a * (np.sum(w.u[1:-1, :] ** 2) + np.sum(w.v[:, 1:-1] ** 2))
+    s += 0.5 * a * (np.sum(w.u[0, :] ** 2) + np.sum(w.u[-1, :] ** 2)
+                    + np.sum(w.v[:, 0] ** 2) + np.sum(w.v[:, -1] ** 2))
+    return float(s)
+
+
+def reference_norm(fieldlike, kind: str) -> float:
+    """The padded formulas of `norms` for L2 and H1_semi."""
+    if isinstance(fieldlike, DirectorField):
+        c1, c2 = fieldlike.components()
+        if kind == "L2":
+            return float(np.hypot(reference_norm(c1, "L2"),
+                                  reference_norm(c2, "L2")))
+        return float(np.sqrt(_mac_l2_sq(gradient_to_faces(c1))
+                             + _mac_l2_sq(gradient_to_faces(c2))))
+    if isinstance(fieldlike, MacVelocity):
+        if kind == "L2":
+            return float(np.sqrt(_mac_l2_sq(fieldlike)))
+        g = fieldlike.grid
+        return float(np.sqrt(_mac_component_h1_sq(g, fieldlike.u, 0)
+                             + _mac_component_h1_sq(g, fieldlike.v, 1)))
+    if kind == "L2":
+        return float(np.sqrt(np.sum(fieldlike.values**2)
+                             * fieldlike.grid.cell_area))
+    return float(np.sqrt(_mac_l2_sq(gradient_to_faces(fieldlike))))
+
+
+def reference_kinetic_energy(rho: ScalarField, v: MacVelocity) -> float:
+    """(1/2) integral of rho |v|^2 with weight arrays: 1 on interior faces,
+    1/2 on boundary faces."""
+    g = v.grid
+    ru, rv = rho.faces
+    wu = np.ones_like(v.u)
+    wu[0, :] = wu[-1, :] = 0.5
+    wv = np.ones_like(v.v)
+    wv[:, 0] = wv[:, -1] = 0.5
+    return 0.5 * g.cell_area * (float(np.sum(ru * wu * v.u**2))
+                                + float(np.sum(rv * wv * v.v**2)))

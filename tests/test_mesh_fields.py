@@ -6,8 +6,10 @@ from nlcflow.grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
                           density_at_faces, divergence,
                           elastic_identity_residual, gradient_interior_faces,
                           gradient_to_faces, laplacian, norms, sample_walls)
+from nlcflow.diagnostics import kinetic_energy
 from stencils import (_lap_u_interior, _lap_v_interior,
-                      laplacian_interior_faces)
+                      laplacian_interior_faces, reference_kinetic_energy,
+                      reference_norm)
 
 
 @pytest.fixture
@@ -168,6 +170,56 @@ def test_noslip_velocity_h1_semi_summation_by_parts(grid):
     form = -(np.sum(ui * _lap_u_interior(ui, grid))
              + np.sum(vi * _lap_v_interior(vi, grid))) * grid.cell_area
     assert norms(w, "H1_semi") ** 2 == pytest.approx(form, rel=1e-12)
+
+
+# The norms sum their quadratures from slices, without ghost-padded copies,
+# weight arrays or wrappers; the padded formulas they replace are the
+# reference. A field's values are smooth plus noise, so that its
+# differences are small against its values, and no wall value is zero.
+
+def _wavy_trace(x, y):
+    return np.cos(1.0 + x + 2.0 * y), np.sin(0.5 + 3.0 * x * y)
+
+
+def _quadrature_case(name, g):
+    rng = np.random.default_rng(17)
+    X, Y = g.cell_centers()
+
+    def smooth(shift):
+        return (np.sin(2.0 * X + shift) * np.cos(Y) + 0.5
+                + 1e-3 * rng.normal(size=X.shape))
+
+    if name == "velocity":
+        Xu, Yu = g.uface_coords()
+        Xv, Yv = g.vface_coords()
+        return MacVelocity(g, np.cos(Xu) * np.sin(Yu + 1.0) + 0.3,
+                           rng.normal(size=Xv.shape))
+    if name.startswith("director"):
+        trace = DirectorTrace.sample(g, _wavy_trace) \
+            if name == "director_trace" else None
+        return DirectorField(g, smooth(0.0), smooth(1.0), trace)
+    kind, _, walls = name.partition(":")
+    bv = sample_walls(g, lambda x, y: 2.0 + x * y) if walls else None
+    return ScalarField(g, smooth(0.0), kind, bv)
+
+
+@pytest.mark.parametrize("shape", [(16, 12), (128, 128)])
+@pytest.mark.parametrize("case", [
+    "dirichlet", "dirichlet:trace", "neumann_zero", "extrapolate",
+    "director_trace", "director_none", "velocity"])
+def test_norms_match_the_padded_reference(case, shape):
+    g = GridSpec(*shape, 2.0, 1.5)
+    f = _quadrature_case(case, g)
+    for kind in ("L2", "H1_semi"):
+        assert norms(f, kind) == pytest.approx(reference_norm(f, kind),
+                                               rel=1e-12, abs=0.0)
+    if isinstance(f, DirectorField):
+        # max|d| is the square root of max |d|^2, bitwise
+        assert norms(f, "Linf") == np.sqrt(f.d1**2 + f.d2**2).max()
+    if isinstance(f, MacVelocity):
+        rho = ScalarField(g, 1.5 + 0.3 * np.cos(sum(g.cell_centers())))
+        assert kinetic_energy(rho, f) == pytest.approx(
+            reference_kinetic_energy(rho, f), rel=1e-12, abs=0.0)
 
 
 def test_mac_velocity_noslip_and_maxspeed(grid):

@@ -44,7 +44,7 @@ def _cfg(**overrides):
 def test_load_config_round_trip(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text(
-        "[grid]\nnx = 24\nny = 12\n"
+        "[grid]\nnx = 24\nny = 12\nLx = 2.0\n"
         "[physics]\nnu = 2.0\nrho_low = 0.5\nrho_high = 3.0\n"
         "[initial]\nrho0 = 1.0 + 0.25*cos(pi*x)\n"
         "[stepping]\ndt = 0.001\nt_end = 0.5\n"
@@ -52,7 +52,7 @@ def test_load_config_round_trip(tmp_path):
         "xi = 2.0\namplitude = 0.5\n"
         "[output]\nout_dir = here\n")
     cfg = load_config(p)
-    assert (cfg.nx, cfg.ny) == (24, 12)
+    assert (cfg.nx, cfg.ny, cfg.Lx) == (24, 12, 2.0)
     assert cfg.nu == 2.0
     assert cfg.forcing.variant == "f2"
     assert cfg.forcing.xi == 2.0
@@ -73,6 +73,19 @@ def test_load_config_rejects_unknown_key(tmp_path):
     p = tmp_path / "bad.cfg"
     p.write_text("[grid]\nnx = 16\nresolution = 99\n")
     with pytest.raises(ConfigError, match="resolution"):
+        load_config(p)
+
+
+@pytest.mark.parametrize("text, name", [
+    # xi would stay 1.0, and kappa_pred = xi/2 would read the wrong xi
+    ("[forcing]\nvariant = f2\nksi = 3.0\n", "'ksi'"),
+    # the run would fall back to the 64^2 default grid
+    ("[grdi]\nnx = 8\n", r"\[grdi\]"),
+], ids=["forcing_key", "section"])
+def test_load_config_names_an_unknown_key_or_section(tmp_path, text, name):
+    p = tmp_path / "typo.cfg"
+    p.write_text(text)
+    with pytest.raises(ConfigError, match=name):
         load_config(p)
 
 
@@ -203,6 +216,33 @@ def test_a_step_applies_no_laplacian_stencil_and_pads_d_once(monkeypatch):
         assert pads[0] is state.d.d1 and pads[1] is state.d.d2
     assert not {name for name in called if "laplacian" in name}
     assert "_neighbour_sum" not in called
+
+
+@pytest.mark.parametrize("carried", [False, True])
+def test_a_record_fills_no_ghosts(monkeypatch, carried):
+    # A record sums its quadratures from slices and the trace's wall
+    # arrays, and reads its states' Laplacians from the director step, so
+    # it pads nothing, whether it measures prev or reads prev_rec. The
+    # wall trace is not constant, and f1 forcing and d_inf are on.
+    cfg = preset_config("f1-potential", nx=16, ny=16, dt=2e-3,
+                        d0x="cos(0.5*pi*x*y)", d0y="sin(0.5*pi*x*y)")
+    a = initial_state(cfg)
+    stepper = StepperState(dt=cfg.dt)
+    b = step(a, cfg, stepper)
+    c = step(b, cfg, stepper)
+    ctx = DiagContext(glp=cfg.glp, flow=cfg.flow, spec=cfg.forcing,
+                      d_inf=a.d)
+    prev_rec = compute_record(a, b, ctx) if carried else None
+    pads = []
+    pad = grid_module.pad_with_ghosts
+
+    def counted(g, values, kind, bv):
+        pads.append(values)
+        return pad(g, values, kind, bv)
+
+    monkeypatch.setattr(grid_module, "pad_with_ghosts", counted)
+    compute_record(b, c, ctx, prev_rec)
+    assert pads == []
 
 
 def test_step_rejected_below_dt_min():
@@ -588,8 +628,12 @@ def test_cli_report(tmp_path, capsys):
     # values that do not parse
     "[grid]\nnx = abc\n",
     "[forcing]\nxi = fast\n",
+    # typos that fell back to defaults, and a run that makes no step
+    "[forcing]\nksi = 3.0\n",
+    "[grdi]\nnx = 8\n",
+    "[stepping]\nt_end = 5e-13\n",
 ], ids=["rho_low", "nx", "gamma", "record_every", "snapshot_every",
-        "nx_abc", "xi_fast"])
+        "nx_abc", "xi_fast", "ksi", "grdi", "t_end_no_step"])
 def test_cli_error_exit_code(tmp_path, capsys, text):
     p = tmp_path / "bad.cfg"
     p.write_text(text)

@@ -101,16 +101,21 @@ print(h.hexdigest())
 
 # Ten f2 steps at 128^2: step 2 projects onto one kept solution, whose
 # inner products numpy would hand to the BLAS dot, and the later steps onto
-# two to six, through BLAS matrix products.
+# two to six, through BLAS matrix products. The records of steps 1, 5 and
+# 10 are hashed too, field by field, so a record's reduction that went
+# through the BLAS dot would show.
 _STEPS_HASH = """
 import hashlib
 import numpy as np
+from nlcflow.diagnostics import FIELD_ORDER
 from nlcflow.runner import preset_config, run
 cfg = preset_config("f2-decaying", nx=128, ny=128, t_end=10 * 5e-3,
                     record_every=5)
 res = run(cfg, write_outputs=False, with_stationary=False)
 assert res.report["invariants"]["steps"] == 10
 h = hashlib.sha256()
+for rec in res.records:
+    h.update(np.array([getattr(rec, f) for f in FIELD_ORDER]).tobytes())
 fin = res.final
 for a in (fin.rho.values, fin.v.u, fin.v.v, fin.d.d1, fin.d.d2,
           fin.pressure.values):
