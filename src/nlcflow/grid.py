@@ -280,7 +280,8 @@ class DirectorField:
 
     @property
     def norm_sq(self) -> np.ndarray:
-        """|d|^2 = d1^2 + d2^2 pointwise, which f(d), F(d) and max|d| read."""
+        """|d|^2 = d1^2 + d2^2 pointwise, which f(d), the integral of F(d)
+        and max|d| read."""
         return self.derived("norm_sq", lambda: (self.d1**2 + self.d2**2,))[0]
 
     def derived(self, key, build) -> tuple[np.ndarray, ...]:
