@@ -111,6 +111,11 @@ def load_config(path) -> RunConfig:
     cp = configparser.ConfigParser()
     if not cp.read(path):
         raise ConfigError(f"cannot read config file {path}")
+    if cp.defaults():
+        # configparser would copy these keys into every section
+        raise ConfigError(
+            f"keys under [DEFAULT] are not read: "
+            f"{', '.join(cp.defaults())}; give each in its own section")
     for section in cp.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]; choose from "

@@ -12,12 +12,20 @@ of `gradient_to_faces`, which fills ghosts, a velocity's L2 norm and H1
 seminorm summed from scaled differences, and the kinetic energy with
 per-call weight arrays. The package sums the same quadratures from slices;
 the tests compare the two.
+
+The reference gradient flow is the stationary solve's former method: the
+director step with a zero velocity and a pseudo time step of 50, iterated
+to the Ginzburg-Landau residual. Its fixed points are the equilibria, and
+like the descent that replaced it, it lowers E on every step; the tests
+compare the equilibria the two reach.
 """
 
 import numpy as np
 
-from nlcflow.grid import (DirectorField, GridSpec, MacVelocity, ScalarField,
-                          gradient_to_faces)
+from nlcflow import stationary
+from nlcflow.director import GLParams, advance_director, gl_residual_l2
+from nlcflow.grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
+                          ScalarField, gradient_to_faces)
 
 
 def laplacian_interior_faces(x: np.ndarray, grid: GridSpec, axis: int,
@@ -137,3 +145,25 @@ def reference_kinetic_energy(rho: ScalarField, v: MacVelocity) -> float:
     wv[:, 0] = wv[:, -1] = 0.5
     return 0.5 * g.cell_area * (float(np.sum(ru * wu * v.u**2))
                                 + float(np.sum(rv * wv * v.v**2)))
+
+
+def reference_gradient_flow(grid: GridSpec, trace: DirectorTrace, eta: float,
+                            tol: float,
+                            start: DirectorField | None = None
+                            ) -> DirectorField:
+    """The pseudo-time gradient flow of the director energy,
+    implicit director steps with a zero velocity and dt = 50, from
+    ``start`` (the harmonic extension of the trace when None) until the
+    Ginzburg-Landau residual is at most tol."""
+    p = GLParams(gamma=1.0, eta=eta, lam=1.0)
+    if start is None:
+        start = stationary._harmonic_extension(grid, trace)
+    d = DirectorField(grid, start.d1, start.d2, trace)
+    w = MacVelocity.zeros(grid)
+    steps = 0
+    while not gl_residual_l2(d, eta) <= tol:
+        if steps >= 20000:
+            raise AssertionError(f"reference flow stalled after {steps} steps")
+        d = advance_director(d, w, p, 50.0)
+        steps += 1
+    return d

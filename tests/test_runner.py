@@ -81,7 +81,11 @@ def test_load_config_rejects_unknown_key(tmp_path):
     ("[forcing]\nvariant = f2\nksi = 3.0\n", "'ksi'"),
     # the run would fall back to the 64^2 default grid
     ("[grdi]\nnx = 8\n", r"\[grdi\]"),
-], ids=["forcing_key", "section"])
+    # configparser copies [DEFAULT] keys into every section: nx would be
+    # blamed on [stepping], or, with no section, dropped unread
+    ("[DEFAULT]\nnx = 8\n[stepping]\ndt = 1e-3\n", r"\[DEFAULT\]"),
+    ("[DEFAULT]\nnx = 8\n", r"\[DEFAULT\]"),
+], ids=["forcing_key", "section", "default_with_section", "default_alone"])
 def test_load_config_names_an_unknown_key_or_section(tmp_path, text, name):
     p = tmp_path / "typo.cfg"
     p.write_text(text)
@@ -632,8 +636,12 @@ def test_cli_report(tmp_path, capsys):
     "[forcing]\nksi = 3.0\n",
     "[grdi]\nnx = 8\n",
     "[stepping]\nt_end = 5e-13\n",
+    # keys that configparser copies from [DEFAULT] into every section
+    "[DEFAULT]\nnx = 8\n[stepping]\ndt = 1e-3\n",
+    "[DEFAULT]\nnx = 8\n",
 ], ids=["rho_low", "nx", "gamma", "record_every", "snapshot_every",
-        "nx_abc", "xi_fast", "ksi", "grdi", "t_end_no_step"])
+        "nx_abc", "xi_fast", "ksi", "grdi", "t_end_no_step",
+        "default_with_section", "default_alone"])
 def test_cli_error_exit_code(tmp_path, capsys, text):
     p = tmp_path / "bad.cfg"
     p.write_text(text)

@@ -148,6 +148,41 @@ def test_time_loop_is_bitwise_independent_of_blas_threads():
         == _hash_in_subprocess(_STEPS_HASH, 2)
 
 
+def test_no_full_grid_reduction_reaches_the_blas_dot(monkeypatch):
+    # A sum of squares gives the same bits at one and two BLAS threads on
+    # some machines, so the two tests above cannot catch one sent to the
+    # BLAS dot. This spies on numpy's dot and vdot instead: over two 128^2
+    # steps, a record and a stationary solve with a non-constant trace, no
+    # operand may be longer than a wall row, max(nx, ny) + 1 long on the
+    # faces.
+    from nlcflow.diagnostics import DiagContext, compute_record
+    from nlcflow.runner import (StepperState, initial_state, preset_config,
+                                step)
+    from nlcflow.stationary import solve_stationary
+    cfg = preset_config("f2-decaying", nx=128, ny=128,
+                        d0x="cos(0.5*pi*x*y)", d0y="sin(0.5*pi*x*y)")
+    a = initial_state(cfg)
+    stepper = StepperState(dt=cfg.dt)
+    sizes = []
+
+    def spy(fn):
+        def reduction(x, y, *args, **kwargs):
+            sizes.append(max(np.size(x), np.size(y)))
+            return fn(x, y, *args, **kwargs)
+        return reduction
+
+    monkeypatch.setattr(np, "dot", spy(np.dot))
+    monkeypatch.setattr(np, "vdot", spy(np.vdot))
+    b = step(a, cfg, stepper)
+    c = step(b, cfg, stepper)
+    st = solve_stationary(cfg.grid, a.d.trace, cfg.eta, cfg.tol_stationary)
+    assert st.iterations > 0
+    compute_record(b, c, DiagContext(glp=cfg.glp, flow=cfg.flow,
+                                     spec=cfg.forcing, d_inf=st.d_inf))
+    assert sizes, "the spy saw no call"
+    assert max(sizes) <= max(cfg.grid.nx, cfg.grid.ny) + 1
+
+
 # ---------------------------------------------------------------------------
 # the A-norm projection onto earlier solutions
 

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+from nlcflow import director as director_module
+from nlcflow import grid as grid_module
 from nlcflow.director import (GLParams, advance_director, director_energy,
-                              gl_residual_l2)
+                              gl_f, gl_residual_l2)
 from nlcflow.errors import DegenerateFit, InsufficientSamples, NlcflowError
 from nlcflow import stationary
 from nlcflow.grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
-                          laplacian)
+                          ScalarField, laplacian)
 from nlcflow.stationary import (decay_rate_fit, kappa_predicted,
                                 lojasiewicz_probe, solve_stationary)
+from stencils import reference_gradient_flow
 
 
 @pytest.fixture(scope="module")
@@ -184,3 +187,171 @@ def test_rate_fit_degenerate_floor():
     vals = np.full(50, 1e-320)
     with pytest.raises(DegenerateFit):
         decay_rate_fit(ts, vals, theta_est=0.25, xi=1.0)
+
+
+# -- the descent against the gradient flow it replaced, and its parts -------
+
+def _angle_trace(grid, theta):
+    return DirectorTrace.sample(grid, lambda x, y: (
+        np.cos(theta(x, y)), np.sin(theta(x, y))))
+
+
+def _bistable_problem(ratio):
+    """Zero trace at 32^2 with 1/eta^2 = ratio * mu_1 > mu_1, mu_1 the
+    smallest eigenvalue of -lap_0: d = 0 is a saddle of E, and the seed
+    0.3 sin(pi x) sin(pi y) in d1 lies on its unstable side."""
+    g = GridSpec(32, 32)
+    mu_1 = 2.0 * (2.0 - 2.0 * np.cos(np.pi / 32)) / g.hx**2
+    trace = DirectorTrace.sample(g, lambda x, y: (np.zeros_like(x),
+                                                  np.zeros_like(x)))
+    X, Y = g.cell_centers()
+    seed = DirectorField(g, 0.3 * np.sin(np.pi * X) * np.sin(np.pi * Y),
+                         np.zeros_like(X), trace)
+    return g, trace, 1.0 / np.sqrt(ratio * mu_1), seed
+
+
+_REFERENCE_CASES = {
+    "wavy-32": lambda: (GridSpec(32, 32),
+                        DirectorTrace.sample(GridSpec(32, 32), _wavy_trace),
+                        0.5, None),
+    "half-pi-xy-64": lambda: (GridSpec(64, 64), _angle_trace(
+        GridSpec(64, 64), lambda x, y: 0.5 * np.pi * x * y), 0.5, None),
+    "stiff-32": lambda: (GridSpec(32, 32), _angle_trace(
+        GridSpec(32, 32), lambda x, y: 2.0 * np.pi * x * y), 0.2, None),
+    # max|d_inf| = 0.886 and 0.289
+    "bistable-seed-32": lambda: _bistable_problem(2.1),
+    "near-pitchfork-seed-32": lambda: _bistable_problem(1.05),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFERENCE_CASES))
+def test_descent_reaches_the_gradient_flows_equilibrium(monkeypatch, case):
+    g, trace, eta, seed = _REFERENCE_CASES[case]()
+    ref = reference_gradient_flow(g, trace, eta, 1e-9, seed)
+    if seed is not None:
+        monkeypatch.setattr(stationary, "_harmonic_extension",
+                            lambda grid, tr: seed)
+    res = solve_stationary(g, trace, eta, tol_stationary=1e-9)
+    gap = max(np.abs(res.d_inf.d1 - ref.d1).max(),
+              np.abs(res.d_inf.d2 - ref.d2).max())
+    assert gap <= 1e-9
+    assert res.energy == pytest.approx(director_energy(ref, eta),
+                                       rel=1e-11, abs=1e-14)
+    if seed is not None:
+        # the nonzero minimum, not the saddle d = 0
+        assert np.sqrt(res.d_inf.norm_sq.max()) > 0.25
+
+
+def test_solve_applies_no_stencil_before_its_final_check(monkeypatch):
+    g = GridSpec(32, 32)
+    trace = _angle_trace(g, lambda x, y: 0.5 * np.pi * x * y)
+    trace.load  # the run's first use of the trace fills its ghosts
+    pads, advected = [], []
+    pad = grid_module.pad_with_ghosts
+
+    def counted(grid, values, kind, bv):
+        pads.append(values)
+        return pad(grid, values, kind, bv)
+
+    monkeypatch.setattr(grid_module, "pad_with_ghosts", counted)
+    monkeypatch.setattr(director_module, "advect_director",
+                        lambda *args: advected.append(args))
+    res = solve_stationary(g, trace, eta=0.5)
+    assert res.iterations > 0
+    assert advected == []
+    # the residual check's stencil, one fill per component
+    assert len(pads) == 2
+
+
+def test_carried_laplacian_matches_the_stencil():
+    # the descent's Laplacian is summed from the solves; it stays within
+    # 32 ulps of the stencil's scale (4/hx^2 + 4/hy^2) max|d| of it
+    g = GridSpec(48, 40, 1.0, 0.8)
+    trace = _angle_trace(g, lambda x, y: 2.0 * np.pi * x * y)
+    start = stationary._harmonic_extension(g, trace)
+    x = [start.d1.copy(), start.d2.copy()]
+    lap = [a.copy() for a in start.lap]
+    assert stationary._descend(g, 0.2, x, lap, 1e-9, 0) > 5
+    scale = (4.0 / g.hx**2 + 4.0 / g.hy**2) * max(np.abs(x[0]).max(),
+                                                  np.abs(x[1]).max())
+    for xk, lk, walls in zip(x, lap, trace.walls):
+        stencil = laplacian(ScalarField(g, xk, "dirichlet", walls)).values
+        assert np.abs(lk - stencil).max() <= 32 * np.finfo(float).eps * scale
+
+
+def test_descent_reads_the_residual_of_gl_residual_l2():
+    # to the bit, so that a descent restarted from the stencil's
+    # Laplacian after a failed check makes at least one iteration
+    g = GridSpec(32, 32)
+    start = stationary._harmonic_extension(
+        g, _angle_trace(g, lambda x, y: 0.5 * np.pi * x * y))
+    d = DirectorField(g, start.d1, start.d2, start.trace)
+    res = gl_residual_l2(d, 0.7)
+
+    def descend(tol):
+        x, lap = [d.d1.copy(), d.d2.copy()], [a.copy() for a in d.lap]
+        return stationary._descend(g, 0.7, x, lap, tol, 0)
+    assert descend(res) == 0
+    assert descend(np.nextafter(res, 0.0)) >= 1
+
+
+def _ray(g, d, p, eta):
+    """The cubic of `_ray_cubic` for d and p, and E(d + alpha p)."""
+    lap_p = [laplacian(ScalarField(g, pk, "dirichlet")).values for pk in p]
+    grad = [fk - lk for fk, lk in zip(gl_f(d, eta), d.lap)]
+    c = stationary._ray_cubic([d.d1, d.d2], d.norm_sq - 1.0, grad, p, lap_p,
+                              eta)
+
+    def energy(alpha):
+        return director_energy(DirectorField(
+            g, d.d1 + alpha * p[0], d.d2 + alpha * p[1], d.trace), eta)
+    return c, energy
+
+
+def _slope(energy, alpha, h):
+    # the five-point central difference, exact on a quartic up to rounding
+    return (8.0 * (energy(alpha + h) - energy(alpha - h))
+            - (energy(alpha + 2 * h) - energy(alpha - 2 * h))) / (12.0 * h)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ray_cubic_roots_zero_the_energys_slope(seed):
+    g = GridSpec(16, 12, 1.0, 0.75)
+    trace = _angle_trace(g, lambda x, y: 2.0 * x * y)
+    X, Y = g.cell_centers()
+    rng = np.random.default_rng(seed)
+    d = DirectorField(g, np.cos(2 * X * Y) + 0.3 * rng.normal(size=X.shape),
+                      np.sin(2 * X * Y) + 0.3 * rng.normal(size=X.shape),
+                      trace)
+    p = [rng.normal(size=X.shape), rng.normal(size=X.shape)]
+    c, energy = _ray(g, d, p, 0.3)
+    if c[0] > 0.0:  # descend along the ray
+        p = [-pk for pk in p]
+        c, energy = _ray(g, d, p, 0.3)
+    alpha = stationary._first_minimum(*c)
+    scale = g.cell_area * abs(c[0])
+    assert _slope(energy, 0.0, 1e-3 * alpha) == pytest.approx(
+        g.cell_area * c[0], rel=1e-8)
+    roots = np.roots(c[::-1])
+    real = roots.real[roots.imag == 0.0]
+    assert alpha == real[real > 0].min()
+    for root in real:
+        assert abs(_slope(energy, root, 1e-3 * abs(root))) <= 1e-8 * scale
+
+
+def test_line_search_takes_the_first_of_two_minima():
+    # along d + alpha p, d = -1.2 b and p = b, E is a double well in
+    # t = alpha - 1.2 with minima at +-t*: the search stops at -t*
+    g = GridSpec(16, 16)
+    X, Y = g.cell_centers()
+    b = np.sin(np.pi * X) * np.sin(np.pi * Y)
+    trace = DirectorTrace.sample(g, lambda x, y: (np.zeros_like(x),
+                                                  np.zeros_like(x)))
+    d = DirectorField(g, -1.2 * b, np.zeros_like(b), trace)
+    c, energy = _ray(g, d, [b, np.zeros_like(b)], 0.1)
+    roots = np.sort(np.roots(c[::-1]).real)
+    assert roots[0] > 0 and roots[1] - 1.2 == pytest.approx(0.0, abs=1e-12)
+    assert roots[2] - 1.2 == pytest.approx(1.2 - roots[0], rel=1e-10)
+    alpha = stationary._first_minimum(*c)
+    assert alpha == roots[0]
+    assert energy(alpha) < energy(0.0)
