@@ -15,10 +15,13 @@ from .grid import GridSpec, MacVelocity, ScalarField
 
 @dataclass
 class DensityState:
-    """Density field plus its initial maximum (the reference density of the
-    diagnostics) and initial mass (the reference of the mass drift)."""
+    """Density field plus its initial minimum and maximum (the maximum is
+    the reference density of the diagnostics; their midrange is the
+    predictor's split density) and initial mass (the reference of the
+    mass drift)."""
 
     rho: ScalarField
+    rho_min0: float
     rho_max0: float
     mass0: float
 
@@ -26,8 +29,17 @@ class DensityState:
     def from_field(cls, rho: ScalarField) -> "DensityState":
         vals = rho.values
         return cls(rho=rho,
+                   rho_min0=float(vals.min()),
                    rho_max0=float(vals.max()),
                    mass0=float(np.sum(vals) * rho.grid.cell_area))
+
+    @property
+    def rho_bar(self) -> float:
+        """The midrange of the initial density. The discrete maximum
+        principle keeps |rho - rho_bar| < rho_bar, so the predictor's
+        lagged inertia, whose spurious root is (rho_bar - rho)/rho_bar,
+        stays stable for any density ratio."""
+        return 0.5 * (self.rho_min0 + self.rho_max0)
 
     @property
     def grid(self) -> GridSpec:
@@ -77,4 +89,5 @@ def advance_density(state: DensityState, w: MacVelocity, dt: float) -> DensitySt
     new_vals = rho - dt * upwind_flux_divergence(rho, w)
     new_field = ScalarField(state.grid, new_vals, state.rho.boundary_kind,
                             state.rho.boundary_value)
-    return DensityState(new_field, state.rho_max0, state.mass0)
+    return DensityState(new_field, state.rho_min0, state.rho_max0,
+                        state.mass0)

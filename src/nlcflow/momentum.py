@@ -1,7 +1,10 @@
 """Variable-density momentum predictor with the director elastic stress in
-reduced form, and the pressure projection. Each is split into one
-constant-coefficient direct solve and a lagged variable-coefficient term
-(Dodd & Ferrante, J. Comput. Phys. 273, 2014).
+reduced form, and the incremental pressure correction. The predictor
+carries the last pressure's gradient, and its inertia is split into one
+constant-coefficient direct solve and a term on an extrapolated velocity
+(Dodd & Ferrante, J. Comput. Phys. 273, 2014); the correction solves for
+the pressure's increment with a constant coefficient (Guermond & Salgado,
+J. Comput. Phys. 228, 2009). Each makes one direct solve per component.
 
 The stress enters as -lambda*(lap d - f(d)) . grad d (gradient parts are
 absorbed into the pressure), so the coupling force vanishes identically at
@@ -19,8 +22,7 @@ from .director import GLParams, gl_residual
 from .errors import IncompatibleRhs, LinearSolveFailure
 from .grid import (DirectorField, GridSpec, MacVelocity, ScalarField,
                    divergence, interior_gradient)
-from .solvers import (FaceHelmholtz, NeumannPoisson, combine_rows,
-                      gram_coefficients, row_products)
+from .solvers import FaceHelmholtz, NeumannPoisson
 
 
 @dataclass(frozen=True)
@@ -34,96 +36,6 @@ class FlowParams:
     def __post_init__(self):
         if self.nu <= 0 or self.tol_proj <= 0:
             raise ValueError("nu and tol_proj must be positive")
-
-
-# solutions kept: the predictor lags the A-norm projection onto its last
-# six
-_SOLVE_HISTORY = 6
-
-
-class SolveHistory:
-    """The last `_SOLVE_HISTORY` predictor solutions v* of a run, stacked
-    in one ring of (K, ...) arrays per velocity component, with the part
-    of their Gram matrix that does not depend on the density: per
-    component the K x K matrix S = X (nu*L X)^T, S_ij = x_i . nu*L x_j.
-    The predictor hands `push` each nu*L x from the equation it has just
-    solved, so no stencil is applied to a solution; `velocity_guess` forms
-    the Gram matrix for the current density with one BLAS product. `push`
-    writes slot (pushes so far) mod K of its ring in place, so the slots
-    are not in time order once the ring is full; the projection onto them
-    does not depend on their order but for round-off. Each ring and its S
-    are allocated at its first push."""
-
-    def __init__(self):
-        self.u = None     # u* on the interior u-faces, (K, nx-1, ny)
-        self.s_u = None   # S of the u ring, (K, K)
-        self.v = None     # v* on the interior v-faces, (K, nx, ny-1)
-        self.s_v = None
-        self._pushed = [0, 0]  # components pushed onto each ring
-        self._work = None  # (rho_f/dt) x_k of a ring
-
-    @property
-    def count(self) -> int:
-        """Number of solutions v* pushed whole (both components)."""
-        return min(self._pushed)
-
-    @count.setter
-    def count(self, n: int) -> None:
-        self._pushed = [n, n]
-
-    @property
-    def filled(self) -> int:
-        """Number of slots holding a solution."""
-        return min(self.count, _SOLVE_HISTORY)
-
-    def ring(self, axis: int) -> tuple[np.ndarray, np.ndarray]:
-        """The ring of one component (axis 0 for u, 1 for v) and its S."""
-        return (self.u, self.s_u) if axis == 0 else (self.v, self.s_v)
-
-    def restore(self, axis: int, xs: np.ndarray, s: np.ndarray) -> None:
-        """Set one component's filled slots, in slot order, and their S,
-        as `push` left them."""
-        k = _SOLVE_HISTORY
-        ring, gram = np.zeros((k, *xs.shape[1:])), np.zeros((k, k))
-        ring[:len(xs)], gram[:len(xs), :len(xs)] = xs, s
-        if axis == 0:
-            self.u, self.s_u = ring, gram
-        else:
-            self.v, self.s_v = ring, gram
-        if self._work is None or self._work.size < ring.size:
-            self._work = np.empty(ring.size)
-
-    def push(self, axis: int, x: np.ndarray, nu_lap: np.ndarray) -> int:
-        """Keep one component's solution x with nu*L x, overwriting the
-        oldest once the ring is full, and return its slot. Row and column
-        slot of S become X . nu*L x (L is symmetric), one `row_products`
-        call."""
-        if self.ring(axis)[0] is None:
-            self.restore(axis, np.empty((0, *x.shape)), np.empty((0, 0)))
-        ring, s = self.ring(axis)
-        pushed = self._pushed[axis]
-        n = pushed % _SOLVE_HISTORY
-        ring[n] = x
-        m = min(pushed + 1, _SOLVE_HISTORY)
-        s[n, :m] = s[:m, n] = row_products(ring[:m], nu_lap[None])[:, 0]
-        self._pushed[axis] += 1
-        return n
-
-    def velocity_guess(self, axis: int, rhs: np.ndarray, diag: np.ndarray
-                       ) -> np.ndarray:
-        """The A-norm projection x0 = sum c_k x_k of the solution of
-        (diag - nu*L) x = rhs onto the kept solutions of one velocity
-        component (Fischer, Comput. Methods Appl. Mech. Engrg. 163, 1998):
-        G c = f with G = X (diag*X)^T - S and f = X . rhs."""
-        xs, s = self.ring(axis)
-        k = min(self._pushed[axis], _SOLVE_HISTORY)
-        xs = xs[:k]
-        axs = self._work[:k * rhs.size].reshape(xs.shape)
-        np.multiply(xs, diag, out=axs)
-        gram = row_products(xs, axs)
-        gram -= s[:k, :k]
-        f = row_products(xs, rhs[None])[:, 0]
-        return combine_rows(gram_coefficients(gram, f), xs)
 
 
 def _centers_to_ufaces(c: np.ndarray) -> np.ndarray:
@@ -226,19 +138,12 @@ def _face_pre(grid: GridSpec, a: float, c: float, axis: int) -> FaceHelmholtz:
 
 def _face_solve(g: GridSpec, axis: int, rho_f: np.ndarray, rhs: np.ndarray,
                 rbar: float, dt: float, params: FlowParams,
-                history: SolveHistory | None,
-                w_face: np.ndarray) -> np.ndarray:
+                x_hat: np.ndarray) -> np.ndarray:
     """(rho_f/dt - nu*Lap) x = rhs on one component's interior faces, by
     the density split of Dodd & Ferrante (J. Comput. Phys. 273, 2014): one
-    direct solve of (rbar/dt - nu*Lap) x = rhs - (rho_f - rbar)/dt * x_hat.
-    The lagged x_hat is the A-norm projection onto the kept solutions in
-    `history`, or the old velocity `w_face` without any. With a history,
-    x is pushed onto it with nu*L x = (rbar/dt) x - b, b the right-hand
-    side solved for. Raises LinearSolveFailure on a non-finite right-hand
-    side."""
-    x_hat = w_face
-    if history is not None and history.count:
-        x_hat = history.velocity_guess(axis, rhs, rho_f / dt)
+    direct solve of (rbar/dt - nu*Lap) x = rhs - (rho_f - rbar)/dt * x_hat
+    for the lagged velocity x_hat. Raises LinearSolveFailure on a
+    non-finite right-hand side."""
     b = np.subtract(rho_f, rbar)
     b /= dt
     b *= x_hat
@@ -247,26 +152,28 @@ def _face_solve(g: GridSpec, axis: int, rho_f: np.ndarray, rhs: np.ndarray,
         raise LinearSolveFailure(
             f"the momentum predictor got a non-finite right-hand side "
             f"(axis {axis})")
-    x = _face_pre(g, rbar / dt, params.nu, axis).solve(b)
-    if history is not None:
-        # b becomes nu*L x
-        np.subtract(np.multiply(x, rbar / dt), b, out=b)
-        history.push(axis, x, b)
-    return x
+    return _face_pre(g, rbar / dt, params.nu, axis).solve(b)
 
 
 def predict_velocity(rho: ScalarField, w: MacVelocity, d: DirectorField,
                      force_ext: MacVelocity | None, params: FlowParams,
                      glp: GLParams, dt: float,
-                     history: SolveHistory | None = None) -> MacVelocity:
+                     p_hat: np.ndarray | None = None,
+                     w_prev: MacVelocity | None = None,
+                     dt_prev: float | None = None,
+                     rbar: float | None = None) -> MacVelocity:
     """Implicit-viscosity momentum predictor: per component
-    (rho/dt - nu*Lap) v* = rho/dt*v - rho*(v.grad v) + elastic + rho*g,
-    with no-slip walls; advection is donor-cell upwind in advective form.
-    The inertia splits into the mean density rbar, solved for directly,
-    and (rho - rbar)/dt times a lagged velocity on the right-hand side:
-    the A-norm projection onto the kept solutions in `history`, or v
-    without any (step 1, an O(dt) splitting error). With a history, v* is
-    then pushed onto it. The face densities are `rho.faces`.
+    (rho/dt - nu*Lap) v* = rho/dt*v - rho*(v.grad v) + elastic + rho*g
+    - grad p_hat, with no-slip walls; advection is donor-cell upwind in
+    advective form, and p_hat is the last step's pressure (none on step
+    1). The inertia splits into the constant density rbar, solved for
+    directly, and (rho - rbar)/dt times a lagged velocity on the
+    right-hand side: v + (dt/dt_prev)(v - w_prev), extrapolated from the
+    previous velocity w_prev that a step of dt_prev led from, or v
+    without one. rbar defaults to the midrange of rho; the time loop
+    passes the midrange of the initial density, so that the lagged
+    inertia stays stable, |rho - rbar| < rbar, and the solver is built
+    once per run. The face densities are `rho.faces`.
     """
     g = rho.grid
     ru, rv = rho.faces
@@ -275,14 +182,25 @@ def predict_velocity(rho: ScalarField, w: MacVelocity, d: DirectorField,
                           None if force_ext is None else force_ext.u, dt)
     rhs_v = _momentum_rhs(rv, w.v, _upwind_advection_v(w), fel.v,
                           None if force_ext is None else force_ext.v, dt)
+    rhs_u, rhs_v = rhs_u[1:-1, :], np.ascontiguousarray(rhs_v[:, 1:-1])
+    if p_hat is not None:
+        gu, gv = np.empty_like(rhs_u), np.empty_like(rhs_v)
+        interior_gradient(p_hat, g, gu, gv)
+        rhs_u -= gu
+        rhs_v -= gv
 
-    rbar = float(rho.values.mean())
+    lag_u, lag_v = w.u, w.v
+    if w_prev is not None:
+        ratio = dt / dt_prev
+        lag_u = w.u + ratio * (w.u - w_prev.u)
+        lag_v = w.v + ratio * (w.v - w_prev.v)
+    if rbar is None:
+        rbar = 0.5 * (float(rho.values.min()) + float(rho.values.max()))
     out = MacVelocity.zeros(g)
-    out.u[1:-1, :] = _face_solve(g, 0, ru[1:-1, :], rhs_u[1:-1, :], rbar,
-                                 dt, params, history, w.u[1:-1, :])
-    out.v[:, 1:-1] = _face_solve(g, 1, rv[:, 1:-1],
-                                 np.ascontiguousarray(rhs_v[:, 1:-1]), rbar,
-                                 dt, params, history, w.v[:, 1:-1])
+    out.u[1:-1, :] = _face_solve(g, 0, ru[1:-1, :], rhs_u, rbar, dt, params,
+                                 lag_u[1:-1, :])
+    out.v[:, 1:-1] = _face_solve(g, 1, rv[:, 1:-1], rhs_v, rbar, dt, params,
+                                 lag_v[:, 1:-1])
     return out
 
 
@@ -303,67 +221,33 @@ def _momentum_rhs(r: np.ndarray, w: np.ndarray, adv: np.ndarray,
     return rhs
 
 
-class _NegDivKGrad:
-    """x -> -div(k grad x) on cells with zero-Neumann walls, for k given on
-    the interior faces. Writes into buffers allocated once per instance, so
-    the returned array and the fluxes are overwritten by the next call."""
-
-    def __init__(self, grid: GridSpec):
-        self._g = grid
-        self._gu = np.zeros((grid.nx + 1, grid.ny))  # wall faces stay zero
-        self._gv = np.zeros((grid.nx, grid.ny + 1))
-        # k grad x on the interior faces, of the last call
-        self.flux_u, self.flux_v = self._gu[1:-1, :], self._gv[:, 1:-1]
-        self._out = np.empty((grid.nx, grid.ny))
-        self._dv = np.empty((grid.nx, grid.ny))
-
-    def __call__(self, k_u: np.ndarray, k_v: np.ndarray,
-                 x: np.ndarray) -> np.ndarray:
-        g, gu, gv, out = self._g, self._gu, self._gv, self._out
-        interior_gradient(x, g, self.flux_u, self.flux_v)
-        self.flux_u *= k_u
-        self.flux_v *= k_v
-        # b - a is -(a - b) exactly (but for the sign of a zero), so the
-        # differences come out negated
-        np.subtract(gu[:-1, :], gu[1:, :], out=out)
-        out /= g.hx
-        np.subtract(gv[:, :-1], gv[:, 1:], out=self._dv)
-        self._dv /= g.hy
-        out += self._dv
-        return out
-
-
 @lru_cache(maxsize=8)
-def _projection_ops(grid: GridSpec) -> tuple[NeumannPoisson, _NegDivKGrad]:
-    """The projection's Poisson solver and the operator of its lagged
-    term, built once per grid and re-targeted by each call; their buffers
-    are shared by its calls."""
-    return NeumannPoisson(grid), _NegDivKGrad(grid)
+def _poisson(grid: GridSpec) -> NeumannPoisson:
+    """The projection's Poisson solver, built once per grid and
+    re-targeted by each call; its buffers are shared by its calls."""
+    return NeumannPoisson(grid)
 
 
 def project(rho: ScalarField, v_star: MacVelocity, dt: float,
             params: FlowParams, p_hat: np.ndarray | None = None
             ) -> tuple[MacVelocity, ScalarField]:
-    """Variable-density pressure correction by the constant-coefficient
-    split of Dodd & Ferrante (J. Comput. Phys. 273, 2014). With
-    k = 1/rho_f on the interior faces and c0 = max k, the correction
-    (dt/rho_f) grad p is replaced by dt [c0 grad q + (k - c0) grad p_hat],
-    where p_hat is a pressure estimate: the previous step's pressure in
-    the time loop. One direct solve of
-    -c0 Lap q = -div(v*)/dt + div((k - c0) grad p_hat)
-    with zero-Neumann walls and zero mean gives
-    v' = v* - dt [c0 grad q + (k - c0) grad p_hat], whose discrete
-    divergence is zero to round-off; q is returned as the pressure.
-    Without p_hat (step 1, the initial projection) the lagged term is
-    absent, and with constant rho it vanishes identically, k = c0: both
-    are the exact constant-coefficient projection. Raises
-    LinearSolveFailure if ||div v'||_inf exceeds tol_proj; v' keeps that
-    norm as `div_inf`. The face densities are `rho.faces`.
+    """Incremental pressure correction with a constant coefficient
+    (Guermond & Salgado, J. Comput. Phys. 228, 2009). With c0 = max
+    1/rho_f over the interior faces, one direct solve of
+    -c0 Lap delta = -div(v*)/dt
+    with zero-Neumann walls and zero mean gives v' = v* - dt c0 grad
+    delta, whose discrete divergence is zero to round-off, and the
+    pressure q = p_hat + delta. p_hat is the pressure whose gradient the
+    predictor carried: the state's pressure in the time loop, absent on
+    step 1 and in the initial projection, where q = delta. For constant
+    rho, c0 = 1/rho and the correction is the exact projection. v' does
+    not depend on p_hat. Raises LinearSolveFailure if ||div v'||_inf
+    exceeds tol_proj; v' keeps that norm as `div_inf`. The face densities
+    are `rho.faces`.
     """
     g = rho.grid
     ru, rv = rho.faces
-    k_u, k_v = 1.0 / ru[1:-1, :], 1.0 / rv[:, 1:-1]
-    c0 = max(float(k_u.max()), float(k_v.max()))
+    c0 = 1.0 / min(float(ru[1:-1, :].min()), float(rv[:, 1:-1].min()))
 
     div_star = divergence(v_star).values
     rhs = -div_star / dt
@@ -376,25 +260,18 @@ def project(rho: ScalarField, v_star: MacVelocity, dt: float,
             f"pressure rhs mean {mean_rhs:.3e} exceeds round-off "
             f"(scale {scale:.3e}); boundary fluxes are broken")
 
-    neumann_poisson, lagged = _projection_ops(g)
+    neumann_poisson = _poisson(g)
     neumann_poisson.set_scale(c0)
-    if p_hat is not None:
-        # leaves (k - c0) grad p_hat in lagged.flux_u, flux_v
-        rhs -= lagged(k_u - c0, k_v - c0, p_hat)
-    q = neumann_poisson.solve(rhs)
-    q -= q.mean()
+    delta = neumann_poisson.solve(rhs)
+    delta -= delta.mean()
 
-    # v* - dt [c0 grad q + (k - c0) grad p_hat] on the interior faces; the
-    # wall faces are no-slip
+    # v* - dt c0 grad delta on the interior faces; the wall faces are
+    # no-slip
     out = MacVelocity.zeros(g)
-    interior_gradient(q, g, out.u[1:-1, :], out.v[:, 1:-1])
-    for corr, vs, flux in ((out.u[1:-1, :], v_star.u[1:-1, :],
-                            lagged.flux_u),
-                           (out.v[:, 1:-1], v_star.v[:, 1:-1],
-                            lagged.flux_v)):
+    interior_gradient(delta, g, out.u[1:-1, :], out.v[:, 1:-1])
+    for corr, vs in ((out.u[1:-1, :], v_star.u[1:-1, :]),
+                     (out.v[:, 1:-1], v_star.v[:, 1:-1])):
         corr *= c0
-        if p_hat is not None:
-            corr += flux
         corr *= dt
         np.subtract(vs, corr, out=corr)
 
@@ -403,4 +280,5 @@ def project(rho: ScalarField, v_star: MacVelocity, dt: float,
         raise LinearSolveFailure(
             f"projected velocity has ||div v||_inf = {div_inf:.3e} above "
             f"tol_proj = {params.tol_proj:.3e}")
+    q = delta if p_hat is None else np.add(p_hat, delta)
     return out, ScalarField(g, q, "neumann_zero")

@@ -27,8 +27,7 @@ from .forcing import (ForcingSpec, eval_force, sample_potential,
 from .grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
                    ScalarField, elastic_identity_residual, laplacian,
                    norms)
-from .momentum import (FlowParams, SolveHistory, predict_velocity,
-                       project)
+from .momentum import FlowParams, predict_velocity, project
 from .state import SimState
 from .stationary import decay_rate_fit, lojasiewicz_probe, solve_stationary
 
@@ -227,31 +226,31 @@ def initial_state(cfg: RunConfig) -> SimState:
 
 @dataclass
 class StepperState:
-    """Mutable loop bookkeeping: the (auto-shrunk, never grown) dt, and the
-    run's last predictor solutions, whose A-norm projection is the next
-    step's lagged velocity in the predictor. `step` pushes onto the
-    history in place, so a stepper belongs to one sequence of states."""
+    """Mutable loop bookkeeping: the (auto-shrunk, never grown) dt, which
+    on entry to `step` is the length of the step before, and that step's
+    start velocity v^{n-1}, from which the predictor extrapolates its
+    lagged velocity (None before the first step). `step` replaces both in
+    place, so a stepper belongs to one sequence of states."""
 
     dt: float
-    history: SolveHistory = field(default_factory=SolveHistory)
+    v_prev: MacVelocity | None = None
 
 
 def step(state: SimState, cfg: RunConfig, stepper: StepperState) -> SimState:
     """One coupled step: density and director advance with the current
     velocity, then the momentum predictor and projection use the fresh
-    density and director. The predictor's lagged velocity is the A-norm
-    projection onto its solutions kept in `stepper.history` (the current
-    velocity without any), whose Gram matrix the step forms with the fresh
-    density by elementwise and BLAS products; no step size enters the
-    projection. The predictor pushes the step's v* onto the history with
-    nu*L v* from its own equation, and the director step hands d' the
+    density and director. The predictor carries the gradient of the
+    state's pressure p_hat (absent on step 1) and lags the velocity
+    v^n + (dt/dt_in)(v^n - v^{n-1}), dt_in being `stepper.dt` on entry,
+    or v^n on step 1; it splits its inertia at the midrange of the
+    initial density. The projection solves for the pressure's increment,
+    and the new pressure is p_hat plus it. The director step hands d' the
     Laplacian of its equation, so the step applies no Laplacian stencil.
     Each field keeps what it derives (face densities, f(d), gradients,
-    ||div v||_inf) for the later layers. The projection's lagged pressure
-    is the state's pressure, absent on step 1. dt is halved until the
-    transport CFL bound holds with the configured safety factor, and a
-    step that would pass t_end is shortened to end there."""
-    dt = stepper.dt
+    ||div v||_inf) for the later layers. dt is halved until the transport
+    CFL bound holds with the configured safety factor, and a step that
+    would pass t_end is shortened to end there."""
+    dt_in = dt = stepper.dt
     while cfl_number(state.v, dt) > cfg.cfl_safety:
         dt *= 0.5
         if dt < cfg.dt_min:
@@ -267,10 +266,13 @@ def step(state: SimState, cfg: RunConfig, stepper: StepperState) -> SimState:
     density = advance_density(state.density, state.v, dt)
     d = advance_director(state.d, state.v, cfg.glp, dt)
     g_mid = eval_force(cfg.forcing, cfg.grid, state.t + 0.5 * dt)
-    v_star = predict_velocity(density.rho, state.v, d, g_mid, cfg.flow,
-                              cfg.glp, dt, history=stepper.history)
     p_hat = None if state.pressure is None else state.pressure.values
+    v_star = predict_velocity(density.rho, state.v, d, g_mid, cfg.flow,
+                              cfg.glp, dt, p_hat=p_hat,
+                              w_prev=stepper.v_prev, dt_prev=dt_in,
+                              rbar=density.rho_bar)
     v, q = project(density.rho, v_star, dt, cfg.flow, p_hat=p_hat)
+    stepper.v_prev = state.v
     return SimState(t=t, density=density, v=v, d=d, pressure=q)
 
 
@@ -399,47 +401,44 @@ def _rate_analysis(cfg: RunConfig, records, probe_samples) -> dict:
 
 
 # the one checkpoint layout; `load_checkpoint` rejects any other version
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def save_checkpoint(path, state: SimState, stepper: StepperState) -> None:
-    """The state with its pressure, dt and the predictor's history, so
-    that a resumed run continues bitwise like the uninterrupted one: its
-    first projection lags the saved pressure, its guesses use the saved
-    products, and its first record reads the saved Laplacian of d.
-    Written to `path` as one `np.savez` archive: the format `version`,
-    the grid (`nx`, `ny`, `Lx`, `Ly`), `t`, `dt`, the conserved
-    references `mass0` and `rho_max0`, `rho`, `u`, `v`, `d1`, `d2`, the
-    director's Laplacian `lap_d1`, `lap_d2`, `q` when the state has a
-    pressure, the ring's push `count`, its filled slots in slot order as
-    `solve_u` (K, nx-1, ny) and `solve_v` (K, nx, ny-1), and their K x K
-    products S (`SolveHistory`) as `s_u` and `s_v`."""
+    """The state with its pressure, and the stepper's dt and previous
+    velocity, so that a resumed run continues bitwise like the
+    uninterrupted one: its first predictor carries the saved pressure and
+    extrapolates from the saved velocities, and its first record reads
+    the saved Laplacian of d. Written to `path` as one `np.savez` archive:
+    the format `version`, the grid (`nx`, `ny`, `Lx`, `Ly`), `t`, `dt`,
+    the conserved references `mass0`, `rho_min0` and `rho_max0`, `rho`,
+    `u`, `v`, `d1`, `d2`, the director's Laplacian `lap_d1`, `lap_d2`,
+    `q` when the state has a pressure, and v^{n-1} as `u_prev`, `v_prev`
+    when the stepper has it."""
     g = state.rho.grid
-    hist, k = stepper.history, stepper.history.filled
-    rings = {}
-    for axis, (xs, sk) in enumerate((("solve_u", "s_u"),
-                                      ("solve_v", "s_v"))):
-        ring, s = hist.ring(axis)
-        shape = (g.nx - 1, g.ny) if axis == 0 else (g.nx, g.ny - 1)
-        rings[xs] = np.zeros((0, *shape)) if ring is None else ring[:k]
-        rings[sk] = np.zeros((0, 0)) if s is None else s[:k, :k]
-    pressure = {} if state.pressure is None else {"q": state.pressure.values}
+    optional = {}
+    if state.pressure is not None:
+        optional["q"] = state.pressure.values
+    if stepper.v_prev is not None:
+        optional["u_prev"] = stepper.v_prev.u
+        optional["v_prev"] = stepper.v_prev.v
+    density = state.density
     lap1, lap2 = state.d.lap
     with open(path, "wb") as fh:
         np.savez(fh, version=CHECKPOINT_VERSION, nx=g.nx, ny=g.ny, Lx=g.Lx,
-                 Ly=g.Ly, t=state.t, dt=stepper.dt,
-                 mass0=state.density.mass0, rho_max0=state.density.rho_max0,
+                 Ly=g.Ly, t=state.t, dt=stepper.dt, mass0=density.mass0,
+                 rho_min0=density.rho_min0, rho_max0=density.rho_max0,
                  rho=state.rho.values, u=state.v.u, v=state.v.v,
                  d1=state.d.d1, d2=state.d.d2, lap_d1=lap1, lap_d2=lap2,
-                 **pressure, count=hist.count, **rings)
+                 **optional)
 
 
 def load_checkpoint(path, cfg: RunConfig) -> tuple[SimState, StepperState]:
     """Inverse of `save_checkpoint`: the state with its pressure and the
-    Laplacian of its director, and a stepper with its dt and its history,
-    each array restored as saved. A file that is not such an archive,
-    another format version, a run on a grid other than `cfg`'s, or
-    conserved references other than those of `cfg`'s t = 0 data raise
+    Laplacian of its director, and a stepper with its dt and previous
+    velocity, each array restored as saved. A file that is not such an
+    archive, another format version, a run on a grid other than `cfg`'s,
+    or conserved references other than those of `cfg`'s t = 0 data raise
     `CheckpointError`."""
     try:
         archive = np.load(path, allow_pickle=False)
@@ -463,20 +462,20 @@ def load_checkpoint(path, cfg: RunConfig) -> tuple[SimState, StepperState]:
             f"{path} holds a run on the grid (nx, ny, Lx, Ly) = {saved}, "
             f"not the config's {(grid.nx, grid.ny, grid.Lx, grid.Ly)}")
     ref = initial_state(cfg)
-    mass0, rho_max0 = f["mass0"].tolist(), f["rho_max0"].tolist()
-    if (mass0, rho_max0) != (ref.density.mass0, ref.density.rho_max0):
-        raise CheckpointError(
-            f"{path} holds a run with (mass0, rho_max0) = "
-            f"{(mass0, rho_max0)}, not the "
-            f"{(ref.density.mass0, ref.density.rho_max0)} of the config's "
-            f"initial data")
+    for keys in (("mass0", "rho_max0"), ("rho_min0",)):
+        refs = tuple(f[k].tolist() for k in keys)
+        expected = tuple(getattr(ref.density, k) for k in keys)
+        if refs != expected:
+            raise CheckpointError(
+                f"{path} holds a run with ({', '.join(keys)}) = {refs}, "
+                f"not the {expected} of the config's initial data")
+    mass0, rho_min0, rho_max0 = (f[k].tolist()
+                                 for k in ("mass0", "rho_min0", "rho_max0"))
     density = DensityState(ScalarField(grid, f["rho"], "extrapolate"),
-                           rho_max0, mass0)
+                           rho_min0, rho_max0, mass0)
     stepper = StepperState(dt=float(f["dt"]))
-    for axis, (xs, s) in enumerate(((f["solve_u"], f["s_u"]),
-                                    (f["solve_v"], f["s_v"]))):
-        stepper.history.restore(axis, xs, s)
-    stepper.history.count = int(f["count"])
+    if "u_prev" in f:
+        stepper.v_prev = MacVelocity(grid, f["u_prev"], f["v_prev"])
     d = DirectorField(grid, f["d1"], f["d2"], ref.d.trace)
     d.derived("lap", lambda: (f["lap_d1"], f["lap_d2"]))
     q = f.get("q")

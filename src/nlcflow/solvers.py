@@ -1,19 +1,11 @@
-"""Direct Helmholtz/Poisson solvers by dense eigenbasis transforms, and
-the products and Gram solve of the A-norm projection that gives the
-momentum predictor its lagged velocity. Every linear solve of a step is
-one direct solve: the director step, the harmonic extension and the
-pressure projection invert their constant-coefficient operators exactly
-(the projection's variable coefficient is split off into its right-hand
-side, see `momentum.project`), and so does the momentum predictor. Its
-variable-density operator A = M + N, with M = rbar/dt - nu*Lap and the
-diagonal N = (rho_f - rbar)/dt, is split the same way: N acts on a lagged
-velocity in the right-hand side, and M is inverted exactly. The lagged
-velocity is the combination of the last solutions of the same solve
-nearest to the new solution in the A-norm (`momentum.SolveHistory`): its
-Gram matrix X (A X)^T is one BLAS product of the kept solutions with
-their density-scaled copies (`row_products`), less the density-independent
-part X (nu*L X)^T kept with them, and `gram_coefficients` solves it; no
-stencil is applied to a kept solution.
+"""Direct Helmholtz/Poisson solvers by dense eigenbasis transforms. Every
+linear solve of a step is one direct solve: the director step, the
+harmonic extension and the pressure correction invert their
+constant-coefficient operators exactly, and so does the momentum
+predictor, whose variable-density operator A = M + N, with
+M = rbar/dt - nu*Lap and the diagonal N = (rho_f - rbar)/dt, is split:
+N acts on an extrapolated velocity in the right-hand side, and M is
+inverted exactly (see `momentum.predict_velocity`).
 
 The cell-centered Dirichlet Laplacian (ghost = 2g - interior) is
 diagonalized by the orthonormal DST-II basis on cells; the node-centered
@@ -23,7 +15,9 @@ DCT-II basis on cells. Each basis is an explicit n x n matrix, built once
 per (kind, n) and stored read-only, so a solve is two matrix products into
 the eigenbasis, a division by the eigenvalue denominators and two products
 back. The three intermediate products go to buffers allocated once per
-solver; only the result is a fresh array.
+solver; only the result is a fresh array. gemm's results do not depend on
+the BLAS thread count, so neither do the solves' (a test runs the time
+loop at one and two threads).
 
 The dense products cost O(nx*ny*(nx + ny)) flops against the FFT's
 O(nx*ny*log(nx*ny)), but run as BLAS gemm with no per-call planning.
@@ -32,16 +26,6 @@ as the FFT): 60 against 170 us at 64^2, 450 against 550 us at 128^2, even
 at about 160^2, and a loss above that (3.9 against 2.8 ms at 256^2). No
 preset, test or benchmark workload runs above 128^2; choosing the transform
 by size is left until one does.
-
-The guesses' inner products of stacked solutions are BLAS matrix
-products; with two to six rows their results were bitwise the same at one
-and two threads (OpenBLAS 0.3.31), and a test runs the time loop at both.
-numpy sends the products of one kept solution, (1, N) @ (N, 1), to the
-BLAS dot instead, which OpenBLAS splits across threads above about 10^4
-elements, so its summation order and result change with the thread count;
-for those `row_products` uses an einsum product. Together with gemm, whose
-results do not depend on the thread count, this keeps results bitwise
-reproducible for a fixed configuration at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -50,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridSpec, inner
+from .grid import GridSpec
 
 
 def _modes(kind: str, n: int) -> np.ndarray:
@@ -148,67 +132,3 @@ class NeumannPoisson(_EigenSolver):
         """Solve -c*Lap from now on. c*(-lambda) is -(c*lambda) exactly, so
         the denominators are bitwise those built for c directly."""
         np.multiply(self._unit, c, out=self._denom)
-
-
-_EPS = float(np.finfo(float).eps)
-
-
-def row_products(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """The (k, m) matrix of inner products x_i . y_j of the stacked 2D
-    arrays xs (k, n0, n1) and ys (m, n0, n1): one BLAS product. With one
-    row and one column numpy hands it to the BLAS dot, which OpenBLAS
-    splits across threads; k = 1 goes through `inner` instead."""
-    k, m = len(xs), len(ys)
-    if k == 1:
-        return np.array([[inner(xs[0], y) for y in ys]])
-    return xs.reshape(k, -1) @ ys.reshape(m, -1).T
-
-
-def combine_rows(c: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """sum_k c_k x_k of the stacked arrays xs (k, n0, n1), as a fresh
-    array. Each entry sums k products of its own column only, so the BLAS
-    product's result does not depend on its thread count."""
-    out = np.empty(xs.shape[1:])
-    np.matmul(c, xs.reshape(len(xs), -1), out=out.reshape(-1))
-    return out
-
-
-def gram_coefficients(gram: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """c with G c = f for a Gram matrix G, read from its upper triangle,
-    by Gaussian elimination that pivots on the largest remaining diagonal
-    entry. Successive solutions are nearly dependent, so G can be singular
-    to round-off: elimination stops at the first pivot not above K*eps
-    times G's largest diagonal entry, and the unknowns left get 0. The
-    guess is then the A-norm projection onto the vectors taken, finite for
-    any basis. The K <= 6 system is solved in Python floats: inside a run
-    LAPACK's eigh took as long (about 50 us at K = 6), and an LU solve,
-    though faster, fails on the singular G that successive solutions
-    give."""
-    k = len(f)
-    g = gram.tolist()  # rows become the Schur complements
-    for i in range(1, k):  # G symmetric, from its upper triangle
-        for j in range(i):
-            g[i][j] = g[j][i]
-    rhs = f.tolist()
-    diag = [g[i][i] for i in range(k)]
-    floor = k * _EPS * max(diag)
-    rest, pivots = list(range(k)), []
-    while rest:
-        p = max(rest, key=diag.__getitem__)
-        pivot = diag[p]
-        if not pivot > floor:  # also stops on NaN
-            break
-        rest.remove(p)
-        row, rp = g[p], rhs[p]
-        pivots.append((p, row))
-        # whole rows: the columns already eliminated are never read again
-        for i in rest:
-            m = row[i] / pivot
-            g[i] = gi = [a - m * b for a, b in zip(g[i], row)]
-            diag[i] = gi[i]
-            rhs[i] -= m * rp
-    c, done = [0.0] * k, []
-    for p, row in reversed(pivots):
-        c[p] = (rhs[p] - sum([row[j] * c[j] for j in done])) / row[p]
-        done.append(p)
-    return np.array(c)

@@ -1,10 +1,8 @@
 """Reference stencils and quadratures, which the package no longer applies.
 
 The 5-point Laplacians of the MAC velocity components on interior faces
-are the stencils that `FaceHelmholtz` inverts; the predictor takes nu*L v*
-from the equation it has just solved. The tests check the eigenbasis
-solvers, the predictor's solution, its kept products and its guesses'
-residuals against them.
+are the stencils that `FaceHelmholtz` inverts. The tests check the
+eigenbasis solvers and the predictor's solution against them.
 
 The quadratures are the padded formulas of `grid.norms` and
 `diagnostics.kinetic_energy`: a scalar's H1 seminorm as the face L2 norm

@@ -9,8 +9,8 @@ from nlcflow.errors import LinearSolveFailure
 from nlcflow.grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
                           ScalarField, density_at_faces, divergence,
                           gradient_interior_faces, norms)
-from nlcflow.momentum import (FlowParams, SolveHistory, elastic_force,
-                              predict_velocity, project)
+from nlcflow.momentum import (FlowParams, elastic_force, predict_velocity,
+                              project)
 from nlcflow.runner import StepperState, initial_state, preset_config, step
 from nlcflow.solvers import _EigenSolver
 from stencils import _lap_u_interior, _lap_v_interior
@@ -143,29 +143,17 @@ def test_face_density_average(grid):
 
 def _recording_solves(monkeypatch):
     """Wrap momentum._face_solve; each predictor solve appends a dict of
-    its right-hand side, the kept solutions of its component (None
-    without any), the lagged velocity it used and its solution."""
+    its right-hand side, the lagged velocity it used and its solution."""
     solves = []
     face_solve = momentum._face_solve
-    guess = SolveHistory.velocity_guess
 
-    def spy_guess(self, axis, rhs, diag):
-        solves[-1]["x_hat"] = x0 = guess(self, axis, rhs, diag)
-        return x0
-
-    def spy(g, axis, rho_f, rhs, rbar, dt, params, history, w_face):
-        kept = None
-        if history is not None and history.count:
-            ring = history.u if axis == 0 else history.v
-            kept = ring[:history.filled].copy()
-        rec = dict(rhs=rhs.copy(), kept=kept, x_hat=w_face)
+    def spy(g, axis, rho_f, rhs, rbar, dt, params, x_hat):
+        rec = dict(rhs=rhs.copy(), x_hat=x_hat)
         solves.append(rec)
-        rec["x"] = face_solve(g, axis, rho_f, rhs, rbar, dt, params,
-                              history, w_face)
+        rec["x"] = face_solve(g, axis, rho_f, rhs, rbar, dt, params, x_hat)
         return rec["x"]
 
     monkeypatch.setattr(momentum, "_face_solve", spy)
-    monkeypatch.setattr(SolveHistory, "velocity_guess", spy_guess)
     return solves
 
 
@@ -177,23 +165,14 @@ def _face_systems(rho):
 
 def _assert_solves_split_system(solves, rho, nu, dt):
     # (rbar/dt - nu*Lap) v* = rhs - (rho_f - rbar)/dt * x_hat, checked with
-    # the reference face stencil; rbar is the mean cell density
-    g, rbar = rho.grid, rho.values.mean()
+    # the reference face stencil; rbar is the midrange of the cell density
+    g, rbar = rho.grid, 0.5 * (rho.values.min() + rho.values.max())
     assert len(solves) == 2
     for (rho_f, lap), s in zip(_face_systems(rho), solves):
         x = s["x"]
         b = s["rhs"] - (rho_f - rbar) / dt * s["x_hat"]
         res = rbar / dt * x - nu * lap(x, g) - b
         assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(b)
-
-
-def _unsplit_residuals(solves, rho, nu, dt):
-    """||rhs - (rho_f/dt - nu*Lap) v*|| / ||rhs|| of each solve."""
-    g = rho.grid
-    return [np.linalg.norm(s["rhs"] - (rho_f / dt * s["x"]
-                                       - nu * lap(s["x"], g)))
-            / np.linalg.norm(s["rhs"])
-            for (rho_f, lap), s in zip(_face_systems(rho), solves)]
 
 
 @lru_cache(maxsize=4)
@@ -211,14 +190,6 @@ def _unsplit_solution(g, axis, rho_f, rhs, nu, dt):
     return np.linalg.solve(a, rhs.ravel()).reshape(rhs.shape)
 
 
-def _push(history, w, nu):
-    """Push both components of w, with nu*L from the reference stencils."""
-    g = w.grid
-    for axis, (x, lap) in enumerate(((w.u[1:-1, :], _lap_u_interior),
-                                     (w.v[:, 1:-1], _lap_v_interior))):
-        history.push(axis, x, nu * lap(x, g))
-
-
 def _tilted_director(g):
     X, Y = g.cell_centers()
     theta = 0.4 * np.sin(np.pi * X) * np.sin(np.pi * Y)
@@ -227,7 +198,7 @@ def _tilted_director(g):
 
 
 def test_predicted_velocity_solves_the_stencil_system(monkeypatch):
-    # Without a history the predictor lags the old velocity. It never
+    # Without a previous velocity the predictor lags the old one. It never
     # applies its Laplacian; check v* against the split system with the
     # reference face stencil
     g = GridSpec(64, 64, 1.0, 1.0)
@@ -236,119 +207,17 @@ def test_predicted_velocity_solves_the_stencil_system(monkeypatch):
     solves = _recording_solves(monkeypatch)
     predict_velocity(rho, w, _tilted_director(g), None, params,
                      GLParams(gamma=1.0, eta=0.5, lam=1.0), dt)
-    assert all(s["kept"] is None for s in solves)
     assert np.array_equal(solves[0]["x_hat"], w.u[1:-1, :])
     assert np.array_equal(solves[1]["x_hat"], w.v[:, 1:-1])
     _assert_solves_split_system(solves, rho, params.nu, dt)
 
 
-def test_warm_started_predictor_solves_the_stencil_system(monkeypatch):
-    # From a one-solution history, a noisy copy x1 of the unsplit solution,
-    # the lagged velocity is (x1.b)/(x1.A x1) x1 with A from the reference
-    # stencils, v* solves the split system with it, and v* is nearer the
-    # unsplit solution than when the old velocity is lagged
-    g = GridSpec(32, 32, 1.0, 1.0)
-    params, dt = FlowParams(nu=1.0), 5e-3
-    glp = GLParams(gamma=1.0, eta=0.5, lam=1.0)
-    rho, w, d = _rho(g), _smooth_velocity(g), _tilted_director(g)
-    solves = _recording_solves(monkeypatch)
-    cold = predict_velocity(rho, w, d, None, params, glp, dt)
-    exact = [_unsplit_solution(g, axis, rho_f, s["rhs"], params.nu, dt)
-             for axis, ((rho_f, _), s) in enumerate(zip(_face_systems(rho),
-                                                        solves))]
-    rng = np.random.default_rng(11)
-    noisy = MacVelocity.zeros(g)
-    noisy.u[1:-1, :] = exact[0] + 1e-4 * rng.normal(size=exact[0].shape)
-    noisy.v[:, 1:-1] = exact[1] + 1e-4 * rng.normal(size=exact[1].shape)
-    history = SolveHistory()
-    _push(history, noisy, params.nu)
-    vs = predict_velocity(rho, w, d, None, params, glp, dt, history=history)
-    solves = solves[2:]
-    for (rho_f, lap), s in zip(_face_systems(rho), solves):
-        x1, b = s["kept"][0], s["rhs"]
-        ax1 = rho_f / dt * x1 - params.nu * lap(x1, g)
-        ref = np.vdot(x1, b) / np.vdot(x1, ax1) * x1
-        assert np.abs(s["x_hat"] - ref).max() <= 1e-12 * np.abs(ref).max()
-    _assert_solves_split_system(solves, rho, params.nu, dt)
-    for new, old, ref in ((vs.u[1:-1, :], cold.u[1:-1, :], exact[0]),
-                          (vs.v[:, 1:-1], cold.v[:, 1:-1], exact[1])):
-        assert np.abs(new - ref).max() < 1e-2 * np.abs(old - ref).max()
-
-
-def test_time_loop_solves_from_the_projected_guess(monkeypatch):
-    # Step 8 lags the projection onto a full ring of six earlier
-    # solutions, whose slots have wrapped; its v* must solve the split
-    # system with it, its unsplit residual must be small, and its v' must
-    # meet tol_proj
-    cfg = preset_config("gzero", nx=32, ny=32)
-    state = initial_state(cfg)
-    stepper = StepperState(dt=cfg.dt)
-    for _ in range(7):
-        state = step(state, cfg, stepper)
-    assert stepper.history.count == 7 and stepper.history.filled == 6
-    solves = _recording_solves(monkeypatch)
-    new = step(state, cfg, stepper)
-    # each lagged velocity lies in the span of its kept solutions
-    for s in solves:
-        basis, x0 = s["kept"], s["x_hat"]
-        assert len(basis) == 6
-        coef = np.linalg.lstsq(basis.reshape(len(basis), -1).T,
-                               x0.ravel(), rcond=None)[0]
-        fit = np.tensordot(coef, basis, 1)
-        assert np.abs(fit - x0).max() <= 1e-12 * np.abs(x0).max()
-    _assert_solves_split_system(solves, new.rho, cfg.nu, cfg.dt)
-    # measured 4.0e-6; lagging the old velocity instead reads 1.6e-2
-    assert max(_unsplit_residuals(solves, new.rho, cfg.nu, cfg.dt)) <= 1e-4
-    assert np.abs(divergence(new.v).values).max() <= cfg.tol_proj
-
-
-def test_projected_guess_residual_matches_the_stencils(monkeypatch):
-    # The lagged velocity is the A-norm projection onto the kept solutions,
-    # so its residual b - A x0, with A built from the reference stencils
-    # and the fresh density, is orthogonal to each of them. nu != 1, so a
-    # kept product that lost nu cannot pass.
-    cfg = preset_config("gzero", nx=32, ny=32, nu=0.5)
-    state = initial_state(cfg)
-    stepper = StepperState(dt=cfg.dt)
-    for _ in range(7):
-        state = step(state, cfg, stepper)
-    assert stepper.history.filled == 6
-    solves = _recording_solves(monkeypatch)
-    state = step(state, cfg, stepper)
-    g, dt = cfg.grid, cfg.dt
-    for (rho_f, lap), s in zip(_face_systems(state.rho), solves):
-        b, x0 = s["rhs"], s["x_hat"]
-        r = b - (rho_f / dt * x0 - cfg.nu * lap(x0, g))
-        for x in s["kept"]:
-            assert abs(np.vdot(x, r)) \
-                <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(b)
-
-
-def test_kept_products_match_the_stencils():
-    # after 8 steps (the ring has wrapped) each component's S, formed from
-    # nu*L v* of the predictor's own equations, is X (nu*L X)^T with the
-    # reference stencils; nu != 1, so a product that lost nu cannot pass
-    cfg = preset_config("gzero", nx=16, ny=16, nu=0.5)
-    state = initial_state(cfg)
-    stepper = StepperState(dt=cfg.dt)
-    for _ in range(8):
-        state = step(state, cfg, stepper)
-    history, g = stepper.history, cfg.grid
-    k = history.filled
-    assert (history.count, k) == (8, 6)
-    for axis, lap in ((0, _lap_u_interior), (1, _lap_v_interior)):
-        xs, s = history.ring(axis)
-        ref = np.array([[np.vdot(xi, cfg.nu * lap(xj, g)) for xj in xs[:k]]
-                        for xi in xs[:k]])
-        assert np.abs(s[:k, :k] - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
 def test_splitting_error_is_first_order_in_dt(monkeypatch):
     # f1 at 16^2 to t = 0.2 at dt, dt/2 and dt/4, against runs whose
     # predictor solves the unsplit system densely: the rms difference of
-    # the densities falls by about half per halving (measured 2.0e-6,
-    # 1.06e-6, 5.5e-7)
-    def unsplit(g, axis, rho_f, rhs, rbar, dt, params, history, w_face):
+    # the densities falls by about half per halving (measured 3.1e-8,
+    # 1.3e-8, 6.9e-9)
+    def unsplit(g, axis, rho_f, rhs, rbar, dt, params, x_hat):
         return _unsplit_solution(g, axis, rho_f, rhs, params.nu, dt)
 
     def density_after(dt, predictor=None):
@@ -368,27 +237,8 @@ def test_splitting_error_is_first_order_in_dt(monkeypatch):
     assert all(0.35 <= r <= 0.65 for r in ratios), (diffs, ratios)
 
 
-def test_a_ring_of_one_repeated_solution_gives_finite_guesses(grid):
-    # six pushes of one v*: the Gram matrix is singular to rank one, and
-    # the guess is the projection onto that one solution. RuntimeWarnings
-    # are errors in this suite.
-    params, dt = FlowParams(), 5e-3
-    rho, vs = _rho(grid), _smooth_velocity(grid)
-    history = SolveHistory()
-    for _ in range(6):
-        _push(history, vs, params.nu)
-    assert history.filled == 6
-    ru, _ = density_at_faces(rho.values, grid)
-    rhs = np.random.default_rng(14).normal(size=(grid.nx - 1, grid.ny))
-    x0 = history.velocity_guess(0, rhs, ru[1:-1, :] / dt)
-    assert np.isfinite(x0).all()
-    coef = np.vdot(x0, vs.u[1:-1, :]) / np.vdot(vs.u[1:-1, :], vs.u[1:-1, :])
-    assert np.abs(x0 - coef * vs.u[1:-1, :]).max() \
-        <= 1e-12 * np.abs(x0).max()
-
-
 # ---------------------------------------------------------------------------
-# the split projection
+# the incremental projection
 
 def _pressure(grid, seed):
     q = np.random.default_rng(seed).normal(size=(grid.nx, grid.ny))
@@ -396,15 +246,18 @@ def _pressure(grid, seed):
 
 
 def test_projection_with_constant_density_ignores_the_lagged_pressure(grid):
-    # k = c0 on every face, so the lagged term vanishes identically
+    # the correction solves for the pressure's increment alone: v' is
+    # bitwise that of the projection without p_hat, and q - p_hat is its
+    # pressure to the one rounding of q = p_hat + delta
     rho, vs, dt = _rho(grid, const=1.5), _smooth_velocity(grid), 1e-2
     ref, q_ref = project(rho, vs, dt, FlowParams())
+    eps = np.finfo(float).eps
     for seed in (16, 17):
-        out, q = project(rho, vs, dt, FlowParams(),
-                         p_hat=_pressure(grid, seed))
-        for a, b in ((out.u, ref.u), (out.v, ref.v),
-                     (q.values, q_ref.values)):
-            assert np.array_equal(a, b)
+        p_hat = _pressure(grid, seed)
+        out, q = project(rho, vs, dt, FlowParams(), p_hat=p_hat)
+        assert np.array_equal(out.u, ref.u) and np.array_equal(out.v, ref.v)
+        assert np.abs(q.values - p_hat - q_ref.values).max() \
+            <= 2 * eps * np.abs(q.values).max()
 
 
 def test_projection_with_a_lagged_pressure_is_divergence_free(grid):

@@ -5,6 +5,8 @@ production stencils beyond the data containers, and of one coupled step
 composed from them. Agreement is required to 1e-12 in relative L2.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -315,13 +317,27 @@ def _dense_v_operator(rv, nu, dt):
     return A
 
 
-def _oracle_predict_velocity(rho, w, d, g_ext, flow, glp, dt, kept=None):
+def _loop_face_gradient(p):
+    """Gradient of cell values on the interior faces, face by face."""
+    gu = np.zeros((NX + 1, NY))
+    gv = np.zeros((NX, NY + 1))
+    for i in range(1, NX):
+        for j in range(NY):
+            gu[i, j] = (p[i, j] - p[i - 1, j]) / HX
+    for i in range(NX):
+        for j in range(1, NY):
+            gv[i, j] = (p[i, j] - p[i, j - 1]) / HY
+    return gu, gv
+
+
+def _oracle_predict_velocity(rho, w, d, g_ext, flow, glp, dt, rbar=None,
+                             p_hat=None, w_prev=None, dt_prev=None):
     """The predictor with its inertia split: per component, with
-    A = rho_f/dt - nu*Lap, M = rbar/dt - nu*Lap for the mean cell density
-    rbar and N = A - M, solve M v* = rhs - N v_hat. v_hat is the old
-    velocity w, or, given the one kept solution x1 of each component in
-    `kept`, its A-norm projection (x1.rhs)/(x1.A x1) x1. Returns v* with
-    its wall faces, and the interior parts."""
+    A = rho_f/dt - nu*Lap, M = rbar/dt - nu*Lap and N = A - M, solve
+    M v* = rhs - N v_hat, where rhs carries -grad p_hat when p_hat is
+    given. rbar is the midrange of the cell density unless given, and
+    v_hat is w + (dt/dt_prev)(w - w_prev), or w without w_prev. Returns
+    v* with its wall faces, and the interior parts."""
     ru, rv = _faces_rho(rho)
     fu, fv = _oracle_elastic_force(d, glp)
     adv_u = _oracle_adv_u(w)
@@ -332,20 +348,24 @@ def _oracle_predict_velocity(rho, w, d, g_ext, flow, glp, dt, kept=None):
     if g_ext is not None:
         rhs_u += ru * g_ext.u
         rhs_v += rv * g_ext.v
+    if p_hat is not None:
+        gu, gv = _loop_face_gradient(p_hat)
+        rhs_u -= gu
+        rhs_v -= gv
 
-    rbar = rho.mean()
+    if rbar is None:
+        rbar = 0.5 * (rho.min() + rho.max())
+    lag_u, lag_v = w.u, w.v
+    if w_prev is not None:
+        lag_u = w.u + dt / dt_prev * (w.u - w_prev.u)
+        lag_v = w.v + dt / dt_prev * (w.v - w_prev.v)
     parts = []
-    for k, (r, rhs, old, dense) in enumerate((
-            (ru, rhs_u[1:-1, :], w.u[1:-1, :], _dense_u_operator),
-            (rv, rhs_v[:, 1:-1], w.v[:, 1:-1], _dense_v_operator))):
+    for r, rhs, lag, dense in (
+            (ru, rhs_u[1:-1, :], lag_u[1:-1, :], _dense_u_operator),
+            (rv, rhs_v[:, 1:-1], lag_v[:, 1:-1], _dense_v_operator)):
         A = dense(r, flow.nu, dt)
         M = dense(np.full_like(r, rbar), flow.nu, dt)
-        b = rhs.ravel()
-        v_hat = old.ravel()
-        if kept is not None:
-            x1 = kept[k].ravel()
-            v_hat = (x1 @ b) / (x1 @ A @ x1) * x1
-        parts.append(np.linalg.solve(M, b - (A - M) @ v_hat)
+        parts.append(np.linalg.solve(M, rhs.ravel() - (A - M) @ lag.ravel())
                      .reshape(rhs.shape))
 
     u = np.zeros((NX + 1, NY))
@@ -354,7 +374,24 @@ def _oracle_predict_velocity(rho, w, d, g_ext, flow, glp, dt, kept=None):
     return u, v, parts
 
 
+def _previous_velocity(w, seed):
+    """A velocity near w with zero wall faces, as v^{n-1}."""
+    rng = np.random.default_rng(seed)
+    u, v = 0.8 * w.u, 0.8 * w.v
+    u[1:-1, :] += 0.05 * rng.normal(size=(NX - 1, NY))
+    v[:, 1:-1] += 0.05 * rng.normal(size=(NX, NY - 1))
+    return MacVelocity(GRID, u, v)
+
+
+def _cell_pressure(seed):
+    p = np.random.default_rng(seed).normal(size=(NX, NY))
+    return p - p.mean()
+
+
 def test_momentum_predictor_matches_dense_oracle():
+    # the step-1 predictor, and one that carries a pressure gradient and
+    # extrapolates its lag over a step half as long as this one, with a
+    # given split density
     rho, w, d = _setup()
     glp = GLParams(gamma=1.0, eta=0.5, lam=0.8)
     flow = FlowParams(nu=0.7)
@@ -363,10 +400,14 @@ def test_momentum_predictor_matches_dense_oracle():
                         -0.05 * np.ones((NX, NY + 1)))
 
     rho_f = ScalarField(GRID, rho, "extrapolate")
-    fast = predict_velocity(rho_f, w, d, g_ext, flow, glp, dt)
-    ou, ov, _ = _oracle_predict_velocity(rho, w, d, g_ext, flow, glp, dt)
-    err = max(_rel_err(fast.u, ou), _rel_err(fast.v, ov))
-    assert err <= 1e-12, f"momentum oracle mismatch: {err:.3e}"
+    lagged = dict(p_hat=_cell_pressure(31), w_prev=_previous_velocity(w, 32),
+                  dt_prev=0.5 * dt, rbar=1.6)
+    for kw in ({}, lagged):
+        fast = predict_velocity(rho_f, w, d, g_ext, flow, glp, dt, **kw)
+        ou, ov, _ = _oracle_predict_velocity(rho, w, d, g_ext, flow, glp,
+                                             dt, **kw)
+        err = max(_rel_err(fast.u, ou), _rel_err(fast.v, ov))
+        assert err <= 1e-12, f"momentum oracle mismatch: {err:.3e}"
 
 
 def test_oracle_agreement_without_external_force():
@@ -382,7 +423,7 @@ def test_oracle_agreement_without_external_force():
 
 
 # ---------------------------------------------------------------------------
-# pressure projection (constant-coefficient split with a lagged pressure)
+# pressure projection (the increment, with a constant coefficient)
 
 def _face_index():
     """Unknown numbers of the interior faces: u-faces (i, j), i = 1..NX-1,
@@ -420,8 +461,9 @@ def _dense_div_grad():
 
 
 def _oracle_project(rho, w, dt, p_hat):
-    """v' = v* - dt [c0 G q + (K - c0) G p_hat] with D v' = 0 and q of zero
-    mean, K = diag(1/rho_f) on the interior faces and c0 = max K."""
+    """v' = v* - dt c0 G delta with D v' = 0 and delta of zero mean, for
+    c0 = max 1/rho_f over the interior faces; the pressure is
+    p_hat + delta."""
     iu, iv = _face_index()
     ru, rv = _faces_rho(rho)
     k = np.zeros(len(iu) + len(iv))
@@ -432,28 +474,24 @@ def _oracle_project(rho, w, dt, p_hat):
         k[f], vs[f] = 1.0 / rv[i, j], w.v[i, j]
     c0 = k.max()
     D, G = _dense_div_grad()
-    lagged = (k - c0) * (G @ p_hat.ravel())
-    # c0 D G q = D v*/dt - D lagged; D G is singular (constants), and the
+    # c0 D G delta = D v*/dt; D G is singular (constants), and the
     # least-squares solution of least norm is the one of zero mean
-    q = np.linalg.lstsq(c0 * D @ G, D @ vs / dt - D @ lagged,
-                        rcond=None)[0]
-    out = vs - dt * (c0 * (G @ q) + lagged)
+    delta = np.linalg.lstsq(c0 * D @ G, D @ vs / dt, rcond=None)[0]
+    out = vs - dt * c0 * (G @ delta)
     u = np.zeros((NX + 1, NY))
     v = np.zeros((NX, NY + 1))
     for (i, j), f in iu.items():
         u[i, j] = out[f]
     for (i, j), f in iv.items():
         v[i, j] = out[f]
-    return u, v, q.reshape(NX, NY)
+    return u, v, p_hat + delta.reshape(NX, NY)
 
 
 def test_projection_matches_dense_oracle():
     rho, w, _ = _setup()
     dt = 0.004
     rho_f = ScalarField(GRID, rho, "extrapolate")
-    rng = np.random.default_rng(23)
-    p_rand = rng.normal(size=(NX, NY))
-    for p_hat in (None, p_rand - p_rand.mean()):
+    for p_hat in (None, _cell_pressure(23)):
         fast, q = project(rho_f, w, dt, FlowParams(), p_hat=p_hat)
         ou, ov, oq = _oracle_project(
             rho, w, dt, np.zeros((NX, NY)) if p_hat is None else p_hat)
@@ -464,8 +502,9 @@ def test_projection_matches_dense_oracle():
 
 # ---------------------------------------------------------------------------
 # one coupled step, composed from the oracles above in the README's order:
-# rho^{n+1} and d^{n+1} from v^n; the predictor with rho^{n+1}, d^{n+1}, v^n
-# and g(t^n + dt/2); the projection lagging the state's pressure p_hat
+# rho^{n+1} and d^{n+1} from v^n; the predictor with rho^{n+1}, d^{n+1}, v^n,
+# g(t^n + dt/2), the state's pressure p_hat and the lag extrapolated from
+# v^{n-1}; the projection for the pressure's increment over p_hat
 
 def _ax(x, y):
     return 0.3 * np.sin(np.pi * x) * np.cos(np.pi * y)
@@ -498,28 +537,31 @@ def _oracle_force(t):
     return MacVelocity(GRID, u, v)
 
 
-def _oracle_step(state, cfg, dt, kept=None):
+def _oracle_step(state, cfg, dt, rbar, w_prev=None, dt_prev=None):
     """(rho, d1, d2, u, v, q) after one step of length dt from `state`,
-    and the interior parts of the predictor's v*, whose lagged velocity is
-    the projection onto the solutions in `kept` if given."""
+    whose predictor splits its inertia at rbar and extrapolates its lag
+    from w_prev, a step of dt_prev before, if given."""
     glp = cfg.glp
     w = state.v
     rho = _oracle_advance_density(state.rho.values, w, dt)
     n1, n2 = _oracle_advance_director(state.d, w, glp, dt)
     d = DirectorField(GRID, n1, n2, state.d.trace)
-    us, vs, v_star = _oracle_predict_velocity(
+    p_hat = None if state.pressure is None else state.pressure.values
+    us, vs, _ = _oracle_predict_velocity(
         rho, w, d, _oracle_force(state.t + 0.5 * dt), cfg.flow, glp, dt,
-        kept)
-    p_hat = np.zeros((NX, NY)) if state.pressure is None \
-        else state.pressure.values
-    u, v, q = _oracle_project(rho, MacVelocity(GRID, us, vs), dt, p_hat)
-    return rho, n1, n2, u, v, q, v_star
+        rbar, p_hat, w_prev, dt_prev)
+    u, v, q = _oracle_project(rho, MacVelocity(GRID, us, vs), dt,
+                              np.zeros((NX, NY)) if p_hat is None else p_hat)
+    return rho, n1, n2, u, v, q
 
 
 def _start_state():
+    """The start state, and the midrange of its density: the split
+    density of a run from it."""
     rho, w, d = _setup()
     return SimState(t=0.0, density=DensityState.from_field(
-        ScalarField(GRID, rho, "extrapolate")), v=w, d=d)
+        ScalarField(GRID, rho, "extrapolate")), v=w, d=d), \
+        0.5 * (rho.min() + rho.max())
 
 
 def _assert_step_matches(fast, slow):
@@ -530,7 +572,7 @@ def _assert_step_matches(fast, slow):
 
 
 def _oracle_state(state, slow, dt):
-    rho, n1, n2, u, v, q, _ = slow
+    rho, n1, n2, u, v, q = slow
     return SimState(
         t=state.t + dt,
         density=DensityState.from_field(ScalarField(GRID, rho,
@@ -541,29 +583,35 @@ def _oracle_state(state, slow, dt):
 
 
 def test_three_cold_steps_match_the_step_oracle():
-    # Each step starts from an empty solve history, so the predictor lags
-    # the old velocity. Step 1 projects without
-    # a lagged pressure, steps 2 and 3 with the previous one; the oracle
-    # runs its own chain of states.
+    # Each step starts from a fresh stepper, with no previous velocity, so
+    # the predictor lags the old velocity. Step 1 carries no pressure,
+    # steps 2 and 3 the previous one; the oracle runs its own chain of
+    # states, split at the start's midrange density throughout.
     cfg = _step_config()
-    fast = slow = _start_state()
+    start, rbar = _start_state()
+    fast = slow = start
     for _ in range(3):
         fast = step(fast, cfg, StepperState(dt=cfg.dt))
-        result = _oracle_step(slow, cfg, cfg.dt)
+        result = _oracle_step(slow, cfg, cfg.dt, rbar)
         _assert_step_matches(fast, result)
         slow = _oracle_state(slow, result, cfg.dt)
 
 
-def test_step_from_a_one_solution_history_matches_the_step_oracle():
-    # step 2 of a run: its history holds step 1's v* alone, and the
-    # oracle projects onto its own step 1's v* in closed form
-    cfg = _step_config()
+def test_step_2_extrapolates_the_lag_and_matches_the_step_oracle():
+    # step 2 of a run lags v^1 + (dt/dt_1)(v^1 - v^0) and carries step 1's
+    # pressure. The run ends at 1.5 dt, so step 2 is half as long as step
+    # 1 and the extrapolation's ratio is 1/2; the oracle chains its own
+    # two steps.
+    cfg = dataclasses.replace(_step_config(), t_end=0.006)
     stepper = StepperState(dt=cfg.dt)
-    start = _start_state()
+    start, rbar = _start_state()
     fast = step(start, cfg, stepper)
-    assert stepper.history.filled == 1
-    slow = _oracle_step(start, cfg, cfg.dt)
+    slow = _oracle_step(start, cfg, cfg.dt, rbar)
     _assert_step_matches(fast, slow)
+    assert stepper.v_prev is start.v
     fast = step(fast, cfg, stepper)
+    dt2 = cfg.t_end - cfg.dt
+    assert dt2 == pytest.approx(0.5 * cfg.dt)
     _assert_step_matches(fast, _oracle_step(
-        _oracle_state(start, slow, cfg.dt), cfg, cfg.dt, kept=slow[-1]))
+        _oracle_state(start, slow, cfg.dt), cfg, dt2, rbar,
+        w_prev=start.v, dt_prev=cfg.dt))

@@ -1,6 +1,5 @@
-"""The direct eigenbasis solvers against the stencils they invert, the
-A-norm projection onto earlier solutions (`SolveHistory.velocity_guess`),
-and thread-count independence."""
+"""The direct eigenbasis solvers against the stencils they invert, and
+thread-count independence."""
 
 import os
 import subprocess
@@ -12,7 +11,6 @@ import pytest
 
 import nlcflow
 from nlcflow.grid import GridSpec, ScalarField, laplacian
-from nlcflow.momentum import SolveHistory
 from nlcflow.solvers import CellHelmholtz, FaceHelmholtz, NeumannPoisson
 from stencils import _lap_u_interior, _lap_v_interior
 
@@ -99,11 +97,9 @@ print(h.hexdigest())
 """
 
 
-# Ten f2 steps at 128^2: step 2 projects onto one kept solution, whose
-# inner products numpy would hand to the BLAS dot, and the later steps onto
-# two to six, through BLAS matrix products. The records of steps 1, 5 and
-# 10 are hashed too, field by field, so a record's reduction that went
-# through the BLAS dot would show.
+# Ten f2 steps at 128^2, whose solves are BLAS matrix products. The records
+# of steps 1, 5 and 10 are hashed too, field by field, so a record's
+# reduction that went through the BLAS dot would show.
 _STEPS_HASH = """
 import hashlib
 import numpy as np
@@ -143,7 +139,7 @@ def test_projection_is_bitwise_independent_of_blas_threads():
 
 
 def test_time_loop_is_bitwise_independent_of_blas_threads():
-    # the same for the guesses' products with one to six kept solutions
+    # the same for the step's solves and the records' reductions
     assert _hash_in_subprocess(_STEPS_HASH, 1) \
         == _hash_in_subprocess(_STEPS_HASH, 2)
 
@@ -181,117 +177,3 @@ def test_no_full_grid_reduction_reaches_the_blas_dot(monkeypatch):
                                      spec=cfg.forcing, d_inf=st.d_inf))
     assert sizes, "the spy saw no call"
     assert max(sizes) <= max(cfg.grid.nx, cfg.grid.ny) + 1
-
-
-# ---------------------------------------------------------------------------
-# the A-norm projection onto earlier solutions
-
-_DIAG_GRID = GridSpec(32, 32, 1.0, 1.0)
-
-
-def _diag_system(seed):
-    """x -> (A + D) x - C*Lap x on the u-faces of a 32^2 grid, with a
-    diagonal D as large as the predictor's density contrast, and A + D."""
-    g = _DIAG_GRID
-    diag = np.random.default_rng(seed).uniform(-0.3, 0.3, (g.nx - 1, g.ny))
-    diag *= A
-    diag += A
-
-    def apply_a(x):
-        return diag * x - C * _lap_u_interior(x, g)
-    return apply_a, diag
-
-
-def _projected_guess(b, xs, diag):
-    """`SolveHistory.velocity_guess` of (diag - C*Lap) x = b on the
-    u-faces, from the solutions xs pushed in order, each with C*Lap x from
-    the reference stencil."""
-    history = SolveHistory()
-    for x in xs:
-        history.push(0, x, C * _lap_u_interior(x, _DIAG_GRID))
-    return history.velocity_guess(0, b, diag)
-
-
-def _smooth_series(n):
-    """n solutions x(t_k) of a smoothly moving field on the u-faces."""
-    g = _DIAG_GRID
-    X, Y = g.uface_coords()
-    X, Y = X[1:-1, :], Y[1:-1, :]
-    # a drifting frequency: no finite basis holds every x(t_k)
-    return [np.sin(np.pi * (1.0 + 0.1 * t) * X) * np.sin(2 * np.pi * Y)
-            + 0.1 * t * t * X * Y for t in range(n)]
-
-
-def _a_norm(e, apply_a):
-    return np.sqrt(np.einsum("ij,ij->", e, apply_a(e)))
-
-
-def _six_deep_basis(seed):
-    """Six random vectors on the u-faces: a well conditioned basis."""
-    rng = np.random.default_rng(seed)
-    return rng.normal(size=(6, _DIAG_GRID.nx - 1, _DIAG_GRID.ny))
-
-
-def test_projected_guess_returns_a_solution_in_its_basis():
-    # the solution as one of three kept vectors, and as a combination of
-    # six random ones
-    apply_a, diag = _diag_system(21)
-    rng = np.random.default_rng(22)
-    x_smooth = _smooth_series(1)[0]
-    six = _six_deep_basis(31)
-    for x_true, basis in (
-            (x_smooth, np.stack([rng.normal(size=x_smooth.shape), x_smooth,
-                                 rng.normal(size=x_smooth.shape)])),
-            (np.tensordot([0.3, -1.2, 0.0, 2.5, 0.7, -0.4], six, 1), six)):
-        x0 = _projected_guess(apply_a(x_true), basis, diag)
-        assert np.abs(x0 - x_true).max() <= 1e-12 * np.abs(x_true).max()
-
-
-def test_projected_guess_on_a_repeated_solution_is_finite():
-    # G is exactly singular, for two copies and for a full ring of six;
-    # the guess is the projection onto the one direction. RuntimeWarnings
-    # are errors in this suite.
-    apply_a, diag = _diag_system(23)
-    x_old, x_true = _smooth_series(2)
-    b = apply_a(x_true)
-    ax = apply_a(x_old)
-    c = np.einsum("ij,ij->", x_old, b) / np.einsum("ij,ij->", x_old, ax)
-    for copies in (2, 6):
-        x0 = _projected_guess(b, [x_old] * copies, diag)
-        assert np.isfinite(x0).all()
-        assert np.abs(x0 - c * x_old).max() <= 1e-12 * np.abs(x_old).max()
-
-
-def test_projected_guess_beats_the_lagrange_extrapolation():
-    apply_a, diag = _diag_system(24)
-    *basis, x_true = _smooth_series(4)
-    b = apply_a(x_true)
-    x0 = _projected_guess(b, basis, diag)
-    # quadratic extrapolation, oldest first: weights 1, -3, 3
-    lagrange = basis[0] - 3.0 * basis[1] + 3.0 * basis[2]
-    err = _a_norm(x_true - x0, apply_a)
-    assert err <= _a_norm(x_true - lagrange, apply_a)
-    assert err < _a_norm(x_true, apply_a)
-
-
-def test_projected_guess_on_six_solutions_matches_a_dense_reference():
-    # the stacked products against G and f from separate inner products
-    # and a LAPACK solve, on a random (well conditioned) six-deep basis
-    apply_a, diag = _diag_system(27)
-    xs = _six_deep_basis(28)
-    axs = np.stack([apply_a(x) for x in xs])
-    b = np.random.default_rng(29).normal(size=xs.shape[1:])
-    x0 = _projected_guess(b, xs, diag)
-    gram = np.array([[np.vdot(xi, axj) for axj in axs] for xi in xs])
-    c = np.linalg.solve(gram, [np.vdot(x, b) for x in xs])
-    ref = np.tensordot(c, xs, 1)
-    assert np.abs(x0 - ref).max() <= 1e-12 * np.abs(ref).max()
-    # x0 lies in the span
-    coef = np.linalg.lstsq(xs.reshape(6, -1).T, x0.ravel(), rcond=None)[0]
-    assert np.abs(np.tensordot(coef, xs, 1) - x0).max() \
-        <= 1e-12 * np.abs(x0).max()
-    # the residual is orthogonal to the basis, so the error is A-orthogonal
-    # to it: x0 is the A-norm projection
-    r0 = b - apply_a(x0)
-    assert np.abs(xs.reshape(6, -1) @ r0.ravel()).max() \
-        <= 1e-10 * np.abs(b).sum() * np.abs(xs).max()
