@@ -469,10 +469,9 @@ def load_checkpoint(path, cfg: RunConfig) -> tuple[SimState, StepperState]:
             raise CheckpointError(
                 f"{path} holds a run with ({', '.join(keys)}) = {refs}, "
                 f"not the {expected} of the config's initial data")
-    mass0, rho_min0, rho_max0 = (f[k].tolist()
-                                 for k in ("mass0", "rho_min0", "rho_max0"))
+    r = ref.density
     density = DensityState(ScalarField(grid, f["rho"], "extrapolate"),
-                           rho_min0, rho_max0, mass0)
+                           r.rho_min0, r.rho_max0, r.mass0)
     stepper = StepperState(dt=float(f["dt"]))
     if "u_prev" in f:
         stepper.v_prev = MacVelocity(grid, f["u_prev"], f["v_prev"])
