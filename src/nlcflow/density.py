@@ -55,22 +55,22 @@ def cfl_number(w: MacVelocity, dt: float) -> float:
     return dt * (umax / g.hx + vmax / g.hy)
 
 
+def _flux_difference(rho: np.ndarray, u: np.ndarray, h: float) -> np.ndarray:
+    """(F[i+1] - F[i])/h for the donor-cell flux F = u*rho_upwind on the
+    u-faces; the y part is this on the transposed views of rho and v."""
+    f = np.zeros_like(u)
+    f[1:-1] = np.where(u[1:-1] > 0.0, rho[:-1], rho[1:])
+    f *= u
+    return (f[1:] - f[:-1]) / h
+
+
 def upwind_flux_divergence(rho: np.ndarray, w: MacVelocity) -> np.ndarray:
     """div(F) with F the donor-cell upwind mass flux. Boundary faces carry
     the face velocity stored in w (zero for no-slip), so wall flux vanishes
     and total mass telescopes exactly."""
     g = w.grid
-    # upwinded rho on x-faces
-    ru = np.zeros((g.nx + 1, g.ny))
-    up = w.u[1:-1, :] > 0.0
-    ru[1:-1, :] = np.where(up, rho[:-1, :], rho[1:, :])
-    fx = w.u * ru
-    # upwinded rho on y-faces
-    rv = np.zeros((g.nx, g.ny + 1))
-    vp = w.v[:, 1:-1] > 0.0
-    rv[:, 1:-1] = np.where(vp, rho[:, :-1], rho[:, 1:])
-    fy = w.v * rv
-    return (fx[1:, :] - fx[:-1, :]) / g.hx + (fy[:, 1:] - fy[:, :-1]) / g.hy
+    return (_flux_difference(rho, w.u, g.hx)
+            + _flux_difference(rho.T, w.v.T, g.hy).T)
 
 
 def advance_density(state: DensityState, w: MacVelocity, dt: float) -> DensityState:

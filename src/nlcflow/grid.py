@@ -65,6 +65,13 @@ class GridSpec:
     def cell_area(self) -> float:
         return self.hx * self.hy
 
+    @cached_property
+    def T(self) -> "GridSpec":
+        """The grid with its axes swapped, (ny, nx, Ly, Lx), built once. A
+        v-face array transposed is a u-face array of this grid, so each
+        operator on the staggered velocity is written for u alone."""
+        return GridSpec(self.ny, self.nx, self.Ly, self.Lx)
+
     def cell_centers(self):
         """Meshgrid (X, Y) of cell-center coordinates, shape (nx, ny)."""
         x = (np.arange(self.nx) + 0.5) * self.hx
@@ -525,14 +532,13 @@ def elastic_identity_residual(d: DirectorField, margin: int = 2) -> float:
 
 def density_at_faces(rho: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Arithmetic average of adjacent cell densities; boundary faces copy the
-    adjacent cell (preserves symmetry of the projection operator)."""
+    adjacent cell (preserves symmetry of the projection operator). Written
+    for u-faces, and for v-faces through the transposed views."""
     ru = np.empty((grid.nx + 1, grid.ny))
     rv = np.empty((grid.nx, grid.ny + 1))
-    ru[1:-1, :] = 0.5 * (rho[1:, :] + rho[:-1, :])
-    ru[0, :] = rho[0, :]
-    ru[-1, :] = rho[-1, :]
-    rv[:, 1:-1] = 0.5 * (rho[:, 1:] + rho[:, :-1])
-    rv[:, 0] = rho[:, 0]
-    rv[:, -1] = rho[:, -1]
+    for r, f in ((rho, ru), (rho.T, rv.T)):
+        f[1:-1] = 0.5 * (r[1:] + r[:-1])
+        f[0] = r[0]
+        f[-1] = r[-1]
     return ru, rv
 

@@ -34,6 +34,8 @@ from .stationary import decay_rate_fit, lojasiewicz_probe, solve_stationary
 
 # a run ends once t is within this of t_end
 T_END_TOL = 1e-12
+# the director's maximum principle holds if max|d| <= 1 + TOL_MAX
+TOL_MAX = 1e-6
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,6 @@ class RunConfig:
     # tolerances
     tol_proj: float = 1e-8
     tol_stationary: float = 1e-9
-    tol_max: float = 1e-6
     # output
     record_every: int = 20
     snapshot_every: int = 0
@@ -93,8 +94,7 @@ _SECTIONS = {
                 ("d0x", str), ("d0y", str)),
     "stepping": (("dt", float), ("t_end", float), ("cfl_safety", float),
                  ("dt_min", float)),
-    "tolerances": (("tol_proj", float), ("tol_stationary", float),
-                   ("tol_max", float)),
+    "tolerances": (("tol_proj", float), ("tol_stationary", float)),
     "output": (("record_every", int), ("snapshot_every", int),
                ("out_dir", str)),
     # the fields of RunConfig.forcing, a ForcingSpec
@@ -353,7 +353,7 @@ def run(cfg: RunConfig, write_outputs: bool = True,
             "mass_conserved": inv["mass_drift_rel_max"] <= 1e-12,
             "rho_in_bounds": (inv["rho_min_run"] >= cfg.rho_low
                               and inv["rho_max_run"] <= cfg.rho_high),
-            "d_max_principle": inv["d_maxnorm_max"] <= 1.0 + cfg.tol_max,
+            "d_max_principle": inv["d_maxnorm_max"] <= 1.0 + TOL_MAX,
             "div_free": inv["div_v_inf_max"] <= cfg.tol_proj,
         },
     }

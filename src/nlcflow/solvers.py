@@ -1,11 +1,14 @@
 """Direct Helmholtz/Poisson solvers by dense eigenbasis transforms. Every
 linear solve of a step is one direct solve: the director step, the
-harmonic extension and the pressure correction invert their
+harmonic extension and the pressure correction (a unit-scale Poisson
+solve for the potential of the velocity's correction) invert their
 constant-coefficient operators exactly, and so does the momentum
 predictor, whose variable-density operator A = M + N, with
 M = rbar/dt - nu*Lap and the diagonal N = (rho_f - rbar)/dt, is split:
 N acts on an extrapolated velocity in the right-hand side, and M is
-inverted exactly (see `momentum.predict_velocity`).
+inverted exactly (see `momentum.predict_velocity`). The face solver is
+written for the u-faces; the v-faces are the u-faces of the transposed
+grid `GridSpec.T`, solved on transposed views.
 
 The cell-centered Dirichlet Laplacian (ghost = 2g - interior) is
 diagonalized by the orthonormal DST-II basis on cells; the node-centered
@@ -105,30 +108,19 @@ class CellHelmholtz(_EigenSolver):
 
 
 class FaceHelmholtz(_EigenSolver):
-    """Direct solver for (a - c*Lap) on one MAC component's interior faces.
+    """Direct solver for (a - c*Lap) on the interior u-faces, arrays of
+    shape (nx-1, ny): node-centered in x with zero walls, cell-centered in
+    y with -interior ghosts. The v-faces of a grid are the u-faces of its
+    transpose: solve on `grid.T` with b transposed."""
 
-    axis=0 for u (node-centered in x, cell-centered in y with -interior
-    ghosts), axis=1 for v. Operates on arrays holding interior faces only:
-    shape (nx-1, ny) for u, (nx, ny-1) for v.
-    """
-
-    def __init__(self, grid: GridSpec, a: float, c: float, axis: int):
-        kinds = ("dst1", "dst2") if axis == 0 else ("dst2", "dst1")
-        super().__init__(*kinds, grid, a, c)
+    def __init__(self, grid: GridSpec, a: float, c: float):
+        super().__init__("dst1", "dst2", grid, a, c)
 
 
 class NeumannPoisson(_EigenSolver):
     """Direct solver for -c*Lap x = b with zero-Neumann walls and zero mean;
-    the constant mode of b is discarded. `set_scale` re-targets one solver
-    to another c."""
+    the constant mode of b is discarded."""
 
     def __init__(self, grid: GridSpec, c: float = 1.0):
-        super().__init__("dct2", "dct2", grid, 0.0, 1.0)
-        self._unit = self._denom.copy()
-        self._unit[0, 0] = np.inf  # the null mode: b's mean divides to 0
-        self.set_scale(c)
-
-    def set_scale(self, c: float) -> None:
-        """Solve -c*Lap from now on. c*(-lambda) is -(c*lambda) exactly, so
-        the denominators are bitwise those built for c directly."""
-        np.multiply(self._unit, c, out=self._denom)
+        super().__init__("dct2", "dct2", grid, 0.0, c)
+        self._denom[0, 0] = np.inf  # the null mode: b's mean divides to 0

@@ -28,6 +28,11 @@ def _rho(grid, const=None):
     return ScalarField(grid, vals, "extrapolate")
 
 
+def _midrange(rho):
+    """The split density of a run from rho."""
+    return 0.5 * (rho.values.min() + rho.values.max())
+
+
 def _uniform_director(grid):
     return DirectorField(grid, np.ones((grid.nx, grid.ny)),
                          np.zeros((grid.nx, grid.ny)),
@@ -54,9 +59,9 @@ def test_elastic_force_vanishes_at_equilibrium(grid):
 def test_rest_state_is_fixed_point(grid):
     params = FlowParams(nu=1.0)
     glp = GLParams(gamma=1.0, eta=0.5, lam=1.0)
-    v = MacVelocity.zeros(grid)
-    vs = predict_velocity(_rho(grid), v, _uniform_director(grid), None,
-                          params, glp, 1e-2)
+    v, rho = MacVelocity.zeros(grid), _rho(grid)
+    vs = predict_velocity(rho, v, _uniform_director(grid), None,
+                          params, glp, 1e-2, _midrange(rho))
     assert norms(vs, "Linf") < 1e-14
 
 
@@ -103,8 +108,10 @@ def test_pressure_has_zero_mean(grid):
 def test_predicted_velocity_keeps_noslip(grid):
     params = FlowParams()
     glp = GLParams(gamma=1.0, eta=0.5, lam=1.0)
-    vs = predict_velocity(_rho(grid), _smooth_velocity(grid),
-                          _uniform_director(grid), None, params, glp, 1e-2)
+    rho = _rho(grid)
+    vs = predict_velocity(rho, _smooth_velocity(grid),
+                          _uniform_director(grid), None, params, glp, 1e-2,
+                          _midrange(rho))
     assert vs.u[0].max() == 0.0 and vs.u[-1].max() == 0.0
     assert vs.v[:, 0].max() == 0.0 and vs.v[:, -1].max() == 0.0
 
@@ -121,7 +128,7 @@ def test_viscous_decay_rate(grid):
     dt = 1e-2
     for _ in range(20):
         vs = predict_velocity(rho, v, _uniform_director(grid), None,
-                              params, glp, dt)
+                              params, glp, dt, _midrange(rho))
         v, _ = project(rho, vs, dt, params)
     e1 = norms(v, "L2")
     # fastest allowed decay is bounded by the lowest Dirichlet eigenvalue
@@ -143,14 +150,16 @@ def test_face_density_average(grid):
 
 def _recording_solves(monkeypatch):
     """Wrap momentum._face_solve; each predictor solve appends a dict of
-    its right-hand side, the lagged velocity it used and its solution."""
+    its grid, its right-hand side, the lagged velocity it used and its
+    solution. The u solve comes first; the v solve runs on the transposed
+    grid, and its arrays are v's transposed."""
     solves = []
     face_solve = momentum._face_solve
 
-    def spy(g, axis, rho_f, rhs, rbar, dt, params, x_hat):
-        rec = dict(rhs=rhs.copy(), x_hat=x_hat)
+    def spy(g, rho_f, rhs, rbar, dt, params, x_hat):
+        rec = dict(g=g, rhs=rhs.copy(), x_hat=x_hat)
         solves.append(rec)
-        rec["x"] = face_solve(g, axis, rho_f, rhs, rbar, dt, params, x_hat)
+        rec["x"] = face_solve(g, rho_f, rhs, rbar, dt, params, x_hat)
         return rec["x"]
 
     monkeypatch.setattr(momentum, "_face_solve", spy)
@@ -163,30 +172,31 @@ def _face_systems(rho):
     return ((ru[1:-1, :], _lap_u_interior), (rv[:, 1:-1], _lap_v_interior))
 
 
-def _assert_solves_split_system(solves, rho, nu, dt):
+def _assert_solves_split_system(solves, rho, rbar, nu, dt):
     # (rbar/dt - nu*Lap) v* = rhs - (rho_f - rbar)/dt * x_hat, checked with
-    # the reference face stencil; rbar is the midrange of the cell density
-    g, rbar = rho.grid, 0.5 * (rho.values.min() + rho.values.max())
-    assert len(solves) == 2
-    for (rho_f, lap), s in zip(_face_systems(rho), solves):
-        x = s["x"]
-        b = s["rhs"] - (rho_f - rbar) / dt * s["x_hat"]
+    # each component's reference face stencil, the v solve's arrays
+    # transposed back
+    g = rho.grid
+    assert len(solves) == 2 and solves[1]["g"] == g.T
+    for (rho_f, lap), s, view in zip(_face_systems(rho), solves,
+                                     (np.asarray, np.transpose)):
+        x, rhs, x_hat = (view(s[k]) for k in ("x", "rhs", "x_hat"))
+        b = rhs - (rho_f - rbar) / dt * x_hat
         res = rbar / dt * x - nu * lap(x, g) - b
         assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(b)
 
 
 @lru_cache(maxsize=4)
-def _face_laplacian_matrix(g, axis):
-    """The reference face stencil as a dense matrix, column by column."""
-    lap = _lap_u_interior if axis == 0 else _lap_v_interior
-    shape = (g.nx - 1, g.ny) if axis == 0 else (g.nx, g.ny - 1)
-    return np.stack([lap(e.reshape(shape), g).ravel()
+def _face_laplacian_matrix(g):
+    """The reference u-face stencil as a dense matrix, column by column."""
+    shape = (g.nx - 1, g.ny)
+    return np.stack([_lap_u_interior(e.reshape(shape), g).ravel()
                      for e in np.eye(shape[0] * shape[1])], axis=1)
 
 
-def _unsplit_solution(g, axis, rho_f, rhs, nu, dt):
-    """(rho_f/dt - nu*Lap) x = rhs by a dense solve."""
-    a = np.diag((rho_f / dt).ravel()) - nu * _face_laplacian_matrix(g, axis)
+def _unsplit_solution(g, rho_f, rhs, nu, dt):
+    """(rho_f/dt - nu*Lap) x = rhs on the u-faces of g by a dense solve."""
+    a = np.diag((rho_f / dt).ravel()) - nu * _face_laplacian_matrix(g)
     return np.linalg.solve(a, rhs.ravel()).reshape(rhs.shape)
 
 
@@ -206,10 +216,11 @@ def test_predicted_velocity_solves_the_stencil_system(monkeypatch):
     rho, w = _rho(g), _smooth_velocity(g)
     solves = _recording_solves(monkeypatch)
     predict_velocity(rho, w, _tilted_director(g), None, params,
-                     GLParams(gamma=1.0, eta=0.5, lam=1.0), dt)
+                     GLParams(gamma=1.0, eta=0.5, lam=1.0), dt,
+                     _midrange(rho))
     assert np.array_equal(solves[0]["x_hat"], w.u[1:-1, :])
-    assert np.array_equal(solves[1]["x_hat"], w.v[:, 1:-1])
-    _assert_solves_split_system(solves, rho, params.nu, dt)
+    assert np.array_equal(solves[1]["x_hat"].T, w.v[:, 1:-1])
+    _assert_solves_split_system(solves, rho, _midrange(rho), params.nu, dt)
 
 
 def test_splitting_error_is_first_order_in_dt(monkeypatch):
@@ -217,8 +228,8 @@ def test_splitting_error_is_first_order_in_dt(monkeypatch):
     # predictor solves the unsplit system densely: the rms difference of
     # the densities falls by about half per halving (measured 3.1e-8,
     # 1.3e-8, 6.9e-9)
-    def unsplit(g, axis, rho_f, rhs, rbar, dt, params, x_hat):
-        return _unsplit_solution(g, axis, rho_f, rhs, params.nu, dt)
+    def unsplit(g, rho_f, rhs, rbar, dt, params, x_hat):
+        return _unsplit_solution(g, rho_f, rhs, params.nu, dt)
 
     def density_after(dt, predictor=None):
         cfg = preset_config("f1-potential", nx=16, ny=16, dt=dt, t_end=0.2)

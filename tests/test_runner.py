@@ -85,7 +85,10 @@ def test_load_config_rejects_unknown_key(tmp_path):
     # blamed on [stepping], or, with no section, dropped unread
     ("[DEFAULT]\nnx = 8\n[stepping]\ndt = 1e-3\n", r"\[DEFAULT\]"),
     ("[DEFAULT]\nnx = 8\n", r"\[DEFAULT\]"),
-], ids=["forcing_key", "section", "default_with_section", "default_alone"])
+    # the maximum principle's tolerance is the constant runner.TOL_MAX
+    ("[tolerances]\ntol_max = 1e-3\n", "'tol_max'"),
+], ids=["forcing_key", "section", "default_with_section", "default_alone",
+        "tol_max_is_a_constant"])
 def test_load_config_names_an_unknown_key_or_section(tmp_path, text, name):
     p = tmp_path / "typo.cfg"
     p.write_text(text)

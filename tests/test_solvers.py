@@ -40,9 +40,12 @@ def test_cell_helmholtz_inverts_dirichlet_stencil(g):
 @pytest.mark.parametrize("axis, lap", [(0, _lap_u_interior),
                                        (1, _lap_v_interior)])
 def test_face_helmholtz_inverts_face_stencil(g, axis, lap):
+    # the v-faces are the u-faces of the transposed grid: the solve runs on
+    # b transposed, and its result is checked with v's own stencil
     shape = (g.nx - 1, g.ny) if axis == 0 else (g.nx, g.ny - 1)
     b = np.random.default_rng(2 + axis).normal(size=shape)
-    x = FaceHelmholtz(g, A, C, axis).solve(b)
+    x = FaceHelmholtz(g, A, C).solve(b) if axis == 0 \
+        else FaceHelmholtz(g.T, A, C).solve(b.T).T
     assert x.shape == shape
     assert _rel_err(A * x - C * lap(x, g), b) <= 1e-12
 
@@ -57,15 +60,6 @@ def test_neumann_poisson_inverts_stencil_and_drops_the_mean(g):
     assert _rel_err(-C * lap, b) <= 1e-12
     assert abs(x.mean()) <= 1e-13 * np.abs(x).max()
     assert _rel_err(solver.solve(b + 5.0), x) <= 1e-12
-
-
-def test_neumann_poisson_rescaled_is_bitwise_the_one_built_for_c():
-    b = np.random.default_rng(4).normal(size=(GRID.nx, GRID.ny))
-    b -= b.mean()
-    solver = NeumannPoisson(GRID)
-    solver.set_scale(C)
-    assert solver.solve(b).tobytes() == NeumannPoisson(GRID, C).solve(b) \
-        .tobytes()
 
 
 def test_direct_solve_returns_a_fresh_array():
