@@ -27,7 +27,7 @@ import numpy as np
 from .director import GLParams, gl_residual
 from .errors import IncompatibleRhs, LinearSolveFailure
 from .grid import (DirectorField, GridSpec, MacVelocity, ScalarField,
-                   divergence, gradient_interior_faces, interior_gradient)
+                   divergence, interior_gradient)
 from .solvers import FaceHelmholtz, NeumannPoisson
 
 
@@ -146,20 +146,22 @@ def predict_velocity(rho: ScalarField, w: MacVelocity, d: DirectorField,
     """
     g = rho.grid
     ru, rv = rho.faces
-    grad_p = None if p_hat is None else gradient_interior_faces(p_hat, g)
     out = MacVelocity.zeros(g)
-    views = zip((g, g.T), (ru, rv.T), (w.v, w.u.T), *(
-        _normals(f) for f in (w, elastic_force(d, glp), force_ext, grad_p,
-                              w_prev, out)))
-    for gk, r, v, u, fel, force, grad, u_prev, x in views:
+    views = zip((g, g.T), (ru, rv.T), (w.v, w.u.T),
+                (None, None) if p_hat is None else (p_hat, p_hat.T),
+                *(_normals(f) for f in (w, elastic_force(d, glp), force_ext,
+                                        w_prev, out)))
+    for gk, r, v, p, u, fel, force, u_prev, x in views:
         rhs = _momentum_rhs(r, u, _upwind_advection(u, v, gk), fel, force,
                             dt)
-        if grad is not None:
-            rhs -= grad[1:-1]
-        x_hat = u[1:-1]
-        if u_prev is not None:
-            x_hat = x_hat + dt / dt_prev * (x_hat - u_prev[1:-1])
-        x[1:-1] = _face_solve(gk, r[1:-1], rhs, rbar, dt, params, x_hat)
+        if p is not None:
+            grad = np.subtract(p[1:], p[:-1])
+            grad /= gk.hx
+            rhs -= grad
+        # on the whole arrays, which keep their layout in either orientation
+        x_hat = u if u_prev is None else u + dt / dt_prev * (u - u_prev)
+        x[1:-1] = _face_solve(gk, r[1:-1], rhs, rbar, dt, params,
+                              x_hat[1:-1])
     return out
 
 

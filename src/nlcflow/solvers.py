@@ -118,9 +118,9 @@ class FaceHelmholtz(_EigenSolver):
 
 
 class NeumannPoisson(_EigenSolver):
-    """Direct solver for -c*Lap x = b with zero-Neumann walls and zero mean;
+    """Direct solver for -Lap x = b with zero-Neumann walls and zero mean;
     the constant mode of b is discarded."""
 
-    def __init__(self, grid: GridSpec, c: float = 1.0):
-        super().__init__("dct2", "dct2", grid, 0.0, c)
+    def __init__(self, grid: GridSpec):
+        super().__init__("dct2", "dct2", grid, 0.0, 1.0)
         self._denom[0, 0] = np.inf  # the null mode: b's mean divides to 0
