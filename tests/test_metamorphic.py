@@ -2,7 +2,8 @@
 equations that the discrete scheme keeps, checked on full runs of each
 preset (16^2, t = 0.5). They catch orientation and index errors at any
 grid size, on non-square domains, with wall traces and in the records,
-where the 4x4 oracles cannot look.
+where the small-grid oracles cannot look. A defect in an operator that
+u and v share keeps both symmetries; the 4x5 oracles catch those.
 
 - d -> -d: the energy and the equations are even in d, and every
   operation of the scheme is odd or even in d exactly, so rho, v, the
