@@ -8,7 +8,7 @@ from .density import DensityState, advance_density, cfl_number
 from .diagnostics import (DiagContext, DiagRecord, compute_record,
                           convergence_monitor, read_csv, write_csv)
 from .director import GLParams, advance_director, gl_residual_l2
-from .forcing import ForcingSpec, eval_force, tail_energy
+from .forcing import ForcingSpec, eval_force
 from .grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
                    ScalarField, divergence, gradient_to_faces, laplacian,
                    norms)
@@ -26,7 +26,7 @@ __all__ = [
     "DiagContext", "DiagRecord", "compute_record", "convergence_monitor",
     "read_csv", "write_csv",
     "GLParams", "advance_director", "gl_residual_l2",
-    "ForcingSpec", "eval_force", "tail_energy",
+    "ForcingSpec", "eval_force",
     "DirectorField", "DirectorTrace", "GridSpec", "MacVelocity",
     "ScalarField",
     "divergence", "gradient_to_faces", "laplacian", "norms",

@@ -9,13 +9,11 @@ hands its result the Laplacian of the equation it has just solved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .grid import (DirectorField, GridSpec, MacVelocity, ScalarField, inner,
-                   norms)
-from .solvers import CellHelmholtz
+from .grid import DirectorField, MacVelocity, ScalarField, inner, norms
+from .solvers import CellHelmholtz, cached_solver
 
 
 @dataclass(frozen=True)
@@ -94,11 +92,6 @@ def advect_director(d: DirectorField, w: MacVelocity) -> tuple[np.ndarray, np.nd
     return uc * d1x + vc * d1y, uc * d2x + vc * d2y
 
 
-@lru_cache(maxsize=32)
-def _helmholtz(grid: GridSpec, a: float, c: float) -> CellHelmholtz:
-    return CellHelmholtz(grid, a, c)
-
-
 def advance_director(d: DirectorField, w: MacVelocity, p: GLParams,
                      dt: float) -> DirectorField:
     """One step of (I - gamma*dt*Lap + gamma*dt*S) d' =
@@ -117,11 +110,10 @@ def advance_director(d: DirectorField, w: MacVelocity, p: GLParams,
     s = p.stabilization
     a = 1.0 + p.gamma * dt * s
     c = p.gamma * dt
-    pre = _helmholtz(g, a, c)
-    loads = (0.0, 0.0) if d.trace is None else d.trace.load
+    pre = cached_solver(CellHelmholtz, g, a, c)
     comps, laps = [], []
     for dk, adv, fk, load in zip((d.d1, d.d2), advect_director(d, w),
-                                 gl_f(d, p.eta), loads):
+                                 gl_f(d, p.eta), d.trace.load):
         r = dk - dt * adv - c * (fk - s * dk)
         x = pre.solve(r + c * load)
         lap = a * x

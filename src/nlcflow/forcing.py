@@ -1,8 +1,9 @@
 """Body-force families: a time-independent potential force g = grad(phi)
 (realized as the discrete gradient of the sampled potential, so the
 pressure projection annihilates it exactly for constant density), and a
-separable decaying force amplitude*a(x)*(1+t)^(-(2+xi)/2) whose squared-
-norm tail integral has the closed form used by the decay-rate analysis.
+separable decaying force amplitude*a(x)*(1+t)^(-(2+xi)/2), whose
+exponent xi caps the decay rate that the decay-rate analysis predicts at
+xi/2 (`stationary.kappa_predicted`).
 """
 
 from __future__ import annotations
@@ -106,13 +107,3 @@ def force_l2(spec: ForcingSpec, grid: GridSpec, t: float) -> float:
 def profile_norm_sq(spec: ForcingSpec, grid: GridSpec) -> float:
     """||a||_L2^2 of the f2 profile, computed once per grid."""
     return norms(sample_profile(spec, grid), "L2") ** 2
-
-
-def tail_energy(spec: ForcingSpec, grid: GridSpec, t: float) -> float:
-    """z(t) = integral over (t, inf) of ||g(tau)||_L2^2 d tau, in closed
-    form for the separable decaying force."""
-    if spec.variant != "f2":
-        raise NotApplicable("tail integral is finite only for f2 forcing")
-    a2 = profile_norm_sq(spec, grid)
-    return a2 * spec.amplitude**2 * (1.0 + t) ** (-(1.0 + spec.xi)) \
-        / (1.0 + spec.xi)

@@ -260,13 +260,13 @@ class DirectorTrace:
 @dataclass
 class DirectorField:
     """Two-component cell-centered director with a time-independent
-    Dirichlet trace d0 on the wall; ``trace`` is ``None`` for the zero
-    trace, and the component fields carry its wall arrays."""
+    Dirichlet trace d0 on the wall, whose wall arrays the component fields
+    carry."""
 
     grid: GridSpec
     d1: np.ndarray
     d2: np.ndarray
-    trace: DirectorTrace | None
+    trace: DirectorTrace
 
     def __post_init__(self):
         self.d1 = np.ascontiguousarray(self.d1, dtype=np.float64)
@@ -274,13 +274,12 @@ class DirectorField:
         shape = (self.grid.nx, self.grid.ny)
         if self.d1.shape != shape or self.d2.shape != shape:
             raise ValueError("director components must have shape (nx, ny)")
-        if self.trace is not None and self.trace.grid != self.grid:
+        if self.trace.grid != self.grid:
             raise ValueError("the trace was sampled on another grid")
 
     def component(self, k: int) -> ScalarField:
         comp = self.d1 if k == 0 else self.d2
-        walls = None if self.trace is None else self.trace.walls[k]
-        return ScalarField(self.grid, comp, "dirichlet", walls)
+        return ScalarField(self.grid, comp, "dirichlet", self.trace.walls[k])
 
     def components(self) -> tuple[ScalarField, ScalarField]:
         return self.component(0), self.component(1)
@@ -486,8 +485,7 @@ def norms(fieldlike, kind: str) -> float:
             return float(np.sqrt((inner(d1, d1) + inner(d2, d2))
                                  * g.cell_area))
         if kind == "H1_semi":
-            w1, w2 = (None, None) if fieldlike.trace is None \
-                else fieldlike.trace.walls
+            w1, w2 = fieldlike.trace.walls
             return float(np.sqrt(cell_h1_sq(g, d1, "dirichlet", w1)
                                  + cell_h1_sq(g, d2, "dirichlet", w2)))
     raise ValueError(f"unsupported norm kind {kind!r} for {type(fieldlike).__name__}")

@@ -20,7 +20,6 @@ director equilibria - the structure the long-time behavior relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .director import GLParams, gl_residual
 from .errors import IncompatibleRhs, LinearSolveFailure
 from .grid import (DirectorField, GridSpec, MacVelocity, ScalarField,
                    divergence, interior_gradient)
-from .solvers import FaceHelmholtz, NeumannPoisson
+from .solvers import FaceHelmholtz, NeumannPoisson, cached_solver
 
 
 @dataclass(frozen=True)
@@ -44,11 +43,10 @@ class FlowParams:
             raise ValueError("nu and tol_proj must be positive")
 
 
-def _normals(f: MacVelocity | None) -> tuple:
+def _normals(f: MacVelocity) -> tuple:
     """A MAC field's normal component in each orientation, as a u-face
-    array: u, and v transposed, which is u on the transposed grid; (None,
-    None) without a field."""
-    return (None, None) if f is None else (f.u, f.v.T)
+    array: u, and v transposed, which is u on the transposed grid."""
+    return f.u, f.v.T
 
 
 def _centers_to_faces(c: np.ndarray) -> np.ndarray:
@@ -101,11 +99,6 @@ def _upwind_advection(u: np.ndarray, v: np.ndarray, g: GridSpec
     return adv
 
 
-@lru_cache(maxsize=32)
-def _face_pre(grid: GridSpec, a: float, c: float) -> FaceHelmholtz:
-    return FaceHelmholtz(grid, a, c)
-
-
 def _face_solve(g: GridSpec, rho_f: np.ndarray, rhs: np.ndarray,
                 rbar: float, dt: float, params: FlowParams,
                 x_hat: np.ndarray) -> np.ndarray:
@@ -121,54 +114,51 @@ def _face_solve(g: GridSpec, rho_f: np.ndarray, rhs: np.ndarray,
     if not np.isfinite(b).all():
         raise LinearSolveFailure(
             "the momentum predictor got a non-finite right-hand side")
-    return _face_pre(g, rbar / dt, params.nu).solve(b)
+    return cached_solver(FaceHelmholtz, g, rbar / dt, params.nu).solve(b)
 
 
 def predict_velocity(rho: ScalarField, w: MacVelocity, d: DirectorField,
-                     force_ext: MacVelocity | None, params: FlowParams,
+                     force_ext: MacVelocity, params: FlowParams,
                      glp: GLParams, dt: float, rbar: float,
-                     p_hat: np.ndarray | None = None,
-                     w_prev: MacVelocity | None = None,
-                     dt_prev: float | None = None) -> MacVelocity:
+                     p_hat: np.ndarray, w_prev: MacVelocity,
+                     dt_prev: float) -> MacVelocity:
     """Implicit-viscosity momentum predictor: per component
     (rho/dt - nu*Lap) v* = rho/dt*v - rho*(v.grad v) + elastic + rho*g
     - grad p_hat, with no-slip walls; advection is donor-cell upwind in
-    advective form, and p_hat is the last step's pressure (none on step
+    advective form, and p_hat is the last step's pressure (zero on step
     1). The inertia splits into the constant density rbar, solved for
     directly, and (rho - rbar)/dt times a lagged velocity on the
     right-hand side: v + (dt/dt_prev)(v - w_prev), extrapolated from the
-    previous velocity w_prev that a step of dt_prev led from, or v
-    without one. The time loop passes the midrange of the initial density
-    as rbar, so that the lagged inertia stays stable, |rho - rbar| <
-    rbar, and the solver is built once per run. The face densities are
-    `rho.faces`. Each component is solved in its own orientation (u on
-    the grid, v on its transpose) by the same code.
+    previous velocity w_prev that a step of dt_prev led from (w_prev = v
+    on step 1, which lags v itself). The time loop passes the midrange
+    of the initial density as rbar, so that the lagged inertia stays
+    stable, |rho - rbar| < rbar, and the solver is built once per run.
+    The face densities are `rho.faces`. Each component is solved in its
+    own orientation (u on the grid, v on its transpose) by the same code.
     """
     g = rho.grid
     ru, rv = rho.faces
     out = MacVelocity.zeros(g)
-    views = zip((g, g.T), (ru, rv.T), (w.v, w.u.T),
-                (None, None) if p_hat is None else (p_hat, p_hat.T),
+    views = zip((g, g.T), (ru, rv.T), (w.v, w.u.T), (p_hat, p_hat.T),
                 *(_normals(f) for f in (w, elastic_force(d, glp), force_ext,
                                         w_prev, out)))
     for gk, r, v, p, u, fel, force, u_prev, x in views:
         rhs = _momentum_rhs(r, u, _upwind_advection(u, v, gk), fel, force,
                             dt)
-        if p is not None:
-            grad = np.subtract(p[1:], p[:-1])
-            grad /= gk.hx
-            rhs -= grad
+        grad = np.subtract(p[1:], p[:-1])
+        grad /= gk.hx
+        rhs -= grad
         # on the whole arrays, which keep their layout in either orientation
-        x_hat = u if u_prev is None else u + dt / dt_prev * (u - u_prev)
+        x_hat = u + dt / dt_prev * (u - u_prev)
         x[1:-1] = _face_solve(gk, r[1:-1], rhs, rbar, dt, params,
                               x_hat[1:-1])
     return out
 
 
 def _momentum_rhs(r: np.ndarray, u: np.ndarray, adv: np.ndarray,
-                  fel: np.ndarray, force: np.ndarray | None,
+                  fel: np.ndarray, force: np.ndarray,
                   dt: float) -> np.ndarray:
-    """r/dt*u - r*adv + fel (+ r*force) on the interior u-faces, from the
+    """r/dt*u - r*adv + fel + r*force on the interior u-faces, from the
     face arrays and the interior advection, in place: the operations of
     the plain expression in the same order, so the same bits. `adv` is
     overwritten."""
@@ -178,21 +168,13 @@ def _momentum_rhs(r: np.ndarray, u: np.ndarray, adv: np.ndarray,
     adv *= r
     rhs -= adv
     rhs += fel[1:-1]
-    if force is not None:
-        np.multiply(r, force[1:-1], out=adv)
-        rhs += adv
+    np.multiply(r, force[1:-1], out=adv)
+    rhs += adv
     return rhs
 
 
-@lru_cache(maxsize=8)
-def _poisson(grid: GridSpec) -> NeumannPoisson:
-    """The projection's unit Poisson solver, built once per grid; its
-    buffers are shared by its calls."""
-    return NeumannPoisson(grid)
-
-
 def project(rho: ScalarField, v_star: MacVelocity, dt: float,
-            params: FlowParams, p_hat: np.ndarray | None = None
+            params: FlowParams, p_hat: np.ndarray | float = 0.0
             ) -> tuple[MacVelocity, ScalarField]:
     """Incremental pressure correction with a constant coefficient
     (Guermond & Salgado, J. Comput. Phys. 228, 2009). With c0 = max
@@ -202,7 +184,7 @@ def project(rho: ScalarField, v_star: MacVelocity, dt: float,
     -Lap phi = -div v*; then v' = v* - grad phi, whose discrete divergence
     is zero to round-off, and the pressure q = p_hat + phi/(c0 dt). p_hat
     is the pressure whose gradient the predictor carried: the state's
-    pressure in the time loop, absent on step 1 and in the initial
+    pressure in the time loop, and 0 by default, as in the initial
     projection, where q = delta. For constant rho, c0 = 1/rho and the
     correction is the exact projection. v' does not depend on p_hat.
     Raises LinearSolveFailure if ||div v'||_inf exceeds tol_proj; v' keeps
@@ -222,7 +204,7 @@ def project(rho: ScalarField, v_star: MacVelocity, dt: float,
             f"pressure rhs mean {mean_rhs:.3e} exceeds round-off "
             f"(scale {scale:.3e}); boundary fluxes are broken")
 
-    phi = _poisson(g).solve(rhs)
+    phi = cached_solver(NeumannPoisson, g).solve(rhs)
     phi -= phi.mean()
 
     # v* - grad phi on the interior faces; the wall faces are no-slip
@@ -237,6 +219,5 @@ def project(rho: ScalarField, v_star: MacVelocity, dt: float,
             f"projected velocity has ||div v||_inf = {div_inf:.3e} above "
             f"tol_proj = {params.tol_proj:.3e}")
     q = phi / (c0 * dt)
-    if p_hat is not None:
-        q += p_hat
+    q += p_hat
     return out, ScalarField(g, q, "neumann_zero")

@@ -211,7 +211,9 @@ def validate_config(cfg: RunConfig) -> dict:
 
 def initial_state(cfg: RunConfig) -> SimState:
     """Validate and sample the initial data, and project the velocity once
-    so the discrete divergence constraint holds from step zero."""
+    so the discrete divergence constraint holds from step zero. The state
+    starts the scheme with the zero pressure, v_prev = v and dt = cfg.dt,
+    so that step 1 is a step like any other."""
     s = validate_config(cfg)
     g = cfg.grid
     rho = ScalarField(g, s["rho0"], "extrapolate")
@@ -221,59 +223,49 @@ def initial_state(cfg: RunConfig) -> SimState:
     v.enforce_noslip()
     if norms(v, "Linf") > 0:
         v, _ = project(rho, v, 1.0, cfg.flow)
-    return SimState(t=0.0, density=density, v=v, d=d)
+    pressure = ScalarField(g, np.zeros((g.nx, g.ny)), "neumann_zero")
+    return SimState(t=0.0, density=density, v=v, d=d, pressure=pressure,
+                    v_prev=v, dt=cfg.dt)
 
 
-@dataclass
-class StepperState:
-    """Mutable loop bookkeeping: the (auto-shrunk, never grown) dt, which
-    on entry to `step` is the length of the step before, and that step's
-    start velocity v^{n-1}, from which the predictor extrapolates its
-    lagged velocity (None before the first step). `step` replaces both in
-    place, so a stepper belongs to one sequence of states."""
-
-    dt: float
-    v_prev: MacVelocity | None = None
-
-
-def step(state: SimState, cfg: RunConfig, stepper: StepperState) -> SimState:
-    """One coupled step: density and director advance with the current
-    velocity, then the momentum predictor and projection use the fresh
-    density and director. The predictor carries the gradient of the
-    state's pressure p_hat (absent on step 1) and lags the velocity
-    v^n + (dt/dt_in)(v^n - v^{n-1}), dt_in being `stepper.dt` on entry,
-    or v^n on step 1; it splits its inertia at the midrange of the
-    initial density. The projection solves for the pressure's increment,
-    and the new pressure is p_hat plus it. The director step hands d' the
-    Laplacian of its equation, so the step applies no Laplacian stencil.
-    Each field keeps what it derives (face densities, f(d), gradients,
-    ||div v||_inf) for the later layers. dt is halved until the transport
-    CFL bound holds with the configured safety factor, and a step that
-    would pass t_end is shortened to end there."""
-    dt_in = dt = stepper.dt
+def step(state: SimState, cfg: RunConfig) -> SimState:
+    """The state one coupled step after `state`, which is left as it was:
+    density and director advance with the current velocity, then the
+    momentum predictor and projection use the fresh density and director.
+    The predictor carries the gradient of the state's pressure p_hat and
+    lags the velocity v^n + (dt/dt_in)(v^n - v^{n-1}), dt_in being
+    `state.dt` and v^{n-1} `state.v_prev`; it splits its inertia at the
+    midrange of the initial density. The projection solves for the
+    pressure's increment, and the new pressure is p_hat plus it. The
+    director step hands d' the Laplacian of its equation, so the step
+    applies no Laplacian stencil. Each field keeps what it derives (face
+    densities, f(d), gradients, ||div v||_inf) for the later layers. dt
+    is halved until the transport CFL bound holds with the configured
+    safety factor, and a step that would pass t_end is shortened to end
+    there; the new state's dt is the full step."""
+    dt = state.dt
     while cfl_number(state.v, dt) > cfg.cfl_safety:
         dt *= 0.5
         if dt < cfg.dt_min:
             raise StepRejected(
                 f"CFL shrink pushed dt below dt_min={cfg.dt_min:g} "
                 f"at t={state.t:.6g}")
-    stepper.dt = dt
-    # the last step of a run lands on t_end; stepper.dt keeps the full step
+    full = dt
+    # the last step of a run lands on t_end; the new state keeps the full
+    # step
     if 0.0 < cfg.t_end - state.t < dt - 1e-12:
         dt = cfg.t_end - state.t
 
-    t = state.t + dt
     density = advance_density(state.density, state.v, dt)
     d = advance_director(state.d, state.v, cfg.glp, dt)
     g_mid = eval_force(cfg.forcing, cfg.grid, state.t + 0.5 * dt)
-    p_hat = None if state.pressure is None else state.pressure.values
+    p_hat = state.pressure.values
     v_star = predict_velocity(density.rho, state.v, d, g_mid, cfg.flow,
-                              cfg.glp, dt, p_hat=p_hat,
-                              w_prev=stepper.v_prev, dt_prev=dt_in,
-                              rbar=density.rho_bar)
-    v, q = project(density.rho, v_star, dt, cfg.flow, p_hat=p_hat)
-    stepper.v_prev = state.v
-    return SimState(t=t, density=density, v=v, d=d, pressure=q)
+                              cfg.glp, dt, density.rho_bar, p_hat,
+                              state.v_prev, state.dt)
+    v, q = project(density.rho, v_star, dt, cfg.flow, p_hat)
+    return SimState(t=state.t + dt, density=density, v=v, d=d, pressure=q,
+                    v_prev=state.v, dt=full)
 
 
 @dataclass
@@ -288,7 +280,6 @@ def run(cfg: RunConfig, write_outputs: bool = True,
         with_stationary: bool = True) -> RunResult:
     g = cfg.grid
     state = initial_state(cfg)  # validates cfg first
-    stepper = StepperState(dt=cfg.dt)
 
     d_inf = None
     e_inf = None
@@ -313,7 +304,7 @@ def run(cfg: RunConfig, write_outputs: bool = True,
     while state.t < cfg.t_end - T_END_TOL:
         prev = state
         try:
-            state = step(state, cfg, stepper)
+            state = step(state, cfg)
         except Exception as exc:
             raise StepFailed(n + 1, prev.t, exc) from exc
         n += 1
@@ -340,13 +331,13 @@ def run(cfg: RunConfig, write_outputs: bool = True,
         if write_outputs and cfg.snapshot_every > 0 \
                 and n % cfg.snapshot_every == 0:
             save_checkpoint(os.path.join(cfg.out_dir, f"snap_{n:07d}.npz"),
-                            state, stepper)
+                            state)
         prev_rec = rec
     inv["steps"] = n
 
     report = {
         "t_end": state.t,
-        "final_dt": stepper.dt,
+        "final_dt": state.dt,
         "invariants": {k: (v if isinstance(v, int) else float(v))
                        for k, v in inv.items()},
         "checks": {
@@ -404,42 +395,42 @@ def _rate_analysis(cfg: RunConfig, records, probe_samples) -> dict:
 CHECKPOINT_VERSION = 3
 
 
-def save_checkpoint(path, state: SimState, stepper: StepperState) -> None:
-    """The state with its pressure, and the stepper's dt and previous
-    velocity, so that a resumed run continues bitwise like the
-    uninterrupted one: its first predictor carries the saved pressure and
-    extrapolates from the saved velocities, and its first record reads
-    the saved Laplacian of d. Written to `path` as one `np.savez` archive:
-    the format `version`, the grid (`nx`, `ny`, `Lx`, `Ly`), `t`, `dt`,
-    the conserved references `mass0`, `rho_min0` and `rho_max0`, `rho`,
-    `u`, `v`, `d1`, `d2`, the director's Laplacian `lap_d1`, `lap_d2`,
-    `q` when the state has a pressure, and v^{n-1} as `u_prev`, `v_prev`
-    when the stepper has it."""
+def save_checkpoint(path, state: SimState) -> None:
+    """The state with its pressure, dt and previous velocity, so that a
+    resumed run continues bitwise like the uninterrupted one: its first
+    predictor carries the saved pressure and extrapolates from the saved
+    velocities, and its first record reads the saved Laplacian of d.
+    Written to `path` as one `np.savez` archive: the format `version`,
+    the grid (`nx`, `ny`, `Lx`, `Ly`), `t`, `dt`, the conserved references
+    `mass0`, `rho_min0` and `rho_max0`, `rho`, `u`, `v`, `d1`, `d2`, the
+    director's Laplacian `lap_d1`, `lap_d2`, the pressure `q`, and v_prev
+    as `u_prev`, `v_prev`."""
     g = state.rho.grid
-    optional = {}
-    if state.pressure is not None:
-        optional["q"] = state.pressure.values
-    if stepper.v_prev is not None:
-        optional["u_prev"] = stepper.v_prev.u
-        optional["v_prev"] = stepper.v_prev.v
     density = state.density
     lap1, lap2 = state.d.lap
     with open(path, "wb") as fh:
         np.savez(fh, version=CHECKPOINT_VERSION, nx=g.nx, ny=g.ny, Lx=g.Lx,
-                 Ly=g.Ly, t=state.t, dt=stepper.dt, mass0=density.mass0,
+                 Ly=g.Ly, t=state.t, dt=state.dt, mass0=density.mass0,
                  rho_min0=density.rho_min0, rho_max0=density.rho_max0,
                  rho=state.rho.values, u=state.v.u, v=state.v.v,
                  d1=state.d.d1, d2=state.d.d2, lap_d1=lap1, lap_d2=lap2,
-                 **optional)
+                 q=state.pressure.values, u_prev=state.v_prev.u,
+                 v_prev=state.v_prev.v)
 
 
-def load_checkpoint(path, cfg: RunConfig) -> tuple[SimState, StepperState]:
-    """Inverse of `save_checkpoint`: the state with its pressure and the
-    Laplacian of its director, and a stepper with its dt and previous
-    velocity, each array restored as saved. A file that is not such an
-    archive, another format version, a run on a grid other than `cfg`'s,
-    or conserved references other than those of `cfg`'s t = 0 data raise
-    `CheckpointError`."""
+# the arrays of a version-3 archive besides its version
+_CHECKPOINT_KEYS = ("nx", "ny", "Lx", "Ly", "t", "dt", "mass0", "rho_min0",
+                    "rho_max0", "rho", "u", "v", "d1", "d2", "lap_d1",
+                    "lap_d2", "q", "u_prev", "v_prev")
+
+
+def load_checkpoint(path, cfg: RunConfig) -> SimState:
+    """Inverse of `save_checkpoint`: the state with its pressure, dt,
+    previous velocity and the Laplacian of its director, each array
+    restored as saved. A file that is not such an archive, another format
+    version, an archive that lacks one of its arrays, a run on a grid
+    other than `cfg`'s, or conserved references other than those of
+    `cfg`'s t = 0 data raise `CheckpointError`."""
     try:
         archive = np.load(path, allow_pickle=False)
         if not isinstance(archive, np.lib.npyio.NpzFile):
@@ -455,6 +446,10 @@ def load_checkpoint(path, cfg: RunConfig) -> tuple[SimState, StepperState]:
         raise CheckpointError(
             f"{path} has checkpoint format version {version!r}; "
             f"this reader knows version {CHECKPOINT_VERSION}")
+    missing = [k for k in _CHECKPOINT_KEYS if k not in f]
+    if missing:
+        raise CheckpointError(
+            f"{path} lacks the checkpoint array(s) {', '.join(missing)}")
     grid = cfg.grid
     saved = tuple(f[k].tolist() for k in ("nx", "ny", "Lx", "Ly"))
     if saved != (grid.nx, grid.ny, grid.Lx, grid.Ly):
@@ -472,17 +467,13 @@ def load_checkpoint(path, cfg: RunConfig) -> tuple[SimState, StepperState]:
     r = ref.density
     density = DensityState(ScalarField(grid, f["rho"], "extrapolate"),
                            r.rho_min0, r.rho_max0, r.mass0)
-    stepper = StepperState(dt=float(f["dt"]))
-    if "u_prev" in f:
-        stepper.v_prev = MacVelocity(grid, f["u_prev"], f["v_prev"])
     d = DirectorField(grid, f["d1"], f["d2"], ref.d.trace)
     d.derived("lap", lambda: (f["lap_d1"], f["lap_d2"]))
-    q = f.get("q")
-    state = SimState(t=float(f["t"]), density=density,
-                     v=MacVelocity(grid, f["u"], f["v"]), d=d,
-                     pressure=None if q is None
-                     else ScalarField(grid, q, "neumann_zero"))
-    return state, stepper
+    return SimState(t=float(f["t"]), density=density,
+                    v=MacVelocity(grid, f["u"], f["v"]), d=d,
+                    pressure=ScalarField(grid, f["q"], "neumann_zero"),
+                    v_prev=MacVelocity(grid, f["u_prev"], f["v_prev"]),
+                    dt=float(f["dt"]))
 
 
 # ---------------------------------------------------------------------------

@@ -124,3 +124,10 @@ class NeumannPoisson(_EigenSolver):
     def __init__(self, grid: GridSpec):
         super().__init__("dct2", "dct2", grid, 0.0, 1.0)
         self._denom[0, 0] = np.inf  # the null mode: b's mean divides to 0
+
+
+@lru_cache(maxsize=64)
+def cached_solver(kind: type, grid: GridSpec, *coeffs: float) -> _EigenSolver:
+    """``kind(grid, *coeffs)``, built once per arguments, so that a run
+    reuses one solver, and its buffers, per (grid, a, c)."""
+    return kind(grid, *coeffs)

@@ -8,13 +8,23 @@ from .density import DensityState
 from .grid import DirectorField, MacVelocity, ScalarField
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimState:
+    """The fields at time t, and what the next step reads besides them:
+    the pressure whose gradient its predictor carries (zero at t = 0),
+    the velocity v_prev of the step before (v itself at t = 0), from which
+    it extrapolates its lagged velocity, and dt, the step length in force.
+    dt starts at the configured step, is halved where the CFL bound
+    requires and is never grown; after the last step of a run, shortened
+    to land on t_end, it keeps the full step."""
+
     t: float
     density: DensityState
     v: MacVelocity
     d: DirectorField
-    pressure: ScalarField | None = None
+    pressure: ScalarField
+    v_prev: MacVelocity
+    dt: float
 
     @property
     def rho(self) -> ScalarField:

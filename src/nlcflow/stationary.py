@@ -28,10 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .director import _helmholtz, director_energy, gl_residual_l2
+from .director import director_energy, gl_residual_l2
 from .errors import (DegenerateFit, InsufficientSamples, MaxIterations,
                      NlcflowError)
 from .grid import DirectorField, DirectorTrace, GridSpec, inner
+from .solvers import CellHelmholtz, cached_solver
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ def _harmonic_extension(grid: GridSpec, trace: DirectorTrace) -> DirectorField:
     result keeps the Laplacian its equation fixes, zero."""
     # -lap d = 0 with trace g  <=>  -lap_0 x = lap of (zero field with
     # trace ghosts), x the interior values; -lap_0 is inverted exactly
-    pre = _helmholtz(grid, 0.0, 1.0)
+    pre = cached_solver(CellHelmholtz, grid, 0.0, 1.0)
     sol1, sol2 = (pre.solve(load) for load in trace.load)
     d = DirectorField(grid, sol1, sol2, trace)
     d.derived("lap", lambda: (np.zeros_like(sol1), np.zeros_like(sol2)))
@@ -106,7 +107,7 @@ def _descend(grid: GridSpec, eta: float, x: list, lap: list, tol: float,
     residual is summed as `gl_residual_l2` sums it, to the bit, so that
     from the stencil's Laplacian a descent that `gl_residual_l2` fails
     makes at least one iteration."""
-    pre = _helmholtz(grid, 0.0, 1.0)
+    pre = cached_solver(CellHelmholtz, grid, 0.0, 1.0)
     gap, work = np.empty_like(x[0]), np.empty_like(x[0])
     g = [np.empty_like(x[0]), np.empty_like(x[0])]
     p = lap_p = z_old = gz_old = None

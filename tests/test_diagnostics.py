@@ -26,6 +26,15 @@ def _const_trace(c1, c2):
     return trace
 
 
+def _sim_state(t, density, v, d):
+    """A state with the zero pressure, v as its own previous velocity and
+    a unit step length: a record reads none of the three."""
+    g = v.grid
+    return SimState(t, density, v, d,
+                    ScalarField(g, np.zeros((g.nx, g.ny)), "neumann_zero"),
+                    v, 1.0)
+
+
 def _state(grid, t=0.0, rho=1.0, d=(1.0, 0.0), v=None):
     rho_f = ScalarField(grid, np.full((grid.nx, grid.ny), rho), "extrapolate")
     dens = DensityState.from_field(rho_f)
@@ -34,7 +43,7 @@ def _state(grid, t=0.0, rho=1.0, d=(1.0, 0.0), v=None):
     d_f = DirectorField(grid, np.full((grid.nx, grid.ny), d[0]),
                         np.full((grid.nx, grid.ny), d[1]),
                         DirectorTrace.sample(grid, _const_trace(*d)))
-    return SimState(t=t, density=dens, v=v, d=d_f)
+    return _sim_state(t, dens, v, d_f)
 
 
 def _ctx(variant="none", **kw):
@@ -94,7 +103,7 @@ def test_record_scales_director_terms_by_lambda():
     d = DirectorField(grid, 0.9 * np.cos(th), 0.9 * np.sin(th),
                       DirectorTrace.sample(grid, _const_trace(0.9, 0.0)))
     prev = _state(grid, t=0.0)
-    curr = SimState(0.1, prev.density, MacVelocity.zeros(grid), d)
+    curr = _sim_state(0.1, prev.density, MacVelocity.zeros(grid), d)
     lam, eta = 0.8, 0.5
     rec = compute_record(prev, curr, _ctx(lam=lam, eta=eta))
     elastic, penalty = director_energy_terms(d, eta)
@@ -120,11 +129,11 @@ def test_law_residual_balances_pure_relaxation():
     ctx = _ctx()
     dt = 1e-3
     rho = ScalarField(grid, np.ones((32, 32)), "extrapolate")
-    prev = SimState(0.0, DensityState.from_field(rho),
-                    MacVelocity.zeros(grid), d0)
+    prev = _sim_state(0.0, DensityState.from_field(rho),
+                      MacVelocity.zeros(grid), d0)
     d1 = advance_director(d0, MacVelocity.zeros(grid), ctx.glp, dt)
-    curr = SimState(dt, DensityState.from_field(rho.copy()),
-                    MacVelocity.zeros(grid), d1)
+    curr = _sim_state(dt, DensityState.from_field(rho.copy()),
+                      MacVelocity.zeros(grid), d1)
     res = compute_record(prev, curr, ctx).law_residual
     diss = compute_record(prev, curr, ctx).gl_res_L2 ** 2
     assert abs(res) < 0.1 * diss

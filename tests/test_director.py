@@ -192,13 +192,3 @@ def test_time_loop_never_calls_the_trace(grid):
         elastic_force(d, p)
     assert len(calls) == sampled
 
-
-def test_zero_trace_matches_explicit_zero_callable(grid):
-    rng = np.random.default_rng(11)
-    d1, d2 = rng.normal(size=(2, grid.nx, grid.ny))
-    none = DirectorField(grid, d1, d2, None)
-    zero = DirectorField(grid, d1, d2, DirectorTrace.sample(
-        grid, lambda x, y: (np.zeros_like(x), np.zeros_like(x))))
-    for k in range(2):
-        assert np.array_equal(none.component(k).padded(),
-                              zero.component(k).padded())

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from nlcflow.errors import ConfigError, NotApplicable
-from nlcflow.forcing import (ForcingSpec, eval_force, profile_norm_sq,
-                             sample_potential, tail_energy)
+from nlcflow.errors import ConfigError
+from nlcflow.forcing import ForcingSpec, eval_force, sample_potential
 from nlcflow.grid import GridSpec, gradient_interior_faces, norms
 
 
@@ -52,38 +51,6 @@ def test_decay_slope_matches_exponent(grid):
     vals = [norms(eval_force(spec, grid, t), "L2") ** 2 for t in ts]
     slope = np.polyfit(np.log(1 + ts), np.log(vals), 1)[0]
     assert slope == pytest.approx(-(2 + spec.xi), rel=0.01)
-
-
-def test_tail_energy_closed_form(grid):
-    spec = ForcingSpec(variant="f2", ax="sin(pi*x)*sin(pi*y)", ay="0",
-                       xi=1.0, amplitude=1.0)
-    a2 = profile_norm_sq(spec, grid)
-    # xi=1, t=0: z(0) = ||a||^2 / 2
-    assert tail_energy(spec, grid, 0.0) == pytest.approx(a2 / 2)
-
-
-def test_tail_energy_matches_quadrature(grid):
-    spec = ForcingSpec(variant="f2", ax="sin(pi*x)*sin(pi*y)",
-                       ay="cos(pi*x)*sin(pi*y)", xi=1.0, amplitude=0.7)
-    a2 = profile_norm_sq(spec, grid)
-    ts = np.linspace(1.0, 1.0 + 1e4, 200001)
-    numeric = np.trapezoid(
-        a2 * spec.amplitude**2 * (1 + ts) ** (-(2 + spec.xi)), ts)
-    assert numeric == pytest.approx(tail_energy(spec, grid, 1.0), rel=1e-3)
-
-
-def test_tail_condition_constant(grid):
-    spec = ForcingSpec(variant="f2", ax="sin(pi*x)*sin(pi*y)", ay="0",
-                       xi=0.5, amplitude=2.0)
-    a2 = profile_norm_sq(spec, grid)
-    for t in (0.0, 1.0, 10.0, 100.0):
-        sup = (1 + t) ** (1 + spec.xi) * tail_energy(spec, grid, t)
-        assert sup == pytest.approx(a2 * 4.0 / 1.5, rel=1e-12)
-
-
-def test_tail_energy_rejects_potential_forcing(grid):
-    with pytest.raises(NotApplicable):
-        tail_energy(ForcingSpec(variant="f1", phi="x"), grid, 0.0)
 
 
 def test_nonpositive_xi_rejected():

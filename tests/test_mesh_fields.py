@@ -17,6 +17,10 @@ def grid():
     return GridSpec(16, 12, 2.0, 1.5)
 
 
+def _zero_trace(x, y):
+    return np.zeros_like(x), np.zeros_like(x)
+
+
 def test_grid_spacings(grid):
     assert grid.hx == pytest.approx(2.0 / 16)
     assert grid.hy == pytest.approx(1.5 / 12)
@@ -97,7 +101,8 @@ def test_kept_values_make_their_field_read_only(grid):
     # a value derived once and kept with its field cannot go stale: the
     # field's arrays and the kept ones refuse writes
     rng = np.random.default_rng(23)
-    d = DirectorField(grid, *rng.normal(size=(2, grid.nx, grid.ny)), None)
+    d = DirectorField(grid, *rng.normal(size=(2, grid.nx, grid.ny)),
+                      DirectorTrace.sample(grid, _zero_trace))
     rho = ScalarField(grid, 1.0 + rng.uniform(size=(grid.nx, grid.ny)))
     w = MacVelocity(grid, rng.normal(size=(grid.nx + 1, grid.ny)),
                     rng.normal(size=(grid.nx, grid.ny + 1)))
@@ -195,9 +200,10 @@ def _quadrature_case(name, g):
         return MacVelocity(g, np.cos(Xu) * np.sin(Yu + 1.0) + 0.3,
                            rng.normal(size=Xv.shape))
     if name.startswith("director"):
-        trace = DirectorTrace.sample(g, _wavy_trace) \
-            if name == "director_trace" else None
-        return DirectorField(g, smooth(0.0), smooth(1.0), trace)
+        # "director_none": the zero trace
+        trace = _wavy_trace if name == "director_trace" else _zero_trace
+        return DirectorField(g, smooth(0.0), smooth(1.0),
+                             DirectorTrace.sample(g, trace))
     kind, _, walls = name.partition(":")
     bv = sample_walls(g, lambda x, y: 2.0 + x * y) if walls else None
     return ScalarField(g, smooth(0.0), kind, bv)

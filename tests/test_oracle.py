@@ -20,7 +20,7 @@ from nlcflow.forcing import ForcingSpec
 from nlcflow.grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
                           ScalarField)
 from nlcflow.momentum import FlowParams, predict_velocity, project
-from nlcflow.runner import RunConfig, StepperState, step
+from nlcflow.runner import RunConfig, step
 from nlcflow.state import SimState
 
 GRID = GridSpec(4, 4, 1.0, 1.0)
@@ -407,6 +407,13 @@ def _cell_pressure(seed, g=GRID):
     return p - p.mean()
 
 
+def _cold_lag(w, dt):
+    """The predictor's arguments on a run's step 1: the zero pressure, and
+    w as its own previous velocity."""
+    g = w.grid
+    return dict(p_hat=np.zeros((g.nx, g.ny)), w_prev=w, dt_prev=dt)
+
+
 def test_momentum_predictor_matches_dense_oracle(g=GRID):
     # the step-1 predictor, split at the midrange of the cell density, and
     # one that carries a pressure gradient and extrapolates its lag over a
@@ -423,8 +430,11 @@ def test_momentum_predictor_matches_dense_oracle(g=GRID):
     lagged = dict(p_hat=_cell_pressure(31, g),
                   w_prev=_previous_velocity(w, 32), dt_prev=0.5 * dt,
                   rbar=1.6)
-    for kw in (cold, lagged):
-        fast = predict_velocity(rho_f, w, d, g_ext, flow, glp, dt, **kw)
+    # step 1 carries the zero pressure and lags w itself, which the oracle
+    # takes without p_hat and w_prev
+    for kw, fast_kw in ((cold, dict(cold, **_cold_lag(w, dt))),
+                        (lagged, lagged)):
+        fast = predict_velocity(rho_f, w, d, g_ext, flow, glp, dt, **fast_kw)
         ou, ov, _ = _oracle_predict_velocity(rho, w, d, g_ext, flow, glp,
                                              dt, **kw)
         err = max(_rel_err(fast.u, ou), _rel_err(fast.v, ov))
@@ -438,7 +448,8 @@ def test_oracle_agreement_without_external_force():
     dt = 0.002
     rbar = 0.5 * (rho.min() + rho.max())
     rho_f = ScalarField(GRID, rho, "extrapolate")
-    fast = predict_velocity(rho_f, w, d, None, flow, glp, dt, rbar=rbar)
+    fast = predict_velocity(rho_f, w, d, MacVelocity.zeros(GRID), flow, glp,
+                            dt, rbar=rbar, **_cold_lag(w, dt))
     ou, ov, _ = _oracle_predict_velocity(rho, w, d, None, flow, glp, dt,
                                          rbar)
     err = max(_rel_err(fast.u, ou), _rel_err(fast.v, ov))
@@ -518,10 +529,9 @@ def test_projection_matches_dense_oracle(g=GRID):
     rho, w, _ = _setup(g)
     dt = 0.004
     rho_f = ScalarField(g, rho, "extrapolate")
-    for p_hat in (None, _cell_pressure(23, g)):
+    for p_hat in (0.0, _cell_pressure(23, g)):
         fast, q = project(rho_f, w, dt, FlowParams(), p_hat=p_hat)
-        ou, ov, oq = _oracle_project(
-            rho, w, dt, np.zeros((g.nx, g.ny)) if p_hat is None else p_hat)
+        ou, ov, oq = _oracle_project(rho, w, dt, p_hat)
         err = max(_rel_err(fast.u, ou), _rel_err(fast.v, ov),
                   _rel_err(q.values, oq))
         assert err <= 1e-12, f"projection oracle mismatch: {err:.3e}"
@@ -586,12 +596,14 @@ def _oracle_step(state, cfg, dt, rbar, w_prev=None, dt_prev=None):
 
 
 def _start_state(g=GRID):
-    """The start state, and the midrange of its density: the split
-    density of a run from it."""
+    """The start state of `_step_config`, with the zero pressure and its
+    velocity as its own previous one, as `initial_state` starts a run, and
+    the midrange of its density: the split density of a run from it."""
     rho, w, d = _setup(g)
     return SimState(t=0.0, density=DensityState.from_field(
-        ScalarField(g, rho, "extrapolate")), v=w, d=d), \
-        0.5 * (rho.min() + rho.max())
+        ScalarField(g, rho, "extrapolate")), v=w, d=d,
+        pressure=ScalarField(g, np.zeros((g.nx, g.ny)), "neumann_zero"),
+        v_prev=w, dt=_step_config(g).dt), 0.5 * (rho.min() + rho.max())
 
 
 def _assert_step_matches(fast, slow):
@@ -609,19 +621,19 @@ def _oracle_state(state, slow, dt):
         density=DensityState.from_field(ScalarField(g, rho, "extrapolate")),
         v=MacVelocity(g, u, v),
         d=DirectorField(g, n1, n2, state.d.trace),
-        pressure=ScalarField(g, q, "neumann_zero"))
+        pressure=ScalarField(g, q, "neumann_zero"), v_prev=state.v, dt=dt)
 
 
 def test_three_cold_steps_match_the_step_oracle(g=GRID):
-    # Each step starts from a fresh stepper, with no previous velocity, so
-    # the predictor lags the old velocity. Step 1 carries no pressure,
-    # steps 2 and 3 the previous one; the oracle runs its own chain of
-    # states, split at the start's midrange density throughout.
+    # Each step starts from a state whose previous velocity is its own, so
+    # the predictor lags the old velocity. Step 1 carries the zero
+    # pressure, steps 2 and 3 the previous one; the oracle runs its own
+    # chain of states, split at the start's midrange density throughout.
     cfg = _step_config(g)
     start, rbar = _start_state(g)
     fast = slow = start
     for _ in range(3):
-        fast = step(fast, cfg, StepperState(dt=cfg.dt))
+        fast = step(dataclasses.replace(fast, v_prev=fast.v), cfg)
         result = _oracle_step(slow, cfg, cfg.dt, rbar)
         _assert_step_matches(fast, result)
         slow = _oracle_state(slow, result, cfg.dt)
@@ -633,13 +645,12 @@ def test_step_2_extrapolates_the_lag_and_matches_the_step_oracle(g=GRID):
     # 1 and the extrapolation's ratio is 1/2; the oracle chains its own
     # two steps.
     cfg = dataclasses.replace(_step_config(g), t_end=0.006)
-    stepper = StepperState(dt=cfg.dt)
     start, rbar = _start_state(g)
-    fast = step(start, cfg, stepper)
+    fast = step(start, cfg)
     slow = _oracle_step(start, cfg, cfg.dt, rbar)
     _assert_step_matches(fast, slow)
-    assert stepper.v_prev is start.v
-    fast = step(fast, cfg, stepper)
+    assert fast.v_prev is start.v and fast.dt == cfg.dt
+    fast = step(fast, cfg)
     dt2 = cfg.t_end - cfg.dt
     assert dt2 == pytest.approx(0.5 * cfg.dt)
     _assert_step_matches(fast, _oracle_step(

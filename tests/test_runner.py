@@ -20,7 +20,7 @@ from nlcflow import runner
 from nlcflow.errors import (CheckpointError, ConfigError,
                             LinearSolveFailure, StepFailed, StepRejected)
 from nlcflow.forcing import ForcingSpec
-from nlcflow.runner import (PRESETS, RunConfig, StepperState, initial_state,
+from nlcflow.runner import (PRESETS, RunConfig, initial_state,
                             load_checkpoint, load_config, preset_config,
                             run, save_checkpoint, step, validate_config)
 
@@ -167,8 +167,7 @@ def test_initial_state_is_divergence_free():
 def test_uniform_equilibrium_is_a_fixed_point():
     cfg = _cfg(rho0="1.5", v0x="0", v0y="0", d0x="1", d0y="0")
     state = initial_state(cfg)
-    stepper = StepperState(dt=cfg.dt)
-    nxt = step(state, cfg, stepper)
+    nxt = step(state, cfg)
     assert np.array_equal(nxt.rho.values, state.rho.values)
     assert np.abs(nxt.v.u).max() <= 1e-14
     assert np.abs(nxt.v.v).max() <= 1e-14
@@ -180,13 +179,11 @@ def test_step_halves_dt_under_cfl_and_keeps_it():
     cfg = _cfg(v0x="0.9*sin(pi*x)*sin(pi*x)*sin(2*pi*y)",
                v0y="-0.9*sin(2*pi*x)*sin(pi*y)*sin(pi*y)",
                dt=0.05, cfl_safety=0.5)
-    state = initial_state(cfg)
-    stepper = StepperState(dt=cfg.dt)
-    step(state, cfg, stepper)
-    assert stepper.dt < 0.05
+    state = step(initial_state(cfg), cfg)
+    assert state.dt < 0.05
     # power-of-two subdivision only
-    assert np.log2(0.05 / stepper.dt) == pytest.approx(
-        round(np.log2(0.05 / stepper.dt)))
+    assert np.log2(0.05 / state.dt) == pytest.approx(
+        round(np.log2(0.05 / state.dt)))
 
 
 def test_a_step_applies_no_laplacian_stencil_and_pads_d_once(monkeypatch):
@@ -195,9 +192,7 @@ def test_a_step_applies_no_laplacian_stencil_and_pads_d_once(monkeypatch):
     # and fills the ghosts of each component of the new director once,
     # for its centred gradients, and of nothing else
     cfg = _cfg()
-    state = initial_state(cfg)
-    stepper = StepperState(dt=cfg.dt)
-    state = step(state, cfg, stepper)
+    state = step(initial_state(cfg), cfg)
     pads = []
     pad = grid_module.pad_with_ghosts
 
@@ -216,7 +211,7 @@ def test_a_step_applies_no_laplacian_stencil_and_pads_d_once(monkeypatch):
         pads.clear()
         sys.setprofile(profile)
         try:
-            state = step(state, cfg, stepper)
+            state = step(state, cfg)
         finally:
             sys.setprofile(None)
         assert len(pads) == 2
@@ -234,9 +229,8 @@ def test_a_record_fills_no_ghosts(monkeypatch, carried):
     cfg = preset_config("f1-potential", nx=16, ny=16, dt=2e-3,
                         d0x="cos(0.5*pi*x*y)", d0y="sin(0.5*pi*x*y)")
     a = initial_state(cfg)
-    stepper = StepperState(dt=cfg.dt)
-    b = step(a, cfg, stepper)
-    c = step(b, cfg, stepper)
+    b = step(a, cfg)
+    c = step(b, cfg)
     ctx = DiagContext(glp=cfg.glp, flow=cfg.flow, spec=cfg.forcing,
                       d_inf=a.d)
     prev_rec = compute_record(a, b, ctx) if carried else None
@@ -258,7 +252,7 @@ def test_step_rejected_below_dt_min():
                dt=0.5, dt_min=0.3, cfl_safety=0.5)
     state = initial_state(cfg)
     with pytest.raises(StepRejected):
-        step(state, cfg, StepperState(dt=cfg.dt))
+        step(state, cfg)
 
 
 def test_step_fails_fast_on_nonfinite_velocity():
@@ -269,7 +263,36 @@ def test_step_fails_fast_on_nonfinite_velocity():
     u[5, 7] = np.nan
     state = dataclasses.replace(state, v=dataclasses.replace(state.v, u=u))
     with pytest.raises(LinearSolveFailure, match="non-finite"):
-        step(state, cfg, StepperState(dt=cfg.dt))
+        step(state, cfg)
+
+
+def _state_bytes(state):
+    """Every number a state holds, as bytes and floats."""
+    arrays = (state.rho.values, state.v.u, state.v.v, state.d.d1,
+              state.d.d2, state.pressure.values, state.v_prev.u,
+              state.v_prev.v)
+    density = state.density
+    return ([a.tobytes() for a in arrays],
+            [float.hex(x) for x in (state.t, state.dt, density.mass0,
+                                    density.rho_min0, density.rho_max0)])
+
+
+@pytest.mark.parametrize("steps", [0, 3])
+def test_step_is_a_function_of_its_state(steps):
+    # stepping one state twice gives the same state to the bit, and leaves
+    # the state as it was; from t = 0 and from a state with a pressure and
+    # a previous velocity of its own. The CFL bound halves dt once
+    cfg = preset_config("f2-decaying", nx=16, ny=16, dt=0.05, t_end=1.0,
+                        v0x="0.4*sin(pi*x)*sin(pi*x)*sin(2*pi*y)",
+                        v0y="-0.4*sin(2*pi*x)*sin(pi*y)*sin(pi*y)")
+    state = initial_state(cfg)
+    for _ in range(steps):
+        state = step(state, cfg)
+    before = _state_bytes(state)
+    a, b = step(state, cfg), step(state, cfg)
+    assert _state_bytes(a) == _state_bytes(b)
+    assert _state_bytes(state) == before
+    assert a.v_prev is state.v and a.dt == 0.025
 
 
 class _TwoArgError(Exception):
@@ -367,11 +390,10 @@ def test_each_state_is_measured_once(monkeypatch, preset, every, calls):
 def test_carried_record_equals_fresh_record(preset, every):
     cfg = preset_config(preset, record_every=every, **TEN_STEPS)
     state = initial_state(cfg)
-    stepper = StepperState(dt=cfg.dt)
     ctx = DiagContext(glp=cfg.glp, flow=cfg.flow, spec=cfg.forcing)
     records, prev_rec = [], None
     for n in range(1, 11):
-        prev, state = state, step(state, cfg, stepper)
+        prev, state = state, step(state, cfg)
         rec = None
         if n % every == 0 or n in (1, 10):
             rec = compute_record(prev, state, ctx, prev_rec)
@@ -385,8 +407,8 @@ def test_carried_record_equals_fresh_record(preset, every):
 def test_carried_record_must_match_prev_time():
     cfg = _cfg()
     a = initial_state(cfg)
-    b = step(a, cfg, StepperState(dt=cfg.dt))
-    c = step(b, cfg, StepperState(dt=cfg.dt))
+    b = step(a, cfg)
+    c = step(b, cfg)
     ctx = DiagContext(glp=cfg.glp, flow=cfg.flow, spec=cfg.forcing)
     with pytest.raises(ValueError, match="prev_rec"):
         compute_record(b, c, ctx, compute_record(a, c, ctx))
@@ -395,14 +417,13 @@ def test_carried_record_must_match_prev_time():
 def test_checkpoint_round_trip_resumes_bitwise(tmp_path):
     cfg = _cfg(t_end=0.04)
     state = initial_state(cfg)
-    stepper = StepperState(dt=cfg.dt)
     for _ in range(4):
-        state = step(state, cfg, stepper)
+        state = step(state, cfg)
 
     path = tmp_path / "snap.npz"
-    save_checkpoint(path, state, stepper)
-    loaded, resumed = load_checkpoint(path, cfg)
-    assert resumed.dt == stepper.dt
+    save_checkpoint(path, state)
+    loaded = load_checkpoint(path, cfg)
+    assert loaded.dt == state.dt
     assert loaded.t == state.t
     assert np.array_equal(loaded.rho.values, state.rho.values)
     assert np.array_equal(loaded.v.u, state.v.u)
@@ -410,17 +431,17 @@ def test_checkpoint_round_trip_resumes_bitwise(tmp_path):
     # conserved references match the run's own initial data
     assert loaded.density.mass0 == initial_state(cfg).density.mass0
 
-    cont_a = step(state, cfg, stepper)
-    cont_b = step(loaded, cfg, resumed)
+    cont_a = step(state, cfg)
+    cont_b = step(loaded, cfg)
     assert np.array_equal(cont_a.v.u, cont_b.v.u)
     assert np.array_equal(cont_a.rho.values, cont_b.rho.values)
     assert np.array_equal(cont_a.d.d2, cont_b.d.d2)
 
 
-def _assert_resumes_bitwise(cfg, state, stepper, loaded, resumed, steps):
+def _assert_resumes_bitwise(cfg, state, loaded, steps):
     for _ in range(steps):
-        state = step(state, cfg, stepper)
-        loaded = step(loaded, cfg, resumed)
+        state = step(state, cfg)
+        loaded = step(loaded, cfg)
         for a, b in ((state.v.u, loaded.v.u), (state.v.v, loaded.v.v),
                      (state.rho.values, loaded.rho.values),
                      (state.d.d1, loaded.d.d1), (state.d.d2, loaded.d.d2),
@@ -429,26 +450,25 @@ def _assert_resumes_bitwise(cfg, state, stepper, loaded, resumed, steps):
 
 
 def test_checkpoint_resumes_the_extrapolated_lag_bitwise(tmp_path):
-    # from step 3 on the predictor extrapolates from v^{n-1}, which the
-    # stepper holds: the resumed run must restore it, and the saved
+    # from step 2 on the predictor extrapolates from v^{n-1}, which the
+    # state holds: the resumed run must restore it, and the saved
     # pressure, to continue as the uninterrupted one does
     cfg = _cfg(t_end=0.1)
     state = initial_state(cfg)
-    stepper = StepperState(dt=cfg.dt)
     for _ in range(3):
-        state = step(state, cfg, stepper)
+        state = step(state, cfg)
 
     path = tmp_path / "snap.npz"
-    save_checkpoint(path, state, stepper)
-    loaded, resumed = load_checkpoint(path, cfg)
-    assert resumed.v_prev.u.tobytes() == stepper.v_prev.u.tobytes()
-    assert resumed.v_prev.v.tobytes() == stepper.v_prev.v.tobytes()
+    save_checkpoint(path, state)
+    loaded = load_checkpoint(path, cfg)
+    assert loaded.v_prev.u.tobytes() == state.v_prev.u.tobytes()
+    assert loaded.v_prev.v.tobytes() == state.v_prev.v.tobytes()
     assert loaded.pressure.values.tobytes() == state.pressure.values.tobytes()
-    # without v^{n-1} the next step would lag v^n and differ
-    cold = step(loaded, cfg, StepperState(dt=resumed.dt))
-    assert cold.v.u.tobytes() != step(state, cfg, StepperState(
-        dt=stepper.dt, v_prev=stepper.v_prev)).v.u.tobytes()
-    _assert_resumes_bitwise(cfg, state, stepper, loaded, resumed, 3)
+    # with v^n as its own previous velocity the next step would lag v^n
+    # and differ
+    cold = step(dataclasses.replace(loaded, v_prev=loaded.v), cfg)
+    assert cold.v.u.tobytes() != step(state, cfg).v.u.tobytes()
+    _assert_resumes_bitwise(cfg, state, loaded, 3)
 
 
 def test_resumed_run_records_the_saved_state_bitwise(tmp_path):
@@ -457,25 +477,23 @@ def test_resumed_run_records_the_saved_state_bitwise(tmp_path):
     # from its solve, so the record equals the uninterrupted run's
     cfg = _cfg(t_end=0.1)
     state = initial_state(cfg)
-    stepper = StepperState(dt=cfg.dt)
     for _ in range(4):
-        state = step(state, cfg, stepper)
+        state = step(state, cfg)
     path = tmp_path / "snap.npz"
-    save_checkpoint(path, state, stepper)
-    loaded, resumed = load_checkpoint(path, cfg)
+    save_checkpoint(path, state)
+    loaded = load_checkpoint(path, cfg)
     ctx = DiagContext(glp=cfg.glp, flow=cfg.flow, spec=cfg.forcing)
-    a = compute_record(state, step(state, cfg, stepper), ctx)
-    b = compute_record(loaded, step(loaded, cfg, resumed), ctx)
+    a = compute_record(state, step(state, cfg), ctx)
+    b = compute_record(loaded, step(loaded, cfg), ctx)
     assert _bits(a) == _bits(b)
 
 
 def _written_checkpoint(tmp_path, cfg):
     state = initial_state(cfg)
-    stepper = StepperState(dt=cfg.dt)
     for _ in range(2):
-        state = step(state, cfg, stepper)
+        state = step(state, cfg)
     path = tmp_path / "snap.npz"
-    save_checkpoint(path, state, stepper)
+    save_checkpoint(path, state)
     return path
 
 
@@ -504,6 +522,17 @@ def test_load_checkpoint_rejects_an_unknown_version(tmp_path, version):
         load_checkpoint(path, cfg)
 
 
+@pytest.mark.parametrize("key", ["rho", "q", "u_prev"])
+def test_load_checkpoint_names_a_missing_array(tmp_path, key):
+    cfg = _cfg()
+    path = _written_checkpoint(tmp_path, cfg)
+    with np.load(path) as f:
+        fields = {k: a for k, a in f.items() if k != key}
+    np.savez(path, **fields)
+    with pytest.raises(CheckpointError, match=f"lacks .*{key}"):
+        load_checkpoint(path, cfg)
+
+
 def test_load_checkpoint_rejects_other_initial_data(tmp_path):
     # the conserved references are the saved run's: a config whose t = 0
     # data gives another mass0 or rho_max0 is not that run's
@@ -528,9 +557,7 @@ def test_run_writes_snapshots_that_resume_bitwise(tmp_path):
     assert result.report["invariants"]["steps"] == 9
     snaps = sorted(p.name for p in tmp_path.glob("snap_*"))
     assert snaps == [f"snap_{n:07d}.npz" for n in (2, 4, 6, 8)]
-    loaded, resumed = load_checkpoint(tmp_path / snaps[-1], cfg)
-    assert resumed.v_prev is not None
-    end = step(loaded, cfg, resumed)
+    end = step(load_checkpoint(tmp_path / snaps[-1], cfg), cfg)
     final = result.final
     assert end.t == final.t
     for a, b in ((final.v.u, end.v.u), (final.v.v, end.v.v),

@@ -146,13 +146,11 @@ def test_no_full_grid_reduction_reaches_the_blas_dot(monkeypatch):
     # operand may be longer than a wall row, max(nx, ny) + 1 long on the
     # faces.
     from nlcflow.diagnostics import DiagContext, compute_record
-    from nlcflow.runner import (StepperState, initial_state, preset_config,
-                                step)
+    from nlcflow.runner import initial_state, preset_config, step
     from nlcflow.stationary import solve_stationary
     cfg = preset_config("f2-decaying", nx=128, ny=128,
                         d0x="cos(0.5*pi*x*y)", d0y="sin(0.5*pi*x*y)")
     a = initial_state(cfg)
-    stepper = StepperState(dt=cfg.dt)
     sizes = []
 
     def spy(fn):
@@ -163,8 +161,8 @@ def test_no_full_grid_reduction_reaches_the_blas_dot(monkeypatch):
 
     monkeypatch.setattr(np, "dot", spy(np.dot))
     monkeypatch.setattr(np, "vdot", spy(np.vdot))
-    b = step(a, cfg, stepper)
-    c = step(b, cfg, stepper)
+    b = step(a, cfg)
+    c = step(b, cfg)
     st = solve_stationary(cfg.grid, a.d.trace, cfg.eta, cfg.tol_stationary)
     assert st.iterations > 0
     compute_record(b, c, DiagContext(glp=cfg.glp, flow=cfg.flow,
