@@ -94,8 +94,8 @@ def _functionals(st: SimState, ctx: DiagContext) -> dict:
     kin = kinetic_energy(st.rho, st.v)
     total = kin + ela + pot
     tilde = total
-    if ctx.spec.variant == "f1":
-        phi = forcing.sample_potential(ctx.spec, g).values
+    phi = forcing.sample_forcing(ctx.spec, g).phi
+    if phi is not None:
         tilde -= inner(st.rho.values, phi) * g.cell_area
     return dict(
         kinetic=kin, elastic=ela, potential=pot, E_total=total,

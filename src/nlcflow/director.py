@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DirectorField, MacVelocity, ScalarField, inner, norms
+from .grid import DirectorField, MacVelocity, inner, norms
 from .solvers import CellHelmholtz, cached_solver
 
 
@@ -41,12 +41,6 @@ def gl_f(d: DirectorField, eta: float) -> tuple[np.ndarray, np.ndarray]:
     return d.derived(("f", eta), build)
 
 
-def gl_F(d: DirectorField, eta: float) -> ScalarField:
-    """F(d) = (|d|^2 - 1)^2 / (4 eta^2), pointwise; grad F = f."""
-    vals = (d.d1**2 + d.d2**2 - 1.0) ** 2 / (4.0 * eta**2)
-    return ScalarField(d.grid, vals, "extrapolate")
-
-
 def gl_residual(d: DirectorField, eta: float) -> tuple[np.ndarray, np.ndarray]:
     """Componentwise lap(d) - f(d), with the Laplacian `d.lap` of the
     Dirichlet trace ghost fill.
@@ -64,9 +58,9 @@ def gl_residual_l2(d: DirectorField, eta: float) -> float:
 
 def director_energy_terms(d: DirectorField, eta: float) -> tuple[float, float]:
     """The terms 1/2 ||grad d||^2 and integral F(d) of E(d), without the
-    elastic coupling lambda (the record's energy columns apply it). The
-    integral sums the square of |d|^2 - 1 once, with the factor of `gl_F`
-    applied to the sum."""
+    elastic coupling lambda (the record's energy columns apply it), with
+    F(d) = (|d|^2 - 1)^2 / (4 eta^2), so that grad F = f. The integral
+    sums the square of |d|^2 - 1 once and applies 1/(4 eta^2) to the sum."""
     gap = d.norm_sq - 1.0
     return (0.5 * norms(d, "H1_semi") ** 2,
             inner(gap, gap) * d.grid.cell_area / (4.0 * eta**2))

@@ -22,10 +22,6 @@ class IncompatibleRhs(NlcflowError):
     """
 
 
-class NotApplicable(NlcflowError):
-    """Operation requested for a forcing variant it is not defined for."""
-
-
 class MaxIterations(NlcflowError):
     """Outer fixed-point iteration (stationary solve) did not converge."""
 

@@ -22,8 +22,7 @@ from .errors import (CheckpointError, ConfigError, DegenerateFit,
                      InsufficientSamples, OrderRegression, StepFailed,
                      StepRejected)
 from .expressions import parse_expression
-from .forcing import (ForcingSpec, eval_force, sample_potential,
-                      sample_profile)
+from .forcing import ForcingSpec, eval_force, sample_forcing
 from .grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
                    ScalarField, elastic_identity_residual, laplacian,
                    norms)
@@ -176,9 +175,7 @@ def validate_config(cfg: RunConfig) -> dict:
             f"{T_END_TOL:g} of t = 0, so the run would make no step")
     if not 0 < cfg.cfl_safety <= 1:
         raise ConfigError("cfl_safety must lie in (0, 1]")
-    # each expression is sampled where the run uses it, the forcing by its
-    # own cached samplers; the forcing spec checks xi > 0 itself
-    f = cfg.forcing
+    # each expression is sampled where the run uses it
     c, u, v = g.cell_centers(), g.uface_coords(), g.vface_coords()
     sites = {"rho0": (cfg.rho0, c), "v0x": (cfg.v0x, u), "v0y": (cfg.v0y, v),
              "d0x": (cfg.d0x, c), "d0y": (cfg.d0y, c)}
@@ -188,17 +185,14 @@ def validate_config(cfg: RunConfig) -> dict:
         samples = {key: fns[key](*xy) for key, (_, xy) in sites.items()}
         trace = DirectorTrace.sample(
             g, lambda x, y: (fns["d0x"](x, y), fns["d0y"](x, y)))
-        if f.variant == "f1":
-            samples["phi"] = sample_potential(f, g).values
-        elif f.variant == "f2":
-            prof = sample_profile(f, g)
-            samples["ax"], samples["ay"] = prof.u, prof.v
     # d0 is checked on the walls too, where the trace samples it
     d0 = {key: np.concatenate([samples[key].ravel(), *walls])
           for key, walls in zip(("d0x", "d0y"), trace.walls)}
     for key, vals in {**samples, **d0}.items():
         if not np.isfinite(vals).all():
             raise ConfigError(f"{key} is not finite on the grid")
+    # the forcing checks its own samples
+    sample_forcing(cfg.forcing, g)
     rho = samples["rho0"]
     if rho.min() < cfg.rho_low or rho.max() > cfg.rho_high:
         raise ConfigError(
@@ -206,7 +200,7 @@ def validate_config(cfg: RunConfig) -> dict:
             f"violates [{cfg.rho_low:.4g}, {cfg.rho_high:.4g}]")
     if np.max(d0["d0x"]**2 + d0["d0y"]**2) > 1.0 + 1e-12:
         raise ConfigError("|d0| must not exceed 1")
-    return {**{key: samples[key] for key in sites}, "trace": trace}
+    return {**samples, "trace": trace}
 
 
 def initial_state(cfg: RunConfig) -> SimState:
@@ -291,10 +285,9 @@ def run(cfg: RunConfig, write_outputs: bool = True,
                       d_inf=d_inf)
 
     records = []
-    probe_samples = []
     inv = {"mass_drift_rel_max": 0.0, "rho_min_run": np.inf,
            "rho_max_run": -np.inf, "d_maxnorm_max": 0.0,
-           "div_v_inf_max": 0.0, "law_residual_max": 0.0, "steps": 0}
+           "div_v_inf_max": 0.0}
     if write_outputs:
         os.makedirs(cfg.out_dir, exist_ok=True)
 
@@ -314,11 +307,6 @@ def run(cfg: RunConfig, write_outputs: bool = True,
         if n % cfg.record_every == 0 or at_end or n == 1:
             rec = compute_record(prev, state, ctx, prev_rec)
             records.append(rec)
-            inv["law_residual_max"] = max(inv["law_residual_max"],
-                                          abs(rec.law_residual))
-            if e_inf is not None:
-                e_d = (rec.elastic + rec.potential) / cfg.lam
-                probe_samples.append((abs(e_d - e_inf), rec.gl_res_L2))
 
         # a record already holds the step's bounds
         b = state_bounds(state) if rec is None else vars(rec)
@@ -333,6 +321,9 @@ def run(cfg: RunConfig, write_outputs: bool = True,
             save_checkpoint(os.path.join(cfg.out_dir, f"snap_{n:07d}.npz"),
                             state)
         prev_rec = rec
+    # from 0, so that a NaN residual is never the max
+    inv["law_residual_max"] = max([0.0, *(abs(r.law_residual)
+                                          for r in records)])
     inv["steps"] = n
 
     report = {
@@ -354,7 +345,7 @@ def run(cfg: RunConfig, write_outputs: bool = True,
         report["stationary_energy"] = e_inf
         report["stationary_residual"] = st.residual
     if cfg.forcing.variant == "f2" and e_inf is not None:
-        report["rate"] = _rate_analysis(cfg, records, probe_samples)
+        report["rate"] = _rate_analysis(cfg, records, e_inf)
     # the snapshot-differenced B carries an O(dt) bias; reported raw
     report["notes"] = ["B_val uses backward differences of snapshots"]
 
@@ -366,10 +357,13 @@ def run(cfg: RunConfig, write_outputs: bool = True,
                      d_inf=d_inf)
 
 
-def _rate_analysis(cfg: RunConfig, records, probe_samples) -> dict:
+def _rate_analysis(cfg: RunConfig, records, e_inf: float) -> dict:
     out = {}
+    # the (|E(d) - E(d_inf)|, ||lap d - f(d)||) pairs of the records
+    samples = [(abs((r.elastic + r.potential) / cfg.lam - e_inf), r.gl_res_L2)
+               for r in records]
     try:
-        theta = lojasiewicz_probe(probe_samples)
+        theta = lojasiewicz_probe(samples)
         out["theta_est"] = theta
     except InsufficientSamples as exc:
         out["theta_est"] = None

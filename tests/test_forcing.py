@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 from nlcflow.errors import ConfigError
-from nlcflow.forcing import ForcingSpec, eval_force, sample_potential
-from nlcflow.grid import GridSpec, gradient_interior_faces, norms
+from nlcflow.forcing import ForcingSpec, eval_force, force_l2, sample_forcing
+from nlcflow.grid import GridSpec, MacVelocity, gradient_interior_faces, norms
+
+_PHI = "0.002*cos(pi*x)*cos(pi*y)"
+_F2 = ForcingSpec(variant="f2", ax="sin(pi*x)*sin(pi*y)", ay="0.3*x*(1-x)",
+                  xi=1.5, amplitude=0.8)
 
 
 @pytest.fixture
@@ -17,11 +21,14 @@ def test_constant_potential_gives_zero_force(grid):
     assert norms(g, "Linf") == 0.0
 
 
-def test_potential_force_is_one_cached_read_only_field(grid):
-    spec = ForcingSpec(variant="f1", phi="0.002*cos(pi*x)*cos(pi*y)")
+@pytest.mark.parametrize("variant", ["none", "f1"])
+def test_potential_force_is_one_cached_read_only_field(grid, variant):
+    spec = ForcingSpec(variant=variant, phi=_PHI)
     g = eval_force(spec, grid, 0.0)
     assert eval_force(spec, grid, 7.5) is g
-    want = gradient_interior_faces(sample_potential(spec, grid).values, grid)
+    phi = sample_forcing(spec, grid).phi
+    want = (gradient_interior_faces(phi, grid) if variant == "f1"
+            else MacVelocity.zeros(grid))
     assert g.u.tobytes() == want.u.tobytes()
     assert g.v.tobytes() == want.v.tobytes()
     with pytest.raises(ValueError, match="read-only"):
@@ -42,6 +49,25 @@ def test_decaying_force_at_time_zero_is_profile(grid):
     expect[0, :] = expect[-1, :] = 0.0
     assert np.array_equal(g.u, expect)
     assert np.abs(g.v).max() == 0.0
+
+
+def test_decaying_force_is_a_fresh_scaled_profile(grid):
+    a = sample_forcing(_F2, grid).a
+    for t in (0.7, 3.0):
+        g = eval_force(_F2, grid, t)
+        s = 0.8 * (1.0 + t) ** (-(2.0 + 1.5) / 2.0)
+        assert g.u.flags.writeable and g.v.flags.writeable
+        assert g.u.tobytes() == (s * a.u).tobytes()
+        assert g.v.tobytes() == (s * a.v).tobytes()
+
+
+@pytest.mark.parametrize("spec", [ForcingSpec(variant="none"),
+                                  ForcingSpec(variant="f1", phi=_PHI), _F2],
+                         ids=["none", "f1", "f2"])
+def test_force_l2_is_the_norm_of_the_force(grid, spec):
+    for t in (0.0, 0.7, 3.0):
+        assert force_l2(spec, grid, t) == pytest.approx(
+            norms(eval_force(spec, grid, t), "L2"), rel=1e-15, abs=0.0)
 
 
 def test_decay_slope_matches_exponent(grid):

@@ -138,6 +138,7 @@ def test_validate_parses_forcing_expressions(forcing):
     ("ax", dict(forcing=ForcingSpec(variant="f2", ax="1/0*x"))),
     # finite at every cell centre, NaN on the x = 0 wall the trace samples
     ("d0x", dict(d0x="1 + 0*(1/x)")),
+    ("phi", dict(forcing=ForcingSpec(variant="f1", phi="x/0"))),
 ])
 def test_validate_rejects_nonfinite_samples(key, overrides):
     # NaN passes the range checks, so finiteness is checked on its own
