@@ -2,8 +2,9 @@
 antiderivative F, the residual of the stationary operator, and the
 semi-implicit advance (implicit diffusion, explicit advection, explicit f
 with linear stabilization S = 2/eta^2, the Lipschitz bound of f on |d|<=1).
-f(d) and the Laplacian are kept with the `DirectorField`, and the advance
-hands its result the Laplacian of the equation it has just solved.
+f(d), the Laplacian and the residual are kept with the `DirectorField`, and
+the advance hands its result the Laplacian of the equation it has just
+solved.
 """
 
 from __future__ import annotations
@@ -43,12 +44,15 @@ def gl_f(d: DirectorField, eta: float) -> tuple[np.ndarray, np.ndarray]:
 
 def gl_residual(d: DirectorField, eta: float) -> tuple[np.ndarray, np.ndarray]:
     """Componentwise lap(d) - f(d), with the Laplacian `d.lap` of the
-    Dirichlet trace ghost fill.
+    Dirichlet trace ghost fill; kept with d, read-only, so the elastic
+    force and the record share it.
 
     Vanishes at solutions of the stationary problem and is the relaxational
     dissipation density in the energy law."""
-    (lap1, lap2), (f1, f2) = d.lap, gl_f(d, eta)
-    return lap1 - f1, lap2 - f2
+    def build():
+        (lap1, lap2), (f1, f2) = d.lap, gl_f(d, eta)
+        return lap1 - f1, lap2 - f2
+    return d.derived(("res", eta), build)
 
 
 def gl_residual_l2(d: DirectorField, eta: float) -> float:

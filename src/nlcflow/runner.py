@@ -10,13 +10,14 @@ import configparser
 import json
 import os
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .density import DensityState, advance_density, cfl_number
-from .diagnostics import (DiagContext, compute_record, convergence_monitor,
-                          state_bounds, write_csv)
+from .diagnostics import (FIELD_ORDER, DiagContext, DiagRecord,
+                          compute_record, convergence_monitor, state_bounds,
+                          write_csv)
 from .director import GLParams, advance_director
 from .errors import (CheckpointError, ConfigError, DegenerateFit,
                      InsufficientSamples, OrderRegression, StepFailed,
@@ -28,7 +29,8 @@ from .grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
                    norms)
 from .momentum import FlowParams, predict_velocity, project
 from .state import SimState
-from .stationary import decay_rate_fit, lojasiewicz_probe, solve_stationary
+from .stationary import (StationaryResult, decay_rate_fit, lojasiewicz_probe,
+                         solve_stationary)
 
 
 # a run ends once t is within this of t_end
@@ -167,8 +169,10 @@ def validate_config(cfg: RunConfig) -> dict:
         raise ConfigError("rho_low must be positive")
     if cfg.rho_high < cfg.rho_low:
         raise ConfigError("rho_high < rho_low")
-    if cfg.dt <= 0 or cfg.t_end <= 0:
-        raise ConfigError("dt and t_end must be positive")
+    for key in ("dt", "t_end", "dt_min", "tol_stationary"):
+        if not 0 < getattr(cfg, key) < np.inf:  # NaN fails it too
+            raise ConfigError(
+                f"{key} = {getattr(cfg, key)!r} must be finite and positive")
     if cfg.t_end <= T_END_TOL:
         raise ConfigError(
             f"t_end = {cfg.t_end:g} is within the time loop's end tolerance "
@@ -270,67 +274,87 @@ class RunResult:
     d_inf: DirectorField | None
 
 
+@dataclass(frozen=True)
+class RunLog:
+    """What a run has accumulated after `steps` steps: its records and
+    the running extrema, in the report's order, of the per-state bounds
+    that the report's checks read. `after_step` advances it."""
+
+    steps: int = 0
+    records: tuple = ()
+    mass_drift_rel_max: float = 0.0
+    rho_min_run: float = np.inf
+    rho_max_run: float = -np.inf
+    d_maxnorm_max: float = 0.0
+    div_v_inf_max: float = 0.0
+
+
+def after_step(log: RunLog, prev: SimState, state: SimState, cfg: RunConfig,
+               ctx: DiagContext) -> RunLog:
+    """The log once the step from prev to state is taken. The step makes a
+    record at step 1, every `record_every` steps and at t_end, carrying
+    the log's last record if it was made at prev.t; a record already
+    holds the state's bounds."""
+    steps, records = log.steps + 1, log.records
+    if (steps % cfg.record_every == 0 or steps == 1
+            or state.t >= cfg.t_end - T_END_TOL):
+        carried = records[-1] if records and records[-1].t == prev.t else None
+        records += (compute_record(prev, state, ctx, carried),)
+        b = vars(records[-1])
+    else:
+        b = state_bounds(state)
+    mass0 = state.density.mass0
+    return RunLog(
+        steps, records,
+        max(log.mass_drift_rel_max, abs(b["mass"] - mass0) / abs(mass0)),
+        min(log.rho_min_run, b["rho_min"]), max(log.rho_max_run, b["rho_max"]),
+        max(log.d_maxnorm_max, b["d_maxnorm"]),
+        max(log.div_v_inf_max, b["div_v_inf"]))
+
+
 def run(cfg: RunConfig, write_outputs: bool = True,
         with_stationary: bool = True) -> RunResult:
-    g = cfg.grid
     state = initial_state(cfg)  # validates cfg first
-
-    d_inf = None
-    e_inf = None
-    if with_stationary:
-        st = solve_stationary(g, state.d.trace, cfg.eta, cfg.tol_stationary)
-        d_inf, e_inf = st.d_inf, st.energy
-
+    st = (solve_stationary(cfg.grid, state.d.trace, cfg.eta,
+                           cfg.tol_stationary) if with_stationary else None)
     ctx = DiagContext(glp=cfg.glp, flow=cfg.flow, spec=cfg.forcing,
-                      d_inf=d_inf)
-
-    records = []
-    inv = {"mass_drift_rel_max": 0.0, "rho_min_run": np.inf,
-           "rho_max_run": -np.inf, "d_maxnorm_max": 0.0,
-           "div_v_inf_max": 0.0}
+                      d_inf=None if st is None else st.d_inf)
     if write_outputs:
         os.makedirs(cfg.out_dir, exist_ok=True)
-
-    n = 0
-    mass0 = state.density.mass0
-    prev_rec = None  # the record made at the step's start state, if any
+    log = RunLog()
     while state.t < cfg.t_end - T_END_TOL:
         prev = state
         try:
             state = step(state, cfg)
         except Exception as exc:
-            raise StepFailed(n + 1, prev.t, exc) from exc
-        n += 1
-
-        at_end = state.t >= cfg.t_end - T_END_TOL
-        rec = None
-        if n % cfg.record_every == 0 or at_end or n == 1:
-            rec = compute_record(prev, state, ctx, prev_rec)
-            records.append(rec)
-
-        # a record already holds the step's bounds
-        b = state_bounds(state) if rec is None else vars(rec)
-        inv["mass_drift_rel_max"] = max(inv["mass_drift_rel_max"],
-                                        abs(b["mass"] - mass0) / abs(mass0))
-        inv["rho_min_run"] = min(inv["rho_min_run"], b["rho_min"])
-        inv["rho_max_run"] = max(inv["rho_max_run"], b["rho_max"])
-        inv["d_maxnorm_max"] = max(inv["d_maxnorm_max"], b["d_maxnorm"])
-        inv["div_v_inf_max"] = max(inv["div_v_inf_max"], b["div_v_inf"])
+            raise StepFailed(log.steps + 1, prev.t, exc) from exc
+        log = after_step(log, prev, state, cfg, ctx)
         if write_outputs and cfg.snapshot_every > 0 \
-                and n % cfg.snapshot_every == 0:
-            save_checkpoint(os.path.join(cfg.out_dir, f"snap_{n:07d}.npz"),
-                            state)
-        prev_rec = rec
-    # from 0, so that a NaN residual is never the max
-    inv["law_residual_max"] = max([0.0, *(abs(r.law_residual)
-                                          for r in records)])
-    inv["steps"] = n
+                and log.steps % cfg.snapshot_every == 0:
+            save_checkpoint(os.path.join(
+                cfg.out_dir, f"snap_{log.steps:07d}.npz"), state, log)
+    report = run_report(cfg, log, state, st)
+    if write_outputs:
+        write_csv(os.path.join(cfg.out_dir, "diagnostics.csv"), log.records)
+        with open(os.path.join(cfg.out_dir, "run_report.json"), "w") as fh:
+            json.dump(report, fh, indent=2, default=float)
+    return RunResult(records=list(log.records), report=report, final=state,
+                     d_inf=ctx.d_inf)
 
+
+def run_report(cfg: RunConfig, log: RunLog, final: SimState,
+               stationary: StationaryResult | None) -> dict:
+    """The report of a run that ended in `final` with `log`, and with the
+    given stationary solve, if it made one."""
+    inv = {f.name: float(getattr(log, f.name)) for f in fields(RunLog)[2:]}
+    # from 0, so that a NaN residual is never the max
+    inv["law_residual_max"] = float(max([0.0, *(abs(r.law_residual)
+                                                for r in log.records)]))
+    inv["steps"] = log.steps
     report = {
-        "t_end": state.t,
-        "final_dt": state.dt,
-        "invariants": {k: (v if isinstance(v, int) else float(v))
-                       for k, v in inv.items()},
+        "t_end": final.t,
+        "final_dt": final.dt,
+        "invariants": inv,
         "checks": {
             "mass_conserved": inv["mass_drift_rel_max"] <= 1e-12,
             "rho_in_bounds": (inv["rho_min_run"] >= cfg.rho_low
@@ -339,22 +363,17 @@ def run(cfg: RunConfig, write_outputs: bool = True,
             "div_free": inv["div_v_inf_max"] <= cfg.tol_proj,
         },
     }
-    if len(records) >= 10:
-        report["convergence"] = convergence_monitor(records)
-    if e_inf is not None:
-        report["stationary_energy"] = e_inf
-        report["stationary_residual"] = st.residual
-    if cfg.forcing.variant == "f2" and e_inf is not None:
-        report["rate"] = _rate_analysis(cfg, records, e_inf)
+    if len(log.records) >= 10:
+        report["convergence"] = convergence_monitor(log.records)
+    if stationary is not None:
+        report["stationary_energy"] = stationary.energy
+        report["stationary_residual"] = stationary.residual
+        if cfg.forcing.variant == "f2":
+            report["rate"] = _rate_analysis(cfg, log.records,
+                                            stationary.energy)
     # the snapshot-differenced B carries an O(dt) bias; reported raw
     report["notes"] = ["B_val uses backward differences of snapshots"]
-
-    if write_outputs:
-        write_csv(os.path.join(cfg.out_dir, "diagnostics.csv"), records)
-        with open(os.path.join(cfg.out_dir, "run_report.json"), "w") as fh:
-            json.dump(report, fh, indent=2, default=float)
-    return RunResult(records=records, report=report, final=state,
-                     d_inf=d_inf)
+    return report
 
 
 def _rate_analysis(cfg: RunConfig, records, e_inf: float) -> dict:
@@ -386,22 +405,27 @@ def _rate_analysis(cfg: RunConfig, records, e_inf: float) -> dict:
 
 
 # the one checkpoint layout; `load_checkpoint` rejects any other version
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
+
+# the RunLog's fields that a checkpoint saves as `log_<name>`
+_LOG_SCALARS = tuple(f.name for f in fields(RunLog) if f.name != "records")
 
 
-def save_checkpoint(path, state: SimState) -> None:
-    """The state with its pressure, dt and previous velocity, so that a
-    resumed run continues bitwise like the uninterrupted one: its first
-    predictor carries the saved pressure and extrapolates from the saved
-    velocities, and its first record reads the saved Laplacian of d.
-    Written to `path` as one `np.savez` archive: the format `version`,
-    the grid (`nx`, `ny`, `Lx`, `Ly`), `t`, `dt`, the conserved references
-    `mass0`, `rho_min0` and `rho_max0`, `rho`, `u`, `v`, `d1`, `d2`, the
-    director's Laplacian `lap_d1`, `lap_d2`, the pressure `q`, and v_prev
-    as `u_prev`, `v_prev`."""
+def save_checkpoint(path, state: SimState, log: RunLog) -> None:
+    """The state with its pressure, dt, previous velocity and director
+    Laplacian, and the log of the run that reached it, so that a resumed
+    run steps, records and reports bitwise like the uninterrupted one.
+    Written to `path` as one `np.savez` archive: the format `version`, the
+    grid (`nx`, `ny`, `Lx`, `Ly`), `t`, `dt`, the conserved references
+    `mass0`, `rho_min0` and `rho_max0`, `rho`, `u`, `v`, `d1`, `d2`,
+    `lap_d1`, `lap_d2`, the pressure `q`, v_prev as `u_prev`, `v_prev`,
+    the log's records as one (k, 19) array `records` in `FIELD_ORDER`, and
+    each other field of the log as `log_<name>`."""
     g = state.rho.grid
     density = state.density
     lap1, lap2 = state.d.lap
+    rows = np.array([[getattr(r, k) for k in FIELD_ORDER]
+                     for r in log.records]).reshape(-1, len(FIELD_ORDER))
     with open(path, "wb") as fh:
         np.savez(fh, version=CHECKPOINT_VERSION, nx=g.nx, ny=g.ny, Lx=g.Lx,
                  Ly=g.Ly, t=state.t, dt=state.dt, mass0=density.mass0,
@@ -409,22 +433,24 @@ def save_checkpoint(path, state: SimState) -> None:
                  rho=state.rho.values, u=state.v.u, v=state.v.v,
                  d1=state.d.d1, d2=state.d.d2, lap_d1=lap1, lap_d2=lap2,
                  q=state.pressure.values, u_prev=state.v_prev.u,
-                 v_prev=state.v_prev.v)
+                 v_prev=state.v_prev.v, records=rows,
+                 **{f"log_{k}": getattr(log, k) for k in _LOG_SCALARS})
 
 
-# the arrays of a version-3 archive besides its version
+# the arrays of a version-4 archive besides its version
 _CHECKPOINT_KEYS = ("nx", "ny", "Lx", "Ly", "t", "dt", "mass0", "rho_min0",
                     "rho_max0", "rho", "u", "v", "d1", "d2", "lap_d1",
-                    "lap_d2", "q", "u_prev", "v_prev")
+                    "lap_d2", "q", "u_prev", "v_prev", "records",
+                    *(f"log_{k}" for k in _LOG_SCALARS))
 
 
-def load_checkpoint(path, cfg: RunConfig) -> SimState:
+def load_checkpoint(path, cfg: RunConfig) -> tuple[SimState, RunLog]:
     """Inverse of `save_checkpoint`: the state with its pressure, dt,
     previous velocity and the Laplacian of its director, each array
-    restored as saved. A file that is not such an archive, another format
-    version, an archive that lacks one of its arrays, a run on a grid
-    other than `cfg`'s, or conserved references other than those of
-    `cfg`'s t = 0 data raise `CheckpointError`."""
+    restored as saved, and the run's log. A file that is not such an
+    archive, another format version, an archive that lacks one of its
+    arrays, a run on a grid other than `cfg`'s, or conserved references
+    other than those of `cfg`'s t = 0 data raise `CheckpointError`."""
     try:
         archive = np.load(path, allow_pickle=False)
         if not isinstance(archive, np.lib.npyio.NpzFile):
@@ -463,11 +489,14 @@ def load_checkpoint(path, cfg: RunConfig) -> SimState:
                            r.rho_min0, r.rho_max0, r.mass0)
     d = DirectorField(grid, f["d1"], f["d2"], ref.d.trace)
     d.derived("lap", lambda: (f["lap_d1"], f["lap_d2"]))
-    return SimState(t=float(f["t"]), density=density,
-                    v=MacVelocity(grid, f["u"], f["v"]), d=d,
-                    pressure=ScalarField(grid, f["q"], "neumann_zero"),
-                    v_prev=MacVelocity(grid, f["u_prev"], f["v_prev"]),
-                    dt=float(f["dt"]))
+    state = SimState(t=float(f["t"]), density=density,
+                     v=MacVelocity(grid, f["u"], f["v"]), d=d,
+                     pressure=ScalarField(grid, f["q"], "neumann_zero"),
+                     v_prev=MacVelocity(grid, f["u_prev"], f["v_prev"]),
+                     dt=float(f["dt"]))
+    return state, RunLog(
+        records=tuple(DiagRecord(*row) for row in f["records"].tolist()),
+        **{k: f[f"log_{k}"].item() for k in _LOG_SCALARS})
 
 
 # ---------------------------------------------------------------------------

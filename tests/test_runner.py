@@ -15,14 +15,17 @@ import nlcflow
 from nlcflow import diagnostics
 from nlcflow import grid as grid_module
 from nlcflow.cli import main as cli_main
-from nlcflow.diagnostics import FIELD_ORDER, DiagContext, compute_record
+from nlcflow.diagnostics import (FIELD_ORDER, DiagContext, compute_record,
+                                 write_csv)
 from nlcflow import runner
 from nlcflow.errors import (CheckpointError, ConfigError,
                             LinearSolveFailure, StepFailed, StepRejected)
 from nlcflow.forcing import ForcingSpec
-from nlcflow.runner import (PRESETS, RunConfig, initial_state,
-                            load_checkpoint, load_config, preset_config,
-                            run, save_checkpoint, step, validate_config)
+from nlcflow.runner import (PRESETS, RunConfig, RunLog, after_step,
+                            initial_state, load_checkpoint, load_config,
+                            preset_config, run, run_report, save_checkpoint,
+                            step, validate_config)
+from nlcflow.stationary import solve_stationary
 
 FAST = dict(nx=16, ny=16, dt=5e-3, t_end=0.05, record_every=2,
             rho0="1.5 + 0.3*sin(2*pi*x)*sin(2*pi*y)",
@@ -119,6 +122,24 @@ def test_validate_rejects_supercritical_director():
 def test_validate_rejects_bad_cfl_safety():
     with pytest.raises(ConfigError, match="cfl_safety"):
         validate_config(_cfg(cfl_safety=0.0))
+
+
+@pytest.mark.parametrize("key, value", [
+    # a NaN t_end made no step and passed every check; an infinite one
+    # never ended
+    ("t_end", "nan"), ("t_end", "inf"),
+    # the CFL loop halves an infinite dt forever
+    ("dt", "inf"), ("dt_min", "0"),
+    # the stationary line search failed on it, after the set-up
+    ("tol_stationary", "0"),
+])
+def test_load_config_rejects_a_nonfinite_or_nonpositive_step_value(
+        tmp_path, key, value):
+    section = "tolerances" if key == "tol_stationary" else "stepping"
+    p = tmp_path / "run.cfg"
+    p.write_text(f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"^{key} = "):
+        load_config(p)
 
 
 @pytest.mark.parametrize("forcing", [
@@ -415,15 +436,56 @@ def test_carried_record_must_match_prev_time():
         compute_record(b, c, ctx, compute_record(a, c, ctx))
 
 
+def test_run_steps_and_records_through_the_runner_module(monkeypatch):
+    # the benchmark times nlcflow.runner.step and traces
+    # nlcflow.runner.compute_record from outside: run() must call each
+    # through that module, once per step and once per record
+    calls = {"step": 0, "compute_record": 0}
+    for name in calls:
+        def spy(*args, _name=name, _real=getattr(runner, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(runner, name, spy)
+    result = run(preset_config("f1-potential", record_every=3, **TEN_STEPS),
+                 write_outputs=False, with_stationary=False)
+    assert calls == {"step": 10, "compute_record": 5}
+    # steps 1, 3, 6, 9 and 10
+    assert [round(r.t / 2e-3) for r in result.records] == [1, 3, 6, 9, 10]
+
+
+def test_a_step_and_its_record_form_each_residual_once(monkeypatch):
+    # the predictor's elastic force forms lap d - f(d) of the new director,
+    # and the record's ||lap d - f(d)|| reads the same arrays; the
+    # initial director's is formed by the first record alone
+    cfg = preset_config("f2-decaying", record_every=1, **TEN_STEPS)
+    built = []
+    derived = grid_module.DirectorField.derived
+
+    def counted(self, key, build):
+        def counted_build():
+            if key == ("res", cfg.eta):
+                built.append(self)
+            return build()
+        return derived(self, key, counted_build)
+
+    monkeypatch.setattr(grid_module.DirectorField, "derived", counted)
+    run(cfg, write_outputs=False, with_stationary=False)
+    assert len(built) == 11
+    assert len({id(d) for d in built}) == 11
+
+
 def test_checkpoint_round_trip_resumes_bitwise(tmp_path):
     cfg = _cfg(t_end=0.04)
-    state = initial_state(cfg)
+    ctx = DiagContext(glp=cfg.glp, flow=cfg.flow, spec=cfg.forcing)
+    state, log = initial_state(cfg), RunLog()
     for _ in range(4):
-        state = step(state, cfg)
+        prev, state = state, step(state, cfg)
+        log = after_step(log, prev, state, cfg, ctx)
 
     path = tmp_path / "snap.npz"
-    save_checkpoint(path, state)
-    loaded = load_checkpoint(path, cfg)
+    save_checkpoint(path, state, log)
+    loaded, loaded_log = load_checkpoint(path, cfg)
+    assert loaded_log == log and len(log.records) == 3
     assert loaded.dt == state.dt
     assert loaded.t == state.t
     assert np.array_equal(loaded.rho.values, state.rho.values)
@@ -460,8 +522,8 @@ def test_checkpoint_resumes_the_extrapolated_lag_bitwise(tmp_path):
         state = step(state, cfg)
 
     path = tmp_path / "snap.npz"
-    save_checkpoint(path, state)
-    loaded = load_checkpoint(path, cfg)
+    save_checkpoint(path, state, RunLog())
+    loaded, _ = load_checkpoint(path, cfg)
     assert loaded.v_prev.u.tobytes() == state.v_prev.u.tobytes()
     assert loaded.v_prev.v.tobytes() == state.v_prev.v.tobytes()
     assert loaded.pressure.values.tobytes() == state.pressure.values.tobytes()
@@ -481,8 +543,8 @@ def test_resumed_run_records_the_saved_state_bitwise(tmp_path):
     for _ in range(4):
         state = step(state, cfg)
     path = tmp_path / "snap.npz"
-    save_checkpoint(path, state)
-    loaded = load_checkpoint(path, cfg)
+    save_checkpoint(path, state, RunLog())
+    loaded, _ = load_checkpoint(path, cfg)
     ctx = DiagContext(glp=cfg.glp, flow=cfg.flow, spec=cfg.forcing)
     a = compute_record(state, step(state, cfg), ctx)
     b = compute_record(loaded, step(loaded, cfg), ctx)
@@ -494,7 +556,7 @@ def _written_checkpoint(tmp_path, cfg):
     for _ in range(2):
         state = step(state, cfg)
     path = tmp_path / "snap.npz"
-    save_checkpoint(path, state)
+    save_checkpoint(path, state, RunLog())
     return path
 
 
@@ -510,7 +572,8 @@ def test_load_checkpoint_rejects_a_file_that_is_no_archive(tmp_path,
         load_checkpoint(path, _cfg())
 
 
-@pytest.mark.parametrize("version", [None, 1, runner.CHECKPOINT_VERSION + 1])
+# version 3 held no run log
+@pytest.mark.parametrize("version", [None, 1, 3, runner.CHECKPOINT_VERSION + 1])
 def test_load_checkpoint_rejects_an_unknown_version(tmp_path, version):
     cfg = _cfg()
     path = _written_checkpoint(tmp_path, cfg)
@@ -523,7 +586,7 @@ def test_load_checkpoint_rejects_an_unknown_version(tmp_path, version):
         load_checkpoint(path, cfg)
 
 
-@pytest.mark.parametrize("key", ["rho", "q", "u_prev"])
+@pytest.mark.parametrize("key", ["rho", "q", "u_prev", "records", "log_steps"])
 def test_load_checkpoint_names_a_missing_array(tmp_path, key):
     cfg = _cfg()
     path = _written_checkpoint(tmp_path, cfg)
@@ -558,7 +621,7 @@ def test_run_writes_snapshots_that_resume_bitwise(tmp_path):
     assert result.report["invariants"]["steps"] == 9
     snaps = sorted(p.name for p in tmp_path.glob("snap_*"))
     assert snaps == [f"snap_{n:07d}.npz" for n in (2, 4, 6, 8)]
-    end = step(load_checkpoint(tmp_path / snaps[-1], cfg), cfg)
+    end = step(load_checkpoint(tmp_path / snaps[-1], cfg)[0], cfg)
     final = result.final
     assert end.t == final.t
     for a, b in ((final.v.u, end.v.u), (final.v.v, end.v.v),
@@ -566,6 +629,40 @@ def test_run_writes_snapshots_that_resume_bitwise(tmp_path):
                  (final.d.d1, end.d.d1), (final.d.d2, end.d.d2),
                  (final.pressure.values, end.pressure.values)):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("k", [8, 10, 39],
+                         ids=["at_a_record", "between_records",
+                              "before_t_end"])
+def test_a_resumed_run_reports_as_the_uninterrupted_one(tmp_path, k):
+    # 40 steps with a record every fourth: step 8 makes a record, step 10
+    # does not, and step 39 is the one before t_end. Resumed from its
+    # snapshot at step k, the run continues with the saved log and must
+    # give the uninterrupted run's report, records and CSV to the bit
+    whole = tmp_path / "whole"
+    cfg = preset_config("f2-decaying", nx=16, ny=16, dt=5e-3, t_end=0.2,
+                        record_every=4, snapshot_every=k, out_dir=str(whole))
+    result = run(cfg)
+    assert result.report["invariants"]["steps"] == 40
+    state, log = load_checkpoint(whole / f"snap_{k:07d}.npz", cfg)
+    assert log.steps == k
+    st = solve_stationary(cfg.grid, state.d.trace, cfg.eta,
+                          cfg.tol_stationary)
+    ctx = DiagContext(glp=cfg.glp, flow=cfg.flow, spec=cfg.forcing,
+                      d_inf=st.d_inf)
+    while state.t < cfg.t_end - runner.T_END_TOL:
+        prev, state = state, step(state, cfg)
+        log = after_step(log, prev, state, cfg, ctx)
+    report = run_report(cfg, log, state, st)
+    assert {"convergence", "rate"} <= report.keys()
+    assert json.dumps(report, indent=2, default=float) \
+        == (whole / "run_report.json").read_text()
+    assert [_bits(r) for r in log.records] \
+        == [_bits(r) for r in result.records]
+    write_csv(tmp_path / "resumed.csv", log.records)
+    assert (tmp_path / "resumed.csv").read_bytes() \
+        == (whole / "diagnostics.csv").read_bytes()
+    assert _state_bytes(state) == _state_bytes(result.final)
 
 
 def test_f1_velocity_decays_below_the_splitting_artifact():
