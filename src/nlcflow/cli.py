@@ -50,8 +50,11 @@ def cmd_mms(args) -> int:
 
 
 def cmd_report(args) -> int:
-    records = read_csv(args.csv)
-    summary = convergence_monitor(records)
+    try:
+        summary = convergence_monitor(read_csv(args.csv))
+    except (OSError, ValueError) as exc:  # no file, a foreign or short CSV
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps(summary, indent=2, default=float))
     return 0
 

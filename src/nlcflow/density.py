@@ -87,7 +87,5 @@ def advance_density(state: DensityState, w: MacVelocity, dt: float) -> DensitySt
             f"density CFL number {cfl_number(w, dt):.3f} exceeds 1")
     rho = state.rho.values
     new_vals = rho - dt * upwind_flux_divergence(rho, w)
-    new_field = ScalarField(state.grid, new_vals, state.rho.boundary_kind,
-                            state.rho.boundary_value)
-    return DensityState(new_field, state.rho_min0, state.rho_max0,
-                        state.mass0)
+    return DensityState(ScalarField(state.grid, new_vals), state.rho_min0,
+                        state.rho_max0, state.mass0)

@@ -212,5 +212,8 @@ def read_csv(path) -> list[DiagRecord]:
         if tuple(header) != FIELD_ORDER:
             raise ValueError(f"unexpected CSV header: {header}")
         for row in rd:
+            if len(row) != len(FIELD_ORDER):
+                raise ValueError(f"CSV line {rd.line_num} has {len(row)} "
+                                 f"fields, not {len(FIELD_ORDER)}")
             out.append(DiagRecord(*(float(v) for v in row)))
     return out

@@ -43,8 +43,8 @@ def gl_f(d: DirectorField, eta: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gl_residual(d: DirectorField, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Componentwise lap(d) - f(d), with the Laplacian `d.lap` of the
-    Dirichlet trace ghost fill; kept with d, read-only, so the elastic
+    """Componentwise lap(d) - f(d), with the Laplacian `d.lap` with the
+    trace's Dirichlet ghosts; kept with d, read-only, so the elastic
     force and the record share it.
 
     Vanishes at solutions of the stationary problem and is the relaxational

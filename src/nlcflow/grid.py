@@ -1,5 +1,5 @@
 """Staggered (MAC) grid geometry, field containers, discrete operators,
-boundary handling and norms.
+the Dirichlet wall rule and norms.
 
 Layout conventions
 ------------------
@@ -9,14 +9,17 @@ Index order is ``[i, j]`` with ``i`` along x and ``j`` along y.
 * u (x-velocity) on vertical faces: shape ``(nx+1, ny)``, at ``(i*hx, (j+1/2)hy)``
 * v (y-velocity) on horizontal faces: shape ``(nx, ny+1)``, at ``((i+1/2)hx, j*hy)``
 
-Ghost cells are never stored; boundary fills are computed on demand from
-interior values and the field's boundary kind (Dirichlet via linear
-extrapolation through the boundary face, zero-Neumann via mirror).
+A cell-centred field has one wall rule, Dirichlet: the ghost beyond a
+wall is 2g - interior, g the trace at the boundary-face midpoint, so that
+the face value is g. The stencils build their wall rows from slices with
+that ghost; no ghost is stored. The density and the pressure need no
+rule: the density is transported with no inflow, and the pressure's
+Neumann condition lives in `NeumannPoisson`'s basis.
 
-Dirichlet data reaches the fills as four wall arrays (west, east, south,
-north) holding the trace at the boundary-face midpoints, sampled by
-`sample_walls`; ``None`` stands for a homogeneous trace. A director carries
-its trace as a `DirectorTrace` value, sampled once per run: both
+Dirichlet data reaches the stencils as four wall arrays (west, east,
+south, north) holding the trace at the boundary-face midpoints, sampled
+by `sample_walls`; ``None`` stands for a homogeneous trace. A director
+carries its trace as a `DirectorTrace` value, sampled once per run: both
 components' read-only wall arrays and, computed on first use, the trace's
 share of the Laplacian.
 
@@ -27,7 +30,7 @@ with the field. The field's arrays and the kept ones are made read-only
 when the first value is kept, so that no kept value can go stale.
 
 The norms sum their quadratures from slices of the field's arrays and the
-trace's wall arrays: they fill no ghosts.
+trace's wall arrays.
 """
 
 from __future__ import annotations
@@ -108,76 +111,22 @@ def sample_walls(grid: GridSpec, fn) -> tuple:
 
 @dataclass
 class ScalarField:
-    """Cell-centered scalar with a declared boundary treatment.
-
-    ``boundary_kind`` is one of ``"dirichlet"``, ``"neumann_zero"`` or
-    ``"extrapolate"``. A Dirichlet field's ``boundary_value`` holds the
-    trace's wall arrays from `sample_walls`, or ``None`` for a homogeneous
-    trace.
-    """
+    """Cell-centered scalar: its grid, its values and, computed once, the
+    face averages of its values."""
 
     grid: GridSpec
     values: np.ndarray
-    boundary_kind: str = "extrapolate"
-    boundary_value: Walls | None = None
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=np.float64)
         if self.values.shape != (self.grid.nx, self.grid.ny):
             raise ValueError("scalar values must have shape (nx, ny)")
-        if self.boundary_kind not in ("dirichlet", "neumann_zero", "extrapolate"):
-            raise ValueError(f"unknown boundary kind {self.boundary_kind!r}")
-        if callable(self.boundary_value):
-            raise TypeError("boundary_value takes wall arrays; "
-                            "sample a trace with sample_walls(grid, fn)")
-
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy(), self.boundary_kind,
-                           self.boundary_value)
-
-    def padded(self) -> np.ndarray:
-        """Interior values surrounded by one ring of ghost cells."""
-        return pad_with_ghosts(self.grid, self.values, self.boundary_kind,
-                               self.boundary_value)
 
     @cached_property
     def faces(self) -> tuple[np.ndarray, np.ndarray]:
         """`density_at_faces` of the values, computed once, read-only."""
         _freeze(self.values)
         return _freeze(*density_at_faces(self.values, self.grid))
-
-
-def pad_with_ghosts(grid: GridSpec, values: np.ndarray, kind: str,
-                    bv: Walls | None) -> np.ndarray:
-    """Deterministic ghost fill: Dirichlet by linear extrapolation through the
-    boundary face (``bv`` the wall arrays, ``None`` for zero), zero-Neumann
-    by mirror, extrapolate linearly from the two nearest interior cells.
-    Corners are averaged from the two adjacent ghosts (no operator uses
-    them; they just keep the array finite)."""
-    nx, ny = grid.nx, grid.ny
-    p = np.empty((nx + 2, ny + 2), dtype=np.float64)
-    p[1:-1, 1:-1] = values
-    if kind == "dirichlet":
-        gw, ge, gs, gn = (0.0,) * 4 if bv is None else bv
-        p[0, 1:-1] = 2.0 * gw - values[0, :]
-        p[-1, 1:-1] = 2.0 * ge - values[-1, :]
-        p[1:-1, 0] = 2.0 * gs - values[:, 0]
-        p[1:-1, -1] = 2.0 * gn - values[:, -1]
-    elif kind == "neumann_zero":
-        p[0, 1:-1] = values[0, :]
-        p[-1, 1:-1] = values[-1, :]
-        p[1:-1, 0] = values[:, 0]
-        p[1:-1, -1] = values[:, -1]
-    else:  # extrapolate
-        p[0, 1:-1] = 2.0 * values[0, :] - values[1, :]
-        p[-1, 1:-1] = 2.0 * values[-1, :] - values[-2, :]
-        p[1:-1, 0] = 2.0 * values[:, 0] - values[:, 1]
-        p[1:-1, -1] = 2.0 * values[:, -1] - values[:, -2]
-    p[0, 0] = 0.5 * (p[0, 1] + p[1, 0])
-    p[-1, 0] = 0.5 * (p[-1, 1] + p[-2, 0])
-    p[0, -1] = 0.5 * (p[0, -2] + p[1, -1])
-    p[-1, -1] = 0.5 * (p[-1, -2] + p[-2, -1])
-    return p
 
 
 @dataclass
@@ -252,16 +201,14 @@ class DirectorTrace:
         """Per component, the Laplacian of the zero field with the trace's
         ghosts: the trace's part of the Dirichlet Laplacian, read-only."""
         zero = np.zeros((self.grid.nx, self.grid.ny))
-        return tuple(_read_only(laplacian(
-            ScalarField(self.grid, zero, "dirichlet", w)).values)
-            for w in self.walls)
+        return tuple(_read_only(laplacian(zero, self.grid, w))
+                     for w in self.walls)
 
 
 @dataclass
 class DirectorField:
     """Two-component cell-centered director with a time-independent
-    Dirichlet trace d0 on the wall, whose wall arrays the component fields
-    carry."""
+    Dirichlet trace d0 on the wall."""
 
     grid: GridSpec
     d1: np.ndarray
@@ -276,13 +223,6 @@ class DirectorField:
             raise ValueError("director components must have shape (nx, ny)")
         if self.trace.grid != self.grid:
             raise ValueError("the trace was sampled on another grid")
-
-    def component(self, k: int) -> ScalarField:
-        comp = self.d1 if k == 0 else self.d2
-        return ScalarField(self.grid, comp, "dirichlet", self.trace.walls[k])
-
-    def components(self) -> tuple[ScalarField, ScalarField]:
-        return self.component(0), self.component(1)
 
     @property
     def norm_sq(self) -> np.ndarray:
@@ -305,15 +245,16 @@ class DirectorField:
     def lap(self) -> tuple[np.ndarray, np.ndarray]:
         """Each component's Laplacian with the trace's ghosts."""
         return self.derived("lap", lambda: tuple(
-            laplacian(c).values for c in self.components()))
+            laplacian(c, self.grid, w)
+            for c, w in zip((self.d1, self.d2), self.trace.walls)))
 
     @property
     def gradients(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Each component's `centered_gradient_at_centers`, as
         ((d1_x, d1_y), (d2_x, d2_y))."""
         flat = self.derived("gradients", lambda: tuple(
-            g for c in self.components()
-            for g in centered_gradient_at_centers(c)))
+            g for c, w in zip((self.d1, self.d2), self.trace.walls)
+            for g in centered_gradient_at_centers(c, self.grid, w)))
         return flat[:2], flat[2:]
 
 
@@ -325,19 +266,37 @@ def divergence(w: MacVelocity) -> ScalarField:
     """Cell-centered divergence (u_{i+1,j}-u_{i,j})/hx + (v_{i,j+1}-v_{i,j})/hy."""
     g = w.grid
     div = (w.u[1:, :] - w.u[:-1, :]) / g.hx + (w.v[:, 1:] - w.v[:, :-1]) / g.hy
-    return ScalarField(g, div, "extrapolate")
+    return ScalarField(g, div)
 
 
-def gradient_to_faces(p: ScalarField) -> MacVelocity:
-    """Face-centered gradient using the field's ghost fill at the walls.
+def _wall_differences(values: np.ndarray, grid: GridSpec,
+                      walls: Walls | None, k: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Differences of cell values k cells apart over k*h, along x and
+    along y, with the Dirichlet ghosts 2g - interior beyond the walls (g
+    from `walls`, zero without): face differences for k = 1, centred
+    ones for k = 2. Written for x, and for y through the transposed
+    views."""
+    gw, ge, gs, gn = (0.0,) * 4 if walls is None else walls
+    dx = np.empty((grid.nx + 2 - k, grid.ny))
+    dy = np.empty((grid.nx, grid.ny + 2 - k))
+    for s, lo, hi, h, f in ((values, gw, ge, grid.hx, dx),
+                            (values.T, gs, gn, grid.hy, dy.T)):
+        f[0] = s[k - 1] - (2.0 * lo - s[0])
+        np.subtract(s[k:], s[:-k], out=f[1:-1])
+        f[-1] = (2.0 * hi - s[-1]) - s[-k]
+        f /= k * h
+    return dx, dy
+
+
+def gradient_to_faces(values: np.ndarray, grid: GridSpec,
+                      walls: Walls | None = None) -> MacVelocity:
+    """Face-centered gradient of cell values with the Dirichlet ghosts of
+    `walls` at the boundary faces.
 
     On interior faces this is the exact negative adjoint of `divergence`
     (with cell-area quadrature weights)."""
-    g = p.grid
-    pp = p.padded()
-    u = (pp[1:, 1:-1] - pp[:-1, 1:-1]) / g.hx
-    v = (pp[1:-1, 1:] - pp[1:-1, :-1]) / g.hy
-    return MacVelocity(g, u, v)
+    return MacVelocity(grid, *_wall_differences(values, grid, walls, 1))
 
 
 def gradient_interior_faces(p_values: np.ndarray, grid: GridSpec) -> MacVelocity:
@@ -361,19 +320,20 @@ def interior_gradient(p_values: np.ndarray, grid: GridSpec,
     out_v /= grid.hy
 
 
-def laplacian(s: ScalarField) -> ScalarField:
-    """5-point Laplacian, defined as divergence(gradient_to_faces(s)) so the
+def laplacian(values: np.ndarray, grid: GridSpec,
+              walls: Walls | None = None) -> np.ndarray:
+    """5-point Laplacian of cell values with the Dirichlet ghosts of
+    `walls`, defined as divergence(gradient_to_faces(...)) so the
     composition identity holds bitwise."""
-    return divergence(gradient_to_faces(s))
+    return divergence(gradient_to_faces(values, grid, walls)).values
 
 
-def centered_gradient_at_centers(s: ScalarField) -> tuple[np.ndarray, np.ndarray]:
-    """Centered first derivatives at cell centers using the ghost fill."""
-    g = s.grid
-    p = s.padded()
-    dx = (p[2:, 1:-1] - p[:-2, 1:-1]) / (2.0 * g.hx)
-    dy = (p[1:-1, 2:] - p[1:-1, :-2]) / (2.0 * g.hy)
-    return dx, dy
+def centered_gradient_at_centers(values: np.ndarray, grid: GridSpec,
+                                 walls: Walls | None = None
+                                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Centered first derivatives of cell values at cell centers, with the
+    Dirichlet ghosts of `walls` in the wall rows."""
+    return _wall_differences(values, grid, walls, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -410,23 +370,18 @@ def face_sum(pu: np.ndarray, pv: np.ndarray, qu: np.ndarray,
 
 
 def cell_h1_sq(grid: GridSpec, values: np.ndarray,
-               kind: str = "dirichlet", walls: Walls | None = None) -> float:
-    """Squared H1 seminorm of cell values with the ghost fill of `kind` and
-    `walls` (as in `pad_with_ghosts`): the face quadrature of
-    `gradient_to_faces`, half weight on boundary faces, summed from slices
-    without a ghost-padded copy. A boundary face's difference is 2(s - g)
-    against the Dirichlet ghost 2g - s, 0 against the zero-Neumann mirror,
-    and the first interior difference against the linear extrapolation."""
+               walls: Walls | None = None) -> float:
+    """Squared H1 seminorm of cell values with the Dirichlet ghosts of
+    `walls`: the face quadrature of `gradient_to_faces`, half weight on
+    boundary faces, summed from slices. A boundary face's difference is
+    2(s - g) against the ghost 2g - s."""
     dx = values[1:] - values[:-1]
     dy = values[:, 1:] - values[:, :-1]
-    sx, sy = inner(dx, dx), inner(dy, dy)
-    if kind == "dirichlet":
-        gw, ge, gs, gn = (None,) * 4 if walls is None else walls
-        sx += 2.0 * (_row_sq(values[0], gw) + _row_sq(values[-1], ge))
-        sy += 2.0 * (_row_sq(values[:, 0], gs) + _row_sq(values[:, -1], gn))
-    elif kind == "extrapolate":
-        sx += 0.5 * (_row_sq(dx[0]) + _row_sq(dx[-1]))
-        sy += 0.5 * (_row_sq(dy[:, 0]) + _row_sq(dy[:, -1]))
+    gw, ge, gs, gn = (None,) * 4 if walls is None else walls
+    sx = inner(dx, dx) + 2.0 * (_row_sq(values[0], gw)
+                                + _row_sq(values[-1], ge))
+    sy = inner(dy, dy) + 2.0 * (_row_sq(values[:, 0], gs)
+                                + _row_sq(values[:, -1], gn))
     return grid.cell_area * (sx / grid.hx**2 + sy / grid.hy**2)
 
 
@@ -447,29 +402,12 @@ def _mac_h1_sq(grid: GridSpec, u: np.ndarray, v: np.ndarray) -> float:
 def norms(fieldlike, kind: str) -> float:
     """Discrete norms by midpoint quadrature.
 
-    Accepts ScalarField, MacVelocity or DirectorField; kinds are ``L2``,
-    ``Linf``, ``H1_semi`` and ``H1``, and ``L1`` for scalars. A scalar's
-    ``H1_semi`` is the face-quadrature norm of `gradient_to_faces` (half
-    weight on boundary faces, `cell_h1_sq`), so for a zero-trace Dirichlet
-    or a zero-Neumann field its square is <s, -laplacian(s)> * cell_area.
-    A director's is summed over its components with the trace's ghosts.
+    Accepts MacVelocity or DirectorField; kinds are ``L2``, ``Linf`` and
+    ``H1_semi``. A director's ``H1_semi`` is the face-quadrature norm of
+    `gradient_to_faces` (half weight on boundary faces, `cell_h1_sq`),
+    summed over its components with the trace's ghosts.
     """
-    if kind == "H1":
-        return float(np.hypot(norms(fieldlike, "L2"),
-                              norms(fieldlike, "H1_semi")))
-    if isinstance(fieldlike, ScalarField):
-        g = fieldlike.grid
-        vals = fieldlike.values
-        if kind == "L1":
-            return float(np.sum(np.abs(vals)) * g.cell_area)
-        if kind == "L2":
-            return float(np.sqrt(inner(vals, vals) * g.cell_area))
-        if kind == "Linf":
-            return float(np.abs(vals).max())
-        if kind == "H1_semi":
-            return float(np.sqrt(cell_h1_sq(g, vals, fieldlike.boundary_kind,
-                                            fieldlike.boundary_value)))
-    elif isinstance(fieldlike, MacVelocity):
+    if isinstance(fieldlike, MacVelocity):
         g, u, v = fieldlike.grid, fieldlike.u, fieldlike.v
         if kind == "L2":
             return float(np.sqrt(face_sum(u, v, u, v) * g.cell_area))
@@ -486,8 +424,8 @@ def norms(fieldlike, kind: str) -> float:
                                  * g.cell_area))
         if kind == "H1_semi":
             w1, w2 = fieldlike.trace.walls
-            return float(np.sqrt(cell_h1_sq(g, d1, "dirichlet", w1)
-                                 + cell_h1_sq(g, d2, "dirichlet", w2)))
+            return float(np.sqrt(cell_h1_sq(g, d1, w1)
+                                 + cell_h1_sq(g, d2, w2)))
     raise ValueError(f"unsupported norm kind {kind!r} for {type(fieldlike).__name__}")
 
 
@@ -495,8 +433,12 @@ def elastic_identity_residual(d: DirectorField, margin: int = 2) -> float:
     """Max-norm residual of the identity
     div(grad d (x) grad d) = 1/2 grad|grad d|^2 + (lap d . grad d),
     evaluated with the module's centered operators on cells at least
-    ``margin`` cells away from the wall (the identity is exact only in the
-    continuum; near-wall ghost reconstruction would dominate otherwise)."""
+    ``margin`` >= 1 cells away from the wall (the identity is exact only in
+    the continuum; near-wall ghost reconstruction would dominate
+    otherwise). The outer derivatives are centred differences of interior
+    cells, so they need no ghosts."""
+    if margin < 1:
+        raise ValueError(f"margin must be at least 1, not {margin}")
     g = d.grid
     (d1x, d1y), (d2x, d2y) = d.gradients
     lap1, lap2 = d.lap
@@ -506,22 +448,25 @@ def elastic_identity_residual(d: DirectorField, margin: int = 2) -> float:
     s12 = d1x * d1y + d2x * d2y
     s22 = d1y * d1y + d2y * d2y
 
+    # on the interior cells c
+    c = np.s_[1:-1, 1:-1]
+
     def ddx(a):
-        return centered_gradient_at_centers(ScalarField(g, a, "extrapolate"))[0]
+        return (a[2:, 1:-1] - a[:-2, 1:-1]) / (2.0 * g.hx)
 
     def ddy(a):
-        return centered_gradient_at_centers(ScalarField(g, a, "extrapolate"))[1]
+        return (a[1:-1, 2:] - a[1:-1, :-2]) / (2.0 * g.hy)
 
     lhs_x = ddx(s11) + ddy(s12)
     lhs_y = ddx(s12) + ddy(s22)
 
     grad_sq = s11 + s22
-    rhs_x = 0.5 * ddx(grad_sq) + lap1 * d1x + lap2 * d2x
-    rhs_y = 0.5 * ddy(grad_sq) + lap1 * d1y + lap2 * d2y
+    rhs_x = 0.5 * ddx(grad_sq) + lap1[c] * d1x[c] + lap2[c] * d2x[c]
+    rhs_y = 0.5 * ddy(grad_sq) + lap1[c] * d1y[c] + lap2[c] * d2y[c]
 
-    m = margin
     res = np.maximum(np.abs(lhs_x - rhs_x), np.abs(lhs_y - rhs_y))
-    return float(res[m:-m, m:-m].max())
+    m = margin - 1
+    return float(res[m:res.shape[0] - m, m:res.shape[1] - m].max())
 
 
 # ---------------------------------------------------------------------------

@@ -80,8 +80,8 @@ def _upwind_advection(u: np.ndarray, v: np.ndarray, g: GridSpec
     diff /= g.hx
     adv = np.where(ui > 0, diff[:-1], diff[1:])
     adv *= ui
-    # across, on rows padded by the ghosts (wall value zero by linear
-    # extrapolation): column j is backward, column j + 1 forward
+    # across, on rows extended by the no-slip ghosts -u (wall value zero):
+    # column j is backward, column j + 1 forward
     up = np.empty_like(ui, shape=(ui.shape[0], ui.shape[1] + 2))
     up[:, 1:-1] = ui
     np.negative(ui[:, 0], out=up[:, 0])
@@ -220,4 +220,4 @@ def project(rho: ScalarField, v_star: MacVelocity, dt: float,
             f"tol_proj = {params.tol_proj:.3e}")
     q = phi / (c0 * dt)
     q += p_hat
-    return out, ScalarField(g, q, "neumann_zero")
+    return out, ScalarField(g, q)

@@ -214,14 +214,14 @@ def initial_state(cfg: RunConfig) -> SimState:
     so that step 1 is a step like any other."""
     s = validate_config(cfg)
     g = cfg.grid
-    rho = ScalarField(g, s["rho0"], "extrapolate")
+    rho = ScalarField(g, s["rho0"])
     density = DensityState.from_field(rho)
     d = DirectorField(g, s["d0x"], s["d0y"], s["trace"])
     v = MacVelocity(g, s["v0x"], s["v0y"])
     v.enforce_noslip()
     if norms(v, "Linf") > 0:
         v, _ = project(rho, v, 1.0, cfg.flow)
-    pressure = ScalarField(g, np.zeros((g.nx, g.ny)), "neumann_zero")
+    pressure = ScalarField(g, np.zeros((g.nx, g.ny)))
     return SimState(t=0.0, density=density, v=v, d=d, pressure=pressure,
                     v_prev=v, dt=cfg.dt)
 
@@ -449,8 +449,9 @@ def load_checkpoint(path, cfg: RunConfig) -> tuple[SimState, RunLog]:
     previous velocity and the Laplacian of its director, each array
     restored as saved, and the run's log. A file that is not such an
     archive, another format version, an archive that lacks one of its
-    arrays, a run on a grid other than `cfg`'s, or conserved references
-    other than those of `cfg`'s t = 0 data raise `CheckpointError`."""
+    arrays or holds records or a log scalar of another shape, a run on a
+    grid other than `cfg`'s, or conserved references other than those of
+    `cfg`'s t = 0 data raise `CheckpointError`."""
     try:
         archive = np.load(path, allow_pickle=False)
         if not isinstance(archive, np.lib.npyio.NpzFile):
@@ -470,6 +471,15 @@ def load_checkpoint(path, cfg: RunConfig) -> tuple[SimState, RunLog]:
     if missing:
         raise CheckpointError(
             f"{path} lacks the checkpoint array(s) {', '.join(missing)}")
+    rows = f["records"]
+    if rows.ndim != 2 or rows.shape[1] != len(FIELD_ORDER):
+        raise CheckpointError(
+            f"{path} holds records of shape {rows.shape}, "
+            f"not (k, {len(FIELD_ORDER)})")
+    shaped = [f"log_{k}" for k in _LOG_SCALARS if f[f"log_{k}"].ndim != 0]
+    if shaped:
+        raise CheckpointError(f"{path} holds the log array(s) "
+                              f"{', '.join(shaped)} not as one number")
     grid = cfg.grid
     saved = tuple(f[k].tolist() for k in ("nx", "ny", "Lx", "Ly"))
     if saved != (grid.nx, grid.ny, grid.Lx, grid.Ly):
@@ -485,17 +495,17 @@ def load_checkpoint(path, cfg: RunConfig) -> tuple[SimState, RunLog]:
                 f"{path} holds a run with ({', '.join(keys)}) = {refs}, "
                 f"not the {expected} of the config's initial data")
     r = ref.density
-    density = DensityState(ScalarField(grid, f["rho"], "extrapolate"),
+    density = DensityState(ScalarField(grid, f["rho"]),
                            r.rho_min0, r.rho_max0, r.mass0)
     d = DirectorField(grid, f["d1"], f["d2"], ref.d.trace)
     d.derived("lap", lambda: (f["lap_d1"], f["lap_d2"]))
     state = SimState(t=float(f["t"]), density=density,
                      v=MacVelocity(grid, f["u"], f["v"]), d=d,
-                     pressure=ScalarField(grid, f["q"], "neumann_zero"),
+                     pressure=ScalarField(grid, f["q"]),
                      v_prev=MacVelocity(grid, f["u_prev"], f["v_prev"]),
                      dt=float(f["dt"]))
     return state, RunLog(
-        records=tuple(DiagRecord(*row) for row in f["records"].tolist()),
+        records=tuple(DiagRecord(*row) for row in rows.tolist()),
         **{k: f[f"log_{k}"].item() for k in _LOG_SCALARS})
 
 
@@ -566,11 +576,10 @@ def mms_verify(resolutions=(16, 32, 64), tol_proj: float = 1e-8) -> dict:
         g = GridSpec(n, n, 1.0, 1.0)
         X, Y = g.cell_centers()
 
-        u = ScalarField(g, np.sin(np.pi * X) * np.sin(np.pi * Y),
-                        "dirichlet")
-        exact = -2 * np.pi**2 * u.values
+        u = np.sin(np.pi * X) * np.sin(np.pi * Y)
+        exact = -2 * np.pi**2 * u
         m = max(2, n // 8)
-        err = np.abs(laplacian(u).values - exact)[m:-m, m:-m].max()
+        err = np.abs(laplacian(u, g) - exact)[m:-m, m:-m].max()
         lap_err.append(err)
 
         from .density import upwind_flux_divergence
@@ -594,7 +603,7 @@ def mms_verify(resolutions=(16, 32, 64), tol_proj: float = 1e-8) -> dict:
         el_err.append(elastic_identity_residual(d, margin=max(2, m)))
 
         vstar = MacVelocity(g, w.u.copy(), w.v.copy())
-        rho_f = ScalarField(g, rho, "extrapolate")
+        rho_f = ScalarField(g, rho)
         vproj, _ = project(rho_f, vstar, 1.0,
                            FlowParams(tol_proj=tol_proj))
         if vproj.div_inf > tol_proj:

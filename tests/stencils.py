@@ -1,14 +1,20 @@
 """Reference stencils and quadratures, which the package no longer applies.
 
+The ghost fill `pad_with_ghosts` and the padded cell stencils built on it
+are the package's former wall handling: an (nx+2) x (ny+2) copy of a cell
+field with Dirichlet, zero-Neumann or linearly extrapolated ghosts. The
+package builds its Dirichlet stencils from slices; the tests check them
+bitwise against these, and `NeumannPoisson` against the Neumann Laplacian.
+
 The 5-point Laplacians of the MAC velocity components on interior faces
 are the stencils that `FaceHelmholtz` inverts. The tests check the
 eigenbasis solvers and the predictor's solution against them.
 
-The quadratures are the padded formulas of `grid.norms` and
-`diagnostics.kinetic_energy`: a scalar's H1 seminorm as the face L2 norm
-of `gradient_to_faces`, which fills ghosts, a velocity's L2 norm and H1
-seminorm summed from scaled differences, and the kinetic energy with
-per-call weight arrays. The package sums the same quadratures from slices;
+The quadratures are the padded formulas of `grid.norms`, `grid.cell_h1_sq`
+and `diagnostics.kinetic_energy`: a cell field's H1 seminorm as the face
+L2 norm of the padded face gradient, a velocity's L2 norm and H1 seminorm
+summed from scaled differences, and the kinetic energy with per-call
+weight arrays. The package sums the same quadratures from slices;
 the tests compare the two.
 
 The reference gradient flow is the stationary solve's former method: the
@@ -23,7 +29,100 @@ import numpy as np
 from nlcflow import stationary
 from nlcflow.director import GLParams, advance_director, gl_residual_l2
 from nlcflow.grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
-                          ScalarField, gradient_to_faces)
+                          ScalarField, Walls, divergence)
+
+
+def pad_with_ghosts(grid: GridSpec, values: np.ndarray, kind: str,
+                    bv: Walls | None) -> np.ndarray:
+    """Deterministic ghost fill: Dirichlet by linear extrapolation through the
+    boundary face (``bv`` the wall arrays, ``None`` for zero), zero-Neumann
+    by mirror, extrapolate linearly from the two nearest interior cells.
+    Corners are averaged from the two adjacent ghosts (no operator uses
+    them; they just keep the array finite)."""
+    nx, ny = grid.nx, grid.ny
+    p = np.empty((nx + 2, ny + 2), dtype=np.float64)
+    p[1:-1, 1:-1] = values
+    if kind == "dirichlet":
+        gw, ge, gs, gn = (0.0,) * 4 if bv is None else bv
+        p[0, 1:-1] = 2.0 * gw - values[0, :]
+        p[-1, 1:-1] = 2.0 * ge - values[-1, :]
+        p[1:-1, 0] = 2.0 * gs - values[:, 0]
+        p[1:-1, -1] = 2.0 * gn - values[:, -1]
+    elif kind == "neumann_zero":
+        p[0, 1:-1] = values[0, :]
+        p[-1, 1:-1] = values[-1, :]
+        p[1:-1, 0] = values[:, 0]
+        p[1:-1, -1] = values[:, -1]
+    else:  # extrapolate
+        p[0, 1:-1] = 2.0 * values[0, :] - values[1, :]
+        p[-1, 1:-1] = 2.0 * values[-1, :] - values[-2, :]
+        p[1:-1, 0] = 2.0 * values[:, 0] - values[:, 1]
+        p[1:-1, -1] = 2.0 * values[:, -1] - values[:, -2]
+    p[0, 0] = 0.5 * (p[0, 1] + p[1, 0])
+    p[-1, 0] = 0.5 * (p[-1, 1] + p[-2, 0])
+    p[0, -1] = 0.5 * (p[0, -2] + p[1, -1])
+    p[-1, -1] = 0.5 * (p[-1, -2] + p[-2, -1])
+    return p
+
+
+def padded_gradient_to_faces(values: np.ndarray, grid: GridSpec,
+                             walls: Walls | None = None,
+                             kind: str = "dirichlet") -> MacVelocity:
+    """Face-centered gradient from the ghost fill of `kind`."""
+    pp = pad_with_ghosts(grid, values, kind, walls)
+    u = (pp[1:, 1:-1] - pp[:-1, 1:-1]) / grid.hx
+    v = (pp[1:-1, 1:] - pp[1:-1, :-1]) / grid.hy
+    return MacVelocity(grid, u, v)
+
+
+def padded_laplacian(values: np.ndarray, grid: GridSpec,
+                     walls: Walls | None = None,
+                     kind: str = "dirichlet") -> np.ndarray:
+    """5-point Laplacian, divergence of `padded_gradient_to_faces`."""
+    return divergence(padded_gradient_to_faces(values, grid, walls,
+                                               kind)).values
+
+
+def padded_centered_gradient(values: np.ndarray, grid: GridSpec,
+                             walls: Walls | None = None,
+                             kind: str = "dirichlet"
+                             ) -> tuple[np.ndarray, np.ndarray]:
+    """Centered first derivatives at cell centers from the ghost fill."""
+    p = pad_with_ghosts(grid, values, kind, walls)
+    dx = (p[2:, 1:-1] - p[:-2, 1:-1]) / (2.0 * grid.hx)
+    dy = (p[1:-1, 2:] - p[1:-1, :-2]) / (2.0 * grid.hy)
+    return dx, dy
+
+
+def reference_elastic_identity_residual(d: DirectorField,
+                                        margin: int) -> float:
+    """`grid.elastic_identity_residual` from padded stencils: the
+    director's gradients and Laplacians with the trace's ghosts, and the
+    outer derivatives with linearly extrapolated ghosts, which the
+    margin then cuts off."""
+    g = d.grid
+    (d1x, d1y), (d2x, d2y) = (padded_centered_gradient(c, g, w) for c, w in
+                              zip((d.d1, d.d2), d.trace.walls))
+    lap1, lap2 = (padded_laplacian(c, g, w) for c, w in
+                  zip((d.d1, d.d2), d.trace.walls))
+    s11 = d1x * d1x + d2x * d2x
+    s12 = d1x * d1y + d2x * d2y
+    s22 = d1y * d1y + d2y * d2y
+
+    def ddx(a):
+        return padded_centered_gradient(a, g, kind="extrapolate")[0]
+
+    def ddy(a):
+        return padded_centered_gradient(a, g, kind="extrapolate")[1]
+
+    lhs_x = ddx(s11) + ddy(s12)
+    lhs_y = ddx(s12) + ddy(s22)
+    grad_sq = s11 + s22
+    rhs_x = 0.5 * ddx(grad_sq) + lap1 * d1x + lap2 * d2x
+    rhs_y = 0.5 * ddy(grad_sq) + lap1 * d1y + lap2 * d2y
+    m = margin
+    res = np.maximum(np.abs(lhs_x - rhs_x), np.abs(lhs_y - rhs_y))
+    return float(res[m:-m, m:-m].max())
 
 
 def laplacian_interior_faces(x: np.ndarray, grid: GridSpec, axis: int,
@@ -111,25 +210,34 @@ def _mac_l2_sq(w: MacVelocity) -> float:
     return float(s)
 
 
+def reference_cell_h1(values: np.ndarray, grid: GridSpec,
+                      walls: Walls | None = None) -> float:
+    """A cell field's H1 seminorm with the Dirichlet ghosts of `walls`:
+    the face L2 norm of its padded face gradient (`grid.cell_h1_sq`'s
+    square root)."""
+    return float(np.sqrt(_mac_l2_sq(padded_gradient_to_faces(values, grid,
+                                                             walls))))
+
+
+def _cell_l2(values: np.ndarray, grid: GridSpec) -> float:
+    return float(np.sqrt(np.sum(values**2) * grid.cell_area))
+
+
 def reference_norm(fieldlike, kind: str) -> float:
     """The padded formulas of `norms` for L2 and H1_semi."""
     if isinstance(fieldlike, DirectorField):
-        c1, c2 = fieldlike.components()
+        g, walls = fieldlike.grid, fieldlike.trace.walls
+        comps = (fieldlike.d1, fieldlike.d2)
         if kind == "L2":
-            return float(np.hypot(reference_norm(c1, "L2"),
-                                  reference_norm(c2, "L2")))
-        return float(np.sqrt(_mac_l2_sq(gradient_to_faces(c1))
-                             + _mac_l2_sq(gradient_to_faces(c2))))
-    if isinstance(fieldlike, MacVelocity):
-        if kind == "L2":
-            return float(np.sqrt(_mac_l2_sq(fieldlike)))
-        g = fieldlike.grid
-        return float(np.sqrt(_mac_component_h1_sq(g, fieldlike.u, 0)
-                             + _mac_component_h1_sq(g, fieldlike.v, 1)))
+            return float(np.hypot(*(_cell_l2(c, g) for c in comps)))
+        return float(np.sqrt(sum(
+            _mac_l2_sq(padded_gradient_to_faces(c, g, w))
+            for c, w in zip(comps, walls))))
     if kind == "L2":
-        return float(np.sqrt(np.sum(fieldlike.values**2)
-                             * fieldlike.grid.cell_area))
-    return float(np.sqrt(_mac_l2_sq(gradient_to_faces(fieldlike))))
+        return float(np.sqrt(_mac_l2_sq(fieldlike)))
+    g = fieldlike.grid
+    return float(np.sqrt(_mac_component_h1_sq(g, fieldlike.u, 0)
+                         + _mac_component_h1_sq(g, fieldlike.v, 1)))
 
 
 def reference_kinetic_energy(rho: ScalarField, v: MacVelocity) -> float:

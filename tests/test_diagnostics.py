@@ -31,12 +31,12 @@ def _sim_state(t, density, v, d):
     a unit step length: a record reads none of the three."""
     g = v.grid
     return SimState(t, density, v, d,
-                    ScalarField(g, np.zeros((g.nx, g.ny)), "neumann_zero"),
+                    ScalarField(g, np.zeros((g.nx, g.ny))),
                     v, 1.0)
 
 
 def _state(grid, t=0.0, rho=1.0, d=(1.0, 0.0), v=None):
-    rho_f = ScalarField(grid, np.full((grid.nx, grid.ny), rho), "extrapolate")
+    rho_f = ScalarField(grid, np.full((grid.nx, grid.ny), rho))
     dens = DensityState.from_field(rho_f)
     if v is None:
         v = MacVelocity.zeros(grid)
@@ -128,11 +128,12 @@ def test_law_residual_balances_pure_relaxation():
                            np.ones_like(x), np.zeros_like(x))))
     ctx = _ctx()
     dt = 1e-3
-    rho = ScalarField(grid, np.ones((32, 32)), "extrapolate")
+    rho = ScalarField(grid, np.ones((32, 32)))
     prev = _sim_state(0.0, DensityState.from_field(rho),
                       MacVelocity.zeros(grid), d0)
     d1 = advance_director(d0, MacVelocity.zeros(grid), ctx.glp, dt)
-    curr = _sim_state(dt, DensityState.from_field(rho.copy()),
+    curr = _sim_state(dt, DensityState.from_field(
+                          ScalarField(grid, rho.values.copy())),
                       MacVelocity.zeros(grid), d1)
     res = compute_record(prev, curr, ctx).law_residual
     diss = compute_record(prev, curr, ctx).gl_res_L2 ** 2
@@ -228,4 +229,13 @@ def test_csv_rejects_foreign_header(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("time,stuff\n0,1\n")
     with pytest.raises(ValueError):
+        read_csv(p)
+
+
+def test_csv_rejects_a_row_of_another_length(tmp_path):
+    p = tmp_path / "bad.csv"
+    write_csv(p, _fake_records(2))
+    with open(p, "a") as fh:
+        fh.write("1.0,2.0\n")
+    with pytest.raises(ValueError, match="line 4 has 2 fields"):
         read_csv(p)

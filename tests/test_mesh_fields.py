@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 
 from nlcflow.grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
-                          ScalarField,
-                          density_at_faces, divergence,
-                          elastic_identity_residual, gradient_interior_faces,
-                          gradient_to_faces, laplacian, norms, sample_walls)
+                          ScalarField, cell_h1_sq,
+                          centered_gradient_at_centers, density_at_faces,
+                          divergence, elastic_identity_residual,
+                          gradient_interior_faces, gradient_to_faces,
+                          laplacian, norms, sample_walls)
 from nlcflow.diagnostics import kinetic_energy
 from stencils import (_lap_u_interior, _lap_v_interior,
-                      laplacian_interior_faces, reference_kinetic_energy,
-                      reference_norm)
+                      laplacian_interior_faces, pad_with_ghosts,
+                      padded_centered_gradient, padded_gradient_to_faces,
+                      padded_laplacian, reference_cell_h1,
+                      reference_elastic_identity_residual,
+                      reference_kinetic_energy, reference_norm)
 
 
 @pytest.fixture
@@ -64,9 +68,31 @@ def test_gradient_divergence_adjoint(grid):
 
 def test_laplacian_is_div_of_grad(grid):
     rng = np.random.default_rng(11)
-    s = ScalarField(grid, rng.normal(size=(16, 12)), "dirichlet")
-    composed = divergence(gradient_to_faces(s)).values
-    assert np.array_equal(laplacian(s).values, composed)
+    s = rng.normal(size=(16, 12))
+    composed = divergence(gradient_to_faces(s, grid)).values
+    assert np.array_equal(laplacian(s, grid), composed)
+
+
+# The cell stencils build their wall rows from slices with the Dirichlet
+# ghost 2g - interior; each element goes through the operations of the
+# padded formula, so the two agree to the bit.
+
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("grid_args", [(16, 12, 2.0, 1.5), (16, 12, 1.0, 1.5),
+                                       (4, 5, 1.0, 1.5)])
+def test_stencils_from_slices_equal_the_padded_reference(grid_args, traced):
+    g = GridSpec(*grid_args)
+    values = np.random.default_rng(29).normal(size=(g.nx, g.ny))
+    walls = sample_walls(g, lambda x, y: np.cos(1.0 + x + 2.0 * y)) \
+        if traced else None
+    got, ref = (gradient_to_faces(values, g, walls),
+                padded_gradient_to_faces(values, g, walls))
+    assert np.array_equal(got.u, ref.u) and np.array_equal(got.v, ref.v)
+    assert np.array_equal(laplacian(values, g, walls),
+                          padded_laplacian(values, g, walls))
+    for a, b in zip(centered_gradient_at_centers(values, g, walls),
+                    padded_centered_gradient(values, g, walls)):
+        assert np.array_equal(a, b)
 
 
 def _padded_face_laplacian(x, g, axis):
@@ -112,58 +138,41 @@ def test_kept_values_make_their_field_read_only(grid):
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0] = 0.0
     # the kept values are those of the operators
-    assert np.array_equal(d.lap[1], laplacian(d.component(1)).values)
+    assert np.array_equal(d.lap[1], laplacian(d.d2, grid, d.trace.walls[1]))
     assert np.array_equal(rho.faces[0], density_at_faces(rho.values,
                                                          grid)[0])
 
 
-def test_laplacian_neumann_constant_is_zero(grid):
-    s = ScalarField(grid, np.full((16, 12), 3.7), "neumann_zero")
-    assert np.abs(laplacian(s).values).max() == 0.0
-
-
 def test_dirichlet_ghost_linear_extrapolation():
     g = GridSpec(4, 4, 1.0, 1.0)
-    s = ScalarField(g, np.ones((4, 4)), "dirichlet",
-                    sample_walls(g, lambda x, y: 2.0 * np.ones_like(x)))
-    p = s.padded()
-    # ghost = 2*g - interior = 4 - 1
-    assert np.allclose(p[0, 1:-1], 3.0)
-    assert np.allclose(p[1:-1, -1], 3.0)
-
-
-def test_norms_scalar_trivial(grid):
-    s = ScalarField(grid, np.ones((16, 12)), "neumann_zero")
-    assert norms(s, "L1") == pytest.approx(3.0)
-    assert norms(s, "L2") == pytest.approx(np.sqrt(3.0))
-    assert norms(s, "Linf") == 1.0
-    assert norms(s, "H1_semi") == 0.0
+    s = np.ones((4, 4))
+    grad = gradient_to_faces(
+        s, g, sample_walls(g, lambda x, y: 2.0 * np.ones_like(x)))
+    # the ghost behind a boundary face's difference: ghost = 2*g -
+    # interior = 4 - 1
+    assert np.allclose(s[0] - g.hx * grad.u[0], 3.0)
+    assert np.allclose(s[:, -1] + g.hy * grad.v[:, -1], 3.0)
 
 
 def test_h1_semi_linear_scalar():
     g = GridSpec(32, 32, 1.0, 1.0)
     X, _ = g.cell_centers()
-    s = ScalarField(g, 2.0 * X, "extrapolate")
-    # |grad| = 2 everywhere on the unit square
-    assert norms(s, "H1_semi") == pytest.approx(2.0, rel=1e-12)
-
-
-def test_h1_includes_l2(grid):
-    rng = np.random.default_rng(5)
-    s = ScalarField(grid, rng.normal(size=(16, 12)), "dirichlet")
-    assert norms(s, "H1") == pytest.approx(
-        np.hypot(norms(s, "L2"), norms(s, "H1_semi")))
+    # |grad| = 2 everywhere on the unit square; with the exact trace the
+    # boundary faces' differences are exact too
+    walls = sample_walls(g, lambda x, y: 2.0 * x)
+    assert np.sqrt(cell_h1_sq(g, 2.0 * X, walls)) == pytest.approx(
+        2.0, rel=1e-12)
 
 
 # Summation by parts: the energy law turns <s, -lap s> into ||grad s||^2.
 # The half weights on boundary faces in H1_semi are what make it exact.
 
-@pytest.mark.parametrize("kind", ["dirichlet", "neumann_zero"])
-def test_scalar_h1_semi_summation_by_parts(grid, kind):
+@pytest.mark.parametrize("walls", [None], ids=["dirichlet"])
+def test_scalar_h1_semi_summation_by_parts(grid, walls):
     rng = np.random.default_rng(11)
-    s = ScalarField(grid, rng.normal(size=(16, 12)), kind)
-    form = -np.sum(s.values * laplacian(s).values) * grid.cell_area
-    assert norms(s, "H1_semi") ** 2 == pytest.approx(form, rel=1e-12)
+    s = rng.normal(size=(16, 12))
+    form = -np.sum(s * laplacian(s, grid, walls)) * grid.cell_area
+    assert cell_h1_sq(grid, s, walls) == pytest.approx(form, rel=1e-12)
 
 
 def test_noslip_velocity_h1_semi_summation_by_parts(grid):
@@ -204,18 +213,24 @@ def _quadrature_case(name, g):
         trace = _wavy_trace if name == "director_trace" else _zero_trace
         return DirectorField(g, smooth(0.0), smooth(1.0),
                              DirectorTrace.sample(g, trace))
-    kind, _, walls = name.partition(":")
-    bv = sample_walls(g, lambda x, y: 2.0 + x * y) if walls else None
-    return ScalarField(g, smooth(0.0), kind, bv)
+    # a cell array and its Dirichlet walls ("dirichlet": none)
+    walls = sample_walls(g, lambda x, y: 2.0 + x * y) \
+        if name == "dirichlet:trace" else None
+    return smooth(0.0), walls
 
 
 @pytest.mark.parametrize("shape", [(16, 12), (128, 128)])
 @pytest.mark.parametrize("case", [
-    "dirichlet", "dirichlet:trace", "neumann_zero", "extrapolate",
+    "dirichlet", "dirichlet:trace",
     "director_trace", "director_none", "velocity"])
 def test_norms_match_the_padded_reference(case, shape):
     g = GridSpec(*shape, 2.0, 1.5)
     f = _quadrature_case(case, g)
+    if isinstance(f, tuple):
+        values, walls = f
+        assert np.sqrt(cell_h1_sq(g, values, walls)) == pytest.approx(
+            reference_cell_h1(values, g, walls), rel=1e-12, abs=0.0)
+        return
     for kind in ("L2", "H1_semi"):
         assert norms(f, kind) == pytest.approx(reference_norm(f, kind),
                                                rel=1e-12, abs=0.0)
@@ -241,7 +256,7 @@ def test_director_component_trace():
     d = DirectorField(g, np.ones((8, 8)), np.zeros((8, 8)),
                       DirectorTrace.sample(g, lambda x, y: (
                           np.ones_like(x), np.zeros_like(x))))
-    p = d.component(0).padded()
+    p = pad_with_ghosts(g, d.d1, "dirichlet", d.trace.walls[0])
     assert np.allclose(p, 1.0)  # constant extends exactly
 
 
@@ -262,7 +277,8 @@ def test_director_walls_sit_at_their_face_midpoints(grid):
              "south": (np.s_[1:-1, 0], np.s_[1:-1, 1], xc, 0.0 * xc),
              "north": (np.s_[1:-1, -1], np.s_[1:-1, -2], xc, grid.Ly + 0.0 * xc)}
     for k in range(2):
-        p = d.component(k).padded()
+        p = pad_with_ghosts(grid, (d.d1, d.d2)[k], "dirichlet",
+                            d.trace.walls[k])
         for name, (ghost, inner, x, y) in faces.items():
             face = 0.5 * (p[ghost] + p[inner])
             assert np.abs(face - trace(x, y)[k]).max() <= 1e-14, (k, name)
@@ -286,6 +302,8 @@ def test_director_rejects_a_trace_from_another_grid(grid):
 
 
 def test_scalar_field_rejects_a_callable_trace():
+    # a ScalarField carries no boundary data at all; the director's trace
+    # is sampled into wall arrays
     g = GridSpec(4, 4, 1.0, 1.0)
     with pytest.raises(TypeError):
         ScalarField(g, np.ones((4, 4)), "dirichlet", lambda x, y: 0.0 * x)
@@ -308,3 +326,28 @@ def test_elastic_identity_residual_smooth_field_small():
     d = DirectorField(g, np.cos(th), np.sin(th),
                       DirectorTrace.sample(g, trace))
     assert elastic_identity_residual(d) < 0.05
+
+
+def test_elastic_identity_residual_needs_a_margin():
+    g = GridSpec(8, 8, 1.0, 1.0)
+    d = DirectorField(g, np.ones((8, 8)), np.zeros((8, 8)),
+                      DirectorTrace.sample(g, lambda x, y: (
+                          np.ones_like(x), np.zeros_like(x))))
+    for margin in (0, -1):
+        with pytest.raises(ValueError, match="margin"):
+            elastic_identity_residual(d, margin)
+
+
+@pytest.mark.parametrize("margin", [1, 2])
+def test_elastic_identity_residual_equals_the_padded_reference(margin):
+    # the outer derivatives' wall rows, which the padded form filled with
+    # extrapolated ghosts, lie outside every margin
+    g = GridSpec(16, 12, 2.0, 1.5)
+    X, Y = g.cell_centers()
+    th = 0.6 * np.sin(X + 2.0 * Y)
+    d = DirectorField(g, np.cos(th), np.sin(th),
+                      DirectorTrace.sample(g, lambda x, y: (
+                          np.cos(0.6 * np.sin(x + 2.0 * y)),
+                          np.sin(0.6 * np.sin(x + 2.0 * y)))))
+    assert elastic_identity_residual(d, margin) \
+        == reference_elastic_identity_residual(d, margin)

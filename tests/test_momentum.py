@@ -25,7 +25,7 @@ def _rho(grid, const=None):
     X, Y = grid.cell_centers()
     vals = np.full((grid.nx, grid.ny), const) if const is not None else \
         1.5 + 0.3 * np.sin(2 * np.pi * X) * np.sin(2 * np.pi * Y)
-    return ScalarField(grid, vals, "extrapolate")
+    return ScalarField(grid, vals)
 
 
 def _midrange(rho):

@@ -137,7 +137,7 @@ def _oracle_advance_density(rho, w, dt):
 def test_density_step_matches_loop_oracle(g=GRID):
     rho, w, _ = _setup(g)
     dt = 0.01
-    state = DensityState.from_field(ScalarField(g, rho, "extrapolate"))
+    state = DensityState.from_field(ScalarField(g, rho))
     fast = advance_density(state, w, dt).rho.values
     slow = _oracle_advance_density(rho, w, dt)
     err = _rel_err(fast, slow)
@@ -425,7 +425,7 @@ def test_momentum_predictor_matches_dense_oracle(g=GRID):
     g_ext = MacVelocity(g, 0.1 * np.ones((g.nx + 1, g.ny)),
                         -0.05 * np.ones((g.nx, g.ny + 1)))
 
-    rho_f = ScalarField(g, rho, "extrapolate")
+    rho_f = ScalarField(g, rho)
     cold = dict(rbar=0.5 * (rho.min() + rho.max()))
     lagged = dict(p_hat=_cell_pressure(31, g),
                   w_prev=_previous_velocity(w, 32), dt_prev=0.5 * dt,
@@ -447,7 +447,7 @@ def test_oracle_agreement_without_external_force():
     flow = FlowParams(nu=1.3)
     dt = 0.002
     rbar = 0.5 * (rho.min() + rho.max())
-    rho_f = ScalarField(GRID, rho, "extrapolate")
+    rho_f = ScalarField(GRID, rho)
     fast = predict_velocity(rho_f, w, d, MacVelocity.zeros(GRID), flow, glp,
                             dt, rbar=rbar, **_cold_lag(w, dt))
     ou, ov, _ = _oracle_predict_velocity(rho, w, d, None, flow, glp, dt,
@@ -528,7 +528,7 @@ def _oracle_project(rho, w, dt, p_hat):
 def test_projection_matches_dense_oracle(g=GRID):
     rho, w, _ = _setup(g)
     dt = 0.004
-    rho_f = ScalarField(g, rho, "extrapolate")
+    rho_f = ScalarField(g, rho)
     for p_hat in (0.0, _cell_pressure(23, g)):
         fast, q = project(rho_f, w, dt, FlowParams(), p_hat=p_hat)
         ou, ov, oq = _oracle_project(rho, w, dt, p_hat)
@@ -601,8 +601,8 @@ def _start_state(g=GRID):
     the midrange of its density: the split density of a run from it."""
     rho, w, d = _setup(g)
     return SimState(t=0.0, density=DensityState.from_field(
-        ScalarField(g, rho, "extrapolate")), v=w, d=d,
-        pressure=ScalarField(g, np.zeros((g.nx, g.ny)), "neumann_zero"),
+        ScalarField(g, rho)), v=w, d=d,
+        pressure=ScalarField(g, np.zeros((g.nx, g.ny))),
         v_prev=w, dt=_step_config(g).dt), 0.5 * (rho.min() + rho.max())
 
 
@@ -618,10 +618,10 @@ def _oracle_state(state, slow, dt):
     g = state.v.grid
     return SimState(
         t=state.t + dt,
-        density=DensityState.from_field(ScalarField(g, rho, "extrapolate")),
+        density=DensityState.from_field(ScalarField(g, rho)),
         v=MacVelocity(g, u, v),
         d=DirectorField(g, n1, n2, state.d.trace),
-        pressure=ScalarField(g, q, "neumann_zero"), v_prev=state.v, dt=dt)
+        pressure=ScalarField(g, q), v_prev=state.v, dt=dt)
 
 
 def test_three_cold_steps_match_the_step_oracle(g=GRID):

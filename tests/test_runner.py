@@ -208,46 +208,56 @@ def test_step_halves_dt_under_cfl_and_keeps_it():
         round(np.log2(0.05 / state.dt)))
 
 
-def test_a_step_applies_no_laplacian_stencil_and_pads_d_once(monkeypatch):
+def _spy(fn, calls):
+    """fn, recording the values array of each call in `calls`."""
+    def spied(values, *args):
+        calls.append(values)
+        return fn(values, *args)
+    return spied
+
+
+_CELL_STENCILS = ("gradient_to_faces", "laplacian",
+                  "centered_gradient_at_centers")
+
+
+def test_a_step_applies_no_laplacian_stencil_and_takes_d_gradients_once(
+        monkeypatch):
     # From step 2 on, a step takes both Laplacians from its solves and
     # reuses each field's kept values: it calls no Laplacian (face or cell)
-    # and fills the ghosts of each component of the new director once,
-    # for its centred gradients, and of nothing else
+    # and no face gradient, and takes the centred gradients of each
+    # component of the new director once, and of nothing else
     cfg = _cfg()
     state = step(initial_state(cfg), cfg)
-    pads = []
-    pad = grid_module.pad_with_ghosts
-
-    def counted(g, values, kind, bv):
-        pads.append(values)
-        return pad(g, values, kind, bv)
-
+    grads = []
     called = set()
 
     def profile(frame, event, arg):
         if event == "call":
             called.add(frame.f_code.co_name)
 
-    monkeypatch.setattr(grid_module, "pad_with_ghosts", counted)
+    monkeypatch.setattr(grid_module, "centered_gradient_at_centers",
+                        _spy(grid_module.centered_gradient_at_centers, grads))
     for _ in range(3):
-        pads.clear()
+        grads.clear()
         sys.setprofile(profile)
         try:
             state = step(state, cfg)
         finally:
             sys.setprofile(None)
-        assert len(pads) == 2
-        assert pads[0] is state.d.d1 and pads[1] is state.d.d2
+        assert len(grads) == 2
+        assert grads[0] is state.d.d1 and grads[1] is state.d.d2
     assert not {name for name in called if "laplacian" in name}
     assert "_neighbour_sum" not in called
+    assert "gradient_to_faces" not in called
 
 
 @pytest.mark.parametrize("carried", [False, True])
-def test_a_record_fills_no_ghosts(monkeypatch, carried):
+def test_a_record_applies_no_cell_stencil(monkeypatch, carried):
     # A record sums its quadratures from slices and the trace's wall
     # arrays, and reads its states' Laplacians from the director step, so
-    # it pads nothing, whether it measures prev or reads prev_rec. The
-    # wall trace is not constant, and f1 forcing and d_inf are on.
+    # it applies no cell stencil, whether it measures prev or reads
+    # prev_rec. The wall trace is not constant, and f1 forcing and d_inf
+    # are on.
     cfg = preset_config("f1-potential", nx=16, ny=16, dt=2e-3,
                         d0x="cos(0.5*pi*x*y)", d0y="sin(0.5*pi*x*y)")
     a = initial_state(cfg)
@@ -256,16 +266,12 @@ def test_a_record_fills_no_ghosts(monkeypatch, carried):
     ctx = DiagContext(glp=cfg.glp, flow=cfg.flow, spec=cfg.forcing,
                       d_inf=a.d)
     prev_rec = compute_record(a, b, ctx) if carried else None
-    pads = []
-    pad = grid_module.pad_with_ghosts
-
-    def counted(g, values, kind, bv):
-        pads.append(values)
-        return pad(g, values, kind, bv)
-
-    monkeypatch.setattr(grid_module, "pad_with_ghosts", counted)
+    stencils = []
+    for name in _CELL_STENCILS:
+        monkeypatch.setattr(grid_module, name,
+                            _spy(getattr(grid_module, name), stencils))
     compute_record(b, c, ctx, prev_rec)
-    assert pads == []
+    assert stencils == []
 
 
 def test_step_rejected_below_dt_min():
@@ -346,6 +352,22 @@ def test_run_wraps_a_step_failure_and_chains_it(monkeypatch):
     cause = info.value.__cause__
     assert isinstance(cause, _TwoArgError)
     assert cause.args == (7, "predict") and cause.phase == "predict"
+
+
+@pytest.mark.parametrize("case", ["missing", "foreign", "short"])
+def test_cli_report_exits_2_on_an_unusable_csv(tmp_path, capsys, case):
+    path = tmp_path / "diagnostics.csv"
+    if case == "foreign":
+        path.write_text("a,b,c\n1,2,3\n")
+    elif case == "short":
+        result = run(_cfg(t_end=0.02, out_dir=str(tmp_path)),
+                     with_stationary=False)
+        assert 0 < len(result.records) < 10
+    rc = cli_main(["report", str(path)])
+    out = capsys.readouterr()
+    assert rc == 2 and out.out == ""
+    assert out.err.startswith("error: ")
+    assert "Traceback" not in out.err
 
 
 def test_cli_exits_2_on_a_step_failure(monkeypatch, tmp_path, capsys):
@@ -595,6 +617,39 @@ def test_load_checkpoint_names_a_missing_array(tmp_path, key):
     np.savez(path, **fields)
     with pytest.raises(CheckpointError, match=f"lacks .*{key}"):
         load_checkpoint(path, cfg)
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("records", lambda a: a[:, :18]),
+    ("records", lambda a: a.ravel()),
+    ("log_steps", lambda a: np.array([a, a])),
+], ids=["records-18-columns", "records-1d", "log_steps-2"])
+def test_load_checkpoint_names_an_array_of_another_shape(tmp_path, key, bad):
+    # a log with records, so that the cut columns hold numbers
+    cfg = _cfg()
+    ctx = DiagContext(glp=cfg.glp, flow=cfg.flow, spec=cfg.forcing)
+    state, log = initial_state(cfg), RunLog()
+    for _ in range(2):
+        prev, state = state, step(state, cfg)
+        log = after_step(log, prev, state, cfg, ctx)
+    path = tmp_path / "snap.npz"
+    save_checkpoint(path, state, log)
+    with np.load(path) as f:
+        fields = dict(f.items())
+    assert fields["records"].shape == (2, len(FIELD_ORDER))
+    fields[key] = bad(fields[key])
+    np.savez(path, **fields)
+    with pytest.raises(CheckpointError, match=key):
+        load_checkpoint(path, cfg)
+
+
+def test_load_checkpoint_reads_an_empty_log(tmp_path):
+    # no records save as a (0, 19) array
+    cfg = _cfg()
+    path = _written_checkpoint(tmp_path, cfg)
+    with np.load(path) as f:
+        assert f["records"].shape == (0, len(FIELD_ORDER))
+    assert load_checkpoint(path, cfg)[1].records == ()
 
 
 def test_load_checkpoint_rejects_other_initial_data(tmp_path):

@@ -8,7 +8,7 @@ from nlcflow.director import (GLParams, advance_director, director_energy,
 from nlcflow.errors import DegenerateFit, InsufficientSamples, NlcflowError
 from nlcflow import stationary
 from nlcflow.grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
-                          ScalarField, laplacian)
+                          laplacian)
 from nlcflow.stationary import (decay_rate_fit, kappa_predicted,
                                 lojasiewicz_probe, solve_stationary)
 from stencils import reference_gradient_flow
@@ -117,9 +117,9 @@ def test_harmonic_extension_preconditioner_inverts_minus_laplacian():
     trace = DirectorTrace.sample(
         g, lambda x, y: (x + 2.0 * y**2, np.sin(3.0 * x) * y))
     d = stationary._harmonic_extension(g, trace)
-    for comp, load in zip(d.components(), trace.load):
+    for comp, walls, load in zip((d.d1, d.d2), trace.walls, trace.load):
         assert np.abs(load).max() > 0.0
-        assert np.abs(laplacian(comp).values).max() \
+        assert np.abs(laplacian(comp, g, walls)).max() \
             <= 1e-12 * np.abs(load).max()
 
 
@@ -268,25 +268,31 @@ def test_final_check_restarts_from_the_stencils_laplacian(monkeypatch):
     assert np.abs(res.d_inf.d1 - ref.d1).max() <= 1e-9
 
 
+def _spy(fn, calls):
+    """fn, recording the values array of each call in `calls`."""
+    def spied(values, *args):
+        calls.append(values)
+        return fn(values, *args)
+    return spied
+
+
 def test_solve_applies_no_stencil_before_its_final_check(monkeypatch):
     g = GridSpec(32, 32)
     trace = _angle_trace(g, lambda x, y: 0.5 * np.pi * x * y)
-    trace.load  # the run's first use of the trace fills its ghosts
-    pads, advected = [], []
-    pad = grid_module.pad_with_ghosts
-
-    def counted(grid, values, kind, bv):
-        pads.append(values)
-        return pad(grid, values, kind, bv)
-
-    monkeypatch.setattr(grid_module, "pad_with_ghosts", counted)
+    trace.load  # the run's first use of the trace applies the stencil
+    # every Dirichlet stencil goes through one of these two, a Laplacian
+    # through gradient_to_faces
+    stencils, advected = [], []
+    for name in ("gradient_to_faces", "centered_gradient_at_centers"):
+        monkeypatch.setattr(grid_module, name,
+                            _spy(getattr(grid_module, name), stencils))
     monkeypatch.setattr(director_module, "advect_director",
                         lambda *args: advected.append(args))
     res = solve_stationary(g, trace, eta=0.5)
     assert res.iterations > 0
     assert advected == []
-    # the residual check's stencil, one fill per component
-    assert len(pads) == 2
+    # the residual check's stencil, one per component
+    assert len(stencils) == 2
 
 
 def test_carried_laplacian_matches_the_stencil():
@@ -301,7 +307,7 @@ def test_carried_laplacian_matches_the_stencil():
     scale = (4.0 / g.hx**2 + 4.0 / g.hy**2) * max(np.abs(x[0]).max(),
                                                   np.abs(x[1]).max())
     for xk, lk, walls in zip(x, lap, trace.walls):
-        stencil = laplacian(ScalarField(g, xk, "dirichlet", walls)).values
+        stencil = laplacian(xk, g, walls)
         assert np.abs(lk - stencil).max() <= 32 * np.finfo(float).eps * scale
 
 
@@ -323,7 +329,7 @@ def test_descent_reads_the_residual_of_gl_residual_l2():
 
 def _ray(g, d, p, eta):
     """The cubic of `_ray_cubic` for d and p, and E(d + alpha p)."""
-    lap_p = [laplacian(ScalarField(g, pk, "dirichlet")).values for pk in p]
+    lap_p = [laplacian(pk, g) for pk in p]
     grad = [fk - lk for fk, lk in zip(gl_f(d, eta), d.lap)]
     c = stationary._ray_cubic([d.d1, d.d2], d.norm_sq - 1.0, grad, p, lap_p,
                               eta)
