@@ -10,8 +10,7 @@ from .diagnostics import (DiagContext, DiagRecord, compute_record,
 from .director import GLParams, advance_director, gl_residual_l2
 from .forcing import ForcingSpec, eval_force
 from .grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
-                   ScalarField, divergence, gradient_to_faces, laplacian,
-                   norms)
+                   divergence, gradient_to_faces, laplacian, norms)
 from .momentum import FlowParams, elastic_force, predict_velocity, project
 from .runner import (PRESETS, RunConfig, initial_state, load_config,
                      mms_verify, preset_config, run, step)
@@ -28,7 +27,6 @@ __all__ = [
     "GLParams", "advance_director", "gl_residual_l2",
     "ForcingSpec", "eval_force",
     "DirectorField", "DirectorTrace", "GridSpec", "MacVelocity",
-    "ScalarField",
     "divergence", "gradient_to_faces", "laplacian", "norms",
     "FlowParams", "elastic_force", "predict_velocity", "project",
     "PRESETS", "RunConfig", "initial_state", "load_config", "mms_verify",

@@ -1,37 +1,53 @@
-"""Density transport: conservative first-order upwind advection that
-preserves pointwise bounds (for discretely divergence-free velocities) and
-conserves total mass to round-off.
+"""The density and its transport: conservative first-order upwind
+advection that preserves pointwise bounds (for discretely divergence-free
+velocities) and conserves total mass to round-off.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import CflViolation
-from .grid import GridSpec, MacVelocity, ScalarField
+from .grid import GridSpec, MacVelocity, density_at_faces
 
 
 @dataclass
 class DensityState:
-    """Density field plus its initial minimum and maximum (the maximum is
-    the reference density of the diagnostics; their midrange is the
-    predictor's split density) and initial mass (the reference of the
-    mass drift)."""
+    """The density: its cell values on its grid, its initial minimum and
+    maximum (the maximum is the reference density of the diagnostics;
+    their midrange is the predictor's split density), its initial mass
+    (the reference of the mass drift) and, computed once, its face
+    averages."""
 
-    rho: ScalarField
+    grid: GridSpec
+    values: np.ndarray
     rho_min0: float
     rho_max0: float
     mass0: float
 
+    def __post_init__(self):
+        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
+        if self.values.shape != (self.grid.nx, self.grid.ny):
+            raise ValueError("density values must have shape (nx, ny)")
+
     @classmethod
-    def from_field(cls, rho: ScalarField) -> "DensityState":
-        vals = rho.values
-        return cls(rho=rho,
-                   rho_min0=float(vals.min()),
-                   rho_max0=float(vals.max()),
-                   mass0=float(np.sum(vals) * rho.grid.cell_area))
+    def initial(cls, grid: GridSpec, values) -> "DensityState":
+        """The density at t = 0, whose references are its own."""
+        vals = np.ascontiguousarray(values, dtype=np.float64)
+        return cls(grid, vals, float(vals.min()), float(vals.max()),
+                   float(np.sum(vals) * grid.cell_area))
+
+    @cached_property
+    def faces(self) -> tuple[np.ndarray, np.ndarray]:
+        """`density_at_faces` of the values, computed once; the values and
+        the faces become read-only."""
+        faces = density_at_faces(self.values, self.grid)
+        for a in (self.values, *faces):
+            a.flags.writeable = False
+        return faces
 
     @property
     def rho_bar(self) -> float:
@@ -41,12 +57,8 @@ class DensityState:
         stays stable for any density ratio."""
         return 0.5 * (self.rho_min0 + self.rho_max0)
 
-    @property
-    def grid(self) -> GridSpec:
-        return self.rho.grid
-
     def mass(self) -> float:
-        return float(np.sum(self.rho.values) * self.rho.grid.cell_area)
+        return float(np.sum(self.values) * self.grid.cell_area)
 
 
 def cfl_number(w: MacVelocity, dt: float) -> float:
@@ -85,7 +97,5 @@ def advance_density(state: DensityState, w: MacVelocity, dt: float) -> DensitySt
     if cfl_number(w, dt) > 1.0:
         raise CflViolation(
             f"density CFL number {cfl_number(w, dt):.3f} exceeds 1")
-    rho = state.rho.values
-    new_vals = rho - dt * upwind_flux_divergence(rho, w)
-    return DensityState(ScalarField(state.grid, new_vals), state.rho_min0,
-                        state.rho_max0, state.mass0)
+    rho = state.values
+    return replace(state, values=rho - dt * upwind_flux_divergence(rho, w))

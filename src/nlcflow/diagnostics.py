@@ -15,8 +15,8 @@ import numpy as np
 from . import forcing
 from .director import GLParams, director_energy_terms, gl_residual_l2
 from .forcing import ForcingSpec
-from .grid import (DirectorField, MacVelocity, ScalarField, cell_h1_sq,
-                   face_sum, inner, norms)
+from .grid import (DirectorField, MacVelocity, cell_h1_sq, face_sum, inner,
+                   norms)
 from .momentum import FlowParams
 from .state import SimState
 
@@ -59,11 +59,12 @@ class DiagContext:
     d_inf: DirectorField | None = None
 
 
-def kinetic_energy(rho: ScalarField, v: MacVelocity) -> float:
-    """(1/2) integral of rho |v|^2 with the face densities `rho.faces`, and
-    the half-weight boundary-face quadrature the projection's energy
-    identity uses."""
-    return 0.5 * v.grid.cell_area * _rho_v_sq(rho.faces, v.u, v.v)
+def kinetic_energy(faces: tuple[np.ndarray, np.ndarray],
+                   v: MacVelocity) -> float:
+    """(1/2) integral of rho |v|^2 with the face densities `faces` (ru,
+    rv), and the half-weight boundary-face quadrature the projection's
+    energy identity uses."""
+    return 0.5 * v.grid.cell_area * _rho_v_sq(faces, v.u, v.v)
 
 
 def _rho_v_sq(faces, u: np.ndarray, v: np.ndarray) -> float:
@@ -80,7 +81,7 @@ def state_bounds(st: SimState) -> dict:
     divergence norm is the velocity's `div_inf`, which `project` has
     already computed for its check."""
     vals = st.rho.values
-    return dict(mass=st.density.mass(), rho_min=float(vals.min()),
+    return dict(mass=st.rho.mass(), rho_min=float(vals.min()),
                 rho_max=float(vals.max()), d_maxnorm=norms(st.d, "Linf"),
                 div_v_inf=st.v.div_inf)
 
@@ -91,7 +92,7 @@ def _functionals(st: SimState, ctx: DiagContext) -> dict:
     lam, g = ctx.glp.lam, st.rho.grid
     ela, pot = director_energy_terms(st.d, ctx.glp.eta)
     ela, pot = lam * ela, lam * pot
-    kin = kinetic_energy(st.rho, st.v)
+    kin = kinetic_energy(st.rho.faces, st.v)
     total = kin + ela + pot
     tilde = total
     phi = forcing.sample_forcing(ctx.spec, g).phi
@@ -160,7 +161,7 @@ def compute_record(prev: SimState, curr: SimState, ctx: DiagContext,
     return DiagRecord(
         t=curr.t, **c, A_val=a_val, B_val=b_val, **state_bounds(curr),
         law_residual=_law_residual(p, c, dt, ctx, g.poincare_constant(),
-                                   curr.density.rho_max0),
+                                   curr.rho.rho_max0),
         d_dist=d_dist, v_H1=float(np.hypot(norms(curr.v, "L2"),
                                            c["grad_v_L2"])))
 

@@ -1,11 +1,13 @@
-"""Staggered (MAC) grid geometry, field containers, discrete operators,
-the Dirichlet wall rule and norms.
+"""Staggered (MAC) grid geometry, the velocity and director containers,
+discrete operators, the Dirichlet wall rule and norms.
 
 Layout conventions
 ------------------
 Index order is ``[i, j]`` with ``i`` along x and ``j`` along y.
 
-* cell-centered scalars: shape ``(nx, ny)``, centers at ``((i+1/2)hx, (j+1/2)hy)``
+* cell-centered scalars: shape ``(nx, ny)``, centers at
+  ``((i+1/2)hx, (j+1/2)hy)``; a pressure or a divergence is a plain array,
+  and the density's container is `density.DensityState`
 * u (x-velocity) on vertical faces: shape ``(nx+1, ny)``, at ``(i*hx, (j+1/2)hy)``
 * v (y-velocity) on horizontal faces: shape ``(nx, ny+1)``, at ``((i+1/2)hx, j*hy)``
 
@@ -24,9 +26,9 @@ components' read-only wall arrays and, computed on first use, the trace's
 share of the Laplacian.
 
 Values derived from a field and shared by the layers of a step (a
-density's face averages, a velocity's ||div||_inf, a director's
-Laplacian, centred gradients, |d|^2 and f(d)) are computed once and kept
-with the field. The field's arrays and the kept ones are made read-only
+velocity's ||div||_inf, a director's Laplacian, centred gradients, |d|^2
+and f(d), and a density's face averages) are computed once and kept with
+the field. The field's arrays and the kept ones are made read-only
 when the first value is kept, so that no kept value can go stale.
 
 The norms sum their quadratures from slices of the field's arrays and the
@@ -110,26 +112,6 @@ def sample_walls(grid: GridSpec, fn) -> tuple:
 
 
 @dataclass
-class ScalarField:
-    """Cell-centered scalar: its grid, its values and, computed once, the
-    face averages of its values."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if self.values.shape != (self.grid.nx, self.grid.ny):
-            raise ValueError("scalar values must have shape (nx, ny)")
-
-    @cached_property
-    def faces(self) -> tuple[np.ndarray, np.ndarray]:
-        """`density_at_faces` of the values, computed once, read-only."""
-        _freeze(self.values)
-        return _freeze(*density_at_faces(self.values, self.grid))
-
-
-@dataclass
 class MacVelocity:
     """Face-staggered velocity. No-slip walls: boundary-face normal
     components are exactly zero; tangential ghost values mirror with sign
@@ -165,7 +147,7 @@ class MacVelocity:
     def div_inf(self) -> float:
         """||divergence||_inf, computed once; u and v become read-only."""
         _freeze(self.u, self.v)
-        return float(np.abs(divergence(self).values).max())
+        return float(np.abs(divergence(self)).max())
 
 
 def _freeze(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -262,11 +244,10 @@ class DirectorField:
 # discrete operators
 # ---------------------------------------------------------------------------
 
-def divergence(w: MacVelocity) -> ScalarField:
+def divergence(w: MacVelocity) -> np.ndarray:
     """Cell-centered divergence (u_{i+1,j}-u_{i,j})/hx + (v_{i,j+1}-v_{i,j})/hy."""
     g = w.grid
-    div = (w.u[1:, :] - w.u[:-1, :]) / g.hx + (w.v[:, 1:] - w.v[:, :-1]) / g.hy
-    return ScalarField(g, div)
+    return (w.u[1:, :] - w.u[:-1, :]) / g.hx + (w.v[:, 1:] - w.v[:, :-1]) / g.hy
 
 
 def _wall_differences(values: np.ndarray, grid: GridSpec,
@@ -325,7 +306,7 @@ def laplacian(values: np.ndarray, grid: GridSpec,
     """5-point Laplacian of cell values with the Dirichlet ghosts of
     `walls`, defined as divergence(gradient_to_faces(...)) so the
     composition identity holds bitwise."""
-    return divergence(gradient_to_faces(values, grid, walls)).values
+    return divergence(gradient_to_faces(values, grid, walls))
 
 
 def centered_gradient_at_centers(values: np.ndarray, grid: GridSpec,

@@ -25,8 +25,8 @@ import numpy as np
 
 from .director import GLParams, gl_residual
 from .errors import IncompatibleRhs, LinearSolveFailure
-from .grid import (DirectorField, GridSpec, MacVelocity, ScalarField,
-                   divergence, interior_gradient)
+from .grid import (DirectorField, GridSpec, MacVelocity, divergence,
+                   interior_gradient)
 from .solvers import FaceHelmholtz, NeumannPoisson, cached_solver
 
 
@@ -117,9 +117,9 @@ def _face_solve(g: GridSpec, rho_f: np.ndarray, rhs: np.ndarray,
     return cached_solver(FaceHelmholtz, g, rbar / dt, params.nu).solve(b)
 
 
-def predict_velocity(rho: ScalarField, w: MacVelocity, d: DirectorField,
-                     force_ext: MacVelocity, params: FlowParams,
-                     glp: GLParams, dt: float, rbar: float,
+def predict_velocity(faces: tuple[np.ndarray, np.ndarray], w: MacVelocity,
+                     d: DirectorField, force_ext: MacVelocity,
+                     params: FlowParams, glp: GLParams, dt: float, rbar: float,
                      p_hat: np.ndarray, w_prev: MacVelocity,
                      dt_prev: float) -> MacVelocity:
     """Implicit-viscosity momentum predictor: per component
@@ -133,11 +133,12 @@ def predict_velocity(rho: ScalarField, w: MacVelocity, d: DirectorField,
     on step 1, which lags v itself). The time loop passes the midrange
     of the initial density as rbar, so that the lagged inertia stays
     stable, |rho - rbar| < rbar, and the solver is built once per run.
-    The face densities are `rho.faces`. Each component is solved in its
-    own orientation (u on the grid, v on its transpose) by the same code.
+    `faces` are the face densities (ru, rv), `DensityState.faces` in the
+    time loop. Each component is solved in its own orientation (u on the
+    grid, v on its transpose) by the same code.
     """
-    g = rho.grid
-    ru, rv = rho.faces
+    g = w.grid
+    ru, rv = faces
     out = MacVelocity.zeros(g)
     views = zip((g, g.T), (ru, rv.T), (w.v, w.u.T), (p_hat, p_hat.T),
                 *(_normals(f) for f in (w, elastic_force(d, glp), force_ext,
@@ -173,9 +174,9 @@ def _momentum_rhs(r: np.ndarray, u: np.ndarray, adv: np.ndarray,
     return rhs
 
 
-def project(rho: ScalarField, v_star: MacVelocity, dt: float,
-            params: FlowParams, p_hat: np.ndarray | float = 0.0
-            ) -> tuple[MacVelocity, ScalarField]:
+def project(faces: tuple[np.ndarray, np.ndarray], v_star: MacVelocity,
+            dt: float, params: FlowParams, p_hat: np.ndarray | float = 0.0
+            ) -> tuple[MacVelocity, np.ndarray]:
     """Incremental pressure correction with a constant coefficient
     (Guermond & Salgado, J. Comput. Phys. 228, 2009). With c0 = max
     1/rho_f over the interior faces, the pressure's increment delta solves
@@ -188,13 +189,13 @@ def project(rho: ScalarField, v_star: MacVelocity, dt: float,
     projection, where q = delta. For constant rho, c0 = 1/rho and the
     correction is the exact projection. v' does not depend on p_hat.
     Raises LinearSolveFailure if ||div v'||_inf exceeds tol_proj; v' keeps
-    that norm as `div_inf`. The face densities are `rho.faces`.
+    that norm as `div_inf`. `faces` are the face densities (ru, rv).
     """
-    g = rho.grid
-    ru, rv = rho.faces
+    g = v_star.grid
+    ru, rv = faces
     c0 = 1.0 / min(float(ru[1:-1, :].min()), float(rv[:, 1:-1].min()))
 
-    rhs = -divergence(v_star).values
+    rhs = -divergence(v_star)
     mean_rhs = float(rhs.mean())
     # compatibility: the divergence of a no-slip MAC field telescopes to
     # zero, so the mean can only be velocity-scale round-off
@@ -220,4 +221,4 @@ def project(rho: ScalarField, v_star: MacVelocity, dt: float,
             f"tol_proj = {params.tol_proj:.3e}")
     q = phi / (c0 * dt)
     q += p_hat
-    return out, ScalarField(g, q)
+    return out, q

@@ -10,7 +10,7 @@ import configparser
 import json
 import os
 import zipfile
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .errors import (CheckpointError, ConfigError, DegenerateFit,
 from .expressions import parse_expression
 from .forcing import ForcingSpec, eval_force, sample_forcing
 from .grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
-                   ScalarField, elastic_identity_residual, laplacian,
+                   density_at_faces, elastic_identity_residual, laplacian,
                    norms)
 from .momentum import FlowParams, predict_velocity, project
 from .state import SimState
@@ -157,6 +157,11 @@ def validate_config(cfg: RunConfig) -> dict:
     """Reject every model-assumption violation that can be sampled, and
     return the initial-data samples keyed by config name, with the
     director's wall trace under ``"trace"``."""
+    for spec in (cfg, cfg.forcing):  # NaN would pass the range checks
+        for f in fields(spec):
+            value = getattr(spec, f.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ConfigError(f"{f.name} = {value!r} must be finite")
     try:  # the grid and parameter classes check their own ranges
         g, _, _ = cfg.grid, cfg.glp, cfg.flow
     except ValueError as exc:
@@ -170,9 +175,8 @@ def validate_config(cfg: RunConfig) -> dict:
     if cfg.rho_high < cfg.rho_low:
         raise ConfigError("rho_high < rho_low")
     for key in ("dt", "t_end", "dt_min", "tol_stationary"):
-        if not 0 < getattr(cfg, key) < np.inf:  # NaN fails it too
-            raise ConfigError(
-                f"{key} = {getattr(cfg, key)!r} must be finite and positive")
+        if not (value := getattr(cfg, key)) > 0:
+            raise ConfigError(f"{key} = {value!r} must be positive")
     if cfg.t_end <= T_END_TOL:
         raise ConfigError(
             f"t_end = {cfg.t_end:g} is within the time loop's end tolerance "
@@ -214,16 +218,14 @@ def initial_state(cfg: RunConfig) -> SimState:
     so that step 1 is a step like any other."""
     s = validate_config(cfg)
     g = cfg.grid
-    rho = ScalarField(g, s["rho0"])
-    density = DensityState.from_field(rho)
+    rho = DensityState.initial(g, s["rho0"])
     d = DirectorField(g, s["d0x"], s["d0y"], s["trace"])
     v = MacVelocity(g, s["v0x"], s["v0y"])
     v.enforce_noslip()
     if norms(v, "Linf") > 0:
-        v, _ = project(rho, v, 1.0, cfg.flow)
-    pressure = ScalarField(g, np.zeros((g.nx, g.ny)))
-    return SimState(t=0.0, density=density, v=v, d=d, pressure=pressure,
-                    v_prev=v, dt=cfg.dt)
+        v, _ = project(rho.faces, v, 1.0, cfg.flow)
+    return SimState(t=0.0, rho=rho, v=v, d=d,
+                    pressure=np.zeros((g.nx, g.ny)), v_prev=v, dt=cfg.dt)
 
 
 def step(state: SimState, cfg: RunConfig) -> SimState:
@@ -254,15 +256,14 @@ def step(state: SimState, cfg: RunConfig) -> SimState:
     if 0.0 < cfg.t_end - state.t < dt - 1e-12:
         dt = cfg.t_end - state.t
 
-    density = advance_density(state.density, state.v, dt)
+    rho = advance_density(state.rho, state.v, dt)
     d = advance_director(state.d, state.v, cfg.glp, dt)
     g_mid = eval_force(cfg.forcing, cfg.grid, state.t + 0.5 * dt)
-    p_hat = state.pressure.values
-    v_star = predict_velocity(density.rho, state.v, d, g_mid, cfg.flow,
-                              cfg.glp, dt, density.rho_bar, p_hat,
+    v_star = predict_velocity(rho.faces, state.v, d, g_mid, cfg.flow,
+                              cfg.glp, dt, rho.rho_bar, state.pressure,
                               state.v_prev, state.dt)
-    v, q = project(density.rho, v_star, dt, cfg.flow, p_hat)
-    return SimState(t=state.t + dt, density=density, v=v, d=d, pressure=q,
+    v, q = project(rho.faces, v_star, dt, cfg.flow, state.pressure)
+    return SimState(t=state.t + dt, rho=rho, v=v, d=d, pressure=q,
                     v_prev=state.v, dt=full)
 
 
@@ -303,7 +304,7 @@ def after_step(log: RunLog, prev: SimState, state: SimState, cfg: RunConfig,
         b = vars(records[-1])
     else:
         b = state_bounds(state)
-    mass0 = state.density.mass0
+    mass0 = state.rho.mass0
     return RunLog(
         steps, records,
         max(log.mass_drift_rel_max, abs(b["mass"] - mass0) / abs(mass0)),
@@ -421,27 +422,32 @@ def save_checkpoint(path, state: SimState, log: RunLog) -> None:
     `lap_d1`, `lap_d2`, the pressure `q`, v_prev as `u_prev`, `v_prev`,
     the log's records as one (k, 19) array `records` in `FIELD_ORDER`, and
     each other field of the log as `log_<name>`."""
-    g = state.rho.grid
-    density = state.density
+    rho, g = state.rho, state.rho.grid
     lap1, lap2 = state.d.lap
     rows = np.array([[getattr(r, k) for k in FIELD_ORDER]
                      for r in log.records]).reshape(-1, len(FIELD_ORDER))
     with open(path, "wb") as fh:
         np.savez(fh, version=CHECKPOINT_VERSION, nx=g.nx, ny=g.ny, Lx=g.Lx,
-                 Ly=g.Ly, t=state.t, dt=state.dt, mass0=density.mass0,
-                 rho_min0=density.rho_min0, rho_max0=density.rho_max0,
-                 rho=state.rho.values, u=state.v.u, v=state.v.v,
+                 Ly=g.Ly, t=state.t, dt=state.dt, mass0=rho.mass0,
+                 rho_min0=rho.rho_min0, rho_max0=rho.rho_max0,
+                 rho=rho.values, u=state.v.u, v=state.v.v,
                  d1=state.d.d1, d2=state.d.d2, lap_d1=lap1, lap_d2=lap2,
-                 q=state.pressure.values, u_prev=state.v_prev.u,
+                 q=state.pressure, u_prev=state.v_prev.u,
                  v_prev=state.v_prev.v, records=rows,
                  **{f"log_{k}": getattr(log, k) for k in _LOG_SCALARS})
 
 
-# the arrays of a version-4 archive besides its version
-_CHECKPOINT_KEYS = ("nx", "ny", "Lx", "Ly", "t", "dt", "mass0", "rho_min0",
-                    "rho_max0", "rho", "u", "v", "d1", "d2", "lap_d1",
-                    "lap_d2", "q", "u_prev", "v_prev", "records",
-                    *(f"log_{k}" for k in _LOG_SCALARS))
+def _archive_shapes(grid: GridSpec) -> dict:
+    """The shape of each array of a version-4 archive on `grid`, besides
+    its version; None stands for the records' count, which is free."""
+    cells = (grid.nx, grid.ny)
+    u, v = (grid.nx + 1, grid.ny), (grid.nx, grid.ny + 1)
+    scalars = ("nx", "ny", "Lx", "Ly", "t", "dt", "mass0", "rho_min0",
+               "rho_max0", *(f"log_{k}" for k in _LOG_SCALARS))
+    return {**dict.fromkeys(scalars, ()), "rho": cells, "u": u, "v": v,
+            "d1": cells, "d2": cells, "lap_d1": cells, "lap_d2": cells,
+            "q": cells, "u_prev": u, "v_prev": v,
+            "records": (None, len(FIELD_ORDER))}
 
 
 def load_checkpoint(path, cfg: RunConfig) -> tuple[SimState, RunLog]:
@@ -449,8 +455,8 @@ def load_checkpoint(path, cfg: RunConfig) -> tuple[SimState, RunLog]:
     previous velocity and the Laplacian of its director, each array
     restored as saved, and the run's log. A file that is not such an
     archive, another format version, an archive that lacks one of its
-    arrays or holds records or a log scalar of another shape, a run on a
-    grid other than `cfg`'s, or conserved references other than those of
+    arrays, a run on a grid other than `cfg`'s, an array of another shape
+    than on that grid, or conserved references other than those of
     `cfg`'s t = 0 data raise `CheckpointError`."""
     try:
         archive = np.load(path, allow_pickle=False)
@@ -467,45 +473,40 @@ def load_checkpoint(path, cfg: RunConfig) -> tuple[SimState, RunLog]:
         raise CheckpointError(
             f"{path} has checkpoint format version {version!r}; "
             f"this reader knows version {CHECKPOINT_VERSION}")
-    missing = [k for k in _CHECKPOINT_KEYS if k not in f]
+    grid = cfg.grid
+    shapes = _archive_shapes(grid)
+    missing = [k for k in shapes if k not in f]
     if missing:
         raise CheckpointError(
             f"{path} lacks the checkpoint array(s) {', '.join(missing)}")
-    rows = f["records"]
-    if rows.ndim != 2 or rows.shape[1] != len(FIELD_ORDER):
-        raise CheckpointError(
-            f"{path} holds records of shape {rows.shape}, "
-            f"not (k, {len(FIELD_ORDER)})")
-    shaped = [f"log_{k}" for k in _LOG_SCALARS if f[f"log_{k}"].ndim != 0]
-    if shaped:
-        raise CheckpointError(f"{path} holds the log array(s) "
-                              f"{', '.join(shaped)} not as one number")
-    grid = cfg.grid
     saved = tuple(f[k].tolist() for k in ("nx", "ny", "Lx", "Ly"))
     if saved != (grid.nx, grid.ny, grid.Lx, grid.Ly):
         raise CheckpointError(
             f"{path} holds a run on the grid (nx, ny, Lx, Ly) = {saved}, "
             f"not the config's {(grid.nx, grid.ny, grid.Lx, grid.Ly)}")
+    wrong = [f"{k} of shape {f[k].shape}" for k, shape in shapes.items()
+             if len(f[k].shape) != len(shape)
+             or any(e not in (None, n) for n, e in zip(f[k].shape, shape))]
+    if wrong:
+        raise CheckpointError(f"{path} holds {', '.join(wrong)}, not the "
+                              f"shape(s) the config's grid gives")
     ref = initial_state(cfg)
     for keys in (("mass0", "rho_max0"), ("rho_min0",)):
         refs = tuple(f[k].tolist() for k in keys)
-        expected = tuple(getattr(ref.density, k) for k in keys)
+        expected = tuple(getattr(ref.rho, k) for k in keys)
         if refs != expected:
             raise CheckpointError(
                 f"{path} holds a run with ({', '.join(keys)}) = {refs}, "
                 f"not the {expected} of the config's initial data")
-    r = ref.density
-    density = DensityState(ScalarField(grid, f["rho"]),
-                           r.rho_min0, r.rho_max0, r.mass0)
     d = DirectorField(grid, f["d1"], f["d2"], ref.d.trace)
     d.derived("lap", lambda: (f["lap_d1"], f["lap_d2"]))
-    state = SimState(t=float(f["t"]), density=density,
+    state = SimState(t=float(f["t"]), rho=replace(ref.rho, values=f["rho"]),
                      v=MacVelocity(grid, f["u"], f["v"]), d=d,
-                     pressure=ScalarField(grid, f["q"]),
+                     pressure=f["q"],
                      v_prev=MacVelocity(grid, f["u_prev"], f["v_prev"]),
                      dt=float(f["dt"]))
     return state, RunLog(
-        records=tuple(DiagRecord(*row) for row in rows.tolist()),
+        records=tuple(DiagRecord(*row) for row in f["records"].tolist()),
         **{k: f[f"log_{k}"].item() for k in _LOG_SCALARS})
 
 
@@ -603,8 +604,7 @@ def mms_verify(resolutions=(16, 32, 64), tol_proj: float = 1e-8) -> dict:
         el_err.append(elastic_identity_residual(d, margin=max(2, m)))
 
         vstar = MacVelocity(g, w.u.copy(), w.v.copy())
-        rho_f = ScalarField(g, rho)
-        vproj, _ = project(rho_f, vstar, 1.0,
+        vproj, _ = project(density_at_faces(rho, g), vstar, 1.0,
                            FlowParams(tol_proj=tol_proj))
         if vproj.div_inf > tol_proj:
             div_ok = False

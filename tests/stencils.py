@@ -28,8 +28,9 @@ import numpy as np
 
 from nlcflow import stationary
 from nlcflow.director import GLParams, advance_director, gl_residual_l2
+from nlcflow.density import DensityState
 from nlcflow.grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
-                          ScalarField, Walls, divergence)
+                          Walls, divergence)
 
 
 def pad_with_ghosts(grid: GridSpec, values: np.ndarray, kind: str,
@@ -79,8 +80,7 @@ def padded_laplacian(values: np.ndarray, grid: GridSpec,
                      walls: Walls | None = None,
                      kind: str = "dirichlet") -> np.ndarray:
     """5-point Laplacian, divergence of `padded_gradient_to_faces`."""
-    return divergence(padded_gradient_to_faces(values, grid, walls,
-                                               kind)).values
+    return divergence(padded_gradient_to_faces(values, grid, walls, kind))
 
 
 def padded_centered_gradient(values: np.ndarray, grid: GridSpec,
@@ -240,7 +240,7 @@ def reference_norm(fieldlike, kind: str) -> float:
                          + _mac_component_h1_sq(g, fieldlike.v, 1)))
 
 
-def reference_kinetic_energy(rho: ScalarField, v: MacVelocity) -> float:
+def reference_kinetic_energy(rho: DensityState, v: MacVelocity) -> float:
     """(1/2) integral of rho |v|^2 with weight arrays: 1 on interior faces,
     1/2 on boundary faces."""
     g = v.grid

@@ -4,7 +4,7 @@ import pytest
 from nlcflow.density import (DensityState, advance_density, cfl_number,
                              upwind_flux_divergence)
 from nlcflow.errors import CflViolation
-from nlcflow.grid import GridSpec, MacVelocity, ScalarField, inner
+from nlcflow.grid import GridSpec, MacVelocity, density_at_faces, inner
 from nlcflow.momentum import FlowParams, project
 
 
@@ -24,31 +24,29 @@ def _divfree_velocity(grid, amp=0.5, seed=0):
     w.u += 0.05 * amp * rng.normal(size=w.u.shape)
     w.v += 0.05 * amp * rng.normal(size=w.v.shape)
     w.enforce_noslip()
-    rho = ScalarField(grid, np.ones((grid.nx, grid.ny)))
-    w, _ = project(rho, w, 1.0, FlowParams(tol_proj=1e-12))
+    faces = density_at_faces(np.ones((grid.nx, grid.ny)), grid)
+    w, _ = project(faces, w, 1.0, FlowParams(tol_proj=1e-12))
     return w
 
 
 def _state(grid):
     X, Y = grid.cell_centers()
-    rho = ScalarField(grid, 1.5 + 0.3 * np.sin(2 * np.pi * X)
-                      * np.sin(2 * np.pi * Y))
-    return DensityState.from_field(rho)
+    return DensityState.initial(grid, 1.5 + 0.3 * np.sin(2 * np.pi * X)
+                                * np.sin(2 * np.pi * Y))
 
 
 def test_constant_density_is_fixed_point(grid):
     w = _divfree_velocity(grid)
-    rho = ScalarField(grid, np.full((32, 32), 2.0))
-    state = DensityState.from_field(rho)
+    state = DensityState.initial(grid, np.full((32, 32), 2.0))
     out = advance_density(state, w, 1e-3)
     # constant rho: flux divergence reduces to rho * div w = solver residual
-    assert np.abs(out.rho.values - 2.0).max() < 1e-12
+    assert np.abs(out.values - 2.0).max() < 1e-12
 
 
 def test_zero_velocity_is_fixed_point(grid):
     state = _state(grid)
     out = advance_density(state, MacVelocity.zeros(grid), 1e-2)
-    assert np.array_equal(out.rho.values, state.rho.values)
+    assert np.array_equal(out.values, state.values)
 
 
 def test_mass_conserved_to_roundoff(grid):
@@ -62,11 +60,11 @@ def test_mass_conserved_to_roundoff(grid):
 def test_bounds_preserved(grid):
     w = _divfree_velocity(grid)
     state = _state(grid)
-    lo, hi = state.rho.values.min(), state.rho.values.max()
+    lo, hi = state.values.min(), state.values.max()
     for _ in range(200):
         state = advance_density(state, w, 1e-3)
-        assert state.rho.values.min() >= lo - 1e-12
-        assert state.rho.values.max() <= hi + 1e-12
+        assert state.values.min() >= lo - 1e-12
+        assert state.values.max() <= hi + 1e-12
 
 
 def test_l2_norm_nonincreasing(grid):
@@ -76,10 +74,10 @@ def test_l2_norm_nonincreasing(grid):
     def l2(rho):
         return float(np.sqrt(inner(rho.values, rho.values) * grid.cell_area))
 
-    prev = l2(state.rho)
+    prev = l2(state)
     for _ in range(50):
         state = advance_density(state, w, 1e-3)
-        cur = l2(state.rho)
+        cur = l2(state)
         assert cur <= prev + 1e-12
         prev = cur
 
@@ -100,7 +98,7 @@ def test_cfl_number_formula(grid):
 
 def test_upwind_wall_flux_is_zero(grid):
     w = _divfree_velocity(grid)
-    rho = _state(grid).rho.values
+    rho = _state(grid).values
     div = upwind_flux_divergence(rho, w)
     # total divergence telescopes to the (zero) wall fluxes
     assert abs(div.sum()) * grid.cell_area < 1e-13
@@ -118,3 +116,8 @@ def test_upwind_picks_donor_cell():
     assert np.allclose(div[1, :], 3.0)
     assert np.allclose(div[2, :], -3.0)
     assert np.allclose(div[0, :], 0.0) and np.allclose(div[3, :], 0.0)
+
+
+def test_density_rejects_values_of_another_shape(grid):
+    with pytest.raises(ValueError, match=r"shape \(nx, ny\)"):
+        DensityState.initial(grid, np.ones((grid.nx, grid.ny + 1)))

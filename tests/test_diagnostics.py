@@ -10,8 +10,7 @@ from nlcflow.diagnostics import (FIELD_ORDER, DiagContext, DiagRecord,
 from nlcflow.director import (GLParams, director_energy,
                               director_energy_terms)
 from nlcflow.forcing import ForcingSpec
-from nlcflow.grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
-                          ScalarField)
+from nlcflow.grid import DirectorField, DirectorTrace, GridSpec, MacVelocity
 from nlcflow.momentum import FlowParams
 from nlcflow.state import SimState
 
@@ -26,18 +25,15 @@ def _const_trace(c1, c2):
     return trace
 
 
-def _sim_state(t, density, v, d):
+def _sim_state(t, rho, v, d):
     """A state with the zero pressure, v as its own previous velocity and
     a unit step length: a record reads none of the three."""
     g = v.grid
-    return SimState(t, density, v, d,
-                    ScalarField(g, np.zeros((g.nx, g.ny))),
-                    v, 1.0)
+    return SimState(t, rho, v, d, np.zeros((g.nx, g.ny)), v, 1.0)
 
 
 def _state(grid, t=0.0, rho=1.0, d=(1.0, 0.0), v=None):
-    rho_f = ScalarField(grid, np.full((grid.nx, grid.ny), rho))
-    dens = DensityState.from_field(rho_f)
+    dens = DensityState.initial(grid, np.full((grid.nx, grid.ny), rho))
     if v is None:
         v = MacVelocity.zeros(grid)
     d_f = DirectorField(grid, np.full((grid.nx, grid.ny), d[0]),
@@ -59,7 +55,8 @@ def test_kinetic_energy_constant_velocity_interior():
     v = MacVelocity.zeros(grid)
     v.u[1:-1, :] = 2.0
     # rho = 3: (1/2) * 3 * 4 over interior x-faces with half-weight walls
-    ke = kinetic_energy(ScalarField(grid, np.full((8, 8), 3.0)), v)
+    rho = DensityState.initial(grid, np.full((8, 8), 3.0))
+    ke = kinetic_energy(rho.faces, v)
     expected = 0.5 * 3.0 * 4.0 * grid.cell_area * (grid.nx - 1) * grid.ny
     assert ke == pytest.approx(expected, rel=1e-14)
 
@@ -103,7 +100,7 @@ def test_record_scales_director_terms_by_lambda():
     d = DirectorField(grid, 0.9 * np.cos(th), 0.9 * np.sin(th),
                       DirectorTrace.sample(grid, _const_trace(0.9, 0.0)))
     prev = _state(grid, t=0.0)
-    curr = _sim_state(0.1, prev.density, MacVelocity.zeros(grid), d)
+    curr = _sim_state(0.1, prev.rho, MacVelocity.zeros(grid), d)
     lam, eta = 0.8, 0.5
     rec = compute_record(prev, curr, _ctx(lam=lam, eta=eta))
     elastic, penalty = director_energy_terms(d, eta)
@@ -128,12 +125,10 @@ def test_law_residual_balances_pure_relaxation():
                            np.ones_like(x), np.zeros_like(x))))
     ctx = _ctx()
     dt = 1e-3
-    rho = ScalarField(grid, np.ones((32, 32)))
-    prev = _sim_state(0.0, DensityState.from_field(rho),
-                      MacVelocity.zeros(grid), d0)
+    rho = DensityState.initial(grid, np.ones((32, 32)))
+    prev = _sim_state(0.0, rho, MacVelocity.zeros(grid), d0)
     d1 = advance_director(d0, MacVelocity.zeros(grid), ctx.glp, dt)
-    curr = _sim_state(dt, DensityState.from_field(
-                          ScalarField(grid, rho.values.copy())),
+    curr = _sim_state(dt, DensityState.initial(grid, rho.values.copy()),
                       MacVelocity.zeros(grid), d1)
     res = compute_record(prev, curr, ctx).law_residual
     diss = compute_record(prev, curr, ctx).gl_res_L2 ** 2

@@ -71,7 +71,7 @@ def test_max_principle_without_flow(grid):
 
 
 def test_max_principle_with_advection(grid):
-    from nlcflow.grid import ScalarField
+    from nlcflow.grid import density_at_faces
     from nlcflow.momentum import FlowParams, project
     Xu, Yu = grid.uface_coords()
     Xv, Yv = grid.vface_coords()
@@ -79,8 +79,8 @@ def test_max_principle_with_advection(grid):
                     np.pi * np.sin(np.pi * Xu) ** 2 * np.sin(2 * np.pi * Yu),
                     -np.pi * np.sin(2 * np.pi * Xv) * np.sin(np.pi * Yv) ** 2)
     w.enforce_noslip()
-    rho = ScalarField(grid, np.ones((grid.nx, grid.ny)))
-    w, _ = project(rho, w, 1.0, FlowParams(tol_proj=1e-10))
+    faces = density_at_faces(np.ones((grid.nx, grid.ny)), grid)
+    w, _ = project(faces, w, 1.0, FlowParams(tol_proj=1e-10))
     d = _wavy(grid)
     p = GLParams(gamma=1.0, eta=0.5, lam=1.0)
     for _ in range(100):

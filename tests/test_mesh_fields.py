@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from nlcflow.density import DensityState
 from nlcflow.grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
-                          ScalarField, cell_h1_sq,
-                          centered_gradient_at_centers, density_at_faces,
-                          divergence, elastic_identity_residual,
-                          gradient_interior_faces, gradient_to_faces,
-                          laplacian, norms, sample_walls)
+                          cell_h1_sq, centered_gradient_at_centers,
+                          density_at_faces, divergence,
+                          elastic_identity_residual, gradient_interior_faces,
+                          gradient_to_faces, laplacian, norms, sample_walls)
 from nlcflow.diagnostics import kinetic_energy
 from stencils import (_lap_u_interior, _lap_v_interior,
                       laplacian_interior_faces, pad_with_ghosts,
@@ -49,7 +49,7 @@ def test_divergence_of_noslip_field_sums_to_zero(grid):
     w = MacVelocity(grid, rng.normal(size=(17, 12)),
                     rng.normal(size=(16, 13)))
     w.enforce_noslip()
-    assert abs(divergence(w).values.sum()) < 1e-12
+    assert abs(divergence(w).sum()) < 1e-12
 
 
 def test_gradient_divergence_adjoint(grid):
@@ -62,14 +62,14 @@ def test_gradient_divergence_adjoint(grid):
     w.enforce_noslip()
     gp = gradient_interior_faces(p, grid)
     lhs = (np.sum(gp.u * w.u) + np.sum(gp.v * w.v)) * grid.cell_area
-    rhs = -np.sum(p * divergence(w).values) * grid.cell_area
+    rhs = -np.sum(p * divergence(w)) * grid.cell_area
     assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
 def test_laplacian_is_div_of_grad(grid):
     rng = np.random.default_rng(11)
     s = rng.normal(size=(16, 12))
-    composed = divergence(gradient_to_faces(s, grid)).values
+    composed = divergence(gradient_to_faces(s, grid))
     assert np.array_equal(laplacian(s, grid), composed)
 
 
@@ -129,11 +129,12 @@ def test_kept_values_make_their_field_read_only(grid):
     rng = np.random.default_rng(23)
     d = DirectorField(grid, *rng.normal(size=(2, grid.nx, grid.ny)),
                       DirectorTrace.sample(grid, _zero_trace))
-    rho = ScalarField(grid, 1.0 + rng.uniform(size=(grid.nx, grid.ny)))
+    rho = DensityState.initial(grid,
+                               1.0 + rng.uniform(size=(grid.nx, grid.ny)))
     w = MacVelocity(grid, rng.normal(size=(grid.nx + 1, grid.ny)),
                     rng.normal(size=(grid.nx, grid.ny + 1)))
     kept = [*d.lap, *d.gradients[0], *d.gradients[1], *rho.faces]
-    assert w.div_inf == np.abs(divergence(w).values).max()
+    assert w.div_inf == np.abs(divergence(w)).max()
     for a in (d.d1, d.d2, rho.values, w.u, w.v, *kept):
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0] = 0.0
@@ -238,8 +239,9 @@ def test_norms_match_the_padded_reference(case, shape):
         # max|d| is the square root of max |d|^2, bitwise
         assert norms(f, "Linf") == np.sqrt(f.d1**2 + f.d2**2).max()
     if isinstance(f, MacVelocity):
-        rho = ScalarField(g, 1.5 + 0.3 * np.cos(sum(g.cell_centers())))
-        assert kinetic_energy(rho, f) == pytest.approx(
+        rho = DensityState.initial(
+            g, 1.5 + 0.3 * np.cos(sum(g.cell_centers())))
+        assert kinetic_energy(rho.faces, f) == pytest.approx(
             reference_kinetic_energy(rho, f), rel=1e-12, abs=0.0)
 
 
@@ -299,14 +301,6 @@ def test_director_rejects_a_trace_from_another_grid(grid):
     trace = DirectorTrace.sample(other, lambda x, y: (x, y))
     with pytest.raises(ValueError, match="another grid"):
         DirectorField(grid, np.ones((16, 12)), np.ones((16, 12)), trace)
-
-
-def test_scalar_field_rejects_a_callable_trace():
-    # a ScalarField carries no boundary data at all; the director's trace
-    # is sampled into wall arrays
-    g = GridSpec(4, 4, 1.0, 1.0)
-    with pytest.raises(TypeError):
-        ScalarField(g, np.ones((4, 4)), "dirichlet", lambda x, y: 0.0 * x)
 
 
 def test_density_at_faces_constant(grid):

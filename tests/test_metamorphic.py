@@ -35,7 +35,7 @@ def _run(cfg):
     result = run(cfg, write_outputs=False)
     s = result.final
     fields = dict(rho=s.rho.values, u=s.v.u, v=s.v.v, d1=s.d.d1, d2=s.d.d2,
-                  q=s.pressure.values)
+                  q=s.pressure)
     records = np.array([[getattr(r, k) for k in FIELD_ORDER]
                         for r in result.records])
     return fields, records

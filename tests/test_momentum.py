@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from nlcflow import momentum, solvers
+from nlcflow.density import DensityState
 from nlcflow.director import GLParams
 from nlcflow.errors import LinearSolveFailure
 from nlcflow.grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
-                          ScalarField, density_at_faces, divergence,
+                          density_at_faces, divergence,
                           gradient_interior_faces, norms)
 from nlcflow.momentum import (FlowParams, elastic_force, predict_velocity,
                               project)
@@ -25,7 +26,7 @@ def _rho(grid, const=None):
     X, Y = grid.cell_centers()
     vals = np.full((grid.nx, grid.ny), const) if const is not None else \
         1.5 + 0.3 * np.sin(2 * np.pi * X) * np.sin(2 * np.pi * Y)
-    return ScalarField(grid, vals)
+    return DensityState.initial(grid, vals)
 
 
 def _midrange(rho):
@@ -45,8 +46,9 @@ def _cold_predict(rho, w, d, params, glp, dt):
     zero pressure, and w as its own previous velocity, so that it lags w;
     split at the midrange of rho."""
     g = rho.grid
-    return predict_velocity(rho, w, d, MacVelocity.zeros(g), params, glp, dt,
-                            _midrange(rho), np.zeros((g.nx, g.ny)), w, dt)
+    return predict_velocity(rho.faces, w, d, MacVelocity.zeros(g), params,
+                            glp, dt, _midrange(rho), np.zeros((g.nx, g.ny)),
+                            w, dt)
 
 
 def _smooth_velocity(grid, amp=0.3):
@@ -76,15 +78,15 @@ def test_rest_state_is_fixed_point(grid):
 def test_projection_divergence_bound(grid):
     params = FlowParams(tol_proj=1e-8)
     vs = _smooth_velocity(grid)
-    out, _ = project(_rho(grid), vs, 1e-2, params)
-    assert np.abs(divergence(out).values).max() <= 1e-8
+    out, _ = project(_rho(grid).faces, vs, 1e-2, params)
+    assert np.abs(divergence(out)).max() <= 1e-8
 
 
 def test_projection_is_idempotent(grid):
     params = FlowParams(tol_proj=1e-10)
     vs = _smooth_velocity(grid)
-    v1, _ = project(_rho(grid), vs, 1e-2, params)
-    v2, _ = project(_rho(grid), v1, 1e-2, params)
+    v1, _ = project(_rho(grid).faces, vs, 1e-2, params)
+    v2, _ = project(_rho(grid).faces, v1, 1e-2, params)
     assert np.abs(v2.u - v1.u).max() < 1e-7
     assert np.abs(v2.v - v1.v).max() < 1e-7
 
@@ -93,8 +95,9 @@ def test_projection_decreases_kinetic_energy(grid):
     from nlcflow.diagnostics import kinetic_energy
     rho = _rho(grid)
     vs = _smooth_velocity(grid)
-    out, _ = project(rho, vs, 1e-2, FlowParams())
-    assert kinetic_energy(rho, out) <= kinetic_energy(rho, vs) + 1e-14
+    out, _ = project(rho.faces, vs, 1e-2, FlowParams())
+    assert kinetic_energy(rho.faces, out) <= kinetic_energy(rho.faces, vs) \
+        + 1e-14
 
 
 def test_projection_annihilates_discrete_gradient_constant_rho(grid):
@@ -104,13 +107,14 @@ def test_projection_annihilates_discrete_gradient_constant_rho(grid):
     phi = 0.2 * np.cos(np.pi * X) * np.cos(np.pi * Y)
     g = gradient_interior_faces(phi, grid)
     params = FlowParams(tol_proj=1e-9)
-    out, _ = project(_rho(grid, const=1.5), g, 1.0, params)
+    out, _ = project(_rho(grid, const=1.5).faces, g, 1.0, params)
     assert norms(out, "Linf") <= 10 * params.tol_proj
 
 
 def test_pressure_has_zero_mean(grid):
-    _, q = project(_rho(grid), _smooth_velocity(grid), 1e-2, FlowParams())
-    assert abs(q.values.mean()) < 1e-15
+    _, q = project(_rho(grid).faces, _smooth_velocity(grid), 1e-2,
+                   FlowParams())
+    assert abs(q.mean()) < 1e-15
 
 
 def test_predicted_velocity_keeps_noslip(grid):
@@ -130,12 +134,12 @@ def test_viscous_decay_rate(grid):
     glp = GLParams(gamma=1.0, eta=0.5, lam=1.0)
     rho = _rho(grid, const=1.0)
     v = _smooth_velocity(grid, amp=0.1)
-    v, _ = project(rho, v, 1e-2, params)
+    v, _ = project(rho.faces, v, 1e-2, params)
     e0 = norms(v, "L2")
     dt = 1e-2
     for _ in range(20):
         vs = _cold_predict(rho, v, _uniform_director(grid), params, glp, dt)
-        v, _ = project(rho, vs, dt, params)
+        v, _ = project(rho.faces, vs, dt, params)
     e1 = norms(v, "L2")
     # fastest allowed decay is bounded by the lowest Dirichlet eigenvalue
     assert e1 < e0 * np.exp(-2 * np.pi**2 * 0.2 * 0.5)
@@ -265,21 +269,21 @@ def test_projection_with_constant_density_ignores_the_lagged_pressure(grid):
     # bitwise that of the projection without p_hat, and q - p_hat is its
     # pressure to the one rounding of q = p_hat + delta
     rho, vs, dt = _rho(grid, const=1.5), _smooth_velocity(grid), 1e-2
-    ref, q_ref = project(rho, vs, dt, FlowParams())
+    ref, q_ref = project(rho.faces, vs, dt, FlowParams())
     eps = np.finfo(float).eps
     for seed in (16, 17):
         p_hat = _pressure(grid, seed)
-        out, q = project(rho, vs, dt, FlowParams(), p_hat=p_hat)
+        out, q = project(rho.faces, vs, dt, FlowParams(), p_hat=p_hat)
         assert np.array_equal(out.u, ref.u) and np.array_equal(out.v, ref.v)
-        assert np.abs(q.values - p_hat - q_ref.values).max() \
-            <= 2 * eps * np.abs(q.values).max()
+        assert np.abs(q - p_hat - q_ref).max() <= 2 * eps * np.abs(q).max()
 
 
 def test_projection_with_a_lagged_pressure_is_divergence_free(grid):
     rho, vs, dt = _rho(grid), _smooth_velocity(grid), 1e-2
-    out, q = project(rho, vs, dt, FlowParams(), p_hat=_pressure(grid, 18))
-    assert np.abs(divergence(out).values).max() <= 1e-12
-    assert abs(q.values.mean()) < 1e-15
+    out, q = project(rho.faces, vs, dt, FlowParams(),
+                     p_hat=_pressure(grid, 18))
+    assert np.abs(divergence(out)).max() <= 1e-12
+    assert abs(q.mean()) < 1e-15
 
 
 def test_projection_makes_one_poisson_solve_and_no_pcg_call(monkeypatch,
@@ -299,7 +303,7 @@ def test_projection_makes_one_poisson_solve_and_no_pcg_call(monkeypatch,
     rho, vs = _rho(grid), _smooth_velocity(grid)
     for p_hat in (0.0, _pressure(grid, 19)):
         calls["poisson"] = 0
-        project(rho, vs, 1e-2, FlowParams(), p_hat=p_hat)
+        project(rho.faces, vs, 1e-2, FlowParams(), p_hat=p_hat)
         assert calls == {"poisson": 1, "other": 0}
 
 
@@ -314,4 +318,4 @@ def test_projection_raises_when_its_result_misses_tol_proj(monkeypatch,
     with pytest.raises(LinearSolveFailure,
                        match=r"\|\|div v\|\|_inf = .* above tol_proj = "
                              r"1\.000e-08"):
-        project(_rho(grid), _smooth_velocity(grid), 1e-2, FlowParams())
+        project(_rho(grid).faces, _smooth_velocity(grid), 1e-2, FlowParams())

@@ -18,7 +18,7 @@ from nlcflow.density import DensityState, advance_density
 from nlcflow.director import GLParams, advance_director
 from nlcflow.forcing import ForcingSpec
 from nlcflow.grid import (DirectorField, DirectorTrace, GridSpec, MacVelocity,
-                          ScalarField)
+                          density_at_faces)
 from nlcflow.momentum import FlowParams, predict_velocity, project
 from nlcflow.runner import RunConfig, step
 from nlcflow.state import SimState
@@ -137,8 +137,8 @@ def _oracle_advance_density(rho, w, dt):
 def test_density_step_matches_loop_oracle(g=GRID):
     rho, w, _ = _setup(g)
     dt = 0.01
-    state = DensityState.from_field(ScalarField(g, rho))
-    fast = advance_density(state, w, dt).rho.values
+    state = DensityState.initial(g, rho)
+    fast = advance_density(state, w, dt).values
     slow = _oracle_advance_density(rho, w, dt)
     err = _rel_err(fast, slow)
     assert err <= 1e-12, f"density oracle mismatch: {err:.3e}"
@@ -425,7 +425,7 @@ def test_momentum_predictor_matches_dense_oracle(g=GRID):
     g_ext = MacVelocity(g, 0.1 * np.ones((g.nx + 1, g.ny)),
                         -0.05 * np.ones((g.nx, g.ny + 1)))
 
-    rho_f = ScalarField(g, rho)
+    faces = density_at_faces(rho, g)
     cold = dict(rbar=0.5 * (rho.min() + rho.max()))
     lagged = dict(p_hat=_cell_pressure(31, g),
                   w_prev=_previous_velocity(w, 32), dt_prev=0.5 * dt,
@@ -434,7 +434,7 @@ def test_momentum_predictor_matches_dense_oracle(g=GRID):
     # takes without p_hat and w_prev
     for kw, fast_kw in ((cold, dict(cold, **_cold_lag(w, dt))),
                         (lagged, lagged)):
-        fast = predict_velocity(rho_f, w, d, g_ext, flow, glp, dt, **fast_kw)
+        fast = predict_velocity(faces, w, d, g_ext, flow, glp, dt, **fast_kw)
         ou, ov, _ = _oracle_predict_velocity(rho, w, d, g_ext, flow, glp,
                                              dt, **kw)
         err = max(_rel_err(fast.u, ou), _rel_err(fast.v, ov))
@@ -447,9 +447,9 @@ def test_oracle_agreement_without_external_force():
     flow = FlowParams(nu=1.3)
     dt = 0.002
     rbar = 0.5 * (rho.min() + rho.max())
-    rho_f = ScalarField(GRID, rho)
-    fast = predict_velocity(rho_f, w, d, MacVelocity.zeros(GRID), flow, glp,
-                            dt, rbar=rbar, **_cold_lag(w, dt))
+    fast = predict_velocity(density_at_faces(rho, GRID), w, d,
+                            MacVelocity.zeros(GRID), flow, glp, dt, rbar=rbar,
+                            **_cold_lag(w, dt))
     ou, ov, _ = _oracle_predict_velocity(rho, w, d, None, flow, glp, dt,
                                          rbar)
     err = max(_rel_err(fast.u, ou), _rel_err(fast.v, ov))
@@ -528,12 +528,12 @@ def _oracle_project(rho, w, dt, p_hat):
 def test_projection_matches_dense_oracle(g=GRID):
     rho, w, _ = _setup(g)
     dt = 0.004
-    rho_f = ScalarField(g, rho)
+    faces = density_at_faces(rho, g)
     for p_hat in (0.0, _cell_pressure(23, g)):
-        fast, q = project(rho_f, w, dt, FlowParams(), p_hat=p_hat)
+        fast, q = project(faces, w, dt, FlowParams(), p_hat=p_hat)
         ou, ov, oq = _oracle_project(rho, w, dt, p_hat)
         err = max(_rel_err(fast.u, ou), _rel_err(fast.v, ov),
-                  _rel_err(q.values, oq))
+                  _rel_err(q, oq))
         assert err <= 1e-12, f"projection oracle mismatch: {err:.3e}"
 
 
@@ -585,7 +585,7 @@ def _oracle_step(state, cfg, dt, rbar, w_prev=None, dt_prev=None):
     rho = _oracle_advance_density(state.rho.values, w, dt)
     n1, n2 = _oracle_advance_director(state.d, w, glp, dt)
     d = DirectorField(g, n1, n2, state.d.trace)
-    p_hat = None if state.pressure is None else state.pressure.values
+    p_hat = state.pressure
     us, vs, _ = _oracle_predict_velocity(
         rho, w, d, _oracle_force(state.t + 0.5 * dt, g), cfg.flow, glp, dt,
         rbar, p_hat, w_prev, dt_prev)
@@ -600,15 +600,14 @@ def _start_state(g=GRID):
     velocity as its own previous one, as `initial_state` starts a run, and
     the midrange of its density: the split density of a run from it."""
     rho, w, d = _setup(g)
-    return SimState(t=0.0, density=DensityState.from_field(
-        ScalarField(g, rho)), v=w, d=d,
-        pressure=ScalarField(g, np.zeros((g.nx, g.ny))),
-        v_prev=w, dt=_step_config(g).dt), 0.5 * (rho.min() + rho.max())
+    return SimState(t=0.0, rho=DensityState.initial(g, rho), v=w, d=d,
+                    pressure=np.zeros((g.nx, g.ny)), v_prev=w,
+                    dt=_step_config(g).dt), 0.5 * (rho.min() + rho.max())
 
 
 def _assert_step_matches(fast, slow):
     got = (fast.rho.values, fast.d.d1, fast.d.d2, fast.v.u, fast.v.v,
-           fast.pressure.values)
+           fast.pressure)
     err = max(_rel_err(a, b) for a, b in zip(got, slow))
     assert err <= 1e-12, f"step oracle mismatch: {err:.3e}"
 
@@ -618,10 +617,10 @@ def _oracle_state(state, slow, dt):
     g = state.v.grid
     return SimState(
         t=state.t + dt,
-        density=DensityState.from_field(ScalarField(g, rho)),
+        rho=DensityState.initial(g, rho),
         v=MacVelocity(g, u, v),
         d=DirectorField(g, n1, n2, state.d.trace),
-        pressure=ScalarField(g, q), v_prev=state.v, dt=dt)
+        pressure=q, v_prev=state.v, dt=dt)
 
 
 def test_three_cold_steps_match_the_step_oracle(g=GRID):

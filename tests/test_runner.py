@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import nlcflow
+from nlcflow import density as density_module
 from nlcflow import diagnostics
 from nlcflow import grid as grid_module
 from nlcflow.cli import main as cli_main
@@ -124,6 +125,12 @@ def test_validate_rejects_bad_cfl_safety():
         validate_config(_cfg(cfl_safety=0.0))
 
 
+# the section of each key below other than the stepping ones
+_SECTION_OF = {"tol_stationary": "tolerances", "tol_proj": "tolerances",
+               "nu": "physics", "eta": "physics", "rho_low": "physics",
+               "amplitude": "forcing"}
+
+
 @pytest.mark.parametrize("key, value", [
     # a NaN t_end made no step and passed every check; an infinite one
     # never ended
@@ -132,10 +139,18 @@ def test_validate_rejects_bad_cfl_safety():
     ("dt", "inf"), ("dt_min", "0"),
     # the stationary line search failed on it, after the set-up
     ("tol_stationary", "0"),
+    # a NaN viscosity or force amplitude failed the first step's solve
+    ("nu", "nan"), ("amplitude", "nan"),
+    # an infinite tol_proj made the div_free check unable to fail, and a
+    # run with an infinite eta reported every check as true
+    ("tol_proj", "inf"), ("eta", "inf"),
+    # a NaN density bound passed the range checks and failed the run's
+    # rho_in_bounds check, as if the scheme had broken the bound
+    ("rho_low", "nan"),
 ])
 def test_load_config_rejects_a_nonfinite_or_nonpositive_step_value(
         tmp_path, key, value):
-    section = "tolerances" if key == "tol_stationary" else "stepping"
+    section = _SECTION_OF.get(key, "stepping")
     p = tmp_path / "run.cfg"
     p.write_text(f"[{section}]\n{key} = {value}\n")
     with pytest.raises(ConfigError, match=f"^{key} = "):
@@ -182,7 +197,7 @@ def test_initial_state_is_divergence_free():
     from nlcflow.grid import divergence
     cfg = _cfg()
     st = initial_state(cfg)
-    assert np.abs(divergence(st.v).values).max() <= cfg.tol_proj
+    assert np.abs(divergence(st.v)).max() <= cfg.tol_proj
     assert st.v.u[0, :].max() == 0.0 and st.v.v[:, -1].max() == 0.0
 
 
@@ -297,12 +312,11 @@ def test_step_fails_fast_on_nonfinite_velocity():
 def _state_bytes(state):
     """Every number a state holds, as bytes and floats."""
     arrays = (state.rho.values, state.v.u, state.v.v, state.d.d1,
-              state.d.d2, state.pressure.values, state.v_prev.u,
-              state.v_prev.v)
-    density = state.density
+              state.d.d2, state.pressure, state.v_prev.u, state.v_prev.v)
+    rho = state.rho
     return ([a.tobytes() for a in arrays],
-            [float.hex(x) for x in (state.t, state.dt, density.mass0,
-                                    density.rho_min0, density.rho_max0)])
+            [float.hex(x) for x in (state.t, state.dt, rho.mass0,
+                                    rho.rho_min0, rho.rho_max0)])
 
 
 @pytest.mark.parametrize("steps", [0, 3])
@@ -496,6 +510,25 @@ def test_a_step_and_its_record_form_each_residual_once(monkeypatch):
     assert len({id(d) for d in built}) == 11
 
 
+def test_a_step_averages_its_density_to_the_faces_once(monkeypatch):
+    # the predictor, the projection, the kinetic energy and B_val read the
+    # faces each density keeps: one average per step, and one for the
+    # initial projection, each of another density
+    averaged = []
+    real = density_module.density_at_faces
+
+    def spy(rho, grid):
+        averaged.append(rho)
+        return real(rho, grid)
+
+    monkeypatch.setattr(density_module, "density_at_faces", spy)
+    cfg = preset_config("f1-potential", record_every=1, **TEN_STEPS)
+    result = run(cfg, write_outputs=False, with_stationary=False)
+    assert result.report["invariants"]["steps"] == len(result.records) == 10
+    assert len(averaged) == 11
+    assert len({id(rho) for rho in averaged}) == 11
+
+
 def test_checkpoint_round_trip_resumes_bitwise(tmp_path):
     cfg = _cfg(t_end=0.04)
     ctx = DiagContext(glp=cfg.glp, flow=cfg.flow, spec=cfg.forcing)
@@ -514,7 +547,7 @@ def test_checkpoint_round_trip_resumes_bitwise(tmp_path):
     assert np.array_equal(loaded.v.u, state.v.u)
     assert np.array_equal(loaded.d.d1, state.d.d1)
     # conserved references match the run's own initial data
-    assert loaded.density.mass0 == initial_state(cfg).density.mass0
+    assert loaded.rho.mass0 == initial_state(cfg).rho.mass0
 
     cont_a = step(state, cfg)
     cont_b = step(loaded, cfg)
@@ -530,7 +563,7 @@ def _assert_resumes_bitwise(cfg, state, loaded, steps):
         for a, b in ((state.v.u, loaded.v.u), (state.v.v, loaded.v.v),
                      (state.rho.values, loaded.rho.values),
                      (state.d.d1, loaded.d.d1), (state.d.d2, loaded.d.d2),
-                     (state.pressure.values, loaded.pressure.values)):
+                     (state.pressure, loaded.pressure)):
             assert a.tobytes() == b.tobytes()
 
 
@@ -548,7 +581,7 @@ def test_checkpoint_resumes_the_extrapolated_lag_bitwise(tmp_path):
     loaded, _ = load_checkpoint(path, cfg)
     assert loaded.v_prev.u.tobytes() == state.v_prev.u.tobytes()
     assert loaded.v_prev.v.tobytes() == state.v_prev.v.tobytes()
-    assert loaded.pressure.values.tobytes() == state.pressure.values.tobytes()
+    assert loaded.pressure.tobytes() == state.pressure.tobytes()
     # with v^n as its own previous velocity the next step would lag v^n
     # and differ
     cold = step(dataclasses.replace(loaded, v_prev=loaded.v), cfg)
@@ -623,7 +656,14 @@ def test_load_checkpoint_names_a_missing_array(tmp_path, key):
     ("records", lambda a: a[:, :18]),
     ("records", lambda a: a.ravel()),
     ("log_steps", lambda a: np.array([a, a])),
-], ids=["records-18-columns", "records-1d", "log_steps-2"])
+    # numpy broadcast a one-row Laplacian into the resumed run's record
+    ("lap_d1", lambda a: a[:1]),
+    ("q", lambda a: a[:, :-1]),
+    ("rho", lambda a: a[:-1]),
+    ("u_prev", lambda a: a[:-1]),
+    ("t", lambda a: np.array([a, a])),
+], ids=["records-18-columns", "records-1d", "log_steps-2", "lap_d1-1-row",
+        "q-cut", "rho-cut", "u_prev-cut", "t-2"])
 def test_load_checkpoint_names_an_array_of_another_shape(tmp_path, key, bad):
     # a log with records, so that the cut columns hold numbers
     cfg = _cfg()
@@ -639,7 +679,7 @@ def test_load_checkpoint_names_an_array_of_another_shape(tmp_path, key, bad):
     assert fields["records"].shape == (2, len(FIELD_ORDER))
     fields[key] = bad(fields[key])
     np.savez(path, **fields)
-    with pytest.raises(CheckpointError, match=key):
+    with pytest.raises(CheckpointError, match=rf"\b{key} of shape"):
         load_checkpoint(path, cfg)
 
 
@@ -682,7 +722,7 @@ def test_run_writes_snapshots_that_resume_bitwise(tmp_path):
     for a, b in ((final.v.u, end.v.u), (final.v.v, end.v.v),
                  (final.rho.values, end.rho.values),
                  (final.d.d1, end.d.d1), (final.d.d2, end.d.d2),
-                 (final.pressure.values, end.pressure.values)):
+                 (final.pressure, end.pressure)):
         assert a.tobytes() == b.tobytes()
 
 
